@@ -277,6 +277,9 @@ TRAJECTORIES_SCHEMA = _OPERATOR_FIELDS + (
 
 
 def _cmd_trajectories(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+    for key in ("n_trajectories", "store_every", "workers"):
+        if cfg[key] is not None and cfg[key] < 1:
+            raise ConfigError(f"'{key}' must be at least 1, got {cfg[key]}")
     spec = _build_lindblad(cfg)
     psi0 = StateVector(_parse_state(cfg["psi0"], "psi0"))
     tc = TrajectoryConfig(

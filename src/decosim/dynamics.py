@@ -6,8 +6,10 @@ enforcing trace and positivity contracts on stored snapshots.
 ``unravel`` propagates pure-state diffusive trajectories whose ensemble
 mean converges to the same master equation; trajectory randomness is
 keyed by (master_seed, trajectory_index) with a counter-based bit
-generator, and reduction happens in fixed blocks so results are
-bitwise reproducible for any worker count.
+generator, and reduction happens in fixed blocks of ``TRAJECTORY_BLOCK``
+(1024) trajectories so results are bitwise reproducible for any worker
+count.  Each Euler-Maruyama step advances a whole block with one matrix
+product against the stacked operators (1, dt A, L_1, ..., L_m).
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from .errors import PositivityError
 TRACE_DRIFT_TOL = 1e-8
 DEFAULT_POSITIVITY_TOL = 1e-6
 STIFFNESS_WARN = 0.1
-TRAJECTORY_BLOCK = 256  # fixed reduction granularity; never tied to worker count
+TRAJECTORY_BLOCK = 1024  # fixed reduction granularity; never tied to worker count
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,10 @@ class LindbladSpec:
                 raise ValueError(f"rates must be nonnegative, got {rate}")
             terms.append((op, float(rate)))
         object.__setattr__(self, "lindblad_terms", tuple(terms))
+        # L^dag L per term, built once; not a field, so eq/repr are unchanged
+        object.__setattr__(
+            self, "_jump_products", tuple(op.entries.conj().T @ op.entries for op, _ in terms)
+        )
 
     @property
     def dim(self) -> int:
@@ -58,10 +64,9 @@ class LindbladSpec:
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         h = self.hamiltonian.entries
         out = -1j * (h @ rho - rho @ h)
-        for op, rate in self.lindblad_terms:
+        for (op, rate), ldl in zip(self.lindblad_terms, self._jump_products):
             l = op.entries
             l_rho = l @ rho
-            ldl = l.conj().T @ l
             out += rate * (l_rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
         return out
 
@@ -72,12 +77,6 @@ class LindbladSpec:
             for op, rate in self.lindblad_terms
         ]
         return max([h_norm] + rates) if rates else h_norm
-
-
-def lindblad_rhs(spec: LindbladSpec, rho) -> np.ndarray:
-    """Generator applied to a density matrix (raw array in, raw array out)."""
-    mat = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    return spec.rhs(mat)
 
 
 @dataclass(frozen=True)
@@ -172,50 +171,83 @@ class TrajectoryResult:
     final_states: np.ndarray  # (n_trajectories, dim) unit vectors, index order
 
 
-def _trajectory_noise(master_seed: int, index: int, n_steps: int, n_ops: int, dt: float) -> np.ndarray:
-    key = np.array([master_seed, index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.normal(0.0, np.sqrt(dt), size=(n_steps, n_ops))
+def _block_noise(master_seed: int, indices: range, n_steps: int, n_ops: int) -> np.ndarray:
+    """Standard normals, shape (len(indices), n_steps, n_ops); trajectory i keyed by (master_seed, i).
+
+    One Philox bit generator is rekeyed per trajectory by resetting its
+    state, which yields exactly the stream of a fresh
+    ``Philox(key=[master_seed, i])`` without building one per trajectory.
+    """
+    bitgen = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state  # zero counter, empty buffer
+    key = fresh["state"]["key"]
+    noise = np.empty((len(indices), n_steps, n_ops))
+    for row, index in zip(noise, indices):
+        key[1] = index
+        bitgen.state = fresh
+        rng.standard_normal(out=row)
+    return noise
 
 
-def _evolve_block(
-    h: np.ndarray,
-    ops: list[np.ndarray],
-    rates: list[float],
+def _real_form(mat: np.ndarray) -> np.ndarray:
+    """Real matrix acting on (Re psi, Im psi) stacked as one vector, as ``mat`` acts on psi."""
+    return np.block([[mat.real, -mat.imag], [mat.imag, mat.real]])
+
+
+def _unravel_block(
+    stacked: np.ndarray,
+    rates: np.ndarray,
     psi0: np.ndarray,
     cfg: TrajectoryConfig,
     indices: range,
     sample_steps: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    n_steps = cfg.n_steps
-    b = len(indices)
-    d = psi0.size
-    psi = np.tile(psi0, (b, 1))
-    noise = np.stack(
-        [_trajectory_noise(cfg.master_seed, i, n_steps, len(ops), cfg.dt) for i in indices]
-    )
-    sums = np.zeros((sample_steps.size, d, d), dtype=complex)
+    """Euler-Maruyama for one block of trajectories; returns (snapshot sums, final states).
+
+    With A = -iH - (1/2) sum_mu kappa_mu L_mu^2, e_mu = <psi|L_mu|psi> and
+    w_mu = sqrt(kappa_mu) dW_mu, one step is
+      psi' = s psi + dt A psi + sum_mu c_mu L_mu psi,
+      c_mu = dt kappa_mu e_mu + w_mu,
+      s = 1 - sum_mu (dt kappa_mu e_mu^2 / 2 + w_mu e_mu),
+    followed by renormalization.  ``stacked`` holds the real forms of
+    (1, dt A, L_1, ..., L_m) one above the other, so one matrix product
+    gives every term and psi' is their sum weighted by (s, 1, c_1, ..., c_m).
+    States are kept as columns (Re psi; Im psi), so every elementwise
+    operation runs along the block's trajectories.
+    """
+    dt, n_steps = cfg.dt, cfg.n_steps
+    b, d, m = len(indices), psi0.size, rates.size
+    noise = _block_noise(cfg.master_seed, indices, n_steps, m)
+    noise *= np.sqrt(dt * rates)
+    dt_rates = (dt * rates)[:, None]
+    half_dt_rates = 0.5 * dt_rates
+    psi = np.repeat(np.concatenate([psi0.real, psi0.imag])[:, None], b, axis=1)
+    weights = np.ones((m + 2, b))
+    sums = np.empty((sample_steps.size, d, d), dtype=complex)
+
+    def ensemble_sum(psi):
+        z = psi[:d] + 1j * psi[d:]
+        return np.einsum("ib,jb->ij", z, z.conj())
+
     pos = 0
     if sample_steps[pos] == 0:
-        sums[pos] = np.einsum("bi,bj->ij", psi, psi.conj())
+        sums[pos] = ensemble_sum(psi)
         pos += 1
-    ht = h.T
     for step in range(n_steps):
-        drift = -1j * (psi @ ht)
-        stoch = np.zeros_like(psi)
-        for mu, (l, rate) in enumerate(zip(ops, rates)):
-            l_psi = psi @ l.T
-            expect = np.einsum("bi,bi->b", psi.conj(), l_psi).real[:, None]
-            centered = l_psi - expect * psi
-            # drift gets -(rate/2) (L - <L>)^2 psi
-            drift -= 0.5 * rate * (centered @ l.T - expect * centered)
-            stoch += np.sqrt(rate) * centered * noise[:, step, mu][:, None]
-        psi = psi + cfg.dt * drift + stoch
-        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        terms = (stacked @ psi).reshape(m + 2, 2 * d, b)
+        # Re <psi|L_mu psi> is the real dot product of the stacked columns
+        expect = np.einsum("mkb,kb->mb", terms[2:], psi)
+        coef = weights[2:]  # c_mu, written in place
+        np.multiply(dt_rates, expect, out=coef)
+        coef += noise[:, step].T
+        weights[0] = 1.0 - np.einsum("mb,mb->b", coef - half_dt_rates * expect, expect)
+        psi = np.einsum("mb,mkb->kb", weights, terms)
+        psi /= np.sqrt(np.einsum("kb,kb->b", psi, psi))
         if pos < sample_steps.size and sample_steps[pos] == step + 1:
-            sums[pos] = np.einsum("bi,bj->ij", psi, psi.conj())
+            sums[pos] = ensemble_sum(psi)
             pos += 1
-    return sums, psi
+    return sums, (psi[:d] + 1j * psi[d:]).T
 
 
 def unravel(
@@ -239,20 +271,29 @@ def unravel(
         raise ValueError("initial state dimension does not match the generator")
     if n_workers is None:
         n_workers = int(os.environ.get("DECOSIM_WORKERS", "1"))
+    if n_workers < 1:
+        raise ValueError(f"need n_workers >= 1, got {n_workers}")
+    if store_every < 1:
+        raise ValueError(f"need store_every >= 1, got {store_every}")
     n_steps = cfg.n_steps
     sample_steps = np.unique(
         np.concatenate([np.arange(0, n_steps + 1, store_every), [n_steps]])
     )
-    h = spec.hamiltonian.entries
-    ops = [op.entries for op, _ in spec.lindblad_terms]
-    rates = [rate for _, rate in spec.lindblad_terms]
+    rates = np.array([rate for _, rate in spec.lindblad_terms], dtype=float)
+    a = -1j * spec.hamiltonian.entries
+    for (_, rate), ldl in zip(spec.lindblad_terms, spec._jump_products):
+        a -= 0.5 * rate * ldl  # L^dag L = L^2 for Hermitian L
+    stacked = np.vstack(
+        [np.eye(2 * spec.dim), _real_form(cfg.dt * a)]
+        + [_real_form(op.entries) for op, _ in spec.lindblad_terms]
+    )
     blocks = [
         range(lo, min(lo + TRAJECTORY_BLOCK, cfg.n_trajectories))
         for lo in range(0, cfg.n_trajectories, TRAJECTORY_BLOCK)
     ]
 
     def run(block):
-        return _evolve_block(h, ops, rates, psi0.amplitudes, cfg, block, sample_steps)
+        return _unravel_block(stacked, rates, psi0.amplitudes, cfg, block, sample_steps)
 
     if n_workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:

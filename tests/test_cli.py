@@ -130,6 +130,23 @@ def test_trajectories_track_the_master_equation(tmp_path):
     assert manifest["summary"]["final_trace_distance"] == dist[-1]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--n-trajectories", "0"],
+    ["--n-trajectories", "10", "--store-every", "0"],
+    ["--n-trajectories", "10", "--workers", "0"],
+])
+def test_trajectory_bounds_exit_2(tmp_path, capsys, flags):
+    rc = main([
+        "trajectories", "--hamiltonian", "identity",
+        "--lindblad", '[{"operator": "sigma_z", "rate": 1.0}]',
+        "--t-final", "0.1", "--dt", "0.01", "--output", str(tmp_path),
+    ] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+
+
 def test_collisional_rates_and_curve(tmp_path):
     rc = main([
         "collisional", "--density-amplitude", "1.0", "--q-max", "2.0",

@@ -12,6 +12,7 @@ from decosim import (
     evolve,
     unravel,
 )
+from decosim.dynamics import TRAJECTORY_BLOCK, _block_noise
 
 KAPPA = 0.8
 
@@ -104,11 +105,96 @@ def test_unraveling_is_reproducible():
 
 
 def test_unraveling_workers_do_not_change_result():
-    spec, psi0, cfg = _traj_setup(64)
-    serial = unravel(spec, psi0, cfg, store_every=100, n_workers=1)
-    parallel = unravel(spec, psi0, cfg, store_every=100, n_workers=4)
-    for x, y in zip(serial.ensemble, parallel.ensemble):
-        assert np.abs(x.entries - y.entries).max() < 1e-12
+    # more than two blocks, so the thread pool runs and the last block is partial
+    spec = _dephasing_spec(kappa=1.0, h=0.4 * SIGMA_X)
+    psi0 = StateVector(np.array([1.0, 1.0]) / np.sqrt(2))
+    cfg = TrajectoryConfig(
+        dt=2e-3, t_final=0.05, n_trajectories=2 * TRAJECTORY_BLOCK + 3, master_seed=1122
+    )
+    serial = unravel(spec, psi0, cfg, store_every=5, n_workers=1)
+    for workers in (2, 4):
+        parallel = unravel(spec, psi0, cfg, store_every=5, n_workers=workers)
+        assert len(parallel.ensemble) == len(serial.ensemble)
+        for x, y in zip(serial.ensemble, parallel.ensemble):
+            assert np.array_equal(x.entries, y.entries)
+        assert np.array_equal(serial.final_states, parallel.final_states)
+
+
+def test_unravel_rejects_degenerate_workers_and_stride():
+    spec, psi0, cfg = _traj_setup(4)
+    with pytest.raises(ValueError):
+        unravel(spec, psi0, cfg, n_workers=0)
+    with pytest.raises(ValueError):
+        unravel(spec, psi0, cfg, store_every=0)
+
+
+def _philox(seed, index):
+    # a uint64 key: a plain list would pass through float64 and round seeds >= 2**53
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+def _textbook_unravel(h, terms, psi0, cfg, store_every):
+    """Per-operator Euler-Maruyama step, trajectories as rows: the oracle for ``unravel``.
+
+    Trajectory i draws its increments from a fresh Philox keyed by
+    (master_seed, i); returns (ensemble snapshots, final states).
+    """
+    n, n_steps, dt = cfg.n_trajectories, cfg.n_steps, cfg.dt
+    dw = np.stack([
+        _philox(cfg.master_seed, i).standard_normal((n_steps, len(terms)))
+        for i in range(n)
+    ]) * np.sqrt(dt)
+    psi = np.tile(psi0.astype(complex), (n, 1))
+    snapshots = [psi.T @ psi.conj() / n]
+    for step in range(n_steps):
+        drift = -1j * (psi @ h.T)
+        stoch = np.zeros_like(psi)
+        for mu, (l, rate) in enumerate(terms):
+            l_psi = psi @ l.T
+            expect = np.einsum("bi,bi->b", psi.conj(), l_psi).real[:, None]
+            centered = l_psi - expect * psi
+            drift -= 0.5 * rate * (centered @ l.T - expect * centered)
+            stoch += np.sqrt(rate) * centered * dw[:, step, mu][:, None]
+        psi = psi + dt * drift + stoch
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        if (step + 1) % store_every == 0 or step + 1 == n_steps:
+            snapshots.append(psi.T @ psi.conj() / n)
+    return snapshots, psi
+
+
+def test_fused_step_matches_textbook_oracle():
+    rng = np.random.default_rng(31)
+
+    def hermitian(d):
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return 0.5 * (z + z.conj().T)
+
+    h, l1, l2 = hermitian(3), hermitian(3), hermitian(3)
+    assert np.abs(l1 @ l2 - l2 @ l1).max() > 0.1
+    terms = ((l1, 0.7), (l2, 0.3))
+    psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
+    psi0 /= np.linalg.norm(psi0)
+    spec = LindbladSpec(Operator(h), tuple((Operator(l), rate) for l, rate in terms))
+    # crosses a block boundary, so later blocks' keys are checked too
+    cfg = TrajectoryConfig(
+        dt=1e-3, t_final=0.1, n_trajectories=TRAJECTORY_BLOCK + 5, master_seed=2024
+    )
+    got = unravel(spec, StateVector(psi0), cfg, store_every=25, n_workers=1)
+    snapshots, finals = _textbook_unravel(h, terms, psi0, cfg, store_every=25)
+    assert len(got.ensemble) == len(snapshots)
+    for state, ref in zip(got.ensemble, snapshots):
+        assert np.abs(state.entries - ref).max() < 1e-12
+    assert np.abs(got.final_states - finals).max() < 1e-12
+
+
+def test_block_noise_is_the_per_trajectory_philox_stream():
+    n_steps = 37
+    for seed in (0, 1122, 2**63 + 5):
+        indices = range(TRAJECTORY_BLOCK - 2, TRAJECTORY_BLOCK + 3)
+        noise = _block_noise(seed, indices, n_steps, 1)
+        for row, i in zip(noise, indices):
+            expected = _philox(seed, i).standard_normal(n_steps)
+            assert np.array_equal(row[:, 0], expected)
 
 
 def test_unraveling_mean_tracks_master_equation():
