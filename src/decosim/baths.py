@@ -1,15 +1,17 @@
 """Spectral densities, bath correlation kernels, and weak-coupling coefficients.
 
 The noise kernel nu and dissipation kernel eta are frequency integrals
-of the spectral density weighted by thermal occupation; the
-weak-coupling master-equation coefficients are in turn half-line time
+of the spectral density weighted by thermal occupation, evaluated by
+composite Simpson quadrature on a uniform grid.  Because Lorentz-type
+densities decay only like 1/w, the top of the frequency window is
+smoothly tapered by default; a hard truncation there would ring through
+every kernel at the 1e-3 level.
+
+The weak-coupling master-equation coefficients are half-line time
 integrals of those kernels against trigonometric factors at the system
-frequency.  Quadrature is composite Simpson on uniform grids.  Because
-Lorentz-type densities decay only like 1/w, the top of the frequency
-window is smoothly tapered by default; a hard truncation there would
-ring through every kernel at the 1e-3 level.  Domain, resolution, and
-taper are configurable, and every coefficient integral carries a
-tail-convergence check.
+frequency.  They reduce to closed forms in J and coth at that frequency,
+plus principal-value frequency integrals for the renormalization and
+anomalous-diffusion terms, so no kernel grid is built for them.
 """
 from __future__ import annotations
 
@@ -22,11 +24,7 @@ from scipy.integrate import quad, simpson
 from .errors import ConvergenceError
 
 DEFAULT_N_OMEGA = 8193
-DEFAULT_N_TAU = 2049
 TAIL_DECAY_LIMIT = 0.9
-# window ringing with the default taper and omega_max sits below 2e-6
-# across 0 < T <= 20 cutoff; genuine non-convergence shows up at 1e-3+
-COEFF_TAIL_TOL = 5e-6
 _TAU_CHUNK = 256
 
 
@@ -43,8 +41,9 @@ class OhmicLorentzCutoff:
     cutoff: float
 
     def __post_init__(self):
-        if self.mass <= 0 or self.cutoff <= 0 or self.gamma0 < 0:
-            raise ValueError("need mass > 0, cutoff > 0, gamma0 >= 0")
+        finite = np.isfinite([self.mass, self.gamma0, self.cutoff]).all()
+        if not finite or self.mass <= 0 or self.cutoff <= 0 or self.gamma0 < 0:
+            raise ValueError("need finite mass > 0, cutoff > 0, gamma0 >= 0")
 
     def __call__(self, omega):
         w = np.asarray(omega, dtype=float)
@@ -57,9 +56,6 @@ class OhmicLorentzCutoff:
 
     def default_omega_max(self) -> float:
         return 20.0 * self.cutoff
-
-    def default_t_max(self) -> float:
-        return 50.0 / self.cutoff
 
 
 @dataclass(frozen=True)
@@ -94,16 +90,13 @@ class SampledSpectralDensity:
     def default_omega_max(self) -> float:
         return float(self.omegas[-1])
 
-    def default_t_max(self) -> float:
-        return 50.0 / max(self.omegas[-1] / 10.0, np.finfo(float).tiny)
-
 
 SpectralDensity = Union[OhmicLorentzCutoff, SampledSpectralDensity]
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Frequency/time quadrature knobs; ``None`` fields fall back to density defaults.
+    """Frequency quadrature knobs for ``bath_kernels``; ``None`` falls back to the density default.
 
     ``taper_fraction`` is the top fraction of the frequency window rolled
     off with a cosine-squared factor before integration (0 disables).
@@ -111,15 +104,11 @@ class QuadratureConfig:
 
     omega_max: float | None = None
     n_omega: int = DEFAULT_N_OMEGA
-    t_max: float | None = None
-    n_tau: int = DEFAULT_N_TAU
-    # 0.3 keeps window ringing below the tail tolerance at the default
-    # omega_max; narrow tapers ring at the 1e-5 level
+    # narrow tapers ring at the 1e-5 level at the default omega_max
     taper_fraction: float = 0.3
-    tail_tol: float = COEFF_TAIL_TOL
 
     def __post_init__(self):
-        if self.n_omega < 9 or self.n_tau < 9:
+        if self.n_omega < 9:
             raise ValueError("quadrature grids need at least 9 points")
         if not 0.0 <= self.taper_fraction < 1.0:
             raise ValueError("taper_fraction must lie in [0, 1)")
@@ -225,52 +214,19 @@ class CoefficientSet:
     decay: float | None = None
 
 
-def _halfline_integral(values: np.ndarray, tau: np.ndarray, label: str, tol: float) -> float:
-    """Simpson integral with an oscillation-tail convergence check.
+def _principal_value(density: SpectralDensity, numerator, frequency: float) -> float:
+    """PV int_0^inf numerator(w) / (w^2 - W^2) dw.
 
-    The running integral over the last quarter of the window must settle
-    to within ``tol`` of its own scale.
-    """
-    total = float(simpson(values, x=tau))
-    n = tau.size
-    cut = 3 * n // 4
-    increments = 0.5 * (values[cut:-1] + values[cut + 1:]) * np.diff(tau[cut:])
-    tail = np.concatenate([[0.0], np.cumsum(increments)])
-    running = total - (tail[-1] - tail)
-    scale = float(np.abs(running).max())
-    if scale == 0.0:
-        return total
-    wobble = float(running.max() - running.min())
-    if wobble > tol * scale:
-        raise ConvergenceError(
-            f"{label}: tail of the time integral still oscillates "
-            f"(relative residual {wobble / scale:.2e}); increase t_max or omega_max"
-        )
-    return total
-
-
-def _coefficient_kernels(
-    density: SpectralDensity, temperature: float, quad: QuadratureConfig | None
-) -> tuple[BathKernels, QuadratureConfig]:
-    quad = quad or QuadratureConfig()
-    t_max = quad.t_max if quad.t_max is not None else density.default_t_max()
-    tau = np.linspace(0.0, t_max, quad.n_tau)
-    return bath_kernels(density, temperature, tau, quad), quad
-
-
-def _shift_integral(density: SpectralDensity, frequency: float) -> float:
-    """PV int_0^inf J(w) w / (w^2 - W^2) dw.
-
-    The equivalent time-domain route, int eta(t) cos(W t) dt, converges
-    only like the spectral weight left outside the frequency window; for
-    a 1/w-tailed density that is percent-level at any affordable window.
-    Here the integrand is smooth apart from a simple pole at w = W, which
-    a Cauchy-weight quadrature handles to near machine precision.
+    The equivalent time-domain route converges only like the spectral
+    weight left outside the frequency window; for a 1/w-tailed density
+    that is percent-level at any affordable window.  Here the integrand
+    is smooth apart from a simple pole at w = W, which a Cauchy-weight
+    quadrature handles to near machine precision.
     """
     w0 = float(frequency)
 
     def regular(w):
-        return float(density(w)) * w / (w + w0)
+        return numerator(w) / (w + w0)
 
     principal, err_p = quad(regular, 0.0, 2.0 * w0, weight="cauchy", wvar=w0)
     if isinstance(density, SampledSpectralDensity):
@@ -283,30 +239,42 @@ def _shift_integral(density: SpectralDensity, frequency: float) -> float:
     total = principal + rest
     if err_p + err_r > 1e-6 * max(abs(total), 1.0):
         raise ConvergenceError(
-            "frequency shift: principal-value quadrature did not converge "
+            "principal-value quadrature did not converge "
             f"(error estimate {err_p + err_r:.2e})"
         )
     return total
+
+
+def _thermal_density(density: SpectralDensity, temperature: float):
+    """w -> J(w) coth(w / 2T) as a scalar function, finite at w = 0."""
+    slope0 = density.zero_frequency_slope()
+
+    def weighted(w):
+        w = np.atleast_1d(np.asarray(w, dtype=float))
+        j_vals = np.asarray(density(w), dtype=float)
+        return float(_thermal_weight(w, j_vals, temperature, slope0)[0])
+
+    return weighted
 
 
 def qbm_coefficients(
     density: SpectralDensity,
     temperature: float,
     frequency: float,
-    quad: QuadratureConfig | None = None,
     mass: float | None = None,
 ) -> CoefficientSet:
     """Oscillator weak-coupling coefficients at system frequency W.
 
-    frequency_shift_sq  = -(2/M) int eta(t) cos(W t),
-    damping             =  (1/(M W)) int eta(t) sin(W t),
-    normal_diffusion    =  int nu(t) cos(W t),
-    anomalous_diffusion = -(1/(M W)) int nu(t) sin(W t).
+    frequency_shift_sq  = -(2/M) PV int J(w) w / (w^2 - W^2),
+    damping             =  pi J(W) / (2 M W),
+    normal_diffusion    =  (pi/2) J(W) coth(W/2T),
+    anomalous_diffusion =  (1/M) PV int J(w) coth(w/2T) / (w^2 - W^2).
 
-    The shift is evaluated in the frequency domain (see _shift_integral);
-    the window-limited time-domain grids serve the other three.  In the
-    high-temperature ohmic regime normal_diffusion approaches
-    2 M gamma0 T and damping approaches gamma0, temperature-independent.
+    These are the half-line time integrals of the bath kernels against
+    cos(W t) and sin(W t), done in closed form; the two principal values
+    go through _principal_value.  In the high-temperature ohmic regime
+    normal_diffusion approaches 2 M gamma0 T and damping approaches
+    gamma0, temperature-independent.
     """
     if frequency <= 0:
         raise ValueError("system frequency must be positive")
@@ -314,45 +282,40 @@ def qbm_coefficients(
         mass = getattr(density, "mass", None)
     if mass is None or mass <= 0:
         raise ValueError("oscillator coefficients need a positive mass")
-    kernels, quad = _coefficient_kernels(density, temperature, quad)
-    tau = kernels.tau
-    c, s = np.cos(frequency * tau), np.sin(frequency * tau)
-    tol = quad.tail_tol
+    thermal = _thermal_density(density, temperature)
     return CoefficientSet(
-        frequency_shift_sq=-(2.0 / mass) * _shift_integral(density, frequency),
-        damping=(1.0 / (mass * frequency))
-        * _halfline_integral(kernels.eta * s, tau, "damping", tol),
-        normal_diffusion=_halfline_integral(kernels.nu * c, tau, "normal diffusion", tol),
-        anomalous_diffusion=-(1.0 / (mass * frequency))
-        * _halfline_integral(kernels.nu * s, tau, "anomalous diffusion", tol),
+        frequency_shift_sq=-(2.0 / mass)
+        * _principal_value(density, lambda w: float(density(w)) * w, frequency),
+        damping=0.5 * np.pi * float(density(frequency)) / (mass * frequency),
+        normal_diffusion=0.5 * np.pi * thermal(frequency),
+        anomalous_diffusion=_principal_value(density, thermal, frequency) / mass,
     )
 
 
 def spin_boson_coefficients(
-    density: SpectralDensity,
-    temperature: float,
-    tunneling: float,
-    quad: QuadratureConfig | None = None,
+    density: SpectralDensity, temperature: float, tunneling: float
 ) -> CoefficientSet:
     """Two-level weak-coupling coefficients at tunneling frequency Delta0.
 
-    dephasing       = int nu(t) cos(Delta0 t),
-    renormalization = int nu(t) sin(Delta0 t),
-    decay           = int eta(t) sin(Delta0 t).
+    dephasing       = (pi/2) J(Delta0) coth(Delta0/2T)  (pi T J'(0) at Delta0 = 0),
+    renormalization = -Delta0 PV int J(w) coth(w/2T) / (w^2 - Delta0^2),
+    decay           = (pi/2) J(Delta0).
 
+    These are the half-line time integrals of the noise and dissipation
+    kernels against cos(Delta0 t) and sin(Delta0 t), done in closed form.
     At Delta0 = 0 the renormalization and decay coefficients vanish and
     the master equation reduces to pure dephasing.
     """
     if tunneling < 0:
         raise ValueError("tunneling frequency must be nonnegative")
-    kernels, quad = _coefficient_kernels(density, temperature, quad)
-    tau = kernels.tau
-    c, s = np.cos(tunneling * tau), np.sin(tunneling * tau)
-    tol = quad.tail_tol
+    thermal = _thermal_density(density, temperature)
+    dephasing = 0.5 * np.pi * thermal(tunneling)
+    if tunneling == 0.0:
+        return CoefficientSet(dephasing=dephasing, renormalization=0.0, decay=0.0)
     return CoefficientSet(
-        dephasing=_halfline_integral(kernels.nu * c, tau, "dephasing", tol),
-        renormalization=_halfline_integral(kernels.nu * s, tau, "renormalization", tol),
-        decay=_halfline_integral(kernels.eta * s, tau, "decay", tol),
+        dephasing=dephasing,
+        renormalization=-tunneling * _principal_value(density, thermal, tunneling),
+        decay=0.5 * np.pi * float(density(tunneling)),
     )
 
 

@@ -277,18 +277,20 @@ TRAJECTORIES_SCHEMA = _OPERATOR_FIELDS + (
 
 
 def _cmd_trajectories(cfg: dict, outdir: str) -> tuple[list[str], dict]:
-    for key in ("n_trajectories", "store_every", "workers"):
-        if cfg[key] is not None and cfg[key] < 1:
-            raise ConfigError(f"'{key}' must be at least 1, got {cfg[key]}")
     spec = _build_lindblad(cfg)
     psi0 = StateVector(_parse_state(cfg["psi0"], "psi0"))
-    tc = TrajectoryConfig(
-        dt=cfg["dt"],
-        t_final=cfg["t_final"],
-        n_trajectories=cfg["n_trajectories"],
-        master_seed=cfg["master_seed"],
-    )
-    ens = unravel(spec, psi0, tc, store_every=cfg["store_every"], n_workers=cfg["workers"])
+    # TrajectoryConfig and unravel validate every run parameter, including
+    # DECOSIM_WORKERS, before any stepping starts
+    try:
+        tc = TrajectoryConfig(
+            dt=cfg["dt"],
+            t_final=cfg["t_final"],
+            n_trajectories=cfg["n_trajectories"],
+            master_seed=cfg["master_seed"],
+        )
+        ens = unravel(spec, psi0, tc, store_every=cfg["store_every"], n_workers=cfg["workers"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     ref = evolve(spec, _pure_density(psi0.amplitudes), cfg["t_final"], cfg["dt"], cfg["store_every"])
     header = (
         ["t"]
@@ -430,7 +432,16 @@ SPINBOSON_SCHEMA = (
 
 
 def _cmd_spinboson(cfg: dict, outdir: str) -> tuple[list[str], dict]:
-    density = OhmicLorentzCutoff(cfg["mass"], cfg["gamma0"], cfg["cutoff"])
+    if cfg["n_times"] < 2 or not 0.0 < cfg["t_max"] < np.inf:
+        raise ConfigError("need n_times >= 2 and 0 < t_max < inf")
+    if cfg["n_modes"] < 1:
+        raise ConfigError(f"'n_modes' must be at least 1, got {cfg['n_modes']}")
+    if not 0.0 <= cfg["temperature"] < np.inf:
+        raise ConfigError(f"need 0 <= temperature < inf, got {cfg['temperature']}")
+    try:
+        density = OhmicLorentzCutoff(cfg["mass"], cfg["gamma0"], cfg["cutoff"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
     header = ["t"]
     columns = [times]

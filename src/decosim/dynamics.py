@@ -152,8 +152,10 @@ class TrajectoryConfig:
     master_seed: int
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_final <= 0:
-            raise ValueError("need dt > 0 and t_final > 0")
+        if not (0.0 < self.dt < np.inf and 0.0 < self.t_final < np.inf):
+            raise ValueError(
+                f"need finite dt > 0 and t_final > 0, got dt={self.dt}, t_final={self.t_final}"
+            )
         if self.n_trajectories < 1:
             raise ValueError("need at least one trajectory")
         if self.master_seed < 0:
@@ -270,7 +272,11 @@ def unravel(
     if psi0.dim != spec.dim:
         raise ValueError("initial state dimension does not match the generator")
     if n_workers is None:
-        n_workers = int(os.environ.get("DECOSIM_WORKERS", "1"))
+        env = os.environ.get("DECOSIM_WORKERS", "1")
+        try:
+            n_workers = int(env)
+        except ValueError:
+            raise ValueError(f"DECOSIM_WORKERS must be an integer, got {env!r}") from None
     if n_workers < 1:
         raise ValueError(f"need n_workers >= 1, got {n_workers}")
     if store_every < 1:

@@ -27,7 +27,6 @@ from ..errors import PhysicalityError
 
 GRID_TRACE_TOL = 1e-8
 REGIMES = ("full", "short-wavelength", "long-wavelength")
-_ANGLE_NODES = 96
 
 
 @dataclass(frozen=True)
@@ -82,32 +81,13 @@ def localization_prefactor(model: ScatteringModel) -> float:
     return float(value)
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
-
 def _angular_factor(u: float) -> float:
-    """int dc dc' (1 - cos(u (c - c'))) over [-1,1]^2, Gauss-Legendre.
+    """int dc dc' (1 - cos(u (c - c'))) over [-1,1]^2 = 4 (1 - sinc^2 u).
 
     Multiplied by pi |f|^2 this is the angular average of the collision
     integrand for an isotropic cross section (azimuth already integrated).
-    The node count scales with the phase argument so the oscillatory
-    integrand stays resolved at large separations.
     """
-    n = _ANGLE_NODES
-    while n < u and n < 8192:
-        n *= 2
-    nodes, weights = _gl_rule(n)
-    phase = u * nodes
-    cos_avg = float(weights @ np.cos(phase))
-    sin_avg = float(weights @ np.sin(phase))
-    # |int dc e^{iuc}|^2 expands the double integral of cos(u(c - c')).
-    return 4.0 - (cos_avg**2 + sin_avg**2)
+    return 4.0 * (1.0 - float(np.sinc(u / np.pi)) ** 2)
 
 
 def localization_rate(model: ScatteringModel, separation: float) -> float:

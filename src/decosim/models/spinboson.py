@@ -3,19 +3,17 @@
 Two solvers for the same physics at different trust levels:
 
 * ``spin_boson_exact_dephasing`` discretizes the bath into independent
-  modes, evolves system plus bath unitarily, and traces the bath out.
-  With the tunneling term absent the total Hamiltonian block-
-  diagonalizes over the two system levels, so the reduced coherence
-  factorizes into per-mode traces that are evaluated without
-  approximation.  Fock cutoffs adapt to the thermal occupation of each
-  mode, and a doubled-mode-count rerun certifies discretization
-  convergence.
+  modes on a midpoint grid.  With the tunneling term absent the total
+  Hamiltonian block-diagonalizes over the two system levels, so the
+  reduced coherence factorizes into per-mode factors, each given in
+  closed form by the independent-boson result.  A doubled-mode-count
+  rerun certifies discretization convergence.
 
 * ``spin_boson_born_markov_generator`` is the weak-coupling master
   equation with dephasing, renormalization, and decay coefficients from
-  the bath kernels.  Its Hamiltonian has an anti-Hermitian part, so the
-  right-hand side is a dedicated generator rather than a Lindblad spec;
-  the structure keeps the trace exactly conserved.
+  ``spin_boson_coefficients``.  Its Hamiltonian has an anti-Hermitian
+  part, so the right-hand side is a dedicated generator rather than a
+  Lindblad spec; the structure keeps the trace exactly conserved.
 """
 from __future__ import annotations
 
@@ -23,12 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..baths import QuadratureConfig, SpectralDensity, spin_boson_coefficients
+from ..baths import SpectralDensity, spin_boson_coefficients
 from ..core import SIGMA_X, SIGMA_Y, SIGMA_Z
 from ..errors import ConvergenceError
-from .qbm import ladder
 
-POPULATION_DRIFT_TOL = 1e-10
 MODE_DOUBLING_TOL = 0.02
 
 
@@ -36,7 +32,7 @@ MODE_DOUBLING_TOL = 0.02
 class SpinBosonExactResult:
     times: np.ndarray
     coherence: np.ndarray  # complex rho01(t) / rho01(0)
-    population_drift: float  # max |product of same-branch traces - 1|
+    population_drift: float  # 0.0: the closed form conserves populations exactly
     n_modes: int
     doubling_change: float | None
 
@@ -55,65 +51,24 @@ def _mode_parameters(
     return omegas, g_sq
 
 
-def _fock_cutoff(omega: float, g: float, temperature: float) -> int:
-    occupation = 0.0
-    if temperature > 0.0:
-        occupation = 1.0 / np.expm1(omega / temperature)
-    reach = (g / omega) ** 2
-    return int(np.ceil(10.0 * occupation + 25.0 * np.sqrt(reach + 1e-30) + 12.0))
-
-
-def _mode_coherence(
-    omega: float, g: float, temperature: float, times: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Tr[e^{-i h_- t} rho_th e^{+i h_+ t}] for one displaced mode.
-
-    h_pm = w a^dag a +/- g (a + a^dag).  Also returns the deviation of
-    the same-branch trace from one, which bounds the cutoff error.
-    """
-    n_f = _fock_cutoff(omega, g, temperature)
-    a = ladder(n_f)
-    num = np.diag(np.arange(n_f, dtype=float)).astype(complex)
-    coupling = g * (a + a.conj().T)
-    h_plus = omega * num + coupling
-    h_minus = omega * num - coupling
-    if temperature > 0.0:
-        weights = np.exp(-omega * np.arange(n_f) / temperature)
-    else:
-        weights = np.zeros(n_f)
-        weights[0] = 1.0
-    weights /= weights.sum()
-    rho = np.diag(weights).astype(complex)
-    ep, vp = np.linalg.eigh(h_plus)
-    em, vm = np.linalg.eigh(h_minus)
-    coeff = (vp.conj().T @ rho @ vm) * (vm.conj().T @ vp).T
-    phase_p = np.exp(-1j * np.outer(times, ep))
-    phase_m = np.exp(1j * np.outer(times, em))
-    factors = np.einsum("tm,mn,tn->t", phase_p, coeff, phase_m)
-    # Same-branch trace is conserved exactly, so its defect is pure
-    # eigensolver roundoff; truncation adequacy is covered by the
-    # mode-doubling rerun (cutoffs are re-chosen per mode there).
-    drift = float(abs(np.trace(vp.conj().T @ rho @ vp).real - 1.0))
-    return factors, drift
-
-
 def _coherence_product(
     density: SpectralDensity,
     temperature: float,
     times: np.ndarray,
     omega_max: float,
     n_modes: int,
-) -> tuple[np.ndarray, float]:
+) -> np.ndarray:
+    """Independent-boson product over the modes, exp(-sum_j Gamma_j(t)).
+
+    Gamma_j(t) = (4 g_j^2 / w_j^2) (1 - cos w_j t) coth(w_j / 2T), with
+    coth = 1 at T = 0, is the exact decay exponent of one displaced mode
+    starting thermal.
+    """
     omegas, g_sq = _mode_parameters(density, omega_max, n_modes)
-    total = np.ones_like(times, dtype=complex)
-    drift = 0.0
-    for omega, gs in zip(omegas, g_sq):
-        if gs == 0.0:
-            continue
-        factors, d = _mode_coherence(float(omega), float(np.sqrt(gs)), temperature, times)
-        total *= factors
-        drift = max(drift, d)
-    return total, drift
+    weight = 4.0 * g_sq / omegas**2
+    if temperature > 0.0:
+        weight /= np.tanh(omegas / (2.0 * temperature))
+    return np.exp(-(1.0 - np.cos(np.outer(times, omegas))) @ weight)
 
 
 def spin_boson_exact_dephasing(
@@ -125,23 +80,27 @@ def spin_boson_exact_dephasing(
     omega_max: float | None = None,
     check_convergence: bool = True,
 ) -> SpinBosonExactResult:
-    """Numerically exact reduced coherence of the no-tunneling model.
+    """Exact reduced coherence of the no-tunneling model on a discretized bath.
 
     The coherence includes the free phase e^{-i splitting t}; populations
-    are conserved identically and the reported drift certifies roundoff.
+    are conserved identically, so the reported drift is 0.0.
     Raises ConvergenceError when doubling the mode count moves the
     coherence by more than 2% anywhere on the time grid.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("need an increasing time grid starting at 0")
+    if not 0.0 <= temperature < np.inf:
+        raise ValueError(f"temperature must be finite and nonnegative, got {temperature}")
+    if n_modes < 1:
+        raise ValueError(f"need at least one bath mode, got {n_modes}")
     if omega_max is None:
         cutoff = getattr(density, "cutoff", None)
         omega_max = 5.0 * cutoff if cutoff else density.default_omega_max()
-    coherence, drift = _coherence_product(density, temperature, times, omega_max, n_modes)
+    coherence = _coherence_product(density, temperature, times, omega_max, n_modes)
     doubling = None
     if check_convergence:
-        refined, _ = _coherence_product(density, temperature, times, omega_max, 2 * n_modes)
+        refined = _coherence_product(density, temperature, times, omega_max, 2 * n_modes)
         doubling = float(np.abs(refined - coherence).max())
         if doubling > MODE_DOUBLING_TOL:
             raise ConvergenceError(
@@ -149,12 +108,8 @@ def spin_boson_exact_dephasing(
                 f"the coherence by {doubling:.3f} (> {MODE_DOUBLING_TOL})"
             )
         coherence = refined
-    if drift > POPULATION_DRIFT_TOL:
-        raise ConvergenceError(
-            f"population drift {drift:.2e} exceeds {POPULATION_DRIFT_TOL}"
-        )
     phase = np.exp(-1j * splitting * times)
-    return SpinBosonExactResult(times, coherence * phase, drift, n_modes, doubling)
+    return SpinBosonExactResult(times, coherence * phase, 0.0, n_modes, doubling)
 
 
 @dataclass(frozen=True)
@@ -217,10 +172,9 @@ def spin_boson_born_markov_generator(
     temperature: float,
     splitting: float,
     tunneling: float,
-    quad: QuadratureConfig | None = None,
 ) -> SpinBosonBornMarkovGenerator:
-    """Assemble the weak-coupling generator from quadrature coefficients."""
-    coeffs = spin_boson_coefficients(density, temperature, tunneling, quad)
+    """Assemble the weak-coupling generator from the closed-form coefficients."""
+    coeffs = spin_boson_coefficients(density, temperature, tunneling)
     return SpinBosonBornMarkovGenerator(
         splitting=splitting,
         tunneling=tunneling,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from decosim import (
     OhmicLorentzCutoff,
@@ -76,6 +77,46 @@ def test_oscillator_coefficients_closed_forms():
     # frequency shift: -(2/M) integral of M gamma0 c^2 e^{-c t} cos(W t)
     expected_shift = -2 * GAMMA0 * CUTOFF**3 / (CUTOFF**2 + omega**2)
     assert coeffs.frequency_shift_sq == pytest.approx(expected_shift, rel=1e-4)
+
+
+def _subtracted_pole(f, w0: float) -> float:
+    """PV int_0^inf f(w) / (w^2 - W^2) dw as an ordinary integral.
+
+    PV int_0^inf dw / (w^2 - W^2) vanishes, so subtracting f(W) removes
+    the pole without changing the value.
+    """
+
+    def regular(w):
+        return (f(w) - f(w0)) / (w * w - w0 * w0)
+
+    pieces = ((0.0, w0), (w0, 2.0 * w0), (2.0 * w0, np.inf))
+    return sum(
+        quad(regular, a, b, limit=200, epsabs=0.0, epsrel=1e-12)[0] for a, b in pieces
+    )
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.5, 2.0, 6.0])
+@pytest.mark.parametrize("frequency", [0.3, 1.5, 5.0])
+def test_principal_value_coefficients_match_subtracted_pole(temperature, frequency):
+    def thermal(w):
+        if temperature == 0.0:
+            return DENSITY(w)
+        return DENSITY(w) / np.tanh(w / (2.0 * temperature))
+
+    pv = _subtracted_pole(thermal, frequency)
+    two_level = spin_boson_coefficients(DENSITY, temperature, frequency)
+    assert two_level.renormalization == pytest.approx(-frequency * pv, rel=1e-8)
+    oscillator = qbm_coefficients(DENSITY, temperature, frequency)
+    assert oscillator.anomalous_diffusion == pytest.approx(pv / MASS, rel=1e-8)
+
+
+def test_zero_temperature_two_level_coefficients_are_finite():
+    coeffs = spin_boson_coefficients(DENSITY, 0.0, 1.0)
+    values = [coeffs.dephasing, coeffs.renormalization, coeffs.decay]
+    assert np.all(np.isfinite(values))
+    # coth -> 1 at T = 0, so dephasing and decay coincide
+    assert coeffs.dephasing == pytest.approx(0.5 * np.pi * DENSITY(1.0), rel=1e-14)
+    assert coeffs.decay == pytest.approx(0.5 * np.pi * DENSITY(1.0), rel=1e-14)
 
 
 def test_high_temperature_limits():

@@ -130,12 +130,26 @@ def test_trajectories_track_the_master_equation(tmp_path):
     assert manifest["summary"]["final_trace_distance"] == dist[-1]
 
 
-@pytest.mark.parametrize("flags", [
-    ["--n-trajectories", "0"],
-    ["--n-trajectories", "10", "--store-every", "0"],
-    ["--n-trajectories", "10", "--workers", "0"],
-])
-def test_trajectory_bounds_exit_2(tmp_path, capsys, flags):
+_TRAJECTORY_BOUND_CASES = [
+    (["--n-trajectories", "0"], None),
+    (["--n-trajectories", "10", "--store-every", "0"], None),
+    (["--n-trajectories", "10", "--workers", "0"], None),
+    (["--n-trajectories", "10", "--dt", "0"], None),
+    (["--n-trajectories", "10", "--t-final", "-1"], None),
+    (["--n-trajectories", "10", "--t-final", "nan"], None),
+    (["--n-trajectories", "10"], "0"),
+    (["--n-trajectories", "10"], "abc"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, workers_env",
+    _TRAJECTORY_BOUND_CASES,
+    ids=[f"flags{k}" for k in range(len(_TRAJECTORY_BOUND_CASES))],
+)
+def test_trajectory_bounds_exit_2(tmp_path, capsys, monkeypatch, flags, workers_env):
+    if workers_env is not None:
+        monkeypatch.setenv("DECOSIM_WORKERS", workers_env)
     rc = main([
         "trajectories", "--hamiltonian", "identity",
         "--lindblad", '[{"operator": "sigma_z", "rate": 1.0}]',
@@ -203,6 +217,27 @@ def test_spinboson_exact_and_weak_coupling_columns(tmp_path):
     summary = _manifest(tmp_path)["summary"]
     assert abs(summary["population_drift"]) < 1e-10
     assert abs(summary["mode_doubling_change"]) < 0.02
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n-times", "1"],
+    ["--t-max", "0"],
+    ["--t-max", "inf"],
+    ["--n-modes", "0"],
+    ["--temperature", "-1", "--no-born-markov"],
+    ["--temperature", "nan", "--no-born-markov"],
+    ["--cutoff", "0"],
+    ["--gamma0", "nan"],
+])
+def test_spinboson_bounds_exit_2(tmp_path, capsys, flags):
+    rc = main([
+        "spinboson", "--gamma0", "0.02", "--cutoff", "8", "--temperature", "2",
+        "--t-max", "0.5", "--n-times", "6", "--output", str(tmp_path),
+    ] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
 
 
 def test_spinspin_matches_the_product_reference(tmp_path):

@@ -1,8 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import sici
+from scipy.special import roots_legendre, sici
 
 from decosim.errors import PhysicalityError
 from decosim.models import (
@@ -16,8 +18,10 @@ from decosim.models import (
     total_scattering_rate,
     two_gaussian_superposition,
 )
+from decosim.models.collisional import _angular_factor
 
 RHO0, SPEED, F2, QMAX = 1.0, 1.0, 0.1, 2.0
+_gauss_legendre_rule = functools.cache(roots_legendre)
 
 
 def _uniform_model(regime="full"):
@@ -48,6 +52,26 @@ def test_rate_against_closed_form():
         assert localization_rate(model, dx) == pytest.approx(
             _rate_closed_form(dx), rel=1e-8
         )
+
+
+def _gauss_legendre_angular_factor(u: float) -> float:
+    """int dc dc' (1 - cos(u (c - c'))) over [-1,1]^2 by Gauss-Legendre.
+
+    The node count doubles from 96 until it exceeds the phase argument,
+    so the oscillatory integrand stays resolved at large separations.
+    """
+    n = 96
+    while n < u:
+        n *= 2
+    nodes, weights = _gauss_legendre_rule(n)
+    phase = u * nodes
+    # |int dc e^{iuc}|^2 expands the double integral of cos(u(c - c')).
+    return 4.0 - ((weights @ np.cos(phase)) ** 2 + (weights @ np.sin(phase)) ** 2)
+
+
+def test_angular_factor_matches_gauss_legendre():
+    for u in np.geomspace(1e-3, 5000.0, 40):
+        assert abs(_angular_factor(u) - _gauss_legendre_angular_factor(u)) < 1e-13
 
 
 def test_total_rate_and_prefactor_closed_forms():

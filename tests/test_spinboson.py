@@ -12,6 +12,7 @@ from decosim.models import (
     spin_boson_born_markov_generator,
     spin_boson_exact_dephasing,
 )
+from decosim.models.qbm import ladder
 
 DENSITY = OhmicLorentzCutoff(mass=1.0, gamma0=0.02, cutoff=8.0)
 
@@ -30,6 +31,62 @@ def _triangle_spike(center: float, half_width: float, weight: float):
     grid = np.array([0.0, center - half_width, center, center + half_width, center + 0.2])
     vals = np.array([0.0, 0.0, apex, 0.0, 0.0])
     return SampledSpectralDensity(grid, vals)
+
+
+def _fock_cutoff(omega: float, g: float, temperature: float) -> int:
+    occupation = 0.0
+    if temperature > 0.0:
+        occupation = 1.0 / np.expm1(omega / temperature)
+    reach = (g / omega) ** 2
+    return int(np.ceil(10.0 * occupation + 25.0 * np.sqrt(reach + 1e-30) + 12.0))
+
+
+def _fock_mode_coherence(omega: float, g: float, temperature: float, times: np.ndarray):
+    """Tr[e^{-i h_- t} rho_th e^{+i h_+ t}] for one displaced mode, in a truncated Fock space.
+
+    h_pm = w a^dag a +/- g (a + a^dag).  The cutoff drops the thermal tail
+    beyond ~10 occupation quanta, which is what limits agreement at T > 0.
+    """
+    n_f = _fock_cutoff(omega, g, temperature)
+    a = ladder(n_f)
+    num = np.diag(np.arange(n_f, dtype=float)).astype(complex)
+    coupling = g * (a + a.conj().T)
+    h_plus = omega * num + coupling
+    h_minus = omega * num - coupling
+    if temperature > 0.0:
+        weights = np.exp(-omega * np.arange(n_f) / temperature)
+    else:
+        weights = np.zeros(n_f)
+        weights[0] = 1.0
+    weights /= weights.sum()
+    rho = np.diag(weights).astype(complex)
+    ep, vp = np.linalg.eigh(h_plus)
+    em, vm = np.linalg.eigh(h_minus)
+    coeff = (vp.conj().T @ rho @ vm) * (vm.conj().T @ vp).T
+    phase_p = np.exp(-1j * np.outer(times, ep))
+    phase_m = np.exp(1j * np.outer(times, em))
+    return np.einsum("tm,mn,tn->t", phase_p, coeff, phase_m)
+
+
+@pytest.mark.parametrize("omega, g, temperature, tol", [
+    (0.5, 0.05, 0.0, 1e-12),
+    (0.1, 0.01, 0.0, 1e-12),
+    (0.5, 0.05, 4.0, 1e-4),
+    (0.1, 0.01, 2.0, 1e-4),
+])
+def test_closed_form_mode_factor_matches_fock_solver(omega, g, temperature, tol):
+    # one midpoint mode at omega over (0, 2 omega) with g^2 = J(omega) * 2 omega
+    density = SampledSpectralDensity(
+        np.array([0.0, 4.0 * omega]), np.full(2, g * g / (2.0 * omega))
+    )
+    times = np.linspace(0.0, 4.0 * np.pi / omega, 41)
+    res = spin_boson_exact_dephasing(
+        density, temperature, times, n_modes=1, omega_max=2.0 * omega,
+        check_convergence=False,
+    )
+    fock = _fock_mode_coherence(omega, g, temperature, times)
+    assert np.abs(res.coherence - fock).max() < tol
+    assert res.population_drift == 0.0
 
 
 def test_single_mode_closed_form_at_zero_temperature():
