@@ -62,6 +62,7 @@ from .models import (
 from .pointer import collective_dfs, dfs_find, InteractionSpec, predictability_sieve
 from .qec import logical_error_rate
 from .serialize import (
+    format_floats,
     pairs_to_array,
     write_coordinate_matrix,
     write_csv,
@@ -254,7 +255,10 @@ def _cmd_evolve(cfg: dict, outdir: str) -> tuple[list[str], dict]:
                 rho0 = DensityMatrix(mat)
             except ValueError as exc:
                 raise ConfigError(f"rho0: {exc}") from None
-    result = evolve(spec, rho0, cfg["t_final"], cfg["dt"], cfg["store_every"])
+    try:  # evolve checks dt, t_final and store_every before any stepping
+        result = evolve(spec, rho0, cfg["t_final"], cfg["dt"], cfg["store_every"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     header = ["t", "purity", "entropy"] + _density_columns(spec.dim)
     rows = []
     for t, state in zip(result.times, result.states):
@@ -371,14 +375,18 @@ QBM_SCHEMA = (
 
 
 def _cmd_qbm(cfg: dict, outdir: str) -> tuple[list[str], dict]:
-    gen = caldeira_leggett_generator(
-        cfg["mass"], cfg["frequency"], cfg["gamma0"], cfg["cutoff"], cfg["temperature"],
-        n_max=cfg["n_max"], pure_decoherence=cfg["pure_decoherence"],
-    )
-    alpha = cfg["alpha"]
-    psi = cat_state(alpha, cfg["n_max"])
-    rho0 = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
-    result = evolve(gen, rho0, cfg["t_final"], cfg["dt"], cfg["store_every"])
+    # the generator and evolve check every run parameter before any stepping
+    try:
+        gen = caldeira_leggett_generator(
+            cfg["mass"], cfg["frequency"], cfg["gamma0"], cfg["cutoff"], cfg["temperature"],
+            n_max=cfg["n_max"], pure_decoherence=cfg["pure_decoherence"],
+        )
+        alpha = cfg["alpha"]
+        psi = cat_state(alpha, cfg["n_max"])
+        rho0 = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+        result = evolve(gen, rho0, cfg["t_final"], cfg["dt"], cfg["store_every"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     left = coherent_state(alpha, cfg["n_max"]).amplitudes
     right = coherent_state(-alpha, cfg["n_max"]).amplitudes
     c0 = abs(left.conj() @ result.states[0].entries @ right)
@@ -402,15 +410,13 @@ def _cmd_qbm(cfg: dict, outdir: str) -> tuple[list[str], dict]:
         positions = np.linspace(-x_max, x_max, cfg["n_x"])
         for tag, state in (("initial", result.states[0]), ("final", result.states[-1])):
             grid = wigner_from_fock(state.entries, cfg["mass"], cfg["frequency"], positions)
-            triples = [
-                [x, p, w]
-                for i, x in enumerate(grid.x)
-                for p, w in zip(grid.p, grid.values[i])
-            ]
+            # each value is rendered once and shared by both files
+            xs, ps, ws = (format_floats(a) for a in (grid.x, grid.p, grid.values))
+            triples = ((x, p, w) for x, row in zip(xs, ws) for p, w in zip(ps, row))
             tri_path = os.path.join(outdir, f"wigner_{tag}.csv")
             write_csv(tri_path, ["x", "p", "w"], triples)
             mat_path = os.path.join(outdir, f"wigner_{tag}_matrix.csv")
-            write_coordinate_matrix(mat_path, grid.x, grid.p, grid.values)
+            write_coordinate_matrix(mat_path, xs, ps, ws)
             outputs += [tri_path, mat_path]
     return outputs, summary
 

@@ -4,7 +4,8 @@ Two representations of the same master equation
 
     drho/dt = -i[H', rho] - i gamma0 [x, {p, rho}] - 2 M gamma0 T [x, [x, rho]]
 
-with H' = p^2/2M + M(W^2 - 2 gamma0 Lambda) x^2 / 2: a truncated
+with H' = p^2/2M + M(W^2 - 2 gamma0 Lambda) x^2 / 2, each compiled once
+to the (G, pairs) form of ``decosim.dynamics``: a truncated
 oscillator number basis for bound motion (with an optional
 pure-decoherence variant that drops the dissipative term and is then of
 Lindblad form), and a uniform position grid with a spectral momentum
@@ -20,10 +21,12 @@ for grid and number-basis states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from ..core import StateVector, ket, symmetrize
+from ..dynamics import _rk4_step, compiled_rhs
 from ..errors import GridResolutionError, PhysicalityError
 from .collisional import GridState
 
@@ -51,6 +54,9 @@ class CaldeiraLeggettGenerator:
     double-commutator dissipator (Lindblad form, tight positivity
     tolerance).  The full equation is not of Lindblad form and tolerates
     small transient negativity, reflected in a looser default tolerance.
+    Compiled form, with D the momentum diffusion:
+      G = -iH' - D x^2 - i gamma0 x p,  one pair (x, D x - i gamma0 p);
+    the pure-decoherence variant drops both gamma0 terms.
     """
 
     mass: float
@@ -68,14 +74,28 @@ class CaldeiraLeggettGenerator:
     def __post_init__(self):
         if self.n_max < MIN_N_MAX:
             raise ValueError(f"n_max must be at least {MIN_N_MAX}, got {self.n_max}")
-        if self.mass <= 0 or self.frequency <= 0 or self.temperature < 0:
-            raise ValueError("need mass > 0, frequency > 0, temperature >= 0")
+        params = (self.mass, self.frequency, self.gamma0, self.cutoff, self.temperature)
+        if not np.all(np.isfinite(params)):
+            raise ValueError(f"parameters must be finite, got {params}")
+        if (
+            self.mass <= 0 or self.frequency <= 0 or self.gamma0 < 0
+            or self.cutoff <= 0 or self.temperature < 0
+        ):
+            raise ValueError(
+                "need mass > 0, frequency > 0, gamma0 >= 0, cutoff > 0, temperature >= 0"
+            )
         x, p = position_momentum(self.n_max, self.mass, self.frequency)
         shifted_sq = self.frequency**2 - 2.0 * self.gamma0 * self.cutoff
         h_eff = p @ p / (2.0 * self.mass) + 0.5 * self.mass * shifted_sq * (x @ x)
+        g = -1j * h_eff - self.diffusion * (x @ x)
+        b = self.diffusion * x
+        if not self.pure_decoherence:
+            g -= 1j * self.gamma0 * (x @ p)
+            b -= 1j * self.gamma0 * p
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "h_eff", h_eff)
+        object.__setattr__(self, "compiled", (g, ((x, b),)))
         if self.positivity_tol == 0.0:
             object.__setattr__(
                 self, "positivity_tol", 1e-6 if self.pure_decoherence else 1e-3
@@ -89,16 +109,6 @@ class CaldeiraLeggettGenerator:
     def diffusion(self) -> float:
         """D = 2 M gamma0 T, the momentum-diffusion coefficient."""
         return 2.0 * self.mass * self.gamma0 * self.temperature
-
-    def rhs(self, rho: np.ndarray) -> np.ndarray:
-        x, p = self.x, self.p
-        out = -1j * (self.h_eff @ rho - rho @ self.h_eff)
-        if not self.pure_decoherence:
-            anti = p @ rho + rho @ p
-            out += -1j * self.gamma0 * (x @ anti - anti @ x)
-        inner = x @ rho - rho @ x
-        out -= self.diffusion * (x @ inner - inner @ x)
-        return out
 
     def stiffness_scale(self) -> float:
         xn = float(np.linalg.norm(self.x, 2))
@@ -148,7 +158,12 @@ def cat_state(alpha: complex, n_max: int) -> StateVector:
 
 @dataclass(frozen=True)
 class FreeParticleGenerator:
-    """Grid free-particle pieces: spectral momentum, damping, and exact decay rates."""
+    """Grid free-particle pieces: spectral momentum, damping, and exact decay rates.
+
+    The drift (unitary plus damping part) is compiled to G = -iT - i gamma0 X p
+    with one pair (X, -i gamma0 p), X = diag(positions); the decay part
+    is applied exactly by ``evolve_free_particle``.
+    """
 
     positions: np.ndarray
     mass: float
@@ -173,23 +188,18 @@ class FreeParticleGenerator:
         kinetic = finv @ ((k**2)[:, None] * f) / (2.0 * self.mass)
         diffusion = 2.0 * self.mass * self.gamma0 * self.temperature
         rates = diffusion * (x[:, None] - x[None, :]) ** 2
+        g = -1j * kinetic - 1j * self.gamma0 * (x[:, None] * p_op)
+        drift = (g, ((np.diag(x).astype(complex), -1j * self.gamma0 * p_op),))
         x.setflags(write=False)
         object.__setattr__(self, "positions", x)
         object.__setattr__(self, "p_op", p_op)
         object.__setattr__(self, "kinetic", kinetic)
         object.__setattr__(self, "decay_rates", rates)
+        object.__setattr__(self, "compiled", drift)
 
     @property
     def dim(self) -> int:
         return self.positions.size
-
-    def drift_rhs(self, rho: np.ndarray) -> np.ndarray:
-        """Unitary plus damping part; the decay part is applied exactly elsewhere."""
-        out = -1j * (self.kinetic @ rho - rho @ self.kinetic)
-        x = self.positions
-        anti = self.p_op @ rho + rho @ self.p_op
-        out += -1j * self.gamma0 * (x[:, None] * anti - anti * x[None, :])
-        return out
 
 
 def free_particle_generator(
@@ -211,19 +221,13 @@ def evolve_free_particle(
     if not np.array_equal(state.positions, gen.positions):
         raise ValueError("state grid does not match the generator grid")
     n_steps = max(1, int(round(t_final / dt)))
-    half = np.exp(-0.5 * dt * gen.decay_rates)
-    rho = state.matrix.astype(complex)
+    half = np.exp(-0.5 * dt * gen.decay_rates)  # exactly symmetric, so rho stays Hermitian
+    drift = partial(compiled_rhs, gen.compiled)
+    rho = symmetrize(state.matrix)
     times = [0.0]
     frames = [state]
     for step in range(1, n_steps + 1):
-        rho = half * rho
-        k1 = gen.drift_rhs(rho)
-        k2 = gen.drift_rhs(rho + 0.5 * dt * k1)
-        k3 = gen.drift_rhs(rho + 0.5 * dt * k2)
-        k4 = gen.drift_rhs(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = half * rho
-        rho = symmetrize(rho)
+        rho = half * _rk4_step(drift, half * rho, dt)
         if step % store_every == 0 or step == n_steps:
             times.append(step * dt)
             frames.append(GridState(gen.positions, rho))

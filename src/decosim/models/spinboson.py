@@ -12,8 +12,9 @@ Two solvers for the same physics at different trust levels:
 * ``spin_boson_born_markov_generator`` is the weak-coupling master
   equation with dephasing, renormalization, and decay coefficients from
   ``spin_boson_coefficients``.  Its Hamiltonian has an anti-Hermitian
-  part, so the right-hand side is a dedicated generator rather than a
-  Lindblad spec; the structure keeps the trace exactly conserved.
+  part, so it is a dedicated generator rather than a Lindblad spec,
+  compiled to the (G, pairs) form of ``decosim.dynamics``; the structure
+  keeps the trace exactly conserved.
 """
 from __future__ import annotations
 
@@ -116,11 +117,12 @@ def spin_boson_exact_dephasing(
 class SpinBosonBornMarkovGenerator:
     """Weak-coupling two-level generator with bath-dressed tunneling.
 
-    rhs(rho) = -i (H' rho - rho H'^dag) - D [sz, [sz, rho]]
-               + zeta sz rho sy + conj(zeta) sy rho sz
+    drho/dt = -i (H' rho - rho H'^dag) - D [sz, [sz, rho]]
+              + zeta sz rho sy + conj(zeta) sy rho sz
 
     with zeta = renormalization + i decay and
-    H' = (splitting/2) sz - (tunneling/2 + renormalization) sx + i decay sx.
+    H' = (splitting/2) sz - (tunneling/2 + renormalization) sx + i decay sx,
+    compiled to G = -iH' - D 1 with one pair (sz, D sz + zeta sy).
     The anti-Hermitian piece balances the zeta terms so the trace is
     exactly conserved; positivity holds only approximately at weak
     coupling, hence the loose default tolerance.
@@ -140,7 +142,10 @@ class SpinBosonBornMarkovGenerator:
             - (0.5 * self.tunneling + self.renormalization) * SIGMA_X
             + 1j * self.decay * SIGMA_X
         )
+        g = -1j * h - self.dephasing * np.eye(2)
+        pair = (SIGMA_Z, self.dephasing * SIGMA_Z + self.zeta * SIGMA_Y)
         object.__setattr__(self, "h_eff", h)
+        object.__setattr__(self, "compiled", (g, (pair,)))
 
     @property
     def dim(self) -> int:
@@ -149,15 +154,6 @@ class SpinBosonBornMarkovGenerator:
     @property
     def zeta(self) -> complex:
         return complex(self.renormalization, self.decay)
-
-    def rhs(self, rho: np.ndarray) -> np.ndarray:
-        h = self.h_eff
-        out = -1j * (h @ rho - rho @ h.conj().T)
-        inner = SIGMA_Z @ rho - rho @ SIGMA_Z
-        out -= self.dephasing * (SIGMA_Z @ inner - inner @ SIGMA_Z)
-        out += self.zeta * (SIGMA_Z @ rho @ SIGMA_Y)
-        out += np.conj(self.zeta) * (SIGMA_Y @ rho @ SIGMA_Z)
-        return out
 
     def stiffness_scale(self) -> float:
         return float(

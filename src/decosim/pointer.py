@@ -340,9 +340,10 @@ class SieveReport:
 def _reduced_series(generator, psi: np.ndarray, t_grid: np.ndarray, dt: float | None) -> np.ndarray:
     if hasattr(generator, "reduced_evolution"):
         return np.asarray(generator.reduced_evolution(psi, t_grid), dtype=complex)
-    if not hasattr(generator, "rhs"):
+    if not hasattr(generator, "compiled"):
         raise TypeError(
-            "generator must expose reduced_evolution(psi0, t_grid) or a master-equation rhs"
+            "generator must expose reduced_evolution(psi0, t_grid) or a compiled "
+            "master-equation form (G, pairs)"
         )
     rho = np.outer(psi, psi.conj())
     out = [rho]
@@ -367,7 +368,8 @@ def predictability_sieve(
     """Rank pure initial states by how well they keep their purity.
 
     Works on anything with ``reduced_evolution(psi0, t_grid)`` (exact
-    models) or a master-equation ``rhs`` (integrated per candidate).
+    models) or a compiled master-equation form ``compiled`` (integrated per
+    candidate with ``evolve``).
     Ranking compares the chosen measure at the final grid time: highest
     purity first, or lowest entropy first.
     """

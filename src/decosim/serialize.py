@@ -22,6 +22,11 @@ import numpy as np
 
 def format_value(value) -> str:
     """CSV cell rendering: floats at full precision, everything else via str."""
+    kind = type(value)
+    if kind is str:
+        return value
+    if kind is float:
+        return f"{value:.16e}"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -31,6 +36,13 @@ def format_value(value) -> str:
     if isinstance(value, (complex, np.complexfloating)):
         raise TypeError("write complex data as separate re/im columns")
     return str(value)
+
+
+def format_floats(values) -> np.ndarray:
+    """``format_value`` of every entry of a float array: an object array of str, same shape."""
+    arr = np.asarray(values, dtype=float)
+    cells = [f"{v:.16e}" for v in arr.ravel().tolist()]
+    return np.array(cells, dtype=object).reshape(arr.shape)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -83,14 +95,20 @@ def pairs_to_array(data) -> np.ndarray:
     raise ValueError("expected nested [re, im] pairs")
 
 
+def _cells(values) -> np.ndarray:
+    """Rendered cells: an object array from ``format_floats`` passes through, floats are rendered."""
+    arr = np.asarray(values)
+    return arr if arr.dtype == object else format_floats(arr)
+
+
 def write_coordinate_matrix(path: str, row_coords, col_coords, values) -> None:
-    """Dense matrix file with leading coordinate row and column."""
-    vals = np.asarray(values, dtype=float)
-    rows_c = np.asarray(row_coords, dtype=float)
-    cols_c = np.asarray(col_coords, dtype=float)
+    """Dense matrix file with leading coordinate row and column.
+
+    Each argument holds floats, or their cells already rendered by ``format_floats``.
+    """
+    vals, rows_c, cols_c = _cells(values), _cells(row_coords), _cells(col_coords)
     if vals.shape != (rows_c.size, cols_c.size):
         raise ValueError("matrix shape does not match the coordinate axes")
-    lines = [",".join(["row\\col"] + [format_value(c) for c in cols_c])]
-    for coord, row in zip(rows_c, vals):
-        lines.append(",".join([format_value(coord)] + [format_value(v) for v in row]))
+    lines = [",".join(["row\\col", *cols_c])]
+    lines += [",".join([coord, *row]) for coord, row in zip(rows_c, vals)]
     atomic_write_text(path, "\n".join(lines) + "\n")

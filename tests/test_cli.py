@@ -240,6 +240,31 @@ def test_spinboson_bounds_exit_2(tmp_path, capsys, flags):
     assert err.count("\n") == 1
 
 
+_QBM_FLAGS = [
+    "qbm", "--gamma0", "0.01", "--cutoff", "10", "--temperature", "10", "--alpha", "1.0",
+    "--n-max", "10", "--t-final", "0.1", "--dt", "0.01", "--no-wigner",
+]
+
+
+@pytest.mark.parametrize("argv", [
+    _QBM_FLAGS + ["--n-max", "2"],
+    _QBM_FLAGS + ["--temperature", "-1"],
+    _QBM_FLAGS + ["--cutoff", "-1"],
+    _QBM_FLAGS + ["--gamma0", "-0.01"],
+    _QBM_FLAGS + ["--dt", "-0.01"],
+    _QBM_FLAGS + ["--store-every", "0"],
+    _QBM_FLAGS + ["--t-final", "nan"],
+    EVOLVE_FLAGS + ["--dt", "-0.01"],
+    EVOLVE_FLAGS + ["--store-every", "0"],
+    EVOLVE_FLAGS + ["--t-final", "nan"],
+])
+def test_evolve_and_qbm_bounds_exit_2(tmp_path, capsys, argv):
+    assert main(argv + ["--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+
+
 def test_spinspin_matches_the_product_reference(tmp_path):
     rc = main([
         "spinspin", "--couplings", "[0.3, 0.7]", "--t-max", "2.0",

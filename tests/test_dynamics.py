@@ -12,7 +12,10 @@ from decosim import (
     evolve,
     unravel,
 )
-from decosim.dynamics import TRAJECTORY_BLOCK, _block_noise
+from decosim.dynamics import TRAJECTORY_BLOCK, _block_noise, compiled_rhs
+from decosim.errors import PositivityError
+from decosim.models import caldeira_leggett_generator, coherent_state
+from decosim.models.spinboson import SpinBosonBornMarkovGenerator
 
 KAPPA = 0.8
 
@@ -80,6 +83,81 @@ def test_negative_rate_rejected():
 def test_nonhermitian_hamiltonian_rejected():
     with pytest.raises(ValueError):
         LindbladSpec(Operator(np.array([[0, 1], [0, 0]], dtype=complex)), ())
+
+
+def _lindblad_rhs_oracle(spec, rho):
+    """The hand-written Lindblad right-hand side the compiled form replaced."""
+    h = spec.hamiltonian.entries
+    out = -1j * (h @ rho - rho @ h)
+    for op, rate in spec.lindblad_terms:
+        l = op.entries
+        ldl = l.conj().T @ l
+        out += rate * (l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
+    return out
+
+
+def _random_hermitian(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return a + a.conj().T
+
+
+def test_compiled_lindblad_matches_hand_written_rhs():
+    rng = np.random.default_rng(7)
+    d = 3
+    jumps = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2)]
+    spec = LindbladSpec(
+        Operator(_random_hermitian(rng, d)),
+        ((Operator(jumps[0]), 0.7), (Operator(jumps[1]), 0.3)),
+    )
+    for _ in range(5):
+        rho = _random_hermitian(rng, d)
+        err = np.abs(compiled_rhs(spec.compiled, rho) - _lindblad_rhs_oracle(spec, rho)).max()
+        assert err <= 1e-13 * np.linalg.norm(rho)
+
+
+def _snapshot_generators():
+    rng = np.random.default_rng(11)
+    lower = Operator(np.array([[0, 1], [0, 0]], dtype=complex))
+    lindblad = LindbladSpec(Operator(0.6 * SIGMA_X), ((lower, 0.5), (Operator(SIGMA_Z), 0.2)))
+    plus = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
+    psi = coherent_state(1.0, 12).amplitudes
+    oscillator = DensityMatrix(np.outer(psi, psi.conj()))
+    yield lindblad, plus
+    yield caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=12), oscillator
+    yield SpinBosonBornMarkovGenerator(0.5, 1.0, 0.05, 0.02, 0.03), plus
+    h = _random_hermitian(rng, 3)
+    yield LindbladSpec(Operator(h), ((Operator(h @ h), 0.1),)), DensityMatrix(np.eye(3) / 3)
+
+
+def test_evolve_snapshots_are_exactly_hermitian():
+    for gen, rho0 in _snapshot_generators():
+        res = evolve(gen, rho0, 0.5, dt=1e-3, store_every=50)
+        assert len(res.states) == 11
+        for state in res.states:
+            assert np.array_equal(state.entries, state.entries.conj().T)
+
+
+@pytest.mark.parametrize("t_final, dt, store_every", [
+    (1.0, -0.01, 1),
+    (1.0, 0.0, 1),
+    (1.0, np.nan, 1),
+    (1.0, np.inf, 1),
+    (np.nan, 0.01, 1),
+    (-1.0, 0.01, 1),
+    (np.inf, 0.01, 1),
+    (1.0, 0.01, 0),
+])
+def test_evolve_rejects_degenerate_run_parameters(t_final, dt, store_every):
+    with pytest.raises(ValueError):
+        evolve(_dephasing_spec(), _plus_density(), t_final, dt, store_every)
+
+
+def test_non_cp_generator_raises_positivity_error_naming_t():
+    # large Born-Markov coefficients without matching dephasing are far from CP
+    gen = SpinBosonBornMarkovGenerator(0.0, 1.0, 0.0, 2.0, 2.0)
+    rho0 = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+    with pytest.raises(PositivityError, match=r"below floor -0\.001 at t=0\.01$"):
+        evolve(gen, rho0, 1.0, dt=1e-3, store_every=10)
 
 
 def test_trajectory_config_validation():

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from decosim import DensityMatrix, evolve
+from decosim.dynamics import compiled_rhs
 from decosim.errors import GridResolutionError
 from decosim.models import (
     caldeira_leggett_generator,
@@ -41,6 +42,51 @@ def _second_moments(gen, rho):
             np.real(np.trace(rho @ p @ p)),
         ]
     )
+
+
+def _caldeira_leggett_rhs_oracle(gen, rho):
+    """The hand-written number-basis right-hand side the compiled form replaced."""
+    x, p = gen.x, gen.p
+    out = -1j * (gen.h_eff @ rho - rho @ gen.h_eff)
+    if not gen.pure_decoherence:
+        anti = p @ rho + rho @ p
+        out += -1j * gen.gamma0 * (x @ anti - anti @ x)
+    inner = x @ rho - rho @ x
+    out -= gen.diffusion * (x @ inner - inner @ x)
+    return out
+
+
+def _free_particle_drift_oracle(gen, rho):
+    """The hand-written grid drift (unitary plus damping) the compiled form replaced."""
+    out = -1j * (gen.kinetic @ rho - rho @ gen.kinetic)
+    x = gen.positions
+    anti = gen.p_op @ rho + rho @ gen.p_op
+    out += -1j * gen.gamma0 * (x[:, None] * anti - anti * x[None, :])
+    return out
+
+
+def _random_hermitian(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return a + a.conj().T
+
+
+@pytest.mark.parametrize("pure", [True, False])
+def test_compiled_caldeira_leggett_matches_hand_written_rhs(pure):
+    gen = caldeira_leggett_generator(1.3, 0.7, 0.02, 10.0, 5.0, n_max=30, pure_decoherence=pure)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        rho = _random_hermitian(rng, gen.dim)
+        err = np.abs(compiled_rhs(gen.compiled, rho) - _caldeira_leggett_rhs_oracle(gen, rho)).max()
+        assert err <= 1e-13 * np.linalg.norm(rho)
+
+
+def test_compiled_free_particle_drift_matches_hand_written_rhs():
+    gen = free_particle_generator(np.linspace(-12.0, 12.0, 64), 1.0, 1.0, 0.5)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        rho = _random_hermitian(rng, gen.dim)
+        err = np.abs(compiled_rhs(gen.compiled, rho) - _free_particle_drift_oracle(gen, rho)).max()
+        assert err <= 1e-13 * np.linalg.norm(rho)
 
 
 def test_bound_motion_matches_moment_odes():
@@ -163,6 +209,22 @@ def test_wigner_grid_too_small_is_rejected():
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
     with pytest.raises(GridResolutionError):
         wigner_from_fock(rho, 1.0, 1.0, np.linspace(-2, 2, 41))
+
+
+@pytest.mark.parametrize("params", [
+    (1.0, 1.0, 0.1, 0.0, 1.0),
+    (1.0, 1.0, 0.1, -1.0, 1.0),
+    (1.0, 1.0, -0.01, 10.0, 1.0),
+    (1.0, 1.0, 0.1, 10.0, -1.0),
+    (np.nan, 1.0, 0.1, 10.0, 1.0),
+    (1.0, np.inf, 0.1, 10.0, 1.0),
+    (1.0, 1.0, np.nan, 10.0, 1.0),
+    (1.0, 1.0, 0.1, np.inf, 1.0),
+    (1.0, 1.0, 0.1, 10.0, np.inf),
+])
+def test_caldeira_leggett_rejects_invalid_parameters(params):
+    with pytest.raises(ValueError):
+        caldeira_leggett_generator(*params, n_max=8)
 
 
 def test_generator_guards():

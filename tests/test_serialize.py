@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from decosim.serialize import (
     atomic_write_text,
+    format_floats,
     format_value,
     matrix_to_pairs,
     pairs_to_array,
@@ -29,6 +30,17 @@ def test_cell_rendering_by_type():
     assert "e" in format_value(0.1)
     with pytest.raises(TypeError):
         format_value(1 + 2j)
+
+
+def test_format_floats_matches_format_value_byte_for_byte():
+    special = [0.0, -0.0, 1e-300, 5e-324, 2.2250738585072014e-308 / 3, np.nan, np.inf, -np.inf]
+    rng = np.random.default_rng(9)
+    randoms = rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, size=200)
+    values = np.concatenate([special, randoms, rng.integers(0, 2**63, size=50).view(np.float64)])
+    cells = format_floats(values.reshape(-1, 2))
+    assert cells.shape == (values.size // 2, 2)
+    assert cells.ravel().tolist() == [format_value(float(v)) for v in values]
+    assert cells.ravel().tolist() == [format_value(v) for v in values]  # numpy scalars too
 
 
 def test_write_csv_round_trip(tmp_path):
@@ -102,3 +114,7 @@ def test_coordinate_matrix_layout(tmp_path):
     assert [float(c) for c in first[1:]] == [0.0, 1.0, 2.0]
     with pytest.raises(ValueError):
         write_coordinate_matrix(path, x, p, values.T)
+    # cells rendered beforehand give the same bytes
+    before = open(path, "rb").read()
+    write_coordinate_matrix(path, format_floats(x), format_floats(p), format_floats(values))
+    assert open(path, "rb").read() == before

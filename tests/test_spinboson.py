@@ -7,6 +7,8 @@ from decosim import (
     SampledSpectralDensity,
     evolve,
 )
+from decosim.core import SIGMA_Y, SIGMA_Z
+from decosim.dynamics import compiled_rhs
 from decosim.errors import ConvergenceError
 from decosim.models import (
     spin_boson_born_markov_generator,
@@ -153,6 +155,28 @@ def test_born_markov_pure_dephasing_solution():
     for k, t in enumerate(res.times):
         expected = 0.5 * np.exp(-4.0 * gen.dephasing * t) * np.exp(-0.7j * t)
         assert abs(res.states[k].entries[0, 1] - expected) < 1e-8
+
+
+def _born_markov_rhs_oracle(gen, rho):
+    """The hand-written weak-coupling right-hand side the compiled form replaced."""
+    h = gen.h_eff
+    out = -1j * (h @ rho - rho @ h.conj().T)
+    inner = SIGMA_Z @ rho - rho @ SIGMA_Z
+    out -= gen.dephasing * (SIGMA_Z @ inner - inner @ SIGMA_Z)
+    out += gen.zeta * (SIGMA_Z @ rho @ SIGMA_Y)
+    out += np.conj(gen.zeta) * (SIGMA_Y @ rho @ SIGMA_Z)
+    return out
+
+
+def test_compiled_born_markov_matches_hand_written_rhs():
+    gen = spin_boson_born_markov_generator(DENSITY, 2.0, splitting=0.5, tunneling=1.0)
+    assert gen.renormalization != 0.0 and gen.decay != 0.0
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rho = a + a.conj().T
+        err = np.abs(compiled_rhs(gen.compiled, rho) - _born_markov_rhs_oracle(gen, rho)).max()
+        assert err <= 1e-13 * np.linalg.norm(rho)
 
 
 def test_born_markov_trace_exactly_conserved_with_tunneling():
