@@ -7,8 +7,15 @@ scientific notation) plus a manifest.json recording the fully resolved
 config, the seed, library versions, and wall time; the manifest's
 "config" block rerun through --config reproduces the CSV bytes exactly.
 
-Exit codes: 0 success, 2 config error, 3 numerical contract violation
-(positivity abort, non-convergent quadrature, unresolvable grid).
+Exit codes: 0 success, 2 config error, 3 numerical contract violation.
+``main`` is the only place that maps exceptions to them, each reported
+as one stderr line: ConvergenceError (positivity abort, non-convergent
+quadrature), PhysicalityError, GridResolutionError and numpy's
+LinAlgError exit 3; any other ValueError exits 2.  That covers a
+ConfigError from the parsing here and every library constructor or
+solver that rejects a parameter, so handlers call the library without
+wrapping it and the CLI adds only checks the library cannot make: JSON
+shapes, cross-field rules, and finite floats for every float field.
 """
 from __future__ import annotations
 
@@ -96,31 +103,26 @@ class Field:
 
 
 def _coerce(field: Field, value):
+    if field.kind == "json":
+        return value
     try:
         if field.kind == "float":
-            return float(value)
-        if field.kind == "int":
+            out = float(value)
+        elif field.kind == "int":
             out = int(value)
             if isinstance(value, float) and value != out:
                 raise ValueError(value)
-            return out
-        if field.kind == "bool":
-            if isinstance(value, bool):
-                return value
-            raise ValueError(value)
-        if field.kind == "str":
-            if not isinstance(value, str):
-                raise ValueError(value)
-            if field.choices and value not in field.choices:
-                raise ConfigError(
-                    f"'{field.name}' must be one of {list(field.choices)}, got {value!r}"
-                )
-            return value
-        if field.kind == "json":
-            return value
-    except (TypeError, ValueError):
+        elif isinstance(value, bool if field.kind == "bool" else str):
+            out = value
+        else:
+            raise TypeError(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"'{field.name}' expects a {field.kind}, got {value!r}") from None
-    raise ConfigError(f"unknown field kind {field.kind!r}")
+    if field.kind == "float" and not np.isfinite(out):
+        raise ConfigError(f"'{field.name}' must be finite, got {value!r}")
+    if field.choices and out not in field.choices:
+        raise ConfigError(f"'{field.name}' must be one of {list(field.choices)}, got {value!r}")
+    return out
 
 
 def _resolve_config(schema: tuple[Field, ...], config_path: str | None, ns) -> dict:
@@ -183,6 +185,12 @@ def _parse_state(spec, what: str) -> np.ndarray:
     return arr / norm
 
 
+def _parse_list(spec, what: str) -> list:
+    if not isinstance(spec, list):
+        raise ConfigError(f"{what}: expected a JSON list, got {spec!r}")
+    return spec
+
+
 def _density_columns(dim: int) -> list[str]:
     cols = []
     for i in range(dim):
@@ -207,15 +215,13 @@ def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 def _build_lindblad(cfg) -> LindbladSpec:
     h = _parse_operator(cfg["hamiltonian"], "hamiltonian")
     terms = []
-    for k, item in enumerate(cfg["lindblad"] or []):
+    for k, item in enumerate(_parse_list(cfg["lindblad"], "lindblad")):
         if not isinstance(item, dict) or set(item) != {"operator", "rate"}:
             raise ConfigError(f"lindblad[{k}]: expected {{'operator': ..., 'rate': ...}}")
         op = _parse_operator(item["operator"], f"lindblad[{k}].operator")
-        terms.append((Operator(op), float(item["rate"])))
-    try:
-        return LindbladSpec(Operator(h), tuple(terms))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        rate = _coerce(Field(f"lindblad[{k}].rate", "float", ""), item["rate"])
+        terms.append((Operator(op), rate))
+    return LindbladSpec(Operator(h), tuple(terms))
 
 
 def _pure_density(vec: np.ndarray) -> DensityMatrix:
@@ -249,16 +255,13 @@ def _cmd_evolve(cfg: dict, outdir: str) -> tuple[list[str], dict]:
         except (ValueError, TypeError):
             raise ConfigError("rho0: expected a state name, [re,im] vector, or matrix") from None
         if mat.ndim == 1:
-            rho0 = _pure_density(mat / np.linalg.norm(mat))
+            rho0 = _pure_density(_parse_state(raw, "rho0"))
         else:
             try:
                 rho0 = DensityMatrix(mat)
             except ValueError as exc:
                 raise ConfigError(f"rho0: {exc}") from None
-    try:  # evolve checks dt, t_final and store_every before any stepping
-        result = evolve(spec, rho0, cfg["t_final"], cfg["dt"], cfg["store_every"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    result = evolve(spec, rho0, cfg["t_final"], cfg["dt"], cfg["store_every"])
     header = ["t", "purity", "entropy"] + _density_columns(spec.dim)
     rows = []
     for t, state in zip(result.times, result.states):
@@ -283,18 +286,13 @@ TRAJECTORIES_SCHEMA = _OPERATOR_FIELDS + (
 def _cmd_trajectories(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     spec = _build_lindblad(cfg)
     psi0 = StateVector(_parse_state(cfg["psi0"], "psi0"))
-    # TrajectoryConfig and unravel validate every run parameter, including
-    # DECOSIM_WORKERS, before any stepping starts
-    try:
-        tc = TrajectoryConfig(
-            dt=cfg["dt"],
-            t_final=cfg["t_final"],
-            n_trajectories=cfg["n_trajectories"],
-            master_seed=cfg["master_seed"],
-        )
-        ens = unravel(spec, psi0, tc, store_every=cfg["store_every"], n_workers=cfg["workers"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    tc = TrajectoryConfig(
+        dt=cfg["dt"],
+        t_final=cfg["t_final"],
+        n_trajectories=cfg["n_trajectories"],
+        master_seed=cfg["master_seed"],
+    )
+    ens = unravel(spec, psi0, tc, store_every=cfg["store_every"], n_workers=cfg["workers"])
     ref = evolve(spec, _pure_density(psi0.amplitudes), cfg["t_final"], cfg["dt"], cfg["store_every"])
     header = (
         ["t"]
@@ -331,8 +329,8 @@ COLLISIONAL_SCHEMA = (
 
 
 def _cmd_collisional(cfg: dict, outdir: str) -> tuple[list[str], dict]:
-    if cfg["dx_min"] <= 0 or cfg["dx_max"] <= cfg["dx_min"]:
-        raise ConfigError("need 0 < dx_min < dx_max")
+    if cfg["n_dx"] < 1 or cfg["dx_min"] <= 0 or cfg["dx_max"] <= cfg["dx_min"]:
+        raise ConfigError("need n_dx >= 1 and 0 < dx_min < dx_max")
     rho0, v0, f2 = cfg["density_amplitude"], cfg["speed"], cfg["f2"]
     model = ScatteringModel(
         density_of_momenta=lambda q: rho0,
@@ -375,18 +373,14 @@ QBM_SCHEMA = (
 
 
 def _cmd_qbm(cfg: dict, outdir: str) -> tuple[list[str], dict]:
-    # the generator and evolve check every run parameter before any stepping
-    try:
-        gen = caldeira_leggett_generator(
-            cfg["mass"], cfg["frequency"], cfg["gamma0"], cfg["cutoff"], cfg["temperature"],
-            n_max=cfg["n_max"], pure_decoherence=cfg["pure_decoherence"],
-        )
-        alpha = cfg["alpha"]
-        psi = cat_state(alpha, cfg["n_max"])
-        rho0 = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
-        result = evolve(gen, rho0, cfg["t_final"], cfg["dt"], cfg["store_every"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    gen = caldeira_leggett_generator(
+        cfg["mass"], cfg["frequency"], cfg["gamma0"], cfg["cutoff"], cfg["temperature"],
+        n_max=cfg["n_max"], pure_decoherence=cfg["pure_decoherence"],
+    )
+    alpha = cfg["alpha"]
+    psi = cat_state(alpha, cfg["n_max"])
+    rho0 = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    result = evolve(gen, rho0, cfg["t_final"], cfg["dt"], cfg["store_every"])
     left = coherent_state(alpha, cfg["n_max"]).amplitudes
     right = coherent_state(-alpha, cfg["n_max"]).amplitudes
     c0 = abs(left.conj() @ result.states[0].entries @ right)
@@ -438,16 +432,9 @@ SPINBOSON_SCHEMA = (
 
 
 def _cmd_spinboson(cfg: dict, outdir: str) -> tuple[list[str], dict]:
-    if cfg["n_times"] < 2 or not 0.0 < cfg["t_max"] < np.inf:
-        raise ConfigError("need n_times >= 2 and 0 < t_max < inf")
-    if cfg["n_modes"] < 1:
-        raise ConfigError(f"'n_modes' must be at least 1, got {cfg['n_modes']}")
-    if not 0.0 <= cfg["temperature"] < np.inf:
-        raise ConfigError(f"need 0 <= temperature < inf, got {cfg['temperature']}")
-    try:
-        density = OhmicLorentzCutoff(cfg["mass"], cfg["gamma0"], cfg["cutoff"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if cfg["n_times"] < 2:  # the weak-coupling step below reads times[1]
+        raise ConfigError(f"'n_times' must be at least 2, got {cfg['n_times']}")
+    density = OhmicLorentzCutoff(cfg["mass"], cfg["gamma0"], cfg["cutoff"])
     times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
     header = ["t"]
     columns = [times]
@@ -510,12 +497,7 @@ def _resolve_couplings(cfg: dict) -> tuple[float, ...]:
 
 def _cmd_spinspin(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     couplings = _resolve_couplings(cfg)
-    try:
-        env = SpinEnvironment(
-            couplings, splitting=cfg["splitting"], tunneling=cfg["tunneling"]
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    env = SpinEnvironment(couplings, splitting=cfg["splitting"], tunneling=cfg["tunneling"])
     psi0 = StateVector(_parse_state(cfg["psi0"], "psi0"))
     times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
     result = spin_spin_exact(env, psi0, times)
@@ -569,13 +551,9 @@ def _cmd_sieve(cfg: dict, outdir: str) -> tuple[list[str], dict]:
             ((Operator(SIGMA_Z), cfg["kappa"]),),
         )
     else:
-        couplings = _resolve_couplings(cfg)
-        try:
-            generator = SpinEnvironment(
-                couplings, splitting=cfg["splitting"], tunneling=cfg["tunneling"]
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        generator = SpinEnvironment(
+            _resolve_couplings(cfg), splitting=cfg["splitting"], tunneling=cfg["tunneling"]
+        )
     report = predictability_sieve(
         generator, candidates, times, measure=cfg["measure"], labels=labels
     )
@@ -636,15 +614,13 @@ def _cmd_dfs(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     else:
         if not cfg["system_terms"] or not cfg["env_terms"]:
             raise ConfigError("provide system_terms and env_terms, or use --collective")
-        s_ops = [_parse_operator(m, f"system_terms[{k}]") for k, m in enumerate(cfg["system_terms"])]
-        e_ops = [_parse_operator(m, f"env_terms[{k}]") for k, m in enumerate(cfg["env_terms"])]
+        s_ops = [_parse_operator(m, f"system_terms[{k}]")
+                 for k, m in enumerate(_parse_list(cfg["system_terms"], "system_terms"))]
+        e_ops = [_parse_operator(m, f"env_terms[{k}]")
+                 for k, m in enumerate(_parse_list(cfg["env_terms"], "env_terms"))]
         if len(s_ops) != len(e_ops):
             raise ConfigError("system_terms and env_terms must pair up")
-        try:
-            spec = InteractionSpec(terms=tuple(zip(s_ops, e_ops)))
-            result = dfs_find(spec)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        result = dfs_find(InteractionSpec(terms=tuple(zip(s_ops, e_ops))))
         print(f"dimension {result.dimension}")
         payload = {
             "dimension": result.dimension,
@@ -740,6 +716,8 @@ def _cmd_estimate(cfg: dict, outdir: str) -> tuple[list[str], dict]:
         for key in ("gamma_per_pressure", "t_transit", "p_max"):
             if cfg[key] is None:
                 raise ConfigError(f"visibility mode needs '{key}'")
+        if cfg["n_p"] < 1:
+            raise ConfigError(f"'n_p' must be at least 1, got {cfg['n_p']}")
         curve = visibility_vs_pressure(
             cfg["gamma_per_pressure"], cfg["t_transit"],
             np.linspace(0.0, cfg["p_max"], cfg["n_p"]), v0=cfg["v0"],
@@ -836,14 +814,19 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(schema, args.config, args)
         outdir = cfg.get("output") or "."
-        os.makedirs(outdir, exist_ok=True)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"'output': cannot create directory: {exc}") from None
         outputs, summary = handler(cfg, outdir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ConvergenceError, PhysicalityError, GridResolutionError) as exc:
+    # the numerical classes first: PhysicalityError, GridResolutionError and
+    # LinAlgError are ValueErrors too
+    except (ConvergenceError, PhysicalityError, GridResolutionError, np.linalg.LinAlgError) as exc:
         print(f"numerical contract violated: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # ConfigError and every library parameter check
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     seed = next(
         (cfg[k] for k in ("seed", "master_seed", "coupling_seed") if k in cfg), None
     )

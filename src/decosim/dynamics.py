@@ -60,14 +60,11 @@ class LindbladSpec:
                 raise ValueError(f"rates must be nonnegative, got {rate}")
             terms.append((op, float(rate)))
         object.__setattr__(self, "lindblad_terms", tuple(terms))
-        # L^dag L per term and the compiled form, built once; not fields, so
-        # eq/repr are unchanged
-        jump_products = tuple(op.entries.conj().T @ op.entries for op, _ in terms)
+        # the compiled form, built once; not a field, so eq/repr are unchanged
         g = -1j * self.hamiltonian.entries
-        for (_, rate), ldl in zip(terms, jump_products):
-            g -= 0.5 * rate * ldl
+        for op, rate in terms:
+            g -= 0.5 * rate * (op.entries.conj().T @ op.entries)
         pairs = tuple((op.entries, 0.5 * rate * op.entries.conj().T) for op, rate in terms)
-        object.__setattr__(self, "_jump_products", jump_products)
         object.__setattr__(self, "compiled", (g, pairs))
 
     @property
@@ -101,6 +98,15 @@ def compiled_rhs(compiled, rho: np.ndarray) -> np.ndarray:
     return k + k.conj().T
 
 
+def fixed_step_count(t_final: float, dt: float, store_every: int) -> int:
+    """Steps of a fixed-step run, after checking its parameters; 0 when t_final is 0."""
+    if not (0.0 < dt < np.inf and 0.0 <= t_final < np.inf):
+        raise ValueError(f"need finite dt > 0 and t_final >= 0, got dt={dt}, t_final={t_final}")
+    if store_every < 1:
+        raise ValueError(f"need store_every >= 1, got {store_every}")
+    return max(1, int(round(t_final / dt))) if t_final > 0 else 0
+
+
 def _rk4_step(rhs, rho: np.ndarray, dt: float) -> np.ndarray:
     k1 = rhs(rho)
     k2 = rhs(rho + 0.5 * dt * k1)
@@ -124,10 +130,7 @@ def evolve(
     ``DensityMatrix`` objects with the generator's positivity tolerance as
     eigenvalue floor; a violation raises PositivityError naming the time.
     """
-    if not (0.0 < dt < np.inf and 0.0 <= t_final < np.inf):
-        raise ValueError(f"need finite dt > 0 and t_final >= 0, got dt={dt}, t_final={t_final}")
-    if store_every < 1:
-        raise ValueError(f"need store_every >= 1, got {store_every}")
+    n_steps = fixed_step_count(t_final, dt, store_every)
     if rho0.dim != generator.dim:
         raise ValueError("initial state dimension does not match the generator")
     scale = getattr(generator, "stiffness_scale", lambda: 0.0)()
@@ -138,7 +141,6 @@ def evolve(
             stacklevel=2,
         )
     ptol = getattr(generator, "positivity_tol", DEFAULT_POSITIVITY_TOL)
-    n_steps = max(1, int(round(t_final / dt))) if t_final > 0 else 0
     rhs = partial(compiled_rhs, generator.compiled)
     rho = symmetrize(rho0.entries)
     times = [0.0]
@@ -301,9 +303,7 @@ def unravel(
         np.concatenate([np.arange(0, n_steps + 1, store_every), [n_steps]])
     )
     rates = np.array([rate for _, rate in spec.lindblad_terms], dtype=float)
-    a = -1j * spec.hamiltonian.entries
-    for (_, rate), ldl in zip(spec.lindblad_terms, spec._jump_products):
-        a -= 0.5 * rate * ldl  # L^dag L = L^2 for Hermitian L
+    a = spec.compiled[0]  # -iH - (1/2) sum kappa L^dag L, and L^dag L = L^2 for Hermitian L
     stacked = np.vstack(
         [np.eye(2 * spec.dim), _real_form(cfg.dt * a)]
         + [_real_form(op.entries) for op, _ in spec.lindblad_terms]

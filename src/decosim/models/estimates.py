@@ -102,31 +102,32 @@ def table1_scenarios(
     ``{"lambda": ...}`` (long-wavelength regime, tau = 1/(lambda dx^2))
     or ``{"gamma_tot": ...}`` (short-wavelength regime, tau = 1/gamma).
     """
+    if not isinstance(constants, Mapping):
+        raise ConfigError(f"constants must be a JSON object, got {constants!r}")
     entries = []
     missing = []
     for env in ENVIRONMENTS:
+        row = constants.get(env) or {}
         for label, dx in OBJECTS:
-            spec = constants.get(env, {}).get(label)
+            spec = row.get(label) if isinstance(row, Mapping) else row
             if not spec:
                 missing.append(f"{env} / {label}")
                 continue
-            if set(spec) == {"lambda"}:
-                value = float(spec["lambda"])
-                if value <= 0:
-                    raise ConfigError(f"lambda must be positive for {env} / {label}")
-                tau = 1.0 / (value * dx**2)
-                kind = "lambda"
-            elif set(spec) == {"gamma_tot"}:
-                value = float(spec["gamma_tot"])
-                if value <= 0:
-                    raise ConfigError(f"gamma_tot must be positive for {env} / {label}")
-                tau = 1.0 / value
-                kind = "gamma_tot"
-            else:
+            if not isinstance(spec, Mapping) or set(spec) not in ({"lambda"}, {"gamma_tot"}):
                 raise ConfigError(
                     f"{env} / {label}: supply exactly one of 'lambda' or 'gamma_tot', "
-                    f"got {sorted(spec)}"
+                    f"got {spec!r}"
                 )
+            ((kind, raw),) = spec.items()
+            try:
+                value = float(raw)
+            except (TypeError, ValueError):
+                value = np.nan
+            if not 0.0 < value < np.inf:
+                raise ConfigError(
+                    f"{kind} must be a finite positive number for {env} / {label}, got {raw!r}"
+                )
+            tau = 1.0 / (value * dx**2) if kind == "lambda" else 1.0 / value
             entries.append(
                 ScenarioEntry(
                     environment=env,

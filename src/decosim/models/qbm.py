@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from ..core import StateVector, ket, symmetrize
-from ..dynamics import _rk4_step, compiled_rhs
+from ..dynamics import _rk4_step, compiled_rhs, fixed_step_count
 from ..errors import GridResolutionError, PhysicalityError
 from .collisional import GridState
 
@@ -215,12 +215,14 @@ def evolve_free_particle(
     dt: float,
     store_every: int = 10,
 ) -> tuple[np.ndarray, list[GridState]]:
-    """Strang-split integration: exact half-step decay, RK4 drift, half-step decay."""
-    if dt <= 0 or t_final <= 0:
-        raise ValueError("need dt > 0 and t_final > 0")
+    """Strang-split integration: exact half-step decay, RK4 drift, half-step decay.
+
+    Run parameters are checked as in ``decosim.dynamics.evolve``; t_final = 0
+    returns the initial frame alone.
+    """
+    n_steps = fixed_step_count(t_final, dt, store_every)
     if not np.array_equal(state.positions, gen.positions):
         raise ValueError("state grid does not match the generator grid")
-    n_steps = max(1, int(round(t_final / dt)))
     half = np.exp(-0.5 * dt * gen.decay_rates)  # exactly symmetric, so rho stays Hermitian
     drift = partial(compiled_rhs, gen.compiled)
     rho = symmetrize(state.matrix)
@@ -322,6 +324,8 @@ def wigner_from_fock(
     rho = np.asarray(rho, dtype=complex)
     n_max = rho.shape[0]
     x = np.asarray(positions, dtype=float)
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError(f"need a 1-d position grid with at least 2 points, got shape {x.shape}")
     scale = np.sqrt(mass * frequency)
     phi = hermite_functions(n_max, scale * x) * np.sqrt(scale)
     rho_x = phi.T @ rho @ np.conj(phi)

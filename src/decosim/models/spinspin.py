@@ -139,6 +139,8 @@ def spin_spin_exact(
     if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
         raise ValueError("system state is not normalized")
     times = np.asarray(t_grid, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("need a nonempty 1-d time grid")
     raw = env.reduced_evolution(psi, times)
     states = tuple(DensityMatrix(r, dims=(2,)) for r in raw)
     factor = None

@@ -341,6 +341,8 @@ def logical_error_rate(
     a generic non-symmetric logical qubit so every unflagged logical
     operation counts as an error.
     """
+    if n_shots < 1:
+        raise ValueError(f"need n_shots >= 1, got {n_shots}")
     if psi_logical is None:
         psi_logical = StateVector(np.array([np.cos(0.3), np.exp(0.4j) * np.sin(0.3)]))
     patterns = [tuple(q for q in range(3) if mask >> q & 1) for mask in range(8)]

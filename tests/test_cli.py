@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from decosim.cli import main
+from decosim.cli import COMMANDS, main
+from decosim.models.estimates import ENVIRONMENTS, OBJECTS
 
 
 def _read_csv(path):
@@ -348,3 +349,129 @@ def test_qec_error_rate_table(tmp_path):
     assert len(rows) == 2
     assert np.all(corr < raw)
     assert _manifest(tmp_path)["seed"] == 0
+
+
+def _assert_one_line(err, rc):
+    prefix = {2: "config error: ", 3: "numerical contract violated: "}[rc]
+    assert err.startswith(prefix), err
+    assert err.count("\n") == 1, err
+
+
+# Small valid configs, one or more per subcommand, from which the schema
+# sweep moves one scalar field at a time; every subcommand needs an entry.
+_LINDBLAD = [{"operator": "sigma_z", "rate": 0.5}]
+_SWEEP_BASES = {
+    "evolve": [dict(hamiltonian="sigma_x", lindblad=_LINDBLAD, t_final=0.05, dt=0.01,
+                    store_every=2)],
+    "trajectories": [dict(hamiltonian="identity", lindblad=_LINDBLAD, t_final=0.05, dt=0.01,
+                          n_trajectories=4, master_seed=3, store_every=2, workers=1)],
+    "collisional": [dict(density_amplitude=1.0, q_max=2.0, speed=1.0, f2=1.0, dx_min=0.1,
+                         dx_max=10.0, n_dx=3)],
+    "qbm": [dict(gamma0=0.01, cutoff=10.0, temperature=1.0, alpha=1.0, n_max=10,
+                 t_final=0.02, dt=0.01, store_every=1, n_x=101, x_max=8.0)],
+    "spinboson": [dict(gamma0=0.02, cutoff=8.0, temperature=2.0, splitting=0.5, t_max=0.5,
+                       n_times=4, n_modes=64)],
+    "spinspin": [dict(n_env=2, t_max=1.0, n_times=4)],
+    "sieve": [dict(scenario="dephasing-qubit", t_final=1.0, n_times=3),
+              dict(scenario="spin-spin", n_env=2, t_final=1.0, n_times=3)],
+    "dfs": [dict(collective=True, n=3),
+            dict(system_terms=["sigma_z"], env_terms=["sigma_x"])],
+    "qec": [dict(p_list=[0.05], n_shots=100)],
+    "estimate": [dict(mass_g=1.0, temp_K=300.0, dx_cm=1.0, table1=True,
+                      constants={env: {label: {"gamma_tot": 1.0} for label, _ in OBJECTS}
+                                 for env in ENVIRONMENTS},
+                      visibility=True, gamma_per_pressure=2.0, t_transit=0.5, p_max=3.0,
+                      n_p=4)],
+}
+# boundary and invalid values per field kind; json fields are parsed by
+# their own checks and covered case by case below
+_SWEEP_VALUES = {
+    "float": [0.0, -1.0, float("nan"), float("inf"), float("-inf"), "abc"],
+    "int": [0, -1, 1, 1.5, "abc"],
+    "str": [5],
+    "bool": ["abc"],
+    "json": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_schema_sweep_keeps_the_exit_code_contract(tmp_path, capsys, command):
+    schema = COMMANDS[command][0]
+    cfg_path = tmp_path / "cfg.json"
+    violations = []
+    for base in _SWEEP_BASES[command]:
+        base = dict(base, output=str(tmp_path / "out"))
+        cfg_path.write_text(json.dumps(base))
+        assert main([command, "--config", str(cfg_path)]) == 0, capsys.readouterr().err
+        for field in schema:
+            for value in _SWEEP_VALUES[field.kind]:
+                capsys.readouterr()
+                cfg_path.write_text(json.dumps(dict(base, **{field.name: value})))
+                case = f"{field.name}={value!r} from {base}"
+                try:
+                    rc = main([command, "--config", str(cfg_path)])
+                except Exception as exc:  # the contract allows no traceback
+                    violations.append(f"{case}: raised {type(exc).__name__}: {exc}")
+                    continue
+                err = capsys.readouterr().err
+                if rc not in (0, 2, 3):
+                    violations.append(f"{case}: exit {rc}")
+                elif rc != 0:
+                    try:
+                        _assert_one_line(err, rc)
+                    except AssertionError:
+                        violations.append(f"{case}: exit {rc} with stderr {err!r}")
+    assert not violations, "\n".join(violations)
+
+
+_VISIBILITY = ["estimate", "--visibility", "--gamma-per-pressure", "2", "--t-transit", "0.5",
+               "--p-max", "3"]
+_SPINBOSON = ["spinboson", "--gamma0", "0.02", "--cutoff", "8", "--temperature", "2",
+              "--t-max", "0.5", "--n-times", "6"]
+_EXIT_2_CASES = {
+    "qbm-n-x-0": _QBM_FLAGS + ["--wigner", "--n-x", "0"],
+    "qbm-n-x-1": _QBM_FLAGS + ["--wigner", "--n-x", "1"],
+    "spinspin-n-times-0": ["spinspin", "--n-env", "2", "--t-max", "1", "--n-times", "0"],
+    "qec-n-shots-0": ["qec", "--n-shots", "0"],
+    "qec-n-shots-negative": ["qec", "--n-shots", "-5"],
+    "collisional-n-dx-0": ["collisional", "--density-amplitude", "1", "--q-max", "2",
+                           "--speed", "1", "--f2", "1", "--dx-min", "0.1", "--dx-max", "10",
+                           "--n-dx", "0"],
+    "visibility-n-p-0": _VISIBILITY + ["--n-p", "0"],
+    "lindblad-not-a-list": EVOLVE_FLAGS + ["--lindblad", "5"],
+    "lindblad-rate-null": EVOLVE_FLAGS + ["--lindblad",
+                                          '[{"operator": "sigma_z", "rate": null}]'],
+    "dfs-system-terms-not-a-list": ["dfs", "--system-terms", "5", "--env-terms",
+                                    '["sigma_x"]'],
+    "table1-constants-not-an-object": ["estimate", "--table1", "--constants", "[1]"],
+    "estimate-mass-negative": ["estimate", "--mass-g", "-1", "--temp-K", "300",
+                               "--dx-cm", "1"],
+    "sieve-kappa-negative": ["sieve", "--scenario", "dephasing-qubit", "--kappa", "-1",
+                             "--t-final", "1", "--n-times", "3"],
+    "dfs-collective-n-0": ["dfs", "--collective", "--n", "0"],
+    "spinboson-tunneling-negative": _SPINBOSON + ["--tunneling", "-1"],
+    "spinboson-splitting-nan": _SPINBOSON + ["--splitting", "nan"],
+    "spinspin-couplings-reversed": ["spinspin", "--n-env", "2", "--t-max", "1",
+                                    "--coupling-low", "2", "--coupling-high", "1"],
+    "output-names-a-file": EVOLVE_FLAGS + ["--output", "taken"],
+}
+
+
+@pytest.mark.parametrize("argv", _EXIT_2_CASES.values(), ids=_EXIT_2_CASES.keys())
+def test_invalid_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # outputs default to the working directory
+    (tmp_path / "taken").write_text("")
+    assert main(argv) == 2
+    _assert_one_line(capsys.readouterr().err, 2)
+
+
+def test_ensemble_blowup_exits_3(tmp_path, capsys):
+    # a finite but enormous rate: the ensemble average stops being a state
+    rc = main([
+        "trajectories", "--hamiltonian", "identity",
+        "--lindblad", '[{"operator": "sigma_z", "rate": 1e300}]',
+        "--t-final", "0.05", "--dt", "0.01", "--n-trajectories", "4",
+        "--output", str(tmp_path),
+    ])
+    assert rc == 3
+    _assert_one_line(capsys.readouterr().err, 3)

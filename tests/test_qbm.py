@@ -183,6 +183,21 @@ def test_free_particle_grid_mismatch_rejected():
         evolve_free_particle(gen, other, 0.1, 1e-3)
 
 
+@pytest.mark.parametrize("t_final, dt, store_every", [
+    (0.1, 0.0, 1), (0.1, -1e-3, 1), (0.1, np.nan, 1), (0.1, np.inf, 1),
+    (-0.1, 1e-3, 1), (np.nan, 1e-3, 1), (np.inf, 1e-3, 1), (0.1, 1e-3, 0),
+])
+def test_free_particle_shares_the_run_parameter_checks(t_final, dt, store_every):
+    x = np.linspace(-5, 5, 32)
+    gen = free_particle_generator(x, 1.0, 0.5, 1.0)
+    state = two_gaussian_superposition(x, 0.0, 0.8)
+    with pytest.raises(ValueError, match="need"):
+        evolve_free_particle(gen, state, t_final, dt, store_every)
+    # t_final = 0 keeps the initial frame alone, as evolve does
+    times, frames = evolve_free_particle(gen, state, 0.0, 1e-3)
+    assert times.tolist() == [0.0] and frames == [state]
+
+
 def test_wigner_ground_state_is_the_expected_gaussian():
     n_max, mass, freq = 24, 1.0, 1.0
     rho = np.zeros((n_max, n_max), dtype=complex)
