@@ -38,8 +38,7 @@ def decay_rate(alpha: float, n_max: int) -> tuple[float, float]:
     separation = 2.0 * np.sqrt(2.0) * alpha
     predicted = GAMMA0 * (separation / 0.1) ** 2
     t_final = 1.2 / predicted
-    dt = min(2e-4, t_final / 200.0)
-    res = evolve(gen, rho0, t_final, dt=dt, store_every=max(1, round(t_final / dt / 10)))
+    res = evolve(gen, rho0, t_final, dt=t_final / 10)  # 11 snapshots for the fit
 
     left = coherent_state(alpha, n_max).amplitudes
     right = coherent_state(-alpha, n_max).amplitudes

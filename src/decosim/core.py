@@ -100,9 +100,6 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T, self.dims)
-
     def is_hermitian(self, tol: float = HERM_TOL) -> bool:
         return hermiticity_defect(self.entries) <= tol
 

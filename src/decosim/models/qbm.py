@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from ..core import StateVector, ket, symmetrize
+from ..core import StateVector, basis_state, ket, symmetrize
 from ..dynamics import _rk4_step, compiled_rhs, fixed_step_count
 from ..errors import GridResolutionError, PhysicalityError
 from .collisional import GridState
@@ -110,14 +110,6 @@ class CaldeiraLeggettGenerator:
         """D = 2 M gamma0 T, the momentum-diffusion coefficient."""
         return 2.0 * self.mass * self.gamma0 * self.temperature
 
-    def stiffness_scale(self) -> float:
-        xn = float(np.linalg.norm(self.x, 2))
-        pn = float(np.linalg.norm(self.p, 2))
-        scale = float(np.linalg.norm(self.h_eff, 2)) + 4.0 * self.diffusion * xn**2
-        if not self.pure_decoherence:
-            scale += 4.0 * self.gamma0 * xn * pn
-        return scale
-
 
 def caldeira_leggett_generator(
     mass: float,
@@ -141,6 +133,8 @@ def truncation_tail(rho: np.ndarray, n_tail: int = 5) -> float:
 
 def coherent_state(alpha: complex, n_max: int) -> StateVector:
     """Truncated coherent state; renormalized, so keep |alpha|^2 well under n_max."""
+    if alpha == 0:  # the vacuum; log 0 would make the n = 0 term 0 * (-inf)
+        return basis_state(n_max, 0)
     n = np.arange(n_max)
     log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n_max)))])
     amps = np.exp(n * np.log(complex(alpha)) - 0.5 * log_fact - 0.5 * abs(alpha) ** 2)

@@ -155,13 +155,6 @@ class SpinBosonBornMarkovGenerator:
     def zeta(self) -> complex:
         return complex(self.renormalization, self.decay)
 
-    def stiffness_scale(self) -> float:
-        return float(
-            np.linalg.norm(self.h_eff, 2)
-            + 4.0 * abs(self.dephasing)
-            + 2.0 * abs(self.zeta)
-        )
-
 
 def spin_boson_born_markov_generator(
     density: SpectralDensity,

@@ -337,7 +337,7 @@ class SieveReport:
         return self.ranking[0]
 
 
-def _reduced_series(generator, psi: np.ndarray, t_grid: np.ndarray, dt: float | None) -> np.ndarray:
+def _reduced_series(generator, psi: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     if hasattr(generator, "reduced_evolution"):
         return np.asarray(generator.reduced_evolution(psi, t_grid), dtype=complex)
     if not hasattr(generator, "compiled"):
@@ -348,11 +348,8 @@ def _reduced_series(generator, psi: np.ndarray, t_grid: np.ndarray, dt: float | 
     rho = np.outer(psi, psi.conj())
     out = [rho]
     state = DensityMatrix(rho, dims=(generator.dim,))
-    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
-        seg = float(t1 - t0)
-        n_sub = 64 if dt is None else max(1, int(np.ceil(seg / dt)))
-        result = evolve(generator, state, seg, dt=seg / n_sub, store_every=n_sub)
-        state = result.final()
+    for seg in np.diff(t_grid):
+        state = evolve(generator, state, seg, dt=seg).final()
         out.append(state.entries)
     return np.asarray(out)
 
@@ -363,13 +360,12 @@ def predictability_sieve(
     t_grid,
     measure: str = "purity",
     labels: Sequence[str] | None = None,
-    dt: float | None = None,
 ) -> SieveReport:
     """Rank pure initial states by how well they keep their purity.
 
     Works on anything with ``reduced_evolution(psi0, t_grid)`` (exact
-    models) or a compiled master-equation form ``compiled`` (integrated per
-    candidate with ``evolve``).
+    models) or a compiled master-equation form ``compiled`` (propagated
+    exactly across each grid segment with ``evolve``).
     Ranking compares the chosen measure at the final grid time: highest
     purity first, or lowest entropy first.
     """
@@ -389,7 +385,7 @@ def predictability_sieve(
     entries = []
     for label, cand in zip(labels, candidates):
         psi = np.asarray(getattr(cand, "amplitudes", cand), dtype=complex)
-        series = _reduced_series(generator, psi, times, dt)
+        series = _reduced_series(generator, psi, times)
         pur = np.real(np.einsum("tij,tji->t", series, series))
         ent = np.array([_entropy_array(mat) for mat in series])
         state = cand if isinstance(cand, StateVector) else StateVector(psi)

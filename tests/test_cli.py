@@ -111,6 +111,11 @@ def test_numerical_contract_violations_exit_3(tmp_path, capsys):
                "--n-modes", "4", "--no-born-markov", "--output", str(tmp_path)])
     assert rc == 3
     assert "numerical contract violated" in capsys.readouterr().err
+    # a Liouvillian far too stiff for expm_multiply (n_max above the dense limit)
+    rc = main(_QBM_FLAGS + ["--n-max", "20", "--gamma0", "1e300", "--cutoff", "1e-300",
+                            "--output", str(tmp_path)])
+    assert rc == 3
+    assert "too stiff to propagate" in capsys.readouterr().err
 
 
 def test_trajectories_track_the_master_equation(tmp_path):
@@ -184,23 +189,25 @@ def test_collisional_rates_and_curve(tmp_path):
 def test_qbm_emits_coherence_and_wigner_grids(tmp_path):
     # the default 201-point grid is needed: the auto window widens with
     # temperature and a coarse grid trips the momentum-aliasing guard
-    rc = main([
-        "qbm", "--gamma0", "0.01", "--cutoff", "10", "--temperature", "10",
-        "--alpha", "1.0", "--t-final", "0.01", "--dt", "0.001",
-        "--store-every", "2", "--n-max", "25", "--n-x", "201",
-        "--output", str(tmp_path),
-    ])
-    assert rc == 0
-    header, rows = _read_csv(tmp_path / "qbm.csv")
-    rel = _column(header, rows, "relative_coherence")
-    assert rel[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.all(rel <= 1.0 + 1e-9)
-    for name in ("wigner_initial.csv", "wigner_final.csv",
-                 "wigner_initial_matrix.csv", "wigner_final_matrix.csv"):
-        assert (tmp_path / name).exists()
-    mat_header, mat_rows = _read_csv(tmp_path / "wigner_initial_matrix.csv")
-    assert mat_header[0] == "row\\col"
-    assert len(mat_rows) == 201
+    for alpha in ("1.0", "0"):  # alpha 0 starts from the vacuum
+        out = tmp_path / alpha
+        rc = main([
+            "qbm", "--gamma0", "0.01", "--cutoff", "10", "--temperature", "10",
+            "--alpha", alpha, "--t-final", "0.01", "--dt", "0.001",
+            "--store-every", "2", "--n-max", "25", "--n-x", "201",
+            "--output", str(out),
+        ])
+        assert rc == 0
+        header, rows = _read_csv(out / "qbm.csv")
+        rel = _column(header, rows, "relative_coherence")
+        assert rel[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(rel <= 1.0 + 1e-9)
+        for name in ("wigner_initial.csv", "wigner_final.csv",
+                     "wigner_initial_matrix.csv", "wigner_final_matrix.csv"):
+            assert (out / name).exists()
+        mat_header, mat_rows = _read_csv(out / "wigner_initial_matrix.csv")
+        assert mat_header[0] == "row\\col"
+        assert len(mat_rows) == 201
 
 
 def test_spinboson_exact_and_weak_coupling_columns(tmp_path):
@@ -453,6 +460,11 @@ _EXIT_2_CASES = {
     "spinboson-splitting-nan": _SPINBOSON + ["--splitting", "nan"],
     "spinspin-couplings-reversed": ["spinspin", "--n-env", "2", "--t-max", "1",
                                     "--coupling-low", "2", "--coupling-high", "1"],
+    "spinspin-coupling-range-overflows": ["spinspin", "--n-env", "2", "--t-max", "1",
+                                          "--coupling-low=-1e308", "--coupling-high=1e308"],
+    "collisional-density-negative": ["collisional", "--density-amplitude", "-1",
+                                     "--speed", "1", "--f2", "1", "--q-max", "2",
+                                     "--dx-min", "0.1", "--dx-max", "1", "--n-dx", "5"],
     "output-names-a-file": EVOLVE_FLAGS + ["--output", "taken"],
 }
 

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,12 @@ from decosim import (
     evolve,
     unravel,
 )
-from decosim.dynamics import TRAJECTORY_BLOCK, _block_noise, compiled_rhs
+from decosim.dynamics import (
+    DENSE_PROPAGATOR_MAX_DIM,
+    TRAJECTORY_BLOCK,
+    _block_noise,
+    compiled_rhs,
+)
 from decosim.errors import PositivityError
 from decosim.models import caldeira_leggett_generator, coherent_state
 from decosim.models.spinboson import SpinBosonBornMarkovGenerator
@@ -127,6 +134,43 @@ def _snapshot_generators():
     yield SpinBosonBornMarkovGenerator(0.5, 1.0, 0.05, 0.02, 0.03), plus
     h = _random_hermitian(rng, 3)
     yield LindbladSpec(Operator(h), ((Operator(h @ h), 0.1),)), DensityMatrix(np.eye(3) / 3)
+    # above DENSE_PROPAGATOR_MAX_DIM, so evolve takes the expm_multiply path
+    psi = coherent_state(1.0, 30).amplitudes
+    oscillator = DensityMatrix(np.outer(psi, psi.conj()))
+    yield caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=30), oscillator
+
+
+def _rk4_evolve_oracle(generator, rho0, t_final, dt, store_every):
+    """The fixed-step RK4 loop ``evolve`` ran before it propagated exactly."""
+    rhs = partial(compiled_rhs, generator.compiled)
+    n_steps = max(1, int(round(t_final / dt)))
+    rho = rho0.entries
+    times, states = [0.0], [rho]
+    for step in range(1, n_steps + 1):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * dt * k1)
+        k3 = rhs(rho + 0.5 * dt * k2)
+        k4 = rhs(rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % store_every == 0 or step == n_steps:
+            times.append(step * dt)
+            states.append(rho)
+    return np.array(times), np.array(states)
+
+
+# 0.47 / 1e-3 = 470 steps: 7 full snapshot intervals of 60 and a final one of 50
+@pytest.mark.parametrize("t_final, store_every", [(0.5, 50), (0.47, 60)])
+def test_evolve_matches_the_rk4_oracle(t_final, store_every):
+    dt = 1e-3
+    dims = []
+    for gen, rho0 in _snapshot_generators():
+        res = evolve(gen, rho0, t_final, dt=dt, store_every=store_every)
+        times, states = _rk4_evolve_oracle(gen, rho0, t_final, dt, store_every)
+        np.testing.assert_array_equal(res.times, times)
+        got = np.array([state.entries for state in res.states])
+        assert np.abs(got - states).max() < 1e-10, gen
+        dims.append(gen.dim)
+    assert min(dims) <= DENSE_PROPAGATOR_MAX_DIM < max(dims)  # both propagators ran
 
 
 def test_evolve_snapshots_are_exactly_hermitian():
