@@ -20,6 +20,7 @@ shapes, cross-field rules, and finite floats for every float field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -50,19 +51,18 @@ from .errors import (
     PhysicalityError,
 )
 from .models import (
-    ScatteringModel,
     SpinEnvironment,
     caldeira_leggett_generator,
     cat_state,
     coherent_state,
-    decoherence_rates,
-    localization_rate,
     spin_boson_born_markov_generator,
     spin_boson_exact_dephasing,
     spin_spin_exact,
     table1_scenarios,
     timescale_ratio,
     truncation_tail,
+    uniform_beam_localization_rates,
+    uniform_beam_rates,
     visibility_vs_pressure,
     wigner_from_fock,
 )
@@ -334,22 +334,15 @@ def _cmd_collisional(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     rho0, v0, f2 = cfg["density_amplitude"], cfg["speed"], cfg["f2"]
     if min(rho0, v0, f2) < 0:
         raise ConfigError("need density_amplitude, speed and f2 >= 0")
-    model = ScatteringModel(
-        density_of_momenta=lambda q: rho0,
-        speed=lambda q: v0,
-        cross_section=lambda q: f2,
-        q_max=cfg["q_max"],
-        regime=cfg["regime"],
-    )
-    rates = decoherence_rates(model)
+    rates = uniform_beam_rates(rho0, v0, f2, cfg["q_max"])
     if cfg["log_spacing"]:
         grid = np.geomspace(cfg["dx_min"], cfg["dx_max"], cfg["n_dx"])
     else:
         grid = np.linspace(cfg["dx_min"], cfg["dx_max"], cfg["n_dx"])
-    rows = [
-        [dx, localization_rate(model, float(dx)), rates.total_rate, rates.prefactor * dx**2]
-        for dx in grid
-    ]
+    curve = uniform_beam_localization_rates(rho0, v0, f2, cfg["q_max"], grid, cfg["regime"])
+    rows = np.column_stack(
+        [grid, curve, np.full_like(grid, rates.total_rate), rates.prefactor * grid**2]
+    ).tolist()
     path = os.path.join(outdir, "collisional.csv")
     write_csv(path, ["dx", "localization_rate", "gamma_tot", "lambda_dx2"], rows)
     return [path], {"gamma_tot": rates.total_rate, "lambda": rates.prefactor}
@@ -607,7 +600,7 @@ def _cmd_dfs(cfg: dict, outdir: str) -> tuple[list[str], dict]:
             and report.dimension * 2 ** cfg["n"] <= _DFS_EXPORT_CAP
         ):
             payload["basis"] = [
-                [[float(a.real), float(a.imag)] for a in vec.amplitudes]
+                np.stack([vec.amplitudes.real, vec.amplitudes.imag], -1).tolist()
                 for vec in report.result.basis
             ]
         summary = {"dimension": report.dimension}
@@ -781,7 +774,9 @@ def _add_field_flag(parser: argparse.ArgumentParser, field: Field) -> None:
     parser.add_argument(flag, **kwargs)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every subcommand, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="decosim",
         description="open-quantum-system scenario runner; emits CSV/JSON plus a manifest",

@@ -269,19 +269,22 @@ def _unravel_block(
     if sample_steps[pos] == 0:
         sums[pos] = ensemble_sum(psi)
         pos += 1
-    for step in range(n_steps):
-        terms = (stacked @ psi).reshape(m + 2, 2 * d, b)
-        # Re <psi|L_mu psi> is the real dot product of the stacked columns
-        expect = np.einsum("mkb,kb->mb", terms[2:], psi)
-        coef = weights[2:]  # c_mu, written in place
-        np.multiply(dt_rates, expect, out=coef)
-        coef += noise[:, step].T
-        weights[0] = 1.0 - np.einsum("mb,mb->b", coef - half_dt_rates * expect, expect)
-        psi = np.einsum("mb,mkb->kb", weights, terms)
-        psi /= np.sqrt(np.einsum("kb,kb->b", psi, psi))
-        if pos < sample_steps.size and sample_steps[pos] == step + 1:
-            sums[pos] = ensemble_sum(psi)
-            pos += 1
+    # a blown-up ensemble turns into inf/nan here silently; the snapshot
+    # validation in ``unravel`` reports it as one error
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for step in range(n_steps):
+            terms = (stacked @ psi).reshape(m + 2, 2 * d, b)
+            # Re <psi|L_mu psi> is the real dot product of the stacked columns
+            expect = np.einsum("mkb,kb->mb", terms[2:], psi)
+            coef = weights[2:]  # c_mu, written in place
+            np.multiply(dt_rates, expect, out=coef)
+            coef += noise[:, step].T
+            weights[0] = 1.0 - np.einsum("mb,mb->b", coef - half_dt_rates * expect, expect)
+            psi = np.einsum("mb,mkb->kb", weights, terms)
+            psi /= np.sqrt(np.einsum("kb,kb->b", psi, psi))
+            if pos < sample_steps.size and sample_steps[pos] == step + 1:
+                sums[pos] = ensemble_sum(psi)
+                pos += 1
     return sums, (psi[:d] + 1j * psi[d:]).T
 
 

@@ -13,6 +13,11 @@ with the localization rate
 F vanishes at dx = 0, grows like Lambda dx^2 for separations small
 against the dominant wavelength, and saturates at the total scattering
 rate Gamma_tot once single collisions resolve the separation.
+
+For a beam with constant rho, v and |f|^2 on (0, q_max) the q-integral
+closes in the sine integral (``uniform_beam_localization_rates``); the
+callable ``ScatteringModel`` path integrates numerically and serves
+momentum-dependent models.
 """
 from __future__ import annotations
 
@@ -21,12 +26,15 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import sici
 
 from ..core import hermiticity_defect
 from ..errors import PhysicalityError
 
 GRID_TRACE_TOL = 1e-8
 REGIMES = ("full", "short-wavelength", "long-wavelength")
+# below this U = q_max dx the sine-integral form cancels; a Taylor series takes over
+SERIES_BELOW = 1e-2
 
 
 @dataclass(frozen=True)
@@ -134,6 +142,62 @@ class DecoherenceRates:
 
 def decoherence_rates(model: ScatteringModel) -> DecoherenceRates:
     return DecoherenceRates(total_scattering_rate(model), localization_prefactor(model))
+
+
+def uniform_beam_rates(
+    density: float, speed: float, cross_section: float, q_max: float
+) -> DecoherenceRates:
+    """Gamma_tot = 4 pi rho v |f|^2 q_max and Lambda = Gamma_tot q_max^2 / 9.
+
+    Closed forms of ``decoherence_rates`` for constant rho, v and |f|^2 on (0, q_max).
+    """
+    if q_max <= 0:
+        raise ValueError("q_max must be positive")
+    total = 4.0 * np.pi * density * speed * cross_section * q_max
+    prefactor = total * q_max * q_max / 9.0
+    if not (np.isfinite(total) and np.isfinite(prefactor)):
+        raise ValueError("Gamma_tot or Lambda overflows a double")
+    return DecoherenceRates(total, prefactor)
+
+
+def _saturation_fraction(u: np.ndarray) -> np.ndarray:
+    """g(U) / U with g(U) = int_0^U (1 - sinc^2 s) ds = U - Si(2U) + sin^2(U) / U.
+
+    Rises from 0 like U^2 / 9 to 1; below ``SERIES_BELOW`` the series
+    U^2/9 - 2U^4/225 + U^6/2205 replaces the cancelling closed form.
+    """
+    small = u < SERIES_BELOW
+    big = np.where(small, 1.0, u)
+    si, _ = sici(2.0 * big)
+    closed = 1.0 - si / big + (np.sin(big) / big) ** 2
+    u2 = u * u
+    series = u2 * (1.0 / 9.0 - u2 * (2.0 / 225.0 - u2 / 2205.0))
+    return np.where(small, series, closed)
+
+
+def uniform_beam_localization_rates(
+    density: float,
+    speed: float,
+    cross_section: float,
+    q_max: float,
+    separations,
+    regime: str = "full",
+) -> np.ndarray:
+    """F(dx) for constant rho, v and |f|^2 on (0, q_max), one value per separation.
+
+    F = Gamma_tot g(U) / U with U = q_max |dx| in the full regime, and the
+    same limits as ``localization_rate`` in the other two.
+    """
+    if regime not in REGIMES:
+        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+    rates = uniform_beam_rates(density, speed, cross_section, q_max)
+    dx = np.abs(np.asarray(separations, dtype=float))
+    if regime == "short-wavelength":
+        return np.where(dx == 0.0, 0.0, rates.total_rate)
+    if regime == "long-wavelength":
+        return rates.prefactor * dx**2
+    # the fraction is 1 to double precision from U = 1e20 on; the cap keeps U finite
+    return rates.total_rate * _saturation_fraction(q_max * np.minimum(dx, 1e20 / q_max))
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,16 @@
 H = (splitting/2) sz - (tunneling/2) sx + (sz/2) (x) sum_i g_i sz_i
 
 Every environment operator is diagonal in the computational product
-basis, so the joint Hamiltonian splits into one 2x2 system block per
-environment bit string, shifted by the string's coupling sum.  Exact
-evolution therefore costs 2^N two-by-two matrix exponentials instead of
-one 2^(N+1)-dimensional one, and the joint pure state stays available
-for information-flow analyses.  Dense Hamiltonian and propagator
-builders are provided for small N so the block solver can be checked
-against brute force.
+basis, so the joint Hamiltonian splits into one 2x2 system block
+h_s = a_s sz + b sx per environment bit string s, with a_s shifted by the
+string's coupling sum.  Each block propagator has the closed form
+exp(-i h_s t) = cos(w_s t) - i sin(w_s t) h_s / w_s, w_s = |(a_s, b)|, so
+the reduced state is a population-weighted mixture of 2^N branches that
+is linear in cos(2 w_s t) and sin(2 w_s t) (``reduced_evolution``).  The
+per-string propagators stay available for the joint pure state and for
+information-flow analyses.  Dense Hamiltonian and propagator builders are
+provided for small N so the block solver can be checked against brute
+force.
 """
 from __future__ import annotations
 
@@ -17,16 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import (
-    NORM_TOL,
-    DensityMatrix,
-    Operator,
-    StateVector,
-    symmetrize,
-)
+from ..core import NORM_TOL, DensityMatrix, Operator, StateVector
 
 MAX_ENV_QUBITS = 14
 MAX_DENSE_QUBITS = 10
+# (times x bit strings) entries per chunk of the reduced-state sums; bounds their memory
+_CHUNK_ENTRIES = 2**16
 
 _PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
@@ -92,10 +91,13 @@ class SpinEnvironment:
     def env_populations(self) -> np.ndarray:
         return np.abs(self.env_amplitudes()) ** 2
 
+    def _block_fields(self) -> tuple[np.ndarray, float]:
+        """(a_s, b) of the system blocks h_s = a_s sz + b sx, one a_s per bit string."""
+        return 0.5 * (self.splitting + self.shift_sums), -0.5 * self.tunneling
+
     def block_unitaries(self, t: float) -> np.ndarray:
         """(2^N, 2, 2) system propagators, one per environment bit string."""
-        a = 0.5 * (self.splitting + self.shift_sums)
-        b = -0.5 * self.tunneling
+        a, b = self._block_fields()
         omega = np.hypot(a, b)
         c = np.cos(omega * t)
         # sin(w t)/w with its w -> 0 limit
@@ -108,15 +110,55 @@ class SpinEnvironment:
         return u
 
     def reduced_evolution(self, psi0, t_grid) -> np.ndarray:
-        """Reduced 2x2 trajectory of a pure system state; (T, 2, 2) array."""
+        """Reduced 2x2 trajectory of a pure system state; (T, 2, 2) array.
+
+        With P = psi psi^dag, c = cos(w_s t) and k = sin(w_s t) / w_s,
+
+            rho(t) = sum_s p_s [c^2 P + i c k (P h_s - h_s P) + k^2 h_s P h_s],
+
+        and c^2, c k, k^2 are affine in cos(2 w_s t) and sin(2 w_s t).  So
+        (rho00, Re rho01, Im rho01) is a constant plus one (T, 2^N) cosine
+        and one (T, 2^N) sine matrix, each times a fixed (2^N, 3) weight,
+        and rho11 = sum_s p_s - rho00.  The a_s / w_s and b / w_s factors
+        sit in the weights, set to 0 where w_s = 0, so that block
+        contributes P at every t without a special case.
+        """
         psi = np.asarray(getattr(psi0, "amplitudes", psi0), dtype=complex).reshape(2)
         times = np.asarray(t_grid, dtype=float)
         pops = self.env_populations()
+        a, b = self._block_fields()
+        omega = np.hypot(a, b)
+        nonzero = omega > 0.0
+        safe = np.where(nonzero, omega, 1.0)
+        alpha = np.where(nonzero, a / safe, 0.0)
+        beta = np.where(nonzero, b / safe, 0.0)
+
+        sz = np.diag([1.0, -1.0]).astype(complex)
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        p = np.outer(psi, psi.conj())
+        even = np.stack([p, sz @ p @ sz, sz @ p @ sx + sx @ p @ sz, sx @ p @ sx])
+        odd = np.stack([1j * (p @ sz - sz @ p), 1j * (p @ sx - sx @ p)])
+
+        def features(mats):  # (rho00, Re rho01, Im rho01) of each 2x2 matrix
+            return np.stack([mats[:, 0, 0].real, mats[:, 0, 1].real, mats[:, 0, 1].imag], 1)
+
+        half = 0.5 * pops
+        coeffs = np.stack([half, half * alpha**2, half * alpha * beta, half * beta**2], 1)
+        constant = coeffs.sum(0) @ features(even)
+        cos_weights = (coeffs * [1.0, -1.0, -1.0, -1.0]) @ features(even)
+        sin_weights = np.stack([half * alpha, half * beta], 1) @ features(odd)
+
+        flat = np.empty((times.size, 3))
+        step = max(1, _CHUNK_ENTRIES // omega.size)
+        for lo in range(0, times.size, step):
+            phase = np.outer(times[lo : lo + step], 2.0 * omega)
+            flat[lo : lo + step] = np.cos(phase) @ cos_weights + np.sin(phase) @ sin_weights
+        flat += constant
         out = np.empty((times.size, 2, 2), dtype=complex)
-        for k, t in enumerate(times):
-            branches = self.block_unitaries(float(t)) @ psi
-            rho = np.einsum("e,ei,ej->ij", pops, branches, branches.conj())
-            out[k] = symmetrize(rho)
+        out[:, 0, 0] = flat[:, 0]
+        out[:, 1, 1] = pops.sum() - flat[:, 0]
+        out[:, 0, 1] = flat[:, 1] + 1j * flat[:, 2]
+        out[:, 1, 0] = out[:, 0, 1].conj()
         return out
 
 
@@ -170,8 +212,7 @@ def _require_dense(env: SpinEnvironment, what: str) -> int:
 def spin_spin_hamiltonian(env: SpinEnvironment) -> Operator:
     """Dense joint Hamiltonian, system qubit first in the tensor order."""
     n_env = _require_dense(env, "Hamiltonian")
-    a = 0.5 * (env.splitting + env.shift_sums)
-    b = -0.5 * env.tunneling
+    a, b = env._block_fields()
     dim = 2 * n_env
     h = np.zeros((dim, dim), dtype=complex)
     idx = np.arange(n_env)

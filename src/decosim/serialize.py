@@ -72,7 +72,8 @@ def write_csv(path: str, header: Sequence[str], rows) -> None:
 
 
 def write_json(path: str, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Compact, key-sorted JSON on one line; compact output keeps json's C encoder."""
+    atomic_write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def matrix_to_pairs(matrix: np.ndarray) -> list:

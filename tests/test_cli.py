@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from decosim.cli import COMMANDS, main
+from decosim.models import ScatteringModel, localization_rate
 from decosim.models.estimates import ENVIRONMENTS, OBJECTS
 
 
@@ -184,6 +185,20 @@ def test_collisional_rates_and_curve(tmp_path):
     assert abs(rate[-1] - summary["gamma_tot"]) < 0.02 * summary["gamma_tot"]
     assert rate[0] == pytest.approx(quad[0], rel=1e-3)
     assert np.all(np.diff(dx) > 0)
+
+
+@pytest.mark.parametrize("regime", ["full", "short-wavelength", "long-wavelength"])
+def test_collisional_curve_matches_localization_rate(tmp_path, regime):
+    rc = main([
+        "collisional", "--density-amplitude", "1.3", "--q-max", "2.0",
+        "--speed", "0.7", "--f2", "1.1", "--dx-min", "0.01", "--dx-max", "50",
+        "--n-dx", "7", "--regime", regime, "--output", str(tmp_path),
+    ])
+    assert rc == 0
+    header, rows = _read_csv(tmp_path / "collisional.csv")
+    model = ScatteringModel(lambda q: 1.3, lambda q: 0.7, lambda q: 1.1, 2.0, regime)
+    expected = [localization_rate(model, dx) for dx in _column(header, rows, "dx")]
+    assert _column(header, rows, "localization_rate") == pytest.approx(expected, rel=1e-9)
 
 
 def test_qbm_emits_coherence_and_wigner_grids(tmp_path):
@@ -465,6 +480,9 @@ _EXIT_2_CASES = {
     "collisional-density-negative": ["collisional", "--density-amplitude", "-1",
                                      "--speed", "1", "--f2", "1", "--q-max", "2",
                                      "--dx-min", "0.1", "--dx-max", "1", "--n-dx", "5"],
+    "collisional-lambda-overflows": ["collisional", "--density-amplitude", "1",
+                                     "--speed", "1", "--f2", "1", "--q-max", "1e300",
+                                     "--dx-min", "0.1", "--dx-max", "1", "--n-dx", "5"],
     "output-names-a-file": EVOLVE_FLAGS + ["--output", "taken"],
 }
 
@@ -477,8 +495,10 @@ def test_invalid_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):
     _assert_one_line(capsys.readouterr().err, 2)
 
 
+@pytest.mark.filterwarnings("error")
 def test_ensemble_blowup_exits_3(tmp_path, capsys):
-    # a finite but enormous rate: the ensemble average stops being a state
+    # a finite but enormous rate: the ensemble average stops being a state;
+    # a numpy warning on the way would be a second stderr line, so it fails here
     rc = main([
         "trajectories", "--hamiltonian", "identity",
         "--lindblad", '[{"operator": "sigma_z", "rate": 1e300}]',

@@ -17,6 +17,8 @@ from decosim.models import (
     separation_rates,
     total_scattering_rate,
     two_gaussian_superposition,
+    uniform_beam_localization_rates,
+    uniform_beam_rates,
 )
 from decosim.models.collisional import _angular_factor
 
@@ -177,3 +179,49 @@ def test_decoherence_rates_summary():
     assert rates.total_rate == pytest.approx(4 * np.pi * RHO0 * SPEED * F2 * QMAX)
     assert rates.coherence_time(0.0) == np.inf
     assert rates.coherence_time(2.0) == pytest.approx(1.0 / (rates.prefactor * 4.0))
+
+
+def _uniform_curve(separations, regime="full"):
+    return uniform_beam_localization_rates(RHO0, SPEED, F2, QMAX, separations, regime)
+
+
+def test_uniform_beam_curve_matches_the_quadrature_path():
+    # U = q_max dx over [1e-3, 1e2], across the switch to the series at 1e-2.
+    # Above U ~ 1e2 the quadrature itself errs at isolated U (7.4e-7 at
+    # U = 199.5, against 40-digit arithmetic), so it is no 1e-9 oracle there.
+    separations = np.geomspace(1e-3, 1e2, 51) / QMAX
+    model = _uniform_model()
+    expected = np.array([localization_rate(model, dx) for dx in separations])
+    assert np.abs(_uniform_curve(separations) / expected - 1.0).max() < 1e-9
+
+
+def test_uniform_beam_curve_matches_the_sine_integral_form():
+    separations = np.geomspace(1e-2, 1e3, 61) / QMAX  # U = q_max dx over [1e-2, 1e3]
+    independent = np.array([_rate_closed_form(dx) for dx in separations])
+    assert np.abs(_uniform_curve(separations) / independent - 1.0).max() < 1e-10
+
+
+def test_uniform_beam_curve_follows_the_quadratic_law_at_small_separations():
+    separations = np.geomspace(1e-12, 1e-6, 13)
+    lam = uniform_beam_rates(RHO0, SPEED, F2, QMAX).prefactor
+    assert np.abs(_uniform_curve(separations) / (lam * separations**2) - 1.0).max() < 1e-10
+    assert _uniform_curve([0.0])[0] == 0.0
+
+
+def test_uniform_beam_regimes_match_localization_rate():
+    separations = np.array([0.0, 0.03, 0.7, 12.0])
+    for regime in ("short-wavelength", "long-wavelength"):
+        model = _uniform_model(regime)
+        expected = [localization_rate(model, dx) for dx in separations]
+        assert _uniform_curve(separations, regime) == pytest.approx(expected, rel=1e-12)
+    rates = uniform_beam_rates(RHO0, SPEED, F2, QMAX)
+    reference = decoherence_rates(_uniform_model())
+    assert rates.total_rate == pytest.approx(reference.total_rate, rel=1e-12)
+    assert rates.prefactor == pytest.approx(reference.prefactor, rel=1e-12)
+    # far past any wavelength the curve is Gamma_tot, also where q_max dx overflows
+    wide = uniform_beam_localization_rates(RHO0, SPEED, F2, 1e10, [1e300])
+    assert wide[0] == uniform_beam_rates(RHO0, SPEED, F2, 1e10).total_rate
+    with pytest.raises(ValueError):
+        _uniform_curve(separations, "sideways")
+    with pytest.raises(ValueError):
+        uniform_beam_rates(RHO0, SPEED, F2, 0.0)

@@ -10,14 +10,66 @@ from decosim import (
     partial_trace_keep_state,
     purity,
 )
+from decosim.core import symmetrize
 from decosim.models import (
     SpinEnvironment,
     spin_spin_exact,
     spin_spin_hamiltonian,
     spin_spin_propagator,
 )
+from decosim.models.spinspin import _CHUNK_ENTRIES
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+
+
+def _reduced_evolution_loop(env: SpinEnvironment, psi, times) -> np.ndarray:
+    """Oracle: propagate every branch with its block unitary and mix, one time at a time."""
+    pops = env.env_populations()
+    out = np.empty((len(times), 2, 2), dtype=complex)
+    for k, t in enumerate(times):
+        branches = env.block_unitaries(float(t)) @ psi
+        out[k] = symmetrize(np.einsum("e,ei,ej->ij", pops, branches, branches.conj()))
+    return out
+
+
+def _random_qubit(rng) -> np.ndarray:
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("n", [1, 4, 12, 14])
+@pytest.mark.parametrize("splitting", [0.0, 0.7])
+@pytest.mark.parametrize("tunneling", [0.0, 0.3])
+def test_reduced_evolution_matches_the_block_loop(n, splitting, tunneling):
+    rng = np.random.default_rng(100 * n + int(10 * splitting) + int(10 * tunneling))
+    env = SpinEnvironment(
+        tuple(rng.uniform(0.2, 1.2, n)),
+        env_states=tuple(_random_qubit(rng) for _ in range(n)),  # non-uniform bath
+        splitting=splitting,
+        tunneling=tunneling,
+    )
+    psi = _random_qubit(rng)
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 4.0, 30))])  # non-uniform grid
+    closed = env.reduced_evolution(psi, times)
+    assert np.abs(closed - _reduced_evolution_loop(env, psi, times)).max() < 1e-13
+
+
+def test_reduced_evolution_with_a_zero_frequency_block():
+    # couplings (1, 1) put the strings 01 and 10 at a_s = b = 0: those branches never move
+    env = SpinEnvironment((1.0, 1.0))
+    assert np.count_nonzero(env.shift_sums == 0.0) == 2
+    psi = np.array([0.6, 0.8j], dtype=complex)
+    times = np.linspace(0.0, 3.0, 13)
+    closed = env.reduced_evolution(psi, times)
+    assert np.abs(closed - _reduced_evolution_loop(env, psi, times)).max() < 1e-13
+
+
+def test_reduced_evolution_across_several_chunks():
+    rng = np.random.default_rng(5)
+    env = SpinEnvironment(tuple(rng.uniform(0.2, 1.2, 10)), splitting=0.4, tunneling=0.3)
+    times = np.linspace(0.0, 5.0, 3 * _CHUNK_ENTRIES // 2**10 + 7)
+    closed = env.reduced_evolution(PLUS, times)
+    assert np.abs(closed - _reduced_evolution_loop(env, PLUS, times)).max() < 1e-13
 
 
 def test_decoherence_factor_is_a_product_of_cosines():
