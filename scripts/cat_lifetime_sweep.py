@@ -42,9 +42,9 @@ def decay_rate(alpha: float, n_max: int) -> tuple[float, float]:
 
     left = coherent_state(alpha, n_max).amplitudes
     right = coherent_state(-alpha, n_max).amplitudes
-    cross = np.array([abs(left.conj() @ s.entries @ right) for s in res.states])
+    cross = np.array([abs(left.conj() @ s @ right) for s in res.states])
     rate = float(-np.polyfit(res.times, np.log(cross), 1)[0])
-    tail = truncation_tail(res.final().entries)
+    tail = truncation_tail(res.states[-1])
     if tail > 1e-8:
         raise RuntimeError(f"Fock truncation not certified at alpha={alpha}: {tail:.2e}")
     return rate, predicted

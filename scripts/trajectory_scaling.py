@@ -41,7 +41,7 @@ def main() -> None:
     )
     plus = StateVector(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
     rho0 = DensityMatrix(np.outer(plus.amplitudes, plus.amplitudes.conj()))
-    reference = evolve(spec, rho0, 1.0, dt=1.0).final().entries
+    reference = evolve(spec, rho0, 1.0, dt=1.0).states[-1]
 
     sizes = (100, 1000, 10000)
     rows = []
@@ -56,7 +56,7 @@ def main() -> None:
                 master_seed=args.seed + 100 * i + r,
             )
             out = unravel(spec, plus, cfg, store_every=500)
-            distances.append(trace_distance(out.ensemble[-1].entries, reference))
+            distances.append(trace_distance(out.ensemble[-1], reference))
         mean = float(np.mean(distances))
         means.append(mean)
         rows.append([n, mean, float(np.std(distances)), args.reps])

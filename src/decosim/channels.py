@@ -65,13 +65,10 @@ class IndirectMeasurement:
     dim: int
 
     def completeness_defect(self) -> float:
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for op in self.operators:
-            acc += op.entries.conj().T @ op.entries
-        return float(np.abs(acc - np.eye(self.dim)).max())
+        return verify_completeness(self)
 
 
-def verify_completeness(channel: KrausChannel) -> float:
+def verify_completeness(channel: KrausChannel | IndirectMeasurement) -> float:
     """Max-abs defect of sum_k W_k^dag W_k from the identity."""
     acc = np.zeros((channel.dim, channel.dim), dtype=complex)
     for op in channel.operators:

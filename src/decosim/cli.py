@@ -34,14 +34,19 @@ import scipy
 from . import __version__
 from .baths import OhmicLorentzCutoff
 from .core import (
-    DensityMatrix,
-    Operator,
-    StateVector,
+    KET_0,
+    KET_1,
+    KET_MINUS,
+    KET_PLUS,
+    PAULIS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    entropy,
+    DensityMatrix,
+    Operator,
+    StateVector,
     purity,
+    spectral_entropy,
 )
 from .dynamics import LindbladSpec, TrajectoryConfig, evolve, unravel
 from .errors import (
@@ -80,13 +85,13 @@ _NAMED_OPERATORS = {
     "sigma_x": SIGMA_X,
     "sigma_y": SIGMA_Y,
     "sigma_z": SIGMA_Z,
-    "identity": np.eye(2, dtype=complex),
+    "identity": PAULIS["I"],
 }
 _NAMED_STATES = {
-    "zero": np.array([1.0, 0.0], dtype=complex),
-    "one": np.array([0.0, 1.0], dtype=complex),
-    "plus": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
-    "minus": np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0),
+    "zero": KET_0.amplitudes,
+    "one": KET_1.amplitudes,
+    "plus": KET_PLUS.amplitudes,
+    "minus": KET_MINUS.amplitudes,
 }
 
 
@@ -165,6 +170,8 @@ def _parse_operator(spec, what: str) -> np.ndarray:
         raise ConfigError(f"{what}: expected an operator name or [re, im] matrix") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ConfigError(f"{what}: matrix must be square")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{what}: entries must be finite")
     return arr
 
 
@@ -179,6 +186,8 @@ def _parse_state(spec, what: str) -> np.ndarray:
         raise ConfigError(f"{what}: expected a state name or [re, im] vector") from None
     if arr.ndim != 1:
         raise ConfigError(f"{what}: state must be a vector")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{what}: entries must be finite")
     norm = np.linalg.norm(arr)
     if norm == 0:
         raise ConfigError(f"{what}: zero vector is not a state")
@@ -192,24 +201,8 @@ def _parse_list(spec, what: str) -> list:
 
 
 def _density_columns(dim: int) -> list[str]:
-    cols = []
-    for i in range(dim):
-        for j in range(dim):
-            cols.append(f"rho_{i}_{j}_re")
-            cols.append(f"rho_{i}_{j}_im")
-    return cols
-
-
-def _density_cells(mat: np.ndarray) -> list[float]:
-    cells = []
-    for v in mat.reshape(-1):
-        cells.append(float(v.real))
-        cells.append(float(v.imag))
-    return cells
-
-
-def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+    """Headers of ``states.reshape(T, -1).view(float)``: re and im of each entry, row-major."""
+    return [f"rho_{i}_{j}_{part}" for i in range(dim) for j in range(dim) for part in ("re", "im")]
 
 
 def _build_lindblad(cfg) -> LindbladSpec:
@@ -222,10 +215,6 @@ def _build_lindblad(cfg) -> LindbladSpec:
         rate = _coerce(Field(f"lindblad[{k}].rate", "float", ""), item["rate"])
         terms.append((Operator(op), rate))
     return LindbladSpec(Operator(h), tuple(terms))
-
-
-def _pure_density(vec: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(np.outer(vec, vec.conj()))
 
 
 # ---------------------------------------------------------------- subcommands
@@ -248,14 +237,14 @@ def _cmd_evolve(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     spec = _build_lindblad(cfg)
     raw = cfg["rho0"]
     if isinstance(raw, str):
-        rho0 = _pure_density(_parse_state(raw, "rho0"))
+        rho0 = StateVector(_parse_state(raw, "rho0")).density()
     else:
         try:
             mat = pairs_to_array(raw)
         except (ValueError, TypeError):
             raise ConfigError("rho0: expected a state name, [re,im] vector, or matrix") from None
         if mat.ndim == 1:
-            rho0 = _pure_density(_parse_state(raw, "rho0"))
+            rho0 = StateVector(_parse_state(raw, "rho0")).density()
         else:
             try:
                 rho0 = DensityMatrix(mat)
@@ -263,11 +252,10 @@ def _cmd_evolve(cfg: dict, outdir: str) -> tuple[list[str], dict]:
                 raise ConfigError(f"rho0: {exc}") from None
     result = evolve(spec, rho0, cfg["t_final"], cfg["dt"], cfg["store_every"])
     header = ["t", "purity", "entropy"] + _density_columns(spec.dim)
-    rows = []
-    for t, state in zip(result.times, result.states):
-        rows.append([t, purity(state), entropy(state)] + _density_cells(state.entries))
+    table = np.column_stack([result.times, purity(result.states), spectral_entropy(result.spectra),
+                             result.states.reshape(len(result.times), -1).view(float)])
     path = os.path.join(outdir, "evolve.csv")
-    write_csv(path, header, rows)
+    write_csv(path, header, table.tolist())
     return [path], {}
 
 
@@ -293,24 +281,20 @@ def _cmd_trajectories(cfg: dict, outdir: str) -> tuple[list[str], dict]:
         master_seed=cfg["master_seed"],
     )
     ens = unravel(spec, psi0, tc, store_every=cfg["store_every"], n_workers=cfg["workers"])
-    ref = evolve(spec, _pure_density(psi0.amplitudes), cfg["t_final"], cfg["dt"], cfg["store_every"])
+    ref = evolve(spec, psi0.density(), cfg["t_final"], cfg["dt"], cfg["store_every"])
     header = (
         ["t"]
         + ["ens_" + c for c in _density_columns(spec.dim)]
         + ["ref_" + c for c in _density_columns(spec.dim)]
         + ["trace_distance"]
     )
-    rows = []
-    for k, t in enumerate(ens.times):
-        e_mat = ens.ensemble[k].entries
-        r_mat = ref.states[k].entries
-        rows.append(
-            [t] + _density_cells(e_mat) + _density_cells(r_mat) + [_trace_distance(e_mat, r_mat)]
-        )
+    distance = 0.5 * np.abs(np.linalg.eigvalsh(ens.ensemble - ref.states)).sum(axis=1)
+    n = len(ens.times)
+    table = np.column_stack([ens.times, ens.ensemble.reshape(n, -1).view(float),
+                             ref.states.reshape(n, -1).view(float), distance])
     path = os.path.join(outdir, "trajectories.csv")
-    write_csv(path, header, rows)
-    final_distance = rows[-1][-1]
-    return [path], {"final_trace_distance": final_distance}
+    write_csv(path, header, table.tolist())
+    return [path], {"final_trace_distance": distance[-1]}
 
 
 COLLISIONAL_SCHEMA = (
@@ -335,6 +319,9 @@ def _cmd_collisional(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     if min(rho0, v0, f2) < 0:
         raise ConfigError("need density_amplitude, speed and f2 >= 0")
     rates = uniform_beam_rates(rho0, v0, f2, cfg["q_max"])
+    # the lambda_dx2 column and the long-wavelength curve both hold Lambda dx^2
+    if not np.isfinite(rates.prefactor * (cfg["dx_max"] * cfg["dx_max"])):
+        raise ConfigError("Lambda * dx_max^2 overflows a double")
     if cfg["log_spacing"]:
         grid = np.geomspace(cfg["dx_min"], cfg["dx_max"], cfg["n_dx"])
     else:
@@ -378,18 +365,16 @@ def _cmd_qbm(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     result = evolve(gen, rho0, cfg["t_final"], cfg["dt"], cfg["store_every"])
     left = coherent_state(alpha, cfg["n_max"]).amplitudes
     right = coherent_state(-alpha, cfg["n_max"]).amplitudes
-    c0 = abs(left.conj() @ result.states[0].entries @ right)
-    rows = []
-    for t, state in zip(result.times, result.states):
-        cross = abs(left.conj() @ state.entries @ right)
-        rows.append(
-            [t, purity(state), entropy(state), truncation_tail(state.entries),
-             cross / c0 if c0 > 0 else 0.0]
-        )
+    cross = np.array([abs(left.conj() @ state @ right) for state in result.states])
+    relative = cross / cross[0] if cross[0] > 0 else np.zeros_like(cross)
+    tail = [truncation_tail(state) for state in result.states]
+    table = np.column_stack([result.times, purity(result.states),
+                             spectral_entropy(result.spectra), tail, relative])
     path = os.path.join(outdir, "qbm.csv")
-    write_csv(path, ["t", "purity", "entropy", "tail_population", "relative_coherence"], rows)
+    write_csv(path, ["t", "purity", "entropy", "tail_population", "relative_coherence"],
+              table.tolist())
     outputs = [path]
-    summary = {"final_relative_coherence": rows[-1][-1]}
+    summary = {"final_relative_coherence": relative[-1]}
     if cfg["wigner"]:
         scale = np.sqrt(1.0 / (2.0 * cfg["mass"] * cfg["frequency"]))
         # default window: packet separation plus a thermal-width margin
@@ -398,7 +383,7 @@ def _cmd_qbm(cfg: dict, outdir: str) -> tuple[list[str], dict]:
                                  + 7.0 * np.sqrt(2.0 * occupation + 1.0)) * scale
         positions = np.linspace(-x_max, x_max, cfg["n_x"])
         for tag, state in (("initial", result.states[0]), ("final", result.states[-1])):
-            grid = wigner_from_fock(state.entries, cfg["mass"], cfg["frequency"], positions)
+            grid = wigner_from_fock(state, cfg["mass"], cfg["frequency"], positions)
             # each value is rendered once and shared by both files
             xs, ps, ws = (format_floats(a) for a in (grid.x, grid.p, grid.values))
             triples = ((x, p, w) for x, row in zip(xs, ws) for p, w in zip(ps, row))
@@ -447,15 +432,12 @@ def _cmd_spinboson(cfg: dict, outdir: str) -> tuple[list[str], dict]:
         gen = spin_boson_born_markov_generator(
             density, cfg["temperature"], cfg["splitting"], cfg["tunneling"]
         )
-        plus = _pure_density(_NAMED_STATES["plus"])
-        result = evolve(gen, plus, cfg["t_max"], times[1] - times[0], store_every=1)
-        coherence = np.array([s.entries[0, 1] for s in result.states])
-        ref = coherence[0]
+        result = evolve(gen, KET_PLUS.density(), cfg["t_max"], times[1] - times[0], store_every=1)
+        coherence = result.states[:, 0, 1]
         header += ["born_markov_abs"]
-        columns += [np.abs(coherence / ref)]
-    rows = [[col[k] for col in columns] for k in range(times.size)]
+        columns += [np.abs(coherence / coherence[0])]
     path = os.path.join(outdir, "spinboson.csv")
-    write_csv(path, header, rows)
+    write_csv(path, header, np.column_stack(columns).tolist())
     return [path], summary
 
 
@@ -494,24 +476,16 @@ def _cmd_spinspin(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     psi0 = StateVector(_parse_state(cfg["psi0"], "psi0"))
     times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
     result = spin_spin_exact(env, psi0, times)
-    coherence = result.coherence()
-    c0 = abs(coherence[0])
+    coherence = result.states[:, 0, 1]
+    magnitude = np.hypot(coherence.real, coherence.imag)  # abs() of each entry, to the bit
     header = ["t", "coherence_abs", "purity"]
-    with_reference = cfg["tunneling"] == 0.0
-    if with_reference:
+    columns = [times, magnitude / magnitude[0] if magnitude[0] > 0 else np.zeros_like(times),
+               purity(result.states)]
+    if cfg["tunneling"] == 0.0:
         header.append("product_reference")
-    rows = []
-    for k, t in enumerate(times):
-        row = [
-            t,
-            abs(coherence[k]) / c0 if c0 > 0 else 0.0,
-            purity(result.states[k]),
-        ]
-        if with_reference:
-            row.append(float(np.prod(np.abs(np.cos(np.asarray(couplings) * t)))))
-        rows.append(row)
+        columns.append(np.prod(np.abs(np.cos(np.outer(times, couplings))), axis=1))
     path = os.path.join(outdir, "spinspin.csv")
-    write_csv(path, header, rows)
+    write_csv(path, header, np.column_stack(columns).tolist())
     return [path], {"couplings": list(couplings)}
 
 
@@ -550,10 +524,8 @@ def _cmd_sieve(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     report = predictability_sieve(
         generator, candidates, times, measure=cfg["measure"], labels=labels
     )
-    rows = []
-    for cand in report.candidates:
-        for k, t in enumerate(times):
-            rows.append([cand.label, t, cand.purity[k], cand.entropy[k]])
+    rows = [[cand.label, *cells] for cand in report.candidates
+            for cells in np.column_stack([times, cand.purity, cand.entropy]).tolist()]
     path = os.path.join(outdir, "sieve.csv")
     write_csv(path, ["label", "t", "purity", "entropy"], rows)
     print("ranking (most predictable first): " + ", ".join(report.ranking))
@@ -579,10 +551,8 @@ def _cmd_dfs(cfg: dict, outdir: str) -> tuple[list[str], dict]:
         report = collective_dfs(cfg["n"])
         labels = None
         if report.result is not None:
-            labels = []
-            for vec in report.result.basis:
-                index = int(np.argmax(np.abs(vec.amplitudes)))
-                labels.append(format(index, f"0{cfg['n']}b"))
+            labels = [format(int(np.argmax(np.abs(vec.amplitudes))), f"0{cfg['n']}b")
+                      for vec in report.result.basis]
         print(f"dimension {report.dimension}")
         if labels:
             print("basis: " + " ".join(labels))
@@ -595,14 +565,9 @@ def _cmd_dfs(cfg: dict, outdir: str) -> tuple[list[str], dict]:
             "odd_fallback": report.odd_fallback,
             "basis_labels": labels,
         }
-        if (
-            report.result is not None
-            and report.dimension * 2 ** cfg["n"] <= _DFS_EXPORT_CAP
-        ):
-            payload["basis"] = [
-                np.stack([vec.amplitudes.real, vec.amplitudes.imag], -1).tolist()
-                for vec in report.result.basis
-            ]
+        if report.result is not None and report.dimension * 2 ** cfg["n"] <= _DFS_EXPORT_CAP:
+            payload["basis"] = [np.stack([vec.amplitudes.real, vec.amplitudes.imag], -1).tolist()
+                                for vec in report.result.basis]
         summary = {"dimension": report.dimension}
     else:
         if not cfg["system_terms"] or not cfg["env_terms"]:
@@ -619,10 +584,8 @@ def _cmd_dfs(cfg: dict, outdir: str) -> tuple[list[str], dict]:
             "dimension": result.dimension,
             "eigenvalues": list(result.eigenvalues),
             "certificate_defect": result.certificate_defect,
-            "basis": [
-                [[float(a.real), float(a.imag)] for a in vec.amplitudes]
-                for vec in result.basis
-            ],
+            "basis": [np.stack([vec.amplitudes.real, vec.amplitudes.imag], -1).tolist()
+                      for vec in result.basis],
         }
         summary = {"dimension": result.dimension}
     path = os.path.join(outdir, "dfs_basis.json")

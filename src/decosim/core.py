@@ -113,36 +113,23 @@ class Operator:
 class DensityMatrix:
     """Mixed state: Hermitian, unit trace, positive within tolerance.
 
-    Construction enforces hermiticity within 1e-10, trace within 1e-10
-    of one, and minimum eigenvalue >= ``eig_floor`` (default -1e-8).
-    Evolution under a generator that is not completely positive may pass
-    a looser floor for its snapshots; the floor is never positive.
+    Construction runs :func:`check_states` on the matrix: hermiticity
+    within 1e-10, trace within 1e-10 of one, and minimum eigenvalue >=
+    -1e-8.  The eigenvalues it returns are kept as ``spectrum``, so
+    :func:`entropy` needs no second eigendecomposition.
     """
 
     entries: np.ndarray
     dims: tuple[int, ...] = ()
-    eig_floor: float = EIG_FLOOR
 
     def __post_init__(self):
-        ent = _as_complex(self.entries)
-        if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
+        ent = np.asarray(self.entries, dtype=complex)
+        if ent.ndim != 2:
             raise ValueError(f"density matrix must be square, got shape {ent.shape}")
-        dims = self.dims if self.dims else (ent.shape[0],)
-        dims = _check_dims(dims, ent.shape[0], "DensityMatrix")
-        if self.eig_floor > 0.0:
-            raise ValueError("eig_floor must be nonpositive")
-        defect = hermiticity_defect(ent)
-        if defect > HERM_TOL:
-            raise PhysicalityError(f"hermiticity defect {defect:.3e} exceeds {HERM_TOL}")
-        tr = complex(np.trace(ent))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise PhysicalityError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
-        lo = float(np.linalg.eigvalsh(0.5 * (ent + ent.conj().T)).min())
-        if lo < self.eig_floor:
-            raise PhysicalityError(
-                f"minimum eigenvalue {lo:.3e} below floor {self.eig_floor}"
-            )
+        spectrum = check_states(ent)
+        dims = _check_dims(self.dims or (ent.shape[0],), ent.shape[0], "DensityMatrix")
         _frozen_array(self, "entries", ent)
+        _frozen_array(self, "spectrum", spectrum)
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -150,15 +137,56 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
+def check_states(states, eig_floor: float = EIG_FLOOR, times=None) -> np.ndarray:
+    """Validate one density matrix (d, d) or a stack of them (T, d, d); return the eigenvalues.
+
+    Every matrix must be finite, Hermitian within 1e-10, of trace 1 within
+    1e-10 and have no eigenvalue below ``eig_floor``.  The eigenvalues are
+    ``eigvalsh``'s, ascending, shape (d,) or (T, d).  A stack's error names
+    its first failing matrix, by time when ``times`` is given and by index
+    otherwise, and reports the first check that matrix fails.
+    """
+    s = np.asarray(states, dtype=complex)
+    if s.ndim not in (2, 3) or s.shape[-1] != s.shape[-2]:
+        raise ValueError(f"need a (d, d) matrix or a (T, d, d) stack, got shape {s.shape}")
+    if eig_floor > 0.0:
+        raise ValueError("eig_floor must be nonpositive")
+    stack = s.reshape((-1,) + s.shape[-2:])
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():  # zeroed, so the other checks run warning-free
+        stack = np.where(finite[:, None, None], stack, 0.0)
+    defect = hermiticity_defect(stack)
+    trace = np.trace(stack, axis1=1, axis2=2)
+    eigs = np.linalg.eigvalsh(stack)
+    bad = ~finite | (defect > HERM_TOL) | (np.abs(trace - 1.0) > TRACE_TOL)
+    bad |= eigs[:, 0] < eig_floor
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not finite[k]:
+            message = "array contains non-finite entries"
+        elif defect[k] > HERM_TOL:
+            message = f"hermiticity defect {defect[k]:.3e} exceeds {HERM_TOL}"
+        elif abs(trace[k] - 1.0) > TRACE_TOL:
+            message = f"trace {complex(trace[k])!r} deviates from 1 beyond {TRACE_TOL}"
+        else:
+            message = f"minimum eigenvalue {eigs[k, 0]:.3e} below floor {eig_floor}"
+        if s.ndim == 3:
+            message += f" at t={times[k]:g}" if times is not None else f" at index {k}"
+        raise PhysicalityError(message)
+    return eigs.reshape(s.shape[:-1])
+
+
 def symmetrize(matrix: np.ndarray) -> np.ndarray:
-    """Hermitian part (M + M^dag)/2.  The only sanctioned hermiticity repair."""
+    """Hermitian part (M + M^dag)/2 of a matrix or a stack; the only sanctioned repair."""
     m = np.asarray(matrix, dtype=complex)
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def hermiticity_defect(matrix: np.ndarray) -> float:
+def hermiticity_defect(matrix):
+    """Largest |M - M^dag| entry of a matrix, a float; of each matrix of a stack, an array."""
     m = np.asarray(matrix)
-    return float(np.abs(m - m.conj().T).max())
+    out = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return float(out) if out.ndim == 0 else out
 
 
 def tensor(a, b):
@@ -230,31 +258,35 @@ def overlap(e1: StateVector, e2: StateVector) -> complex:
     return complex(np.vdot(e1.amplitudes, e2.amplitudes))
 
 
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2), real in [1/d, 1] for a valid state."""
-    return float(np.real(np.sum(rho.entries * rho.entries.T)))
+def purity(rho):
+    """Tr(rho^2) of a DensityMatrix or matrix (a float), or of each matrix of a stack (an array)."""
+    s = np.asarray(getattr(rho, "entries", rho))
+    out = np.sum(s * s.swapaxes(-1, -2), axis=(-2, -1)).real
+    return float(out) if out.ndim == 0 else out
 
 
-def _entropy_from_eigs(eigs: np.ndarray, floor: float = EIG_FLOOR) -> float:
-    lo = float(eigs.min())
-    if lo < floor:
-        raise PhysicalityError(f"eigenvalue {lo:.3e} below floor {floor}")
-    p = np.clip(eigs, 0.0, None)
-    p = p[p > 0.0]
-    return float(-np.sum(p * np.log(p)) / LOG2)
+def spectral_entropy(spectra) -> np.ndarray:
+    """Von Neumann entropy in bits of each row of eigenvalues, with 0 log 0 := 0.
+
+    Eigenvalues <= 0 are dropped (:func:`check_states` enforces the floor).
+    Each row's terms are packed to the front and summed in groups of equal
+    length, which numpy sums as it sums one row alone: bitwise per-state values.
+    """
+    p = np.asarray(spectra, dtype=float)
+    rows = p.reshape(-1, p.shape[-1])
+    positive = rows > 0.0
+    terms = rows * np.log(np.where(positive, rows, 1.0))
+    packed = np.take_along_axis(terms, np.argsort(~positive, axis=1, kind="stable"), axis=1)
+    counts = positive.sum(axis=1)
+    sums = np.empty(len(rows))
+    for m in np.unique(counts):
+        sums[counts == m] = packed[counts == m, :m].sum(axis=1)
+    return (-sums / LOG2).reshape(p.shape[:-1])
 
 
 def entropy(rho: DensityMatrix) -> float:
-    """Von Neumann entropy in bits, with 0 log 0 := 0.
-
-    Eigenvalues down to the state's own ``eig_floor`` are clipped to
-    zero; anything lower raises.
-    """
-    return _entropy_from_eigs(np.linalg.eigvalsh(rho.entries), rho.eig_floor)
-
-
-def _entropy_array(mat: np.ndarray) -> float:
-    return _entropy_from_eigs(np.linalg.eigvalsh(symmetrize(mat)))
+    """Von Neumann entropy in bits, from the spectrum validated at construction."""
+    return float(spectral_entropy(rho.spectrum))
 
 
 def mutual_information(rho: DensityMatrix, cut: Iterable[int]) -> float:
@@ -269,10 +301,7 @@ def mutual_information(rho: DensityMatrix, cut: Iterable[int]) -> float:
     if cut[0] < 0 or cut[-1] >= n:
         raise IndexError(f"cut indices {cut} out of range for {n} factors")
     rest = [i for i in range(n) if i not in cut]
-    s_a = _entropy_array(_partial_trace_array(rho.entries, rho.dims, cut))
-    s_b = _entropy_array(_partial_trace_array(rho.entries, rho.dims, rest))
-    s_ab = entropy(rho)
-    return s_a + s_b - s_ab
+    return entropy(partial_trace(rho, cut)) + entropy(partial_trace(rho, rest)) - entropy(rho)
 
 
 # --- common constructors -------------------------------------------------

@@ -8,7 +8,8 @@ G = -i H_eff and pairs a tuple of (A, B) matrices, so that
 
 ``evolve`` turns that form into the Liouvillian L once and propagates
 each snapshot interval exactly, rho(t + Delta) = exp(L Delta) rho(t),
-then symmetrizes and validates each snapshot once, as a ``DensityMatrix``.
+then symmetrizes the snapshots and validates them in one ``check_states``
+call on their (T, d, d) stack, which also gives their spectra.
 ``unravel`` propagates pure-state diffusive trajectories whose ensemble
 mean converges to the same master equation; trajectory randomness is
 keyed by (master_seed, trajectory_index) with a counter-based bit
@@ -28,7 +29,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import DensityMatrix, Operator, StateVector, symmetrize
+from .core import DensityMatrix, Operator, StateVector, check_states, symmetrize
 from .errors import ConvergenceError, PhysicalityError, PositivityError
 
 DEFAULT_POSITIVITY_TOL = 1e-6
@@ -75,11 +76,11 @@ class LindbladSpec:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    times: np.ndarray
-    states: tuple[DensityMatrix, ...]
+    """Snapshot times (T,), validated read-only states (T, d, d) and their eigenvalues (T, d)."""
 
-    def final(self) -> DensityMatrix:
-        return self.states[-1]
+    times: np.ndarray
+    states: np.ndarray
+    spectra: np.ndarray
 
 
 def compiled_rhs(compiled, rho: np.ndarray) -> np.ndarray:
@@ -134,9 +135,10 @@ def evolve(
 
     ``generator`` exposes ``compiled`` = (G, pairs), ``dim`` and optionally
     ``positivity_tol``.  Snapshots land at every ``store_every``-th multiple
-    of dt and at round(t_final / dt) dt; dt sets only this grid.  Each is
-    validated once as a ``DensityMatrix`` with the positivity tolerance as
-    eigenvalue floor; a violation raises PositivityError naming the time.
+    of dt and at round(t_final / dt) dt; dt sets only this grid.  The
+    snapshots are validated together by one ``check_states`` call with the
+    positivity tolerance as eigenvalue floor; a violation raises
+    PositivityError naming the first failing time.
     """
     n_steps = fixed_step_count(t_final, dt, store_every)
     if rho0.dim != generator.dim:
@@ -162,17 +164,19 @@ def evolve(
             for _ in range(count):
                 vec = prop @ vec
                 vecs.append(vec)
-    times, states = [0.0], [rho0]
-    for k, vec in enumerate(vecs, 1):
-        t = min(k * store_every, n_steps) * dt
-        # snapshots inherit the generator's positivity tolerance: a
-        # non-CP generator transiently dips below the strict floor
-        try:
-            states.append(DensityMatrix(symmetrize(vec.reshape(d, d)), rho0.dims, eig_floor=-ptol))
-        except PhysicalityError as exc:
-            raise PositivityError(f"{exc} at t={t:g}") from None
-        times.append(t)
-    return EvolutionResult(np.array(times), tuple(states))
+    states = np.concatenate([rho0.entries[None], symmetrize(np.reshape(vecs, (-1, d, d)))])
+    times = np.minimum(np.arange(len(states)) * store_every, n_steps) * dt
+    # rho0 was validated as a DensityMatrix; the snapshots inherit the
+    # generator's positivity tolerance, since a non-CP generator
+    # transiently dips below the strict floor
+    try:
+        spectra = check_states(states[1:], -ptol, times[1:])
+    except PhysicalityError as exc:
+        raise PositivityError(str(exc)) from None
+    spectra = np.concatenate([rho0.spectrum[None], spectra])
+    for arr in (times, states, spectra):
+        arr.setflags(write=False)
+    return EvolutionResult(times, states, spectra)
 
 
 @dataclass(frozen=True)
@@ -201,8 +205,10 @@ class TrajectoryConfig:
 
 @dataclass(frozen=True)
 class TrajectoryResult:
+    """Snapshot times (T,), validated read-only ensemble means (T, d, d), final states."""
+
     times: np.ndarray
-    ensemble: tuple[DensityMatrix, ...]
+    ensemble: np.ndarray
     final_states: np.ndarray  # (n_trajectories, dim) unit vectors, index order
 
 
@@ -269,7 +275,7 @@ def _unravel_block(
     if sample_steps[pos] == 0:
         sums[pos] = ensemble_sum(psi)
         pos += 1
-    # a blown-up ensemble turns into inf/nan here silently; the snapshot
+    # a blown-up ensemble turns into inf/nan here silently; the ensemble
     # validation in ``unravel`` reports it as one error
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for step in range(n_steps):
@@ -348,7 +354,7 @@ def unravel(
         finals[block.start : block.stop] = last
     total /= cfg.n_trajectories
     times = sample_steps * cfg.dt
-    ensemble = tuple(
-        DensityMatrix(symmetrize(total[k]), psi0.dims) for k in range(sample_steps.size)
-    )
+    ensemble = symmetrize(total)
+    check_states(ensemble, times=times)
+    ensemble.setflags(write=False)
     return TrajectoryResult(times, ensemble, finals)

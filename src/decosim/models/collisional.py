@@ -122,7 +122,8 @@ def localization_rate(model: ScatteringModel, separation: float) -> float:
             * _angular_factor(q * dx)
         )
 
-    value, _ = quad(integrand, 0.0, model.q_max, limit=400)
+    # default tolerances miss the oscillating 1 - sinc^2 by up to 3e-7 above q_max dx ~ 1e2
+    value, _ = quad(integrand, 0.0, model.q_max, limit=400, epsabs=0.0, epsrel=1e-10)
     return float(value)
 
 

@@ -20,14 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import NORM_TOL, DensityMatrix, Operator, StateVector
+from ..core import KET_PLUS, NORM_TOL, SIGMA_X, SIGMA_Z, Operator, StateVector, check_states
 
 MAX_ENV_QUBITS = 14
 MAX_DENSE_QUBITS = 10
 # (times x bit strings) entries per chunk of the reduced-state sums; bounds their memory
 _CHUNK_ENTRIES = 2**16
-
-_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
 def _sign_table(n: int) -> np.ndarray:
@@ -62,7 +60,7 @@ class SpinEnvironment:
                 f"{n} environment qubits exceeds the brute-force limit {MAX_ENV_QUBITS}"
             )
         if self.env_states is None:
-            object.__setattr__(self, "env_states", tuple(_PLUS.copy() for _ in range(n)))
+            object.__setattr__(self, "env_states", (KET_PLUS.amplitudes,) * n)
         states = []
         for i, chi in enumerate(self.env_states):
             arr = np.asarray(chi, dtype=complex)
@@ -74,7 +72,10 @@ class SpinEnvironment:
             arr.setflags(write=False)
             states.append(arr)
         object.__setattr__(self, "env_states", tuple(states))
-        shifts = _sign_table(n) @ np.asarray(self.couplings, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifts = _sign_table(n) @ np.asarray(self.couplings, dtype=float)
+        if not np.all(np.isfinite(shifts)):  # a non-finite coupling, or sums that overflow
+            raise ValueError(f"couplings and their sums must be finite, got {list(self.couplings)}")
         shifts.setflags(write=False)
         object.__setattr__(self, "shift_sums", shifts)
 
@@ -128,13 +129,14 @@ class SpinEnvironment:
         pops = self.env_populations()
         a, b = self._block_fields()
         omega = np.hypot(a, b)
+        if not np.isfinite(2.0 * float(omega.max()) * float(np.abs(times).max(initial=0.0))):
+            raise ValueError("the phases 2 omega_s t overflow a double")
         nonzero = omega > 0.0
         safe = np.where(nonzero, omega, 1.0)
         alpha = np.where(nonzero, a / safe, 0.0)
         beta = np.where(nonzero, b / safe, 0.0)
 
-        sz = np.diag([1.0, -1.0]).astype(complex)
-        sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        sz, sx = SIGMA_Z, SIGMA_X
         p = np.outer(psi, psi.conj())
         even = np.stack([p, sz @ p @ sz, sz @ p @ sx + sx @ p @ sz, sx @ p @ sx])
         odd = np.stack([1j * (p @ sz - sz @ p), 1j * (p @ sx - sx @ p)])
@@ -164,13 +166,13 @@ class SpinEnvironment:
 
 @dataclass(frozen=True)
 class SpinSpinResult:
+    """Reduced states (T, 2, 2), validated and read-only, with their eigenvalues (T, 2)."""
+
     times: np.ndarray
-    states: tuple[DensityMatrix, ...]
+    states: np.ndarray
+    spectra: np.ndarray
     decoherence_factor: np.ndarray | None  # |rho01(t)/rho01(0)|, tunneling-free runs only
     joint_states: tuple[StateVector, ...] | None
-
-    def coherence(self) -> np.ndarray:
-        return np.array([s.entries[0, 1] for s in self.states])
 
 
 def spin_spin_exact(
@@ -184,7 +186,9 @@ def spin_spin_exact(
     if times.ndim != 1 or times.size == 0:
         raise ValueError("need a nonempty 1-d time grid")
     raw = env.reduced_evolution(psi, times)
-    states = tuple(DensityMatrix(r, dims=(2,)) for r in raw)
+    spectra = check_states(raw)
+    raw.setflags(write=False)
+    spectra.setflags(write=False)
     factor = None
     rho01_0 = psi[0] * np.conj(psi[1])
     if env.tunneling == 0.0 and abs(rho01_0) > 1e-12:
@@ -198,7 +202,7 @@ def spin_spin_exact(
             branches = env.block_unitaries(float(t)) @ psi  # (E, 2)
             frames.append(StateVector((branches.T * amps).reshape(-1), dims=dims))
         joint = tuple(frames)
-    return SpinSpinResult(times, states, factor, joint)
+    return SpinSpinResult(times, raw, spectra, factor, joint)
 
 
 def _require_dense(env: SpinEnvironment, what: str) -> int:

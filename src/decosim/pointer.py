@@ -32,12 +32,18 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    SIGMA_X,
+    SIGMA_Z,
     DensityMatrix,
     StateVector,
-    _entropy_array,
     _pure_reduced_array,
     basis_state,
+    check_states,
     embed,
+    entropy,
+    partial_trace_keep_state,
+    purity,
+    spectral_entropy,
 )
 from .dynamics import evolve
 
@@ -49,6 +55,7 @@ CERTIFICATE_DIM_CAP = 4096
 # dimensionless multiples of 1/||H_int|| probed by the dynamical certificate
 CERTIFICATE_TIMES = (0.3, 0.7, 1.1, 1.9, 2.6)
 MAX_FRAGMENT_QUBITS = 12
+UNIFORM_GRID_TOL = 1e-12  # relative to the last grid time
 
 
 def _as_array(op) -> np.ndarray:
@@ -263,10 +270,9 @@ def dfs_find(spec: InteractionSpec, certify: bool = True) -> DFSResult:
 
 def collective_dephasing_spec(n_qubits: int, env_op=None) -> InteractionSpec:
     """All qubits coupled through their summed sigma_z to one environment operator."""
-    dims = (2,) * n_qubits
-    total = sum(embed(np.diag([1.0, -1.0]).astype(complex), i, n_qubits) for i in range(n_qubits))
+    total = sum(embed(SIGMA_Z, i, n_qubits) for i in range(n_qubits))
     if env_op is None:
-        env_op = np.array([[0, 1], [1, 0]], dtype=complex)
+        env_op = SIGMA_X
     return InteractionSpec(terms=((total, _as_array(env_op)),))
 
 
@@ -337,21 +343,22 @@ class SieveReport:
         return self.ranking[0]
 
 
-def _reduced_series(generator, psi: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+def _reduced_series(generator, psi: np.ndarray, times: np.ndarray):
+    """The reduced states (T, d, d) from ``psi`` on ``times`` and their eigenvalues, validated once."""
     if hasattr(generator, "reduced_evolution"):
-        return np.asarray(generator.reduced_evolution(psi, t_grid), dtype=complex)
+        states = np.asarray(generator.reduced_evolution(psi, times), dtype=complex)
+        return states, check_states(states, times=times)
     if not hasattr(generator, "compiled"):
         raise TypeError(
             "generator must expose reduced_evolution(psi0, t_grid) or a compiled "
             "master-equation form (G, pairs)"
         )
-    rho = np.outer(psi, psi.conj())
-    out = [rho]
-    state = DensityMatrix(rho, dims=(generator.dim,))
-    for seg in np.diff(t_grid):
-        state = evolve(generator, state, seg, dt=seg).final()
-        out.append(state.entries)
-    return np.asarray(out)
+    # one evolve call snapshots every multiple of dt, so the grid must be those
+    dt = times[1]
+    if np.abs(times - dt * np.arange(times.size)).max() > UNIFORM_GRID_TOL * times[-1]:
+        raise ValueError("a compiled generator needs a uniform time grid")
+    result = evolve(generator, DensityMatrix(np.outer(psi, psi.conj())), times[-1], dt)
+    return result.states, result.spectra
 
 
 def predictability_sieve(
@@ -364,8 +371,8 @@ def predictability_sieve(
     """Rank pure initial states by how well they keep their purity.
 
     Works on anything with ``reduced_evolution(psi0, t_grid)`` (exact
-    models) or a compiled master-equation form ``compiled`` (propagated
-    exactly across each grid segment with ``evolve``).
+    models, any grid) or a compiled master-equation form ``compiled``
+    (one ``evolve`` call per candidate, so the grid must be uniform).
     Ranking compares the chosen measure at the final grid time: highest
     purity first, or lowest entropy first.
     """
@@ -385,11 +392,9 @@ def predictability_sieve(
     entries = []
     for label, cand in zip(labels, candidates):
         psi = np.asarray(getattr(cand, "amplitudes", cand), dtype=complex)
-        series = _reduced_series(generator, psi, times)
-        pur = np.real(np.einsum("tij,tji->t", series, series))
-        ent = np.array([_entropy_array(mat) for mat in series])
+        states, spectra = _reduced_series(generator, psi, times)
         state = cand if isinstance(cand, StateVector) else StateVector(psi)
-        entries.append(SieveCandidate(label, state, pur, ent))
+        entries.append(SieveCandidate(label, state, purity(states), spectral_entropy(spectra)))
     if measure == "purity":
         scores = [-c.purity[-1] for c in entries]
     else:
@@ -434,7 +439,6 @@ def fragment_mutual_information(
     sizes = [int(s) for s in fragment_sizes]
     if any(s < 0 or s > n_env for s in sizes):
         raise ValueError(f"fragment sizes must lie in [0, {n_env}]")
-    amp = total_state.amplitudes
     all_factors = set(range(len(dims)))
 
     def cut_entropy(keep: list[int]) -> float:
@@ -445,7 +449,7 @@ def fragment_mutual_information(
         ) else other
         if not side:
             return 0.0
-        return _entropy_array(_pure_reduced_array(amp, dims, sorted(side)))
+        return entropy(partial_trace_keep_state(total_state, side))
 
     s_system = cut_entropy([0])
     rng = np.random.default_rng(seed)
@@ -462,12 +466,7 @@ def fragment_mutual_information(
                 sorted(rng.choice(np.arange(1, n_env + 1), size=size, replace=False).tolist())
                 for _ in range(n_samples)
             ]
-        values = []
-        for frag in picks:
-            s_frag = cut_entropy(frag)
-            s_joint = cut_entropy([0] + frag)
-            values.append(s_system + s_frag - s_joint)
-        values = np.asarray(values)
+        values = np.array([s_system + cut_entropy(frag) - cut_entropy([0] + frag) for frag in picks])
         means.append(float(values.mean()))
         stds.append(float(values.std()))
     sizes_arr = np.asarray(sizes, dtype=int)

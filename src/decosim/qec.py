@@ -22,7 +22,14 @@ from itertools import product
 import numpy as np
 
 from .core import (
+    KET_0,
+    KET_MINUS,
+    KET_PLUS,
     NORM_TOL,
+    PAULIS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     Operator,
     StateVector,
     _pure_reduced_array,
@@ -33,10 +40,6 @@ RECONSTRUCTION_TOL = 1e-10
 PROBABILITY_SUM_TOL = 1e-10
 BRANCH_PRUNE_TOL = 1e-14
 
-_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-_SZ = np.diag([1.0, -1.0]).astype(complex)
-_SY = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
 
 # syndrome (check01, check12) -> qubit to flip back, None for clean
 SYNDROME_TABLE = {(0, 0): None, (1, 0): 0, (1, 1): 1, (0, 1): 2}
@@ -50,7 +53,8 @@ def _kron_all(*vecs: np.ndarray) -> np.ndarray:
 
 
 def code_words() -> tuple[np.ndarray, np.ndarray]:
-    return _kron_all(_PLUS, _PLUS, _PLUS), _kron_all(_MINUS, _MINUS, _MINUS)
+    plus, minus = KET_PLUS.amplitudes, KET_MINUS.amplitudes
+    return _kron_all(plus, plus, plus), _kron_all(minus, minus, minus)
 
 
 def encode(psi_logical: StateVector) -> StateVector:
@@ -104,18 +108,12 @@ def expand_in_pauli_errors(
     if e0.dim != d_e or psi.dim != 2:
         raise ValueError("state dimensions do not match the unitary")
     u4 = u_se.entries.reshape(2, d_e, 2, d_e)
-    paulis = {
-        "I": np.eye(2, dtype=complex),
-        "x": np.array([[0, 1], [1, 0]], dtype=complex),
-        "y": _SY,
-        "z": _SZ,
-    }
     kets = {}
-    for label, sig in paulis.items():
+    for label, sig in PAULIS.items():
         block = 0.5 * np.einsum("ik,kaib->ab", sig, u4)
         kets[label] = block @ e0.amplitudes
     joint = sum(
-        np.kron(sig @ psi.amplitudes, kets[label]) for label, sig in paulis.items()
+        np.kron(sig @ psi.amplitudes, kets[label]) for label, sig in PAULIS.items()
     )
     exact = u_se.entries @ np.kron(psi.amplitudes, e0.amplitudes)
     defect = float(np.linalg.norm(joint - exact))
@@ -181,16 +179,14 @@ def apply_errors(
             q for q in range(model.n_qubits) if rng.random() < model.flip_probability
         )
         for q in flipped:
-            amps = _apply_single(amps, dims, _SZ, q)
+            amps = _apply_single(amps, dims, SIGMA_Z, q)
         return StateVector(amps, dims=dims), flipped
     # coherent branch: cos(theta) - i sin(theta) sz (x) sy on (data, fresh env)
     gate = np.cos(model.angle) * np.eye(4, dtype=complex) - 1j * np.sin(
         model.angle
-    ) * np.kron(_SZ, _SY)
+    ) * np.kron(SIGMA_Z, SIGMA_Y)
     for q in range(model.entangled_qubits):
-        zero = np.zeros(2, dtype=complex)
-        zero[0] = 1.0
-        amps = np.kron(amps, zero)
+        amps = np.kron(amps, KET_0.amplitudes)
         dims = dims + (2,)
         amps = _apply_pair(amps, dims, gate, q, len(dims) - 1)
     record = ("partial-decoherence", model.entangled_qubits, model.angle)
@@ -209,16 +205,15 @@ class SyndromeOutcome:
 
 def _parity_imprint(amps: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
     """Append two |0> ancillas and write the two +/- parity checks onto them."""
-    zero = np.zeros(2, dtype=complex)
-    zero[0] = 1.0
+    zero = KET_0.amplitudes
     amps = np.kron(np.kron(amps, zero), zero)
     dims = dims + (2, 2)
     anc0, anc1 = len(dims) - 2, len(dims) - 1
     # controlled flip: ancilla toggles when the data qubit is |->
-    proj_plus = np.outer(_PLUS, _PLUS.conj())
-    proj_minus = np.outer(_MINUS, _MINUS.conj())
-    flip = np.array([[0, 1], [1, 0]], dtype=complex)
-    gate = np.kron(proj_plus, np.eye(2)) + np.kron(proj_minus, flip)
+    plus, minus = KET_PLUS.amplitudes, KET_MINUS.amplitudes
+    proj_plus = np.outer(plus, plus.conj())
+    proj_minus = np.outer(minus, minus.conj())
+    gate = np.kron(proj_plus, np.eye(2)) + np.kron(proj_minus, SIGMA_X)
     for data, anc in ((0, anc0), (1, anc0), (1, anc1), (2, anc1)):
         amps = _apply_pair(amps, dims, gate, data, anc)
     return amps, dims
@@ -282,7 +277,7 @@ def syndrome_and_recover(
             label = (a0 ^ f0, a1 ^ f1)
             target = SYNDROME_TABLE[label]
             corrected = (
-                _apply_single(collapsed, dims, _SZ, target) if target is not None else collapsed
+                _apply_single(collapsed, dims, SIGMA_Z, target) if target is not None else collapsed
             )
             fid = _logical_fidelity(corrected, dims, reference) if reference is not None else None
             outcomes.append(
@@ -316,7 +311,7 @@ def _pattern_outcome(pattern: tuple[int, ...], reference: StateVector) -> tuple[
     enc = encode(reference)
     amps = enc.amplitudes
     for qubit in pattern:
-        amps = _apply_single(amps, enc.dims, _SZ, qubit)
+        amps = _apply_single(amps, enc.dims, SIGMA_Z, qubit)
     noisy = StateVector(amps, dims=enc.dims)
     raw_fid = abs(np.vdot(enc.amplitudes, amps)) ** 2
     branches = syndrome_and_recover(noisy, psi_logical=reference, mode="exhaustive")

@@ -121,7 +121,7 @@ def test_criterion_02_collective_dfs_dimension_and_projector():
 def test_criterion_03_dephasing_closed_form():
     budget = _Budget(1.0)
     res = evolve(DEPHASING, _pure(PLUS.amplitudes), 1.0, dt=2.5e-4, store_every=4000)
-    coherence = res.final().entries[0, 1]
+    coherence = res.states[-1][0, 1]
     expected = 0.5 * np.exp(-2.0)
     rel = abs(coherence - expected) / expected
     assert rel < 1e-6
@@ -170,7 +170,7 @@ def test_criterion_05_trajectory_convergence_rate():
     budget = _Budget(60.0)
     reference = evolve(
         DEPHASING, _pure(PLUS.amplitudes), 1.0, dt=2.5e-4, store_every=4000
-    ).final().entries
+    ).states[-1]
 
     sizes = (100, 1000, 10000)
     means = []
@@ -182,7 +182,7 @@ def test_criterion_05_trajectory_convergence_rate():
                 dt=2e-3, t_final=1.0, n_trajectories=n, master_seed=7000 + 100 * i + r
             )
             out = unravel(DEPHASING, PLUS, cfg, store_every=500)
-            reps.append(_trace_distance(out.ensemble[-1].entries, reference))
+            reps.append(_trace_distance(out.ensemble[-1], reference))
         means.append(float(np.mean(reps)))
         if n == 10000:
             single_run = reps[0]
@@ -239,13 +239,13 @@ def test_criterion_07_localization_rates():
     res = evolve(gen, _pure(cat_state(2.0, 30).amplitudes), 0.04, 2e-4, store_every=20)
     left = coherent_state(2.0, 30).amplitudes
     right = coherent_state(-2.0, 30).amplitudes
-    cross = np.array([abs(left.conj() @ s.entries @ right) for s in res.states])
+    cross = np.array([abs(left.conj() @ s @ right) for s in res.states])
     rate = float(-np.polyfit(res.times, np.log(cross), 1)[0])
     # separation 4*sqrt(2) and thermal wavelength 0.1 give a predicted rate 32
     predicted = 0.01 * (4.0 * np.sqrt(2.0) / 0.1) ** 2
     rel_cat = abs(rate - predicted) / predicted
     assert rel_cat < 0.10
-    assert truncation_tail(res.final().entries) < 1e-8
+    assert truncation_tail(res.states[-1]) < 1e-8
 
     x = np.linspace(-12.0, 12.0, 96)
     psi = np.exp(-x * x / 4.0).astype(complex)
@@ -387,7 +387,7 @@ def test_criterion_11_interference_ridge_decay():
     x0 = 2.0 * np.sqrt(2.0)
     ridges, peaks, volumes = [], [], []
     for state in res.states:
-        grid = wigner_from_fock(state.entries, 1.0, 1.0, xs)
+        grid = wigner_from_fock(state, 1.0, 1.0, xs)
         near_zero = np.abs(grid.x) < 0.7
         lobes = (np.abs(grid.x - x0) < 1.0) | (np.abs(grid.x + x0) < 1.0)
         ridges.append(float(np.abs(grid.values[near_zero]).max()))

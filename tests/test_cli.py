@@ -405,15 +405,45 @@ _SWEEP_BASES = {
                       visibility=True, gamma_per_pressure=2.0, t_transit=0.5, p_max=3.0,
                       n_p=4)],
 }
-# boundary and invalid values per field kind; json fields are parsed by
-# their own checks and covered case by case below
+# boundary and invalid values per field kind
 _SWEEP_VALUES = {
     "float": [0.0, -1.0, float("nan"), float("inf"), float("-inf"), "abc"],
     "int": [0, -1, 1, 1.5, "abc"],
     "str": [5],
     "bool": ["abc"],
-    "json": [],
 }
+# json fields: wrong types, wrong shapes and non-finite values; a field not
+# listed here (estimate's constants) is covered case by case below
+_NAN, _INF = float("nan"), float("inf")
+_BAD_JSON = [5, "bogus", True, {}, [], [1, 2], [[1, 2, 3]], _NAN, [_INF], [["a", "b"]]]
+_BAD_MATRICES = [
+    [[[1, 0], [0, 0], [0, 0]]],  # not square
+    [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]],  # 3 x 3
+    [[[_NAN, 0], [0, 0]], [[0, 0], [1, 0]]],
+    [[[_INF, 0], [0, 0]], [[0, 0], [1, 0]]],
+    [[[0, 0], [1, 0]], [[0, 0], [0, 0]]],  # not Hermitian
+]
+_BAD_VECTORS = [[[_NAN, 0], [1, 0]], [[_INF, 0], [1, 0]], [[0, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]]]
+_BAD_TERM_LISTS = [[m] for m in _BAD_MATRICES] + [["sigma_z", "sigma_x"], [5]]
+_JSON_SWEEP_VALUES = {
+    "hamiltonian": _BAD_JSON + _BAD_MATRICES,
+    "lindblad": _BAD_JSON + [[{"operator": m, "rate": 1.0}] for m in _BAD_MATRICES]
+    + [[{"operator": "sigma_z", "rate": r}] for r in (_NAN, _INF, -1.0, "abc", [1])]
+    + [[{"operator": "sigma_z"}], [5]],
+    "rho0": _BAD_JSON + _BAD_MATRICES + _BAD_VECTORS,
+    "psi0": _BAD_JSON + _BAD_MATRICES + _BAD_VECTORS,
+    "couplings": _BAD_JSON + [[_NAN], [1e400], [-_INF, 1.0], [1e308, 1e308], ["a"], [[1.0]],
+                              [0.5] * 20],
+    "system_terms": _BAD_JSON + _BAD_TERM_LISTS,
+    "env_terms": _BAD_JSON + _BAD_TERM_LISTS,
+    "p_list": _BAD_JSON + [[-0.1], [1.5], [_NAN], [_INF], ["a"], [[0.1]]],
+}
+
+
+def _sweep_values(field):
+    if field.kind == "json":
+        return _JSON_SWEEP_VALUES.get(field.name, [])
+    return _SWEEP_VALUES[field.kind]
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -426,7 +456,7 @@ def test_schema_sweep_keeps_the_exit_code_contract(tmp_path, capsys, command):
         cfg_path.write_text(json.dumps(base))
         assert main([command, "--config", str(cfg_path)]) == 0, capsys.readouterr().err
         for field in schema:
-            for value in _SWEEP_VALUES[field.kind]:
+            for value in _sweep_values(field):
                 capsys.readouterr()
                 cfg_path.write_text(json.dumps(dict(base, **{field.name: value})))
                 case = f"{field.name}={value!r} from {base}"
@@ -483,6 +513,11 @@ _EXIT_2_CASES = {
     "collisional-lambda-overflows": ["collisional", "--density-amplitude", "1",
                                      "--speed", "1", "--f2", "1", "--q-max", "1e300",
                                      "--dx-min", "0.1", "--dx-max", "1", "--n-dx", "5"],
+    "collisional-lambda-dx2-overflows": ["collisional", "--density-amplitude", "1",
+                                         "--speed", "1", "--f2", "1", "--q-max", "2",
+                                         "--dx-min", "0.1", "--dx-max", "1e200"],
+    "spinspin-coupling-not-finite": ["spinspin", "--couplings", "[1e400]", "--t-max", "1"],
+    "spinspin-phase-overflows": ["spinspin", "--couplings", "[1e308]", "--t-max", "2"],
     "output-names-a-file": EVOLVE_FLAGS + ["--output", "taken"],
 }
 

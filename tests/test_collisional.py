@@ -186,10 +186,9 @@ def _uniform_curve(separations, regime="full"):
 
 
 def test_uniform_beam_curve_matches_the_quadrature_path():
-    # U = q_max dx over [1e-3, 1e2], across the switch to the series at 1e-2.
-    # Above U ~ 1e2 the quadrature itself errs at isolated U (7.4e-7 at
-    # U = 199.5, against 40-digit arithmetic), so it is no 1e-9 oracle there.
-    separations = np.geomspace(1e-3, 1e2, 51) / QMAX
+    # U = q_max dx over [1e-3, 1e3], across the switch to the series at 1e-2;
+    # the grid holds U = 199.5, where quad at its default tolerances erred by 7.4e-7
+    separations = np.geomspace(1e-3, 1e3, 61) / QMAX
     model = _uniform_model()
     expected = np.array([localization_rate(model, dx) for dx in separations])
     assert np.abs(_uniform_curve(separations) / expected - 1.0).max() < 1e-9

@@ -22,6 +22,7 @@ from decosim import (
     sigma,
     tensor,
 )
+from decosim.core import check_states, spectral_entropy
 from decosim.errors import PhysicalityError
 
 from conftest import random_density, random_pure, random_unitary
@@ -157,3 +158,45 @@ def test_identity_helper():
     one = identity(6, dims=(2, 3))
     assert np.abs(one.entries - np.eye(6)).max() == 0.0
     assert one.dims == (2, 3)
+
+
+def test_check_states_names_the_first_failing_matrix(rng):
+    good = np.stack([random_density(rng, 3) for _ in range(5)])
+    spectra = check_states(good)
+    assert spectra.shape == (5, 3)
+    assert np.array_equal(spectra, np.stack([DensityMatrix(m).spectrum for m in good]))
+    bad = good.copy()
+    bad[4] = np.diag([0.7, 0.7, 0.7])  # trace 2.1
+    bad[2, 0, 0] += 1e-3  # fails the trace check too, and comes first
+    bad[3, 0, 0] = np.inf
+    with pytest.raises(PhysicalityError, match=r"^trace .* at index 2$"):
+        check_states(bad)
+    bad[2] = np.diag([1.5, -0.5, 0.0])
+    with pytest.raises(PhysicalityError, match=r"^minimum eigenvalue .* at t=0\.5$"):
+        check_states(bad, times=np.linspace(0.0, 1.0, 5))
+    bad[2] = good[2]
+    with pytest.raises(PhysicalityError, match=r"^array contains non-finite entries at index 3$"):
+        check_states(bad)
+    with pytest.raises(ValueError, match="stack"):
+        check_states(np.zeros((2, 2, 3)))
+
+
+def _entropy_oracle(eigs):
+    p = eigs[eigs > 0.0]
+    return -np.sum(p * np.log(p)) / np.log(2.0)
+
+
+def test_stacked_entropy_and_purity_equal_the_per_state_values_bitwise(rng):
+    for dim in (2, 9, 41):
+        states = [DensityMatrix(random_density(rng, dim, rank=r)) for r in (1, 2, dim, dim)]
+        # diagonal states with exact zeros: every row sums a different count of terms
+        for rank in (1, dim // 2, dim - 1):
+            p = np.zeros(dim)
+            p[rng.permutation(dim)[:rank]] = rng.dirichlet(np.ones(rank))
+            states.append(DensityMatrix(np.diag(p)))
+        stack = np.stack([rho.entries for rho in states])
+        spectra = check_states(stack)
+        ent = spectral_entropy(spectra)
+        assert np.array_equal(ent, [entropy(rho) for rho in states])
+        assert np.array_equal(ent, [_entropy_oracle(e) for e in spectra])
+        assert np.array_equal(purity(stack), [purity(rho) for rho in states])

@@ -41,7 +41,7 @@ def test_dephasing_matches_exponential_law():
     spec = _dephasing_spec()
     t_final = 1.0 / KAPPA
     res = evolve(spec, _plus_density(), t_final, dt=2.5e-4, store_every=400)
-    got = res.final().entries[0, 1]
+    got = res.states[-1][0, 1]
     expected = 0.5 * np.exp(-2.0 * KAPPA * t_final)
     assert abs(got - expected) / expected < 1e-8
 
@@ -52,7 +52,7 @@ def test_rabi_oscillation_without_dissipation():
     rho0 = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
     res = evolve(spec, rho0, 2.0, dt=1e-3, store_every=100)
     for t, state in zip(res.times, res.states):
-        assert state.entries[0, 0].real == pytest.approx(
+        assert state[0, 0].real == pytest.approx(
             np.cos(0.5 * omega * t) ** 2, abs=1e-8
         )
 
@@ -64,15 +64,15 @@ def test_amplitude_damping_populations():
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
     res = evolve(spec, rho0, 2.0, dt=5e-4, store_every=200)
     for t, state in zip(res.times, res.states):
-        assert state.entries[1, 1].real == pytest.approx(np.exp(-kappa * t), abs=1e-8)
+        assert state[1, 1].real == pytest.approx(np.exp(-kappa * t), abs=1e-8)
 
 
 def test_evolution_preserves_trace_and_hermiticity():
     spec = _dephasing_spec(h=0.7 * SIGMA_X)
     res = evolve(spec, _plus_density(), 3.0, dt=1e-3, store_every=250)
     for state in res.states:
-        assert abs(np.trace(state.entries) - 1.0) < 1e-10
-        assert np.abs(state.entries - state.entries.conj().T).max() < 1e-10
+        assert abs(np.trace(state) - 1.0) < 1e-10
+        assert np.abs(state - state.conj().T).max() < 1e-10
 
 
 def test_times_grid_includes_endpoint():
@@ -167,7 +167,7 @@ def test_evolve_matches_the_rk4_oracle(t_final, store_every):
         res = evolve(gen, rho0, t_final, dt=dt, store_every=store_every)
         times, states = _rk4_evolve_oracle(gen, rho0, t_final, dt, store_every)
         np.testing.assert_array_equal(res.times, times)
-        got = np.array([state.entries for state in res.states])
+        got = res.states
         assert np.abs(got - states).max() < 1e-10, gen
         dims.append(gen.dim)
     assert min(dims) <= DENSE_PROPAGATOR_MAX_DIM < max(dims)  # both propagators ran
@@ -178,7 +178,7 @@ def test_evolve_snapshots_are_exactly_hermitian():
         res = evolve(gen, rho0, 0.5, dt=1e-3, store_every=50)
         assert len(res.states) == 11
         for state in res.states:
-            assert np.array_equal(state.entries, state.entries.conj().T)
+            assert np.array_equal(state, state.conj().T)
 
 
 @pytest.mark.parametrize("t_final, dt, store_every", [
@@ -222,8 +222,7 @@ def test_unraveling_is_reproducible():
     spec, psi0, cfg = _traj_setup(64)
     a = unravel(spec, psi0, cfg, store_every=100)
     b = unravel(spec, psi0, cfg, store_every=100)
-    for x, y in zip(a.ensemble, b.ensemble):
-        assert np.array_equal(x.entries, y.entries)
+    assert np.array_equal(a.ensemble, b.ensemble)
 
 
 def test_unraveling_workers_do_not_change_result():
@@ -236,9 +235,7 @@ def test_unraveling_workers_do_not_change_result():
     serial = unravel(spec, psi0, cfg, store_every=5, n_workers=1)
     for workers in (2, 4):
         parallel = unravel(spec, psi0, cfg, store_every=5, n_workers=workers)
-        assert len(parallel.ensemble) == len(serial.ensemble)
-        for x, y in zip(serial.ensemble, parallel.ensemble):
-            assert np.array_equal(x.entries, y.entries)
+        assert np.array_equal(serial.ensemble, parallel.ensemble)
         assert np.array_equal(serial.final_states, parallel.final_states)
 
 
@@ -305,7 +302,7 @@ def test_fused_step_matches_textbook_oracle():
     snapshots, finals = _textbook_unravel(h, terms, psi0, cfg, store_every=25)
     assert len(got.ensemble) == len(snapshots)
     for state, ref in zip(got.ensemble, snapshots):
-        assert np.abs(state.entries - ref).max() < 1e-12
+        assert np.abs(state - ref).max() < 1e-12
     assert np.abs(got.final_states - finals).max() < 1e-12
 
 
@@ -324,7 +321,7 @@ def test_unraveling_mean_tracks_master_equation():
     traj = unravel(spec, psi0, cfg, store_every=100)
     ref = evolve(spec, psi0.density(), cfg.t_final, cfg.dt, store_every=100)
     assert np.allclose(traj.times, ref.times)
-    final_err = np.abs(traj.ensemble[-1].entries - ref.final().entries).max()
+    final_err = np.abs(traj.ensemble[-1] - ref.states[-1]).max()
     # statistical error ~ 1/sqrt(2000) ~ 0.022; generous ceiling
     assert final_err < 0.08
 

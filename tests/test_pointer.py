@@ -173,6 +173,17 @@ def test_sieve_validation():
         predictability_sieve(object(), [KET_0], grid)
 
 
+def test_sieve_grids_per_generator_kind():
+    # a master equation is propagated by one evolve call on dt multiples;
+    # an exact model takes any increasing grid
+    spec = LindbladSpec(Operator(np.zeros((2, 2))), ((Operator(SIGMA_Z), 0.5),))
+    uneven = np.array([0.0, 0.1, 0.3, 1.0])
+    with pytest.raises(ValueError, match="uniform"):
+        predictability_sieve(spec, [KET_PLUS], uneven)
+    report = predictability_sieve(SpinEnvironment((0.4, 0.9)), [KET_PLUS], uneven)
+    assert report.candidates[0].purity.shape == (4,)
+
+
 def _ghz(n_factors: int) -> StateVector:
     amps = np.zeros(2**n_factors, dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)

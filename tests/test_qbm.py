@@ -116,7 +116,7 @@ def test_bound_motion_matches_moment_odes():
     y0 = _second_moments(gen, rho0.entries)
     sol = solve_ivp(rhs, (0, t_final), y0, t_eval=res.times, rtol=1e-10, atol=1e-12)
     for k in range(len(res.times)):
-        got = _second_moments(gen, res.states[k].entries)
+        got = _second_moments(gen, res.states[k])
         assert np.abs(got - sol.y[:, k]).max() < 2e-4
 
 
@@ -126,11 +126,11 @@ def test_pure_decoherence_keeps_energy_alive():
     rho0 = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
     res = evolve(gen, rho0, 1.0, dt=5e-4, store_every=500)
     # double commutator heats: <p^2> grows at 2 D, <x^2> untouched directly
-    start = _second_moments(gen, res.states[0].entries)
-    finish = _second_moments(gen, res.final().entries)
+    start = _second_moments(gen, res.states[0])
+    finish = _second_moments(gen, res.states[-1])
     assert finish[2] > start[2]
     for state in res.states:
-        assert abs(np.trace(state.entries) - 1.0) < 1e-9
+        assert abs(np.trace(state) - 1.0) < 1e-9
 
 
 def test_truncation_tail_flags_basis_exhaustion():

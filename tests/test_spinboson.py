@@ -154,7 +154,7 @@ def test_born_markov_pure_dephasing_solution():
     res = evolve(gen, rho0, t_final=1.0, dt=1e-3, store_every=200)
     for k, t in enumerate(res.times):
         expected = 0.5 * np.exp(-4.0 * gen.dephasing * t) * np.exp(-0.7j * t)
-        assert abs(res.states[k].entries[0, 1] - expected) < 1e-8
+        assert abs(res.states[k][0, 1] - expected) < 1e-8
 
 
 def _born_markov_rhs_oracle(gen, rho):
@@ -184,5 +184,5 @@ def test_born_markov_trace_exactly_conserved_with_tunneling():
     rho0 = DensityMatrix(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
     res = evolve(gen, rho0, t_final=2.0, dt=1e-3, store_every=250)
     for state in res.states:
-        assert abs(np.trace(state.entries).real - 1.0) < 1e-12
-        assert abs(np.trace(state.entries).imag) < 1e-14
+        assert abs(np.trace(state).real - 1.0) < 1e-12
+        assert abs(np.trace(state).imag) < 1e-14

@@ -80,7 +80,7 @@ def test_decoherence_factor_is_a_product_of_cosines():
     expected = np.abs(np.prod(np.cos(np.outer(times, couplings)), axis=1))
     assert np.abs(res.decoherence_factor - expected).max() < 1e-12
     # equal-superposition bath leaves rho01 real
-    assert np.abs(res.coherence().imag).max() < 1e-12
+    assert np.abs(res.states[:, 0, 1].imag).max() < 1e-12
 
 
 def test_purity_tracks_the_coherence_factor():
@@ -123,7 +123,7 @@ def test_reduced_state_matches_dilation_channel():
     )
     via_channel = apply_channel(channel, rho_sys)
     res = spin_spin_exact(env, psi, np.array([0.0, t]))
-    assert np.abs(via_channel.entries - res.states[1].entries).max() < 1e-10
+    assert np.abs(via_channel.entries - res.states[1]).max() < 1e-10
 
 
 def test_dense_propagator_matches_matrix_exponential():
@@ -144,7 +144,7 @@ def test_joint_state_traces_down_to_the_reduced_state():
     assert res.joint_states is not None
     for joint, state in zip(res.joint_states, res.states):
         reduced = partial_trace_keep_state(joint, [0])
-        assert np.abs(reduced.entries - state.entries).max() < 1e-12
+        assert np.abs(reduced.entries - state).max() < 1e-12
 
 
 def test_tunneling_disables_the_decoherence_factor():
@@ -152,7 +152,7 @@ def test_tunneling_disables_the_decoherence_factor():
     res = spin_spin_exact(env, PLUS, np.linspace(0.0, 1.0, 5))
     assert res.decoherence_factor is None
     # populations no longer conserved, but states stay physical
-    assert all(abs(np.trace(s.entries) - 1.0) < 1e-12 for s in res.states)
+    assert all(abs(np.trace(s) - 1.0) < 1e-12 for s in res.states)
 
 
 def test_environment_populations_normalized():
@@ -162,6 +162,17 @@ def test_environment_populations_normalized():
     pops = env.env_populations()
     assert pops.sum() == pytest.approx(1.0, abs=1e-12)
     assert pops.shape == (4,)
+
+
+@pytest.mark.parametrize("couplings", [(np.inf,), (np.nan, 0.5), (1e308, 1e308)])
+def test_couplings_and_their_sums_must_be_finite(couplings):
+    with pytest.raises(ValueError, match="finite"):
+        SpinEnvironment(couplings)
+
+
+def test_overflowing_phases_are_rejected():
+    with pytest.raises(ValueError, match="overflow"):
+        spin_spin_exact(SpinEnvironment((1e308,)), PLUS, np.array([0.0, 2.0]))
 
 
 def test_block_unitaries_are_unitary():
