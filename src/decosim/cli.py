@@ -57,6 +57,7 @@ from .errors import (
 )
 from .models import (
     SpinEnvironment,
+    WignerGrid,
     caldeira_leggett_generator,
     cat_state,
     coherent_state,
@@ -74,8 +75,8 @@ from .models import (
 from .pointer import collective_dfs, dfs_find, InteractionSpec, predictability_sieve
 from .qec import logical_error_rate
 from .serialize import (
-    format_floats,
     pairs_to_array,
+    render_rows,
     write_coordinate_matrix,
     write_csv,
     write_json,
@@ -255,7 +256,7 @@ def _cmd_evolve(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     table = np.column_stack([result.times, purity(result.states), spectral_entropy(result.spectra),
                              result.states.reshape(len(result.times), -1).view(float)])
     path = os.path.join(outdir, "evolve.csv")
-    write_csv(path, header, table.tolist())
+    write_csv(path, header, table)
     return [path], {}
 
 
@@ -293,7 +294,7 @@ def _cmd_trajectories(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     table = np.column_stack([ens.times, ens.ensemble.reshape(n, -1).view(float),
                              ref.states.reshape(n, -1).view(float), distance])
     path = os.path.join(outdir, "trajectories.csv")
-    write_csv(path, header, table.tolist())
+    write_csv(path, header, table)
     return [path], {"final_trace_distance": distance[-1]}
 
 
@@ -327,11 +328,11 @@ def _cmd_collisional(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     else:
         grid = np.linspace(cfg["dx_min"], cfg["dx_max"], cfg["n_dx"])
     curve = uniform_beam_localization_rates(rho0, v0, f2, cfg["q_max"], grid, cfg["regime"])
-    rows = np.column_stack(
+    table = np.column_stack(
         [grid, curve, np.full_like(grid, rates.total_rate), rates.prefactor * grid**2]
-    ).tolist()
+    )
     path = os.path.join(outdir, "collisional.csv")
-    write_csv(path, ["dx", "localization_rate", "gamma_tot", "lambda_dx2"], rows)
+    write_csv(path, ["dx", "localization_rate", "gamma_tot", "lambda_dx2"], table)
     return [path], {"gamma_tot": rates.total_rate, "lambda": rates.prefactor}
 
 
@@ -365,14 +366,15 @@ def _cmd_qbm(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     result = evolve(gen, rho0, cfg["t_final"], cfg["dt"], cfg["store_every"])
     left = coherent_state(alpha, cfg["n_max"]).amplitudes
     right = coherent_state(-alpha, cfg["n_max"]).amplitudes
-    cross = np.array([abs(left.conj() @ state @ right) for state in result.states])
+    # <left| rho |right> over the stack; the (1, d) @ (d, 1) products take the
+    # dot-product path of a single state's ``bra @ right``, so the column matches it bitwise
+    bras = (left.conj() @ result.states)[:, None, :]
+    cross = np.abs(bras @ right[:, None])[:, 0, 0]
     relative = cross / cross[0] if cross[0] > 0 else np.zeros_like(cross)
-    tail = [truncation_tail(state) for state in result.states]
-    table = np.column_stack([result.times, purity(result.states),
-                             spectral_entropy(result.spectra), tail, relative])
+    table = np.column_stack([result.times, purity(result.states), spectral_entropy(result.spectra),
+                             truncation_tail(result.states), relative])
     path = os.path.join(outdir, "qbm.csv")
-    write_csv(path, ["t", "purity", "entropy", "tail_population", "relative_coherence"],
-              table.tolist())
+    write_csv(path, ["t", "purity", "entropy", "tail_population", "relative_coherence"], table)
     outputs = [path]
     summary = {"final_relative_coherence": relative[-1]}
     if cfg["wigner"]:
@@ -384,15 +386,20 @@ def _cmd_qbm(cfg: dict, outdir: str) -> tuple[list[str], dict]:
         positions = np.linspace(-x_max, x_max, cfg["n_x"])
         for tag, state in (("initial", result.states[0]), ("final", result.states[-1])):
             grid = wigner_from_fock(state, cfg["mass"], cfg["frequency"], positions)
-            # each value is rendered once and shared by both files
-            xs, ps, ws = (format_floats(a) for a in (grid.x, grid.p, grid.values))
-            triples = ((x, p, w) for x, row in zip(xs, ws) for p, w in zip(ps, row))
-            tri_path = os.path.join(outdir, f"wigner_{tag}.csv")
-            write_csv(tri_path, ["x", "p", "w"], triples)
-            mat_path = os.path.join(outdir, f"wigner_{tag}_matrix.csv")
-            write_coordinate_matrix(mat_path, xs, ps, ws)
-            outputs += [tri_path, mat_path]
+            outputs += _write_wigner(outdir, tag, grid)
     return outputs, summary
+
+
+def _write_wigner(outdir: str, tag: str, grid: WignerGrid) -> list[str]:
+    """(x, p, w) triples and the coordinate matrix of one grid, from one rendering of each value."""
+    xs, ps = render_rows(grid.x[:, None]), render_rows(grid.p[:, None])
+    ws = render_rows(grid.values)
+    triples = [f"{x},{p},{w}" for x, row in zip(xs, ws) for p, w in zip(ps, row.split(","))]
+    tri_path = os.path.join(outdir, f"wigner_{tag}.csv")
+    write_csv(tri_path, ["x", "p", "w"], triples)
+    mat_path = os.path.join(outdir, f"wigner_{tag}_matrix.csv")
+    write_coordinate_matrix(mat_path, xs, ps, ws)
+    return [tri_path, mat_path]
 
 
 SPINBOSON_SCHEMA = (
@@ -437,7 +444,7 @@ def _cmd_spinboson(cfg: dict, outdir: str) -> tuple[list[str], dict]:
         header += ["born_markov_abs"]
         columns += [np.abs(coherence / coherence[0])]
     path = os.path.join(outdir, "spinboson.csv")
-    write_csv(path, header, np.column_stack(columns).tolist())
+    write_csv(path, header, np.column_stack(columns))
     return [path], summary
 
 
@@ -485,7 +492,7 @@ def _cmd_spinspin(cfg: dict, outdir: str) -> tuple[list[str], dict]:
         header.append("product_reference")
         columns.append(np.prod(np.abs(np.cos(np.outer(times, couplings))), axis=1))
     path = os.path.join(outdir, "spinspin.csv")
-    write_csv(path, header, np.column_stack(columns).tolist())
+    write_csv(path, header, np.column_stack(columns))
     return [path], {"couplings": list(couplings)}
 
 
@@ -524,8 +531,8 @@ def _cmd_sieve(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     report = predictability_sieve(
         generator, candidates, times, measure=cfg["measure"], labels=labels
     )
-    rows = [[cand.label, *cells] for cand in report.candidates
-            for cells in np.column_stack([times, cand.purity, cand.entropy]).tolist()]
+    rows = [f"{cand.label},{line}" for cand in report.candidates
+            for line in render_rows(np.column_stack([times, cand.purity, cand.entropy]))]
     path = os.path.join(outdir, "sieve.csv")
     write_csv(path, ["label", "t", "purity", "entropy"], rows)
     print("ranking (most predictable first): " + ", ".join(report.ranking))
@@ -682,7 +689,7 @@ def _cmd_estimate(cfg: dict, outdir: str) -> tuple[list[str], dict]:
         write_csv(
             path,
             ["pressure", "visibility"],
-            [[p, v] for p, v in zip(curve.pressures, curve.visibility)],
+            np.column_stack([curve.pressures, curve.visibility]),
         )
         outputs.append(path)
         ran = True

@@ -125,10 +125,14 @@ def caldeira_leggett_generator(
     )
 
 
-def truncation_tail(rho: np.ndarray, n_tail: int = 5) -> float:
-    """Population in the top ``n_tail`` number states; certifies basis truncation."""
-    diag = np.real(np.diag(np.asarray(rho)))
-    return float(diag[-n_tail:].sum())
+def truncation_tail(rho: np.ndarray, n_tail: int = 5) -> float | np.ndarray:
+    """Population in the top ``n_tail`` number states; certifies basis truncation.
+
+    A float for one matrix, an array of one value per matrix for a (T, d, d) stack.
+    """
+    diag = np.real(np.diagonal(np.asarray(rho), axis1=-2, axis2=-1))
+    tail = diag[..., -n_tail:].sum(axis=-1)
+    return float(tail) if tail.ndim == 0 else tail
 
 
 def coherent_state(alpha: complex, n_max: int) -> StateVector:
@@ -276,20 +280,24 @@ def wigner_transform(state: GridState, boundary_tol: float = 1e-3) -> WignerGrid
     The momentum grid spans the Nyquist interval [-pi/2h, pi/2h) of the
     half-coordinate y; weight within 2 rows of the momentum boundary
     above ``boundary_tol`` of the peak raises GridResolutionError.
+
+    The offsets y = +-j h pair up through H = rho + rho^dag:
+    Re W(x_i, p) = (h/pi) sum_{j >= 0} c_j Re(H[i+j, i-j] e^{-2i y_j p}),
+    c_0 = 1/2 and c_j = 1 otherwise, for any matrix, Hermitian or not.
     """
     x = state.positions
     n = x.size
     h = state.spacing
     rho = state.matrix
-    offsets = np.arange(-(n - 1), n)  # y = j h
-    gathered = np.zeros((n, offsets.size), dtype=complex)
-    for row, j in enumerate(offsets):
-        idx = np.arange(n)
-        ok = (idx + j >= 0) & (idx + j < n) & (idx - j >= 0) & (idx - j < n)
-        gathered[ok, row] = rho[idx[ok] + j, idx[ok] - j]
+    herm = rho + rho.conj().T
+    idx = np.arange(n)[:, None]
+    offsets = np.arange((n + 1) // 2)  # j <= min(i, n - 1 - i) < (n + 1) / 2
+    inside = offsets <= np.minimum(idx, n - 1 - idx)
+    gathered = np.where(inside, herm[np.minimum(idx + offsets, n - 1), np.abs(idx - offsets)], 0.0)
+    gathered[:, 0] *= 0.5
     p_grid = -np.pi / (2.0 * h) + np.pi / (h * n) * np.arange(n)
-    phase = np.exp(-2.0j * np.outer(offsets * h, p_grid))
-    w = np.real(gathered @ phase) * (h / np.pi)
+    angle = 2.0 * np.outer(offsets * h, p_grid)
+    w = (gathered.real @ np.cos(angle) + gathered.imag @ np.sin(angle)) * (h / np.pi)
     peak = np.abs(w).max()
     edge = np.abs(w[:, [0, 1, -2, -1]]).max()
     if peak > 0 and edge > boundary_tol * peak:

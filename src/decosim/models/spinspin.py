@@ -76,6 +76,12 @@ class SpinEnvironment:
             shifts = _sign_table(n) @ np.asarray(self.couplings, dtype=float)
         if not np.all(np.isfinite(shifts)):  # a non-finite coupling, or sums that overflow
             raise ValueError(f"couplings and their sums must be finite, got {list(self.couplings)}")
+        with np.errstate(over="ignore"):
+            fields = self.splitting + shifts
+        if not np.all(np.isfinite(fields)):  # _block_fields adds the splitting to every sum
+            raise ValueError(
+                f"splitting {self.splitting!r} plus each coupling sum must be finite"
+            )
         shifts.setflags(write=False)
         object.__setattr__(self, "shift_sums", shifts)
 

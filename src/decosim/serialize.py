@@ -38,11 +38,18 @@ def format_value(value) -> str:
     return str(value)
 
 
-def format_floats(values) -> np.ndarray:
-    """``format_value`` of every entry of a float array: an object array of str, same shape."""
+def render_rows(values) -> list[str]:
+    """Each row of a 2-D float array as one CSV line, cells exactly as ``format_value``.
+
+    One ``%`` call per row on a row format of ``%.16e`` cells; printf-style
+    and format-spec rendering agree byte for byte on every double, nan,
+    +-inf, -0.0 and subnormals included.
+    """
     arr = np.asarray(values, dtype=float)
-    cells = [f"{v:.16e}" for v in arr.ravel().tolist()]
-    return np.array(cells, dtype=object).reshape(arr.shape)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got shape {arr.shape}")
+    row_format = ",".join(["%.16e"] * arr.shape[1])
+    return [row_format % row for row in map(tuple, arr.tolist())]
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -60,15 +67,30 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_csv(path: str, header: Sequence[str], rows) -> None:
-    """Comma-separated table with a single header line."""
-    lines = [",".join(header)]
+    """Comma-separated table with a single header line.
+
+    ``rows`` is a float array, rendered by ``render_rows``, or an iterable
+    of rows: a ``str`` row is a line already rendered, any other row is
+    rendered cell by cell with ``format_value``.
+    """
     width = len(header)
-    for row in rows:
-        cells = [format_value(v) for v in row]
-        if len(cells) != width:
-            raise ValueError(f"row has {len(cells)} cells, header has {width}")
-        lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise ValueError(f"table has shape {rows.shape}, header has {width} cells")
+        lines = render_rows(rows)
+    else:
+        lines = []
+        for row in rows:
+            if type(row) is str:
+                n_cells, line = row.count(",") + 1, row
+            else:
+                cells = [format_value(v) for v in row]
+                n_cells, line = len(cells), ",".join(cells)
+            if n_cells != width:
+                raise ValueError(f"row has {n_cells} cells, header has {width}")
+            lines.append(line)
+    # the empty last item gives the final newline without copying the text again
+    atomic_write_text(path, "\n".join([",".join(header), *lines, ""]))
 
 
 def write_json(path: str, payload) -> None:
@@ -96,20 +118,26 @@ def pairs_to_array(data) -> np.ndarray:
     raise ValueError("expected nested [re, im] pairs")
 
 
-def _cells(values) -> np.ndarray:
-    """Rendered cells: an object array from ``format_floats`` passes through, floats are rendered."""
-    arr = np.asarray(values)
-    return arr if arr.dtype == object else format_floats(arr)
+def _rendered(values, ndim: int) -> list[str]:
+    """A list of ``str`` passes through; floats (a vector for ndim 1) are rendered."""
+    if isinstance(values, list) and all(type(v) is str for v in values):
+        return values
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
+    return render_rows(arr if ndim == 2 else arr[:, None])
 
 
 def write_coordinate_matrix(path: str, row_coords, col_coords, values) -> None:
     """Dense matrix file with leading coordinate row and column.
 
-    Each argument holds floats, or their cells already rendered by ``format_floats``.
+    Coordinates are float vectors or lists of their rendered cells; values
+    are a float matrix or the list of its rows rendered by ``render_rows``.
     """
-    vals, rows_c, cols_c = _cells(values), _cells(row_coords), _cells(col_coords)
-    if vals.shape != (rows_c.size, cols_c.size):
+    rows_c, cols_c = _rendered(row_coords, 1), _rendered(col_coords, 1)
+    lines = _rendered(values, 2)
+    if len(lines) != len(rows_c) or any(line.count(",") + 1 != len(cols_c) for line in lines):
         raise ValueError("matrix shape does not match the coordinate axes")
-    lines = [",".join(["row\\col", *cols_c])]
-    lines += [",".join([coord, *row]) for coord, row in zip(rows_c, vals)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    text = [",".join(["row\\col", *cols_c])]
+    text += [coord + "," + line for coord, line in zip(rows_c, lines)]
+    atomic_write_text(path, "\n".join([*text, ""]))

@@ -3,8 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from decosim import DensityMatrix, evolve
 from decosim.cli import COMMANDS, main
-from decosim.models import ScatteringModel, localization_rate
+from decosim.models import (
+    ScatteringModel,
+    caldeira_leggett_generator,
+    cat_state,
+    coherent_state,
+    localization_rate,
+    truncation_tail,
+)
 from decosim.models.estimates import ENVIRONMENTS, OBJECTS
 
 
@@ -223,6 +231,45 @@ def test_qbm_emits_coherence_and_wigner_grids(tmp_path):
         mat_header, mat_rows = _read_csv(out / "wigner_initial_matrix.csv")
         assert mat_header[0] == "row\\col"
         assert len(mat_rows) == 201
+
+
+_QBM_WIGNER_FLAGS = [
+    "qbm", "--gamma0", "0.01", "--cutoff", "10", "--temperature", "10", "--alpha", "1.0",
+    "--n-max", "20", "--t-final", "0.01", "--dt", "0.001", "--store-every", "5",
+    "--wigner", "--n-x", "61", "--x-max", "6",
+]
+
+
+def test_qbm_stacked_columns_match_the_per_state_loop(tmp_path):
+    assert main(_QBM_WIGNER_FLAGS + ["--no-wigner", "--output", str(tmp_path)]) == 0
+    header, rows = _read_csv(tmp_path / "qbm.csv")
+    gen = caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=20)
+    psi = cat_state(1.0, 20).amplitudes
+    res = evolve(gen, DensityMatrix(np.outer(psi, psi.conj())), 0.01, 0.001, 5)
+    left, right = coherent_state(1.0, 20).amplitudes, coherent_state(-1.0, 20).amplitudes
+    cross = np.array([abs(left.conj() @ state @ right) for state in res.states])
+    tail = [truncation_tail(state) for state in res.states]
+    # cells round-trip exactly, so equality here is equality of the bytes
+    assert _column(header, rows, "relative_coherence").tolist() == (cross / cross[0]).tolist()
+    assert _column(header, rows, "tail_population").tolist() == tail
+
+
+def test_wigner_triples_and_matrix_hold_the_same_cells(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(_QBM_WIGNER_FLAGS + ["--output", str(first)]) == 0
+    for tag in ("initial", "final"):
+        tri_header, triples = _read_csv(first / f"wigner_{tag}.csv")
+        mat_header, mat_rows = _read_csv(first / f"wigner_{tag}_matrix.csv")
+        assert tri_header == ["x", "p", "w"]
+        p_cells = mat_header[1:]
+        assert len(p_cells) == 61 and len(mat_rows) == 61
+        expected = [[row[0], p, w] for row in mat_rows for p, w in zip(p_cells, row[1:])]
+        assert triples == expected  # the same text at every (x, p), in row-major order
+    # identical configs give identical bytes in every data file
+    assert main(_QBM_WIGNER_FLAGS + ["--output", str(second)]) == 0
+    for name in ("qbm.csv", "wigner_initial.csv", "wigner_final.csv",
+                 "wigner_initial_matrix.csv", "wigner_final_matrix.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 def test_spinboson_exact_and_weak_coupling_columns(tmp_path):
@@ -518,6 +565,8 @@ _EXIT_2_CASES = {
                                          "--dx-min", "0.1", "--dx-max", "1e200"],
     "spinspin-coupling-not-finite": ["spinspin", "--couplings", "[1e400]", "--t-max", "1"],
     "spinspin-phase-overflows": ["spinspin", "--couplings", "[1e308]", "--t-max", "2"],
+    "spinspin-splitting-overflows": ["spinspin", "--couplings", "[1e308]", "--splitting", "1e308",
+                                     "--t-max", "1e-6", "--n-times", "2"],
     "output-names-a-file": EVOLVE_FLAGS + ["--output", "taken"],
 }
 

@@ -16,7 +16,9 @@ from decosim.models import (
     two_gaussian_superposition,
     wigner_from_fock,
 )
-from decosim.models.qbm import ladder, position_momentum
+from decosim.core import symmetrize
+from decosim.models.collisional import GridState
+from decosim.models.qbm import hermite_functions, ladder, position_momentum, wigner_transform
 
 
 def test_ladder_commutator():
@@ -216,6 +218,62 @@ def test_wigner_cat_state_has_negative_fringes():
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
     grid = wigner_from_fock(rho, 1.0, 1.0, np.linspace(-8, 8, 161))
     assert grid.values.min() < -0.05
+
+
+def _wigner_transform_oracle(state):
+    """The gather-loop transform over all 2n - 1 offsets that the paired form replaced."""
+    x = state.positions
+    n = x.size
+    h = state.spacing
+    rho = state.matrix
+    offsets = np.arange(-(n - 1), n)  # y = j h
+    gathered = np.zeros((n, offsets.size), dtype=complex)
+    for row, j in enumerate(offsets):
+        idx = np.arange(n)
+        ok = (idx + j >= 0) & (idx + j < n) & (idx - j >= 0) & (idx - j < n)
+        gathered[ok, row] = rho[idx[ok] + j, idx[ok] - j]
+    p_grid = -np.pi / (2.0 * h) + np.pi / (h * n) * np.arange(n)
+    phase = np.exp(-2.0j * np.outer(offsets * h, p_grid))
+    return np.real(gathered @ phase) * (h / np.pi)
+
+
+def _grid_state_from_fock(rho, positions):
+    """The position-grid state ``wigner_from_fock`` transforms, at unit mass and frequency."""
+    phi = hermite_functions(rho.shape[0], positions)
+    rho_x = phi.T @ rho @ phi
+    trace = np.real(np.trace(rho_x)) * (positions[1] - positions[0])
+    return GridState(positions, symmetrize(rho_x) / trace)
+
+
+def _nearly_hermitian_grid_state(rng, n):
+    """A random grid state whose matrix is Hermitian only to within GridState's 1e-10."""
+    positions = np.linspace(-4.0, 4.0, n)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho = a @ a.conj().T
+    rho /= np.real(np.trace(rho)) * (positions[1] - positions[0])
+    rho += 5e-11 * (rng.uniform(-0.5, 0.5, (n, n)) + 1j * rng.uniform(-0.5, 0.5, (n, n)))
+    state = GridState(positions, rho)
+    assert 1e-11 < np.abs(state.matrix - state.matrix.conj().T).max() <= 1e-10
+    return state
+
+
+def test_paired_wigner_transform_matches_the_gather_loop():
+    xs = np.linspace(-8.0, 8.0, 161)
+    cat = cat_state(2.0, 30).amplitudes  # criterion 11's initial state and grid
+    n = np.arange(30)
+    thermal = np.diag(np.exp(-n / 1.5) / np.exp(-n / 1.5).sum()).astype(complex)
+    states = {
+        "cat": _grid_state_from_fock(np.outer(cat, cat.conj()), xs),
+        "thermal": _grid_state_from_fock(thermal, xs),
+        "nearly hermitian": _nearly_hermitian_grid_state(np.random.default_rng(11), 64),
+    }
+    for name, state in states.items():
+        # a random matrix fills the momentum window, so its edge check is switched off
+        got = wigner_transform(state, boundary_tol=np.inf).values
+        assert np.abs(got - _wigner_transform_oracle(state)).max() <= 1e-13, name
+    # the paired form is the one wigner_from_fock takes
+    grid = wigner_from_fock(np.outer(cat, cat.conj()), 1.0, 1.0, xs)
+    assert np.array_equal(grid.values, wigner_transform(states["cat"]).values)
 
 
 def test_wigner_grid_too_small_is_rejected():

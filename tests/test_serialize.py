@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from decosim.serialize import (
     atomic_write_text,
-    format_floats,
     format_value,
     matrix_to_pairs,
     pairs_to_array,
+    render_rows,
     write_coordinate_matrix,
     write_csv,
     write_json,
@@ -32,15 +32,51 @@ def test_cell_rendering_by_type():
         format_value(1 + 2j)
 
 
-def test_format_floats_matches_format_value_byte_for_byte():
+def _awkward_doubles() -> np.ndarray:
+    """Special values, random magnitudes across the exponent range, raw bit patterns."""
     special = [0.0, -0.0, 1e-300, 5e-324, 2.2250738585072014e-308 / 3, np.nan, np.inf, -np.inf]
     rng = np.random.default_rng(9)
     randoms = rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, size=200)
-    values = np.concatenate([special, randoms, rng.integers(0, 2**63, size=50).view(np.float64)])
-    cells = format_floats(values.reshape(-1, 2))
-    assert cells.shape == (values.size // 2, 2)
-    assert cells.ravel().tolist() == [format_value(float(v)) for v in values]
-    assert cells.ravel().tolist() == [format_value(v) for v in values]  # numpy scalars too
+    return np.concatenate([special, randoms, rng.integers(0, 2**63, size=50).view(np.float64)])
+
+
+def test_render_rows_matches_format_value_byte_for_byte(tmp_path):
+    values = _awkward_doubles()
+    table = values.reshape(-1, 2)
+    lines = render_rows(table)
+    assert len(lines) == table.shape[0]
+    cells = [cell for line in lines for cell in line.split(",")]
+    assert cells == [format_value(float(v)) for v in values]
+    assert cells == [format_value(v) for v in values]  # numpy scalars too
+    # write_csv's array form writes exactly these lines
+    path = str(tmp_path / "awkward.csv")
+    write_csv(path, ["a", "b"], table)
+    assert open(path).read().splitlines() == ["a,b", *lines]
+    with pytest.raises(ValueError):
+        render_rows(values)
+
+
+def test_write_csv_table_forms_give_the_same_bytes(tmp_path):
+    table = _awkward_doubles()[: 3 * 50].reshape(-1, 3)
+    header = ["x", "p", "w"]
+    forms = {
+        "array": table,
+        "rendered lines": render_rows(table),
+        "rows of floats": table.tolist(),
+        "mixed rows": [line if k % 2 else row for k, (line, row)
+                       in enumerate(zip(render_rows(table), table.tolist()))],
+    }
+    written = {}
+    for name, rows in forms.items():
+        path = str(tmp_path / f"{name}.csv")
+        write_csv(path, header, rows)
+        written[name] = open(path, "rb").read()
+    assert len(set(written.values())) == 1
+    # the width check holds in every form
+    narrow = table[:, :2]
+    for rows in (narrow, render_rows(narrow), narrow.tolist(), table[:, 0]):
+        with pytest.raises(ValueError, match="header has 3"):
+            write_csv(str(tmp_path / "bad.csv"), header, rows)
 
 
 def test_write_csv_round_trip(tmp_path):
@@ -114,7 +150,13 @@ def test_coordinate_matrix_layout(tmp_path):
     assert [float(c) for c in first[1:]] == [0.0, 1.0, 2.0]
     with pytest.raises(ValueError):
         write_coordinate_matrix(path, x, p, values.T)
-    # cells rendered beforehand give the same bytes
+    # coordinate cells and matrix rows rendered beforehand give the same bytes
     before = open(path, "rb").read()
-    write_coordinate_matrix(path, format_floats(x), format_floats(p), format_floats(values))
+    x_cells, p_cells = render_rows(x[:, None]), render_rows(p[:, None])
+    rows = render_rows(values)
+    write_coordinate_matrix(path, x_cells, p_cells, rows)
     assert open(path, "rb").read() == before
+    with pytest.raises(ValueError):
+        write_coordinate_matrix(path, x_cells, p_cells, render_rows(values[:, :2]))
+    with pytest.raises(ValueError):
+        write_coordinate_matrix(path, x_cells[:1], p_cells, rows)
