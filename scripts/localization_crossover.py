@@ -1,8 +1,10 @@
 """Map the localization-rate crossover for an isotropic scatterer.
 
 Sweeps the superposition separation from deep inside the long-wavelength
-(quadratic) regime to full saturation and records the exact angular
-integral next to both asymptotes.  The knee sits near dx ~ 1/q_max.
+(quadratic) regime to full saturation and records the rate curve of a
+uniform beam (unit density, speed and |f|^2 on (0, q_max)), evaluated in
+closed form through the sine integral, next to both asymptotes.  The knee
+sits near dx ~ 1/q_max.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import os
 
 import numpy as np
 
-from decosim.models import ScatteringModel, decoherence_rates, localization_rate
+from decosim.models import uniform_beam_localization_rates, uniform_beam_rates
 from decosim.serialize import write_csv
 
 
@@ -21,20 +23,18 @@ def main() -> None:
     parser.add_argument("--output", default=".", help="output directory")
     args = parser.parse_args()
 
-    model = ScatteringModel(
-        lambda q: 1.0, lambda q: 1.0, lambda q: 1.0, q_max=args.q_max, regime="full"
-    )
-    rates = decoherence_rates(model)
+    rates = uniform_beam_rates(1.0, 1.0, 1.0, args.q_max)
     separations = np.logspace(-2, 3, 41) / args.q_max
-
-    rows = []
-    for dx in separations:
-        exact = localization_rate(model, dx)
-        quadratic = rates.prefactor * dx**2
-        rows.append([dx, exact, quadratic, rates.total_rate])
+    exact = uniform_beam_localization_rates(1.0, 1.0, 1.0, args.q_max, separations)
+    table = np.column_stack([
+        separations,
+        exact,
+        rates.prefactor * separations**2,
+        np.full_like(separations, rates.total_rate),
+    ])
 
     path = os.path.join(args.output, "crossover.csv")
-    write_csv(path, ["separation", "rate", "quadratic_asymptote", "saturation"], rows)
+    write_csv(path, ["separation", "rate", "quadratic_asymptote", "saturation"], table)
 
     knee = 1.0 / args.q_max
     print(f"total rate {rates.total_rate:.6e}, quadratic prefactor {rates.prefactor:.6e}")

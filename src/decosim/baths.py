@@ -320,18 +320,16 @@ def spin_boson_coefficients(
 
 
 def effective_spectral_density(
-    density: SpectralDensity,
-    temperature: float,
-    omega_grid: np.ndarray | None = None,
+    density: SpectralDensity, temperature: float
 ) -> SampledSpectralDensity:
     """Temperature-rescaled density J(w) tanh(w / 2T), sampled.
 
-    At T = 0 the factor is one; the effective density always lies at or
-    below the input and approaches it as T -> 0.
+    The samples are ``DEFAULT_N_OMEGA`` points evenly spaced on
+    [0, density.default_omega_max()].  At T = 0 the factor is one; the
+    effective density always lies at or below the input and approaches
+    it as T -> 0.
     """
-    if omega_grid is None:
-        omega_grid = np.linspace(0.0, density.default_omega_max(), DEFAULT_N_OMEGA)
-    w = np.asarray(omega_grid, dtype=float)
+    w = np.linspace(0.0, density.default_omega_max(), DEFAULT_N_OMEGA)
     j_vals = np.asarray(density(w), dtype=float)
     if temperature == 0.0:
         factor = np.ones_like(w)

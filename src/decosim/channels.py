@@ -80,7 +80,7 @@ def _dilation_blocks(u: Operator) -> tuple[int, int, np.ndarray]:
     if len(u.dims) != 2:
         raise ValueError(f"dilation unitary needs dims (d_system, d_env), got {u.dims}")
     d_s, d_e = u.dims
-    if not u.is_unitary(UNITARY_TOL):
+    if not u.is_unitary():  # within HERM_TOL, the same 1e-10 as UNITARY_TOL
         raise PhysicalityError(f"dilation operator is not unitary within {UNITARY_TOL}")
     return d_s, d_e, u.entries.reshape(d_s, d_e, d_s, d_e)
 

@@ -75,6 +75,7 @@ from .models import (
 from .pointer import collective_dfs, dfs_find, InteractionSpec, predictability_sieve
 from .qec import logical_error_rate
 from .serialize import (
+    matrix_to_pairs,
     pairs_to_array,
     render_rows,
     write_coordinate_matrix,
@@ -317,8 +318,6 @@ def _cmd_collisional(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     if cfg["n_dx"] < 1 or cfg["dx_min"] <= 0 or cfg["dx_max"] <= cfg["dx_min"]:
         raise ConfigError("need n_dx >= 1 and 0 < dx_min < dx_max")
     rho0, v0, f2 = cfg["density_amplitude"], cfg["speed"], cfg["f2"]
-    if min(rho0, v0, f2) < 0:
-        raise ConfigError("need density_amplitude, speed and f2 >= 0")
     rates = uniform_beam_rates(rho0, v0, f2, cfg["q_max"])
     # the lambda_dx2 column and the long-wavelength curve both hold Lambda dx^2
     if not np.isfinite(rates.prefactor * (cfg["dx_max"] * cfg["dx_max"])):
@@ -547,8 +546,6 @@ DFS_SCHEMA = (
     Field("output", "str", "output directory", default="."),
 )
 
-_DFS_EXPORT_CAP = 1 << 20  # amplitudes written to JSON at most
-
 
 def _cmd_dfs(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     payload: dict = {}
@@ -556,13 +553,9 @@ def _cmd_dfs(cfg: dict, outdir: str) -> tuple[list[str], dict]:
         if cfg["n"] is None:
             raise ConfigError("collective mode needs 'n'")
         report = collective_dfs(cfg["n"])
-        labels = None
-        if report.result is not None:
-            labels = [format(int(np.argmax(np.abs(vec.amplitudes))), f"0{cfg['n']}b")
-                      for vec in report.result.basis]
         print(f"dimension {report.dimension}")
-        if labels:
-            print("basis: " + " ".join(labels))
+        if report.labels:
+            print("basis: " + " ".join(report.labels))
         payload = {
             "dimension": report.dimension,
             "magnetization": report.magnetization,
@@ -570,11 +563,10 @@ def _cmd_dfs(cfg: dict, outdir: str) -> tuple[list[str], dict]:
             "stirling_bits": report.stirling_bits,
             "efficiency": report.efficiency,
             "odd_fallback": report.odd_fallback,
-            "basis_labels": labels,
+            "basis_labels": report.labels,
         }
-        if report.result is not None and report.dimension * 2 ** cfg["n"] <= _DFS_EXPORT_CAP:
-            payload["basis"] = [np.stack([vec.amplitudes.real, vec.amplitudes.imag], -1).tolist()
-                                for vec in report.result.basis]
+        if report.result is not None:
+            payload["basis"] = [matrix_to_pairs(vec.amplitudes) for vec in report.result.basis]
         summary = {"dimension": report.dimension}
     else:
         if not cfg["system_terms"] or not cfg["env_terms"]:
@@ -591,8 +583,7 @@ def _cmd_dfs(cfg: dict, outdir: str) -> tuple[list[str], dict]:
             "dimension": result.dimension,
             "eigenvalues": list(result.eigenvalues),
             "certificate_defect": result.certificate_defect,
-            "basis": [np.stack([vec.amplitudes.real, vec.amplitudes.imag], -1).tolist()
-                      for vec in result.basis],
+            "basis": [matrix_to_pairs(vec.amplitudes) for vec in result.basis],
         }
         summary = {"dimension": result.dimension}
     path = os.path.join(outdir, "dfs_basis.json")

@@ -100,13 +100,15 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def is_hermitian(self, tol: float = HERM_TOL) -> bool:
-        return hermiticity_defect(self.entries) <= tol
+    def is_hermitian(self) -> bool:
+        """Hermitian within ``HERM_TOL`` (1e-10)."""
+        return hermiticity_defect(self.entries) <= HERM_TOL
 
-    def is_unitary(self, tol: float = HERM_TOL) -> bool:
+    def is_unitary(self) -> bool:
+        """Unitary within ``HERM_TOL`` (1e-10), max-abs over U^dag U - 1."""
         d = self.dim
         defect = np.abs(self.entries.conj().T @ self.entries - np.eye(d)).max()
-        return bool(defect <= tol)
+        return bool(defect <= HERM_TOL)
 
 
 @dataclass(frozen=True)

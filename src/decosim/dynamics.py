@@ -32,7 +32,6 @@ import scipy.sparse.linalg as spla
 from .core import DensityMatrix, Operator, StateVector, check_states, symmetrize
 from .errors import ConvergenceError, PhysicalityError, PositivityError
 
-DEFAULT_POSITIVITY_TOL = 1e-6
 DENSE_PROPAGATOR_MAX_DIM = 12  # dense expm(L t) measured slower than expm_multiply from d = 16
 MAX_SPARSE_NORM_TIME = 1e6  # expm_multiply: ~0.1 ms per unit of ||L||_1 t at d = 40; minutes here
 TRAJECTORY_BLOCK = 1024  # fixed reduction granularity; never tied to worker count
@@ -45,11 +44,13 @@ class LindbladSpec:
     Rates are nonnegative and carry units of inverse time; the generator is
       drho/dt = -i[H, rho] + sum_k kappa_k (L rho L^dag - {L^dag L, rho}/2),
     compiled to G = -iH - (1/2) sum_k kappa_k L^dag L with pairs (L, (kappa_k/2) L^dag).
+    Lindblad form is completely positive, hence the tight positivity tolerance.
     """
+
+    positivity_tol = 1e-6  # eigenvalue floor of the snapshots; a class constant, not a field
 
     hamiltonian: Operator
     lindblad_terms: tuple[tuple[Operator, float], ...] = ()
-    positivity_tol: float = DEFAULT_POSITIVITY_TOL
 
     def __post_init__(self):
         if not self.hamiltonian.is_hermitian():
@@ -133,7 +134,7 @@ def evolve(
 ) -> EvolutionResult:
     """Exact propagation of a compiled master-equation generator between snapshots.
 
-    ``generator`` exposes ``compiled`` = (G, pairs), ``dim`` and optionally
+    ``generator`` exposes ``compiled`` = (G, pairs), ``dim`` and
     ``positivity_tol``.  Snapshots land at every ``store_every``-th multiple
     of dt and at round(t_final / dt) dt; dt sets only this grid.  The
     snapshots are validated together by one ``check_states`` call with the
@@ -143,7 +144,7 @@ def evolve(
     n_steps = fixed_step_count(t_final, dt, store_every)
     if rho0.dim != generator.dim:
         raise ValueError("initial state dimension does not match the generator")
-    ptol = getattr(generator, "positivity_tol", DEFAULT_POSITIVITY_TOL)
+    ptol = generator.positivity_tol
     d = generator.dim
     dense = d <= DENSE_PROPAGATOR_MAX_DIM
     lv = liouvillian(generator.compiled, np.kron if dense else sp.kron)

@@ -154,6 +154,8 @@ def uniform_beam_rates(
     """
     if q_max <= 0:
         raise ValueError("q_max must be positive")
+    if not min(density, speed, cross_section) >= 0:  # also catches NaN
+        raise ValueError("need density, speed and cross-section >= 0")
     total = 4.0 * np.pi * density * speed * cross_section * q_max
     prefactor = total * q_max * q_max / 9.0
     if not (np.isfinite(total) and np.isfinite(prefactor)):

@@ -32,6 +32,7 @@ from .collisional import GridState
 
 WIGNER_NORM_TOL = 1e-6
 MIN_N_MAX = 4
+TRUNCATION_TAIL_STATES = 5
 
 
 def ladder(n_max: int) -> np.ndarray:
@@ -53,7 +54,7 @@ class CaldeiraLeggettGenerator:
     ``pure_decoherence`` drops -i gamma0 [x, {p, rho}]; what remains is a
     double-commutator dissipator (Lindblad form, tight positivity
     tolerance).  The full equation is not of Lindblad form and tolerates
-    small transient negativity, reflected in a looser default tolerance.
+    small transient negativity, reflected in a looser tolerance.
     Compiled form, with D the momentum diffusion:
       G = -iH' - D x^2 - i gamma0 x p,  one pair (x, D x - i gamma0 p);
     the pure-decoherence variant drops both gamma0 terms.
@@ -66,7 +67,6 @@ class CaldeiraLeggettGenerator:
     temperature: float
     n_max: int = 60
     pure_decoherence: bool = False
-    positivity_tol: float = field(default=0.0)  # resolved in __post_init__
     x: np.ndarray = field(init=False, repr=False)
     p: np.ndarray = field(init=False, repr=False)
     h_eff: np.ndarray = field(init=False, repr=False)
@@ -96,14 +96,15 @@ class CaldeiraLeggettGenerator:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "h_eff", h_eff)
         object.__setattr__(self, "compiled", (g, ((x, b),)))
-        if self.positivity_tol == 0.0:
-            object.__setattr__(
-                self, "positivity_tol", 1e-6 if self.pure_decoherence else 1e-3
-            )
 
     @property
     def dim(self) -> int:
         return self.n_max
+
+    @property
+    def positivity_tol(self) -> float:
+        """Eigenvalue floor of the snapshots: 1e-6 in Lindblad form, else 1e-3."""
+        return 1e-6 if self.pure_decoherence else 1e-3
 
     @property
     def diffusion(self) -> float:
@@ -125,13 +126,13 @@ def caldeira_leggett_generator(
     )
 
 
-def truncation_tail(rho: np.ndarray, n_tail: int = 5) -> float | np.ndarray:
-    """Population in the top ``n_tail`` number states; certifies basis truncation.
+def truncation_tail(rho: np.ndarray) -> float | np.ndarray:
+    """Population in the top ``TRUNCATION_TAIL_STATES`` (5) number states; certifies truncation.
 
     A float for one matrix, an array of one value per matrix for a (T, d, d) stack.
     """
     diag = np.real(np.diagonal(np.asarray(rho), axis1=-2, axis2=-1))
-    tail = diag[..., -n_tail:].sum(axis=-1)
+    tail = diag[..., -TRUNCATION_TAIL_STATES:].sum(axis=-1)
     return float(tail) if tail.ndim == 0 else tail
 
 

@@ -125,15 +125,16 @@ class SpinBosonBornMarkovGenerator:
     compiled to G = -iH' - D 1 with one pair (sz, D sz + zeta sy).
     The anti-Hermitian piece balances the zeta terms so the trace is
     exactly conserved; positivity holds only approximately at weak
-    coupling, hence the loose default tolerance.
+    coupling, hence the loose positivity tolerance.
     """
+
+    positivity_tol = 1e-3  # eigenvalue floor of the snapshots; a class constant, not a field
 
     splitting: float
     tunneling: float
     dephasing: float
     renormalization: float
     decay: float
-    positivity_tol: float = 1e-3
     h_eff: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):

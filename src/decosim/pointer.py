@@ -14,9 +14,9 @@ Subspace search works by recursive eigenspace intersection: diagonalize
 the first coupling operator, compress the next one into each degenerate
 block, and repeat.  Compression can manufacture spurious eigenvectors
 when the couplings fail to commute, so every surviving branch is
-re-verified against the raw residual bound before it is reported; for
-specs with concrete environment operators the winning subspace is also
-certified dynamically under the full interaction propagator.
+re-verified against the raw residual bound before it is reported, and
+the winning subspace is certified dynamically under the full interaction
+propagator whenever the joint space is small enough to diagonalize.
 
 The sieve and the fragment-information scan both operate on exact
 reduced states, so their cost is set by the model's own evolution, not
@@ -50,11 +50,12 @@ from .dynamics import evolve
 EIGENVECTOR_RESIDUAL_TOL = 1e-9
 DEGENERACY_REL_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-10
-CERTIFICATE_TOL = 1e-8
 CERTIFICATE_DIM_CAP = 4096
 # dimensionless multiples of 1/||H_int|| probed by the dynamical certificate
 CERTIFICATE_TIMES = (0.3, 0.7, 1.1, 1.9, 2.6)
 MAX_FRAGMENT_QUBITS = 12
+COLLECTIVE_LABEL_MAX_QUBITS = 14
+COLLECTIVE_BASIS_CAP = 1 << 20  # amplitudes of an explicit collective basis, at most
 UNIFORM_GRID_TOL = 1e-12  # relative to the last grid time
 
 
@@ -67,11 +68,9 @@ def _as_array(op) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InteractionSpec:
-    """Coupling terms (S_a, E_a) plus optional self-Hamiltonians."""
+    """Coupling terms (S_a, E_a) of H_int = sum_a S_a (x) E_a."""
 
     terms: tuple[tuple[np.ndarray, np.ndarray], ...]
-    h_system: np.ndarray | None = None
-    h_env: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.terms:
@@ -90,15 +89,6 @@ class InteractionSpec:
             e_arr.setflags(write=False)
             pairs.append((s_arr, e_arr))
         object.__setattr__(self, "terms", tuple(pairs))
-        for name in ("h_system", "h_env"):
-            val = getattr(self, name)
-            if val is not None:
-                arr = _as_array(val)
-                expect = d_s if name == "h_system" else d_e
-                if arr.shape[0] != expect:
-                    raise ValueError(f"{name} has dimension {arr.shape[0]}, expected {expect}")
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
 
     @property
     def system_dim(self) -> int:
@@ -197,7 +187,6 @@ class DFSResult:
     basis: tuple[StateVector, ...]
     eigenvalues: tuple[float, ...]
     certificate_defect: float | None = None
-    drift_norm: float | None = None
 
     def __post_init__(self):
         if self.basis:
@@ -240,40 +229,33 @@ def _certificate(spec: InteractionSpec, basis: np.ndarray) -> float:
     return worst
 
 
-def dfs_find(spec: InteractionSpec, certify: bool = True) -> DFSResult:
+def dfs_find(spec: InteractionSpec) -> DFSResult:
     """Largest common eigenspace of all coupling operators.
 
     Branches tie-break lexicographically on the eigenvalue tuple.  When
-    the joint dimension is tractable and ``certify`` is set, a random
-    state of the subspace is evolved under the full coupling propagator
-    and its return fidelity is recorded as ``certificate_defect``.
+    the joint dimension is at most ``CERTIFICATE_DIM_CAP``, a random state
+    of the subspace is evolved under the full coupling propagator and its
+    worst return-fidelity defect is recorded as ``certificate_defect``;
+    above the cap it is None.
     """
     branches = _branches(spec.system_operators(), spec.system_dim)
     if not branches:
         return DFSResult(basis=(), eigenvalues=())
     values, basis = branches[0]
     defect = None
-    if certify and basis.shape[1] > 0 and spec.system_dim * spec.env_dim <= CERTIFICATE_DIM_CAP:
+    if basis.shape[1] > 0 and spec.system_dim * spec.env_dim <= CERTIFICATE_DIM_CAP:
         defect = _certificate(spec, basis)
-    drift = None
-    if spec.h_system is not None:
-        proj = basis @ basis.conj().T
-        comp = np.eye(spec.system_dim) - proj
-        drift = float(np.linalg.norm(comp @ spec.h_system @ proj))
     return DFSResult(
         basis=tuple(StateVector(col) for col in basis.T),
         eigenvalues=values,
         certificate_defect=defect,
-        drift_norm=drift,
     )
 
 
-def collective_dephasing_spec(n_qubits: int, env_op=None) -> InteractionSpec:
-    """All qubits coupled through their summed sigma_z to one environment operator."""
+def collective_dephasing_spec(n_qubits: int) -> InteractionSpec:
+    """All qubits coupled through their summed sigma_z to one environment qubit's sigma_x."""
     total = sum(embed(SIGMA_Z, i, n_qubits) for i in range(n_qubits))
-    if env_op is None:
-        env_op = SIGMA_X
-    return InteractionSpec(terms=((total, _as_array(env_op)),))
+    return InteractionSpec(terms=((total, SIGMA_X),))
 
 
 @dataclass(frozen=True)
@@ -287,7 +269,8 @@ class CollectiveDFSReport:
     stirling_bits: float  # N - log2(pi N / 2)/2
     efficiency: float  # exact_bits / N
     odd_fallback: bool
-    result: DFSResult | None  # explicit basis for small N, else None
+    labels: tuple[str, ...] | None  # basis bit strings, qubit 0 first; None above 14 qubits
+    result: DFSResult | None  # explicit basis while it has at most 2**20 amplitudes, else None
 
 
 def collective_dfs(n_qubits: int) -> CollectiveDFSReport:
@@ -295,7 +278,11 @@ def collective_dfs(n_qubits: int) -> CollectiveDFSReport:
 
     Odd qubit numbers have no balanced class; the +1-magnetization class
     (the joint largest) is reported instead, flagged by ``odd_fallback``.
-    Above 14 qubits only the counting survives; no basis is materialized.
+    Up to ``COLLECTIVE_LABEL_MAX_QUBITS`` (14) qubits the basis bit strings
+    are listed in ``labels``; the basis vectors themselves are materialized
+    in ``result`` only while dimension * 2**N is at most
+    ``COLLECTIVE_BASIS_CAP`` (2**20 amplitudes, N <= 11).  Above that only
+    the counting survives.
     """
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
@@ -305,14 +292,16 @@ def collective_dfs(n_qubits: int) -> CollectiveDFSReport:
     dimension = math.comb(n_qubits, n_zeros)
     exact_bits = math.log2(dimension)
     stirling_bits = n_qubits - 0.5 * math.log2(math.pi * n_qubits / 2.0)
-    result = None
-    if n_qubits <= 14:
+    labels = result = None
+    if n_qubits <= COLLECTIVE_LABEL_MAX_QUBITS:
+        labels = tuple(
+            "".join("1" if q in ones else "0" for q in range(n_qubits))
+            for ones in combinations(range(n_qubits), n_qubits - n_zeros)
+        )
+    if dimension * 2**n_qubits <= COLLECTIVE_BASIS_CAP:
         dims = (2,) * n_qubits
-        basis = []
-        for ones in combinations(range(n_qubits), n_qubits - n_zeros):
-            index = sum(1 << (n_qubits - 1 - q) for q in ones)
-            basis.append(basis_state(2**n_qubits, index, dims=dims))
-        result = DFSResult(basis=tuple(basis), eigenvalues=(float(magnetization),))
+        basis = tuple(basis_state(2**n_qubits, int(label, 2), dims=dims) for label in labels)
+        result = DFSResult(basis=basis, eigenvalues=(float(magnetization),))
     return CollectiveDFSReport(
         n_qubits=n_qubits,
         magnetization=magnetization,
@@ -321,6 +310,7 @@ def collective_dfs(n_qubits: int) -> CollectiveDFSReport:
         stirling_bits=stirling_bits,
         efficiency=exact_bits / n_qubits,
         odd_fallback=odd,
+        labels=labels,
         result=result,
     )
 

@@ -39,6 +39,7 @@ from .errors import PhysicalityError
 RECONSTRUCTION_TOL = 1e-10
 PROBABILITY_SUM_TOL = 1e-10
 BRANCH_PRUNE_TOL = 1e-14
+N_DATA_QUBITS = 3
 
 
 # syndrome (check01, check12) -> qubit to flip back, None for clean
@@ -130,15 +131,14 @@ class ErrorModel:
     flip_probability: float = 0.0
     entangled_qubits: int = 0
     angle: float = 0.0
-    n_qubits: int = 3
 
     def __post_init__(self):
         if self.kind == "independent-phase-flip":
             if not 0.0 <= self.flip_probability <= 1.0:
                 raise ValueError("flip probability must lie in [0, 1]")
         elif self.kind == "partial-decoherence":
-            if not 0 <= self.entangled_qubits <= self.n_qubits:
-                raise ValueError("entangled qubit count must lie in [0, n_qubits]")
+            if not 0 <= self.entangled_qubits <= N_DATA_QUBITS:
+                raise ValueError(f"entangled qubit count must lie in [0, {N_DATA_QUBITS}]")
         else:
             raise ValueError(f"unknown error model kind {self.kind!r}")
 
@@ -169,14 +169,14 @@ def apply_errors(
     qubit, so its record is just the parameters.
     """
     dims = state.dims
-    if len(dims) < model.n_qubits:
+    if len(dims) < N_DATA_QUBITS:
         raise ValueError("state has fewer tensor factors than the error model expects")
     amps = state.amplitudes.copy()
     if model.kind == "independent-phase-flip":
         if rng is None:
             raise ValueError("independent flips need an rng")
         flipped = tuple(
-            q for q in range(model.n_qubits) if rng.random() < model.flip_probability
+            q for q in range(N_DATA_QUBITS) if rng.random() < model.flip_probability
         )
         for q in flipped:
             amps = _apply_single(amps, dims, SIGMA_Z, q)

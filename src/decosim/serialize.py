@@ -101,11 +101,9 @@ def write_json(path: str, payload) -> None:
 def matrix_to_pairs(matrix: np.ndarray) -> list:
     """Row-major nested lists of [re, im] pairs."""
     arr = np.asarray(matrix, dtype=complex)
-    if arr.ndim == 1:
-        return [[float(v.real), float(v.imag)] for v in arr]
-    if arr.ndim == 2:
-        return [[[float(v.real), float(v.imag)] for v in row] for row in arr]
-    raise ValueError("only vectors and matrices are serialized")
+    if arr.ndim not in (1, 2):
+        raise ValueError("only vectors and matrices are serialized")
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def pairs_to_array(data) -> np.ndarray:

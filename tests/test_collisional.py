@@ -224,3 +224,9 @@ def test_uniform_beam_regimes_match_localization_rate():
         _uniform_curve(separations, "sideways")
     with pytest.raises(ValueError):
         uniform_beam_rates(RHO0, SPEED, F2, 0.0)
+    for bad in ((-1.0, 1.0, 1.0), (1.0, -2.0, 1.0), (1.0, 1.0, -0.1),
+                (np.nan, 1.0, 1.0), (1.0, np.nan, 1.0), (1.0, 1.0, np.nan)):
+        with pytest.raises(ValueError):
+            uniform_beam_rates(*bad, 1.0)
+        with pytest.raises(ValueError):
+            uniform_beam_localization_rates(*bad, 1.0, [0.5, 5.0])

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -104,8 +106,26 @@ def test_collective_dfs_large_count_keeps_only_numbers():
         20 - 0.5 * np.log2(np.pi * 10.0), rel=1e-12
     )
     assert 0.8 < report.efficiency < 0.9
+    assert report.labels is None
     with pytest.raises(ValueError):
         collective_dfs(0)
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 11])
+def test_collective_dfs_labels_name_the_basis_vectors(n):
+    report = collective_dfs(n)
+    assert report.labels == tuple(_bit_label(v, n) for v in report.result.basis)
+
+
+def test_collective_dfs_fourteen_qubits_lists_labels_without_vectors():
+    start = time.perf_counter()
+    report = collective_dfs(14)
+    elapsed = time.perf_counter() - start
+    assert report.result is None
+    assert report.dimension == 3432
+    assert len(set(report.labels)) == 3432
+    assert all(len(label) == 14 and label.count("1") == 7 for label in report.labels)
+    assert elapsed < 1.0
 
 
 def test_sieve_prefers_coupling_eigenstates():
