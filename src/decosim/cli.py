@@ -77,6 +77,7 @@ from .qec import logical_error_rate
 from .serialize import (
     matrix_to_pairs,
     pairs_to_array,
+    render_cells,
     render_rows,
     write_coordinate_matrix,
     write_csv,
@@ -391,9 +392,8 @@ def _cmd_qbm(cfg: dict, outdir: str) -> tuple[list[str], dict]:
 
 def _write_wigner(outdir: str, tag: str, grid: WignerGrid) -> list[str]:
     """(x, p, w) triples and the coordinate matrix of one grid, from one rendering of each value."""
-    xs, ps = render_rows(grid.x[:, None]), render_rows(grid.p[:, None])
-    ws = render_rows(grid.values)
-    triples = [f"{x},{p},{w}" for x, row in zip(xs, ws) for p, w in zip(ps, row.split(","))]
+    xs, ps, ws = render_cells(grid.x), render_cells(grid.p), render_cells(grid.values)
+    triples = np.column_stack([np.repeat(xs, ps.size), np.tile(ps, xs.size), ws.ravel()])
     tri_path = os.path.join(outdir, f"wigner_{tag}.csv")
     write_csv(tri_path, ["x", "p", "w"], triples)
     mat_path = os.path.join(outdir, f"wigner_{tag}_matrix.csv")

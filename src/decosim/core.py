@@ -46,9 +46,16 @@ def _check_dims(dims: Sequence[int], total: int, what: str) -> tuple[int, ...]:
     return dims
 
 
-def _frozen_array(obj, name: str, arr: np.ndarray) -> None:
+def frozen(arr: np.ndarray, source) -> np.ndarray:
+    """``arr`` made read-only; copied first when it may share memory with the caller's ``source``.
+
+    ``np.asarray`` hands back an input that already has the right dtype, so
+    freezing its result in place would freeze the caller's array too.
+    """
+    if isinstance(source, np.ndarray) and np.may_share_memory(arr, source):
+        arr = arr.copy()
     arr.setflags(write=False)
-    object.__setattr__(obj, name, arr)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,7 @@ class StateVector:
         norm = float(np.linalg.norm(amp))
         if abs(norm - 1.0) > NORM_TOL:
             raise PhysicalityError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
-        _frozen_array(self, "amplitudes", amp)
+        object.__setattr__(self, "amplitudes", frozen(amp, self.amplitudes))
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -93,7 +100,7 @@ class Operator:
             raise ValueError(f"operator must be square, got shape {ent.shape}")
         dims = self.dims if self.dims else (ent.shape[0],)
         dims = _check_dims(dims, ent.shape[0], "Operator")
-        _frozen_array(self, "entries", ent)
+        object.__setattr__(self, "entries", frozen(ent, self.entries))
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -130,8 +137,9 @@ class DensityMatrix:
             raise ValueError(f"density matrix must be square, got shape {ent.shape}")
         spectrum = check_states(ent)
         dims = _check_dims(self.dims or (ent.shape[0],), ent.shape[0], "DensityMatrix")
-        _frozen_array(self, "entries", ent)
-        _frozen_array(self, "spectrum", spectrum)
+        object.__setattr__(self, "entries", frozen(ent, self.entries))
+        spectrum.setflags(write=False)
+        object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -329,10 +337,17 @@ def identity(dim: int, dims: tuple[int, ...] = ()) -> Operator:
     return Operator(np.eye(dim, dtype=complex), dims)
 
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = {"I": np.eye(2, dtype=complex), "x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+def _constant(entries) -> np.ndarray:
+    """A module constant, read-only from import on, so no caller can change it."""
+    arr = np.array(entries, dtype=complex)
+    arr.setflags(write=False)
+    return arr
+
+
+SIGMA_X = _constant([[0, 1], [1, 0]])
+SIGMA_Y = _constant([[0, -1j], [1j, 0]])
+SIGMA_Z = _constant([[1, 0], [0, -1]])
+PAULIS = {"I": _constant(np.eye(2)), "x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 KET_0 = basis_state(2, 0)
 KET_1 = basis_state(2, 1)

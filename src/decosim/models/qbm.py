@@ -20,6 +20,7 @@ for grid and number-basis states.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -137,7 +138,16 @@ def truncation_tail(rho: np.ndarray) -> float | np.ndarray:
 
 
 def coherent_state(alpha: complex, n_max: int) -> StateVector:
-    """Truncated coherent state; renormalized, so keep |alpha|^2 well under n_max."""
+    """Truncated coherent state; renormalized, so keep |alpha|^2 well under n_max.
+
+    A mean number |alpha|^2 of n_max or more does not fit the truncation
+    at all and raises ValueError.
+    """
+    if not abs(alpha) < math.sqrt(n_max):  # also catches a nan alpha
+        raise ValueError(
+            f"|alpha| = {abs(alpha)!r} must stay below sqrt(n_max) = {math.sqrt(n_max)!r}: "
+            "the truncation cannot hold a mean number |alpha|^2 >= n_max"
+        )
     if alpha == 0:  # the vacuum; log 0 would make the n = 0 term 0 * (-inf)
         return basis_state(n_max, 0)
     n = np.arange(n_max)
@@ -329,10 +339,16 @@ def wigner_from_fock(
     x = np.asarray(positions, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError(f"need a 1-d position grid with at least 2 points, got shape {x.shape}")
+    spacing = x[1] - x[0]
+    if not spacing > 0:
+        raise ValueError(f"the position grid must increase, got spacing {float(spacing)!r}")
     scale = np.sqrt(mass * frequency)
+    xi_max = float(np.abs(x).max()) * float(scale)  # Python floats overflow to inf quietly
+    if not math.isfinite(xi_max * xi_max):
+        raise ValueError(f"the position grid reaches |x| sqrt(M w) = {xi_max!r}, whose square "
+                         "overflows a double in the oscillator functions")
     phi = hermite_functions(n_max, scale * x) * np.sqrt(scale)
     rho_x = phi.T @ rho @ np.conj(phi)
-    spacing = x[1] - x[0]
     trace = float(np.real(np.trace(rho_x)) * spacing)
     if abs(trace - 1.0) > 1e-6:
         raise GridResolutionError(

@@ -41,6 +41,7 @@ from .core import (
     check_states,
     embed,
     entropy,
+    frozen,
     partial_trace_keep_state,
     purity,
     spectral_entropy,
@@ -85,9 +86,7 @@ class InteractionSpec:
                 raise ValueError(f"term {k}: system operator dimension differs")
             if e_arr.shape[0] != d_e:
                 raise ValueError(f"term {k}: environment operator dimension differs")
-            s_arr.setflags(write=False)
-            e_arr.setflags(write=False)
-            pairs.append((s_arr, e_arr))
+            pairs.append((frozen(s_arr, s_op), frozen(e_arr, e_op)))
         object.__setattr__(self, "terms", tuple(pairs))
 
     @property

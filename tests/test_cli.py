@@ -12,8 +12,10 @@ from decosim.models import (
     coherent_state,
     localization_rate,
     truncation_tail,
+    wigner_from_fock,
 )
 from decosim.models.estimates import ENVIRONMENTS, OBJECTS
+from decosim.serialize import format_value
 
 
 def _read_csv(path):
@@ -270,6 +272,23 @@ def test_wigner_triples_and_matrix_hold_the_same_cells(tmp_path):
     for name in ("qbm.csv", "wigner_initial.csv", "wigner_final.csv",
                  "wigner_initial_matrix.csv", "wigner_final_matrix.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_wigner_files_match_per_cell_rendering_byte_for_byte(tmp_path):
+    assert main(_QBM_WIGNER_FLAGS + ["--output", str(tmp_path)]) == 0
+    gen = caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=20)
+    psi = cat_state(1.0, 20).amplitudes
+    res = evolve(gen, DensityMatrix(np.outer(psi, psi.conj())), 0.01, 0.001, 5)
+    positions = np.linspace(-6.0, 6.0, 61)
+    for tag, state in (("initial", res.states[0]), ("final", res.states[-1])):
+        grid = wigner_from_fock(state, 1.0, 1.0, positions)
+        x, p = ([format_value(v) for v in axis.tolist()] for axis in (grid.x, grid.p))
+        w = [[format_value(v) for v in row] for row in grid.values.tolist()]
+        triples = ["x,p,w"] + [f"{xc},{pc},{wc}" for xc, row in zip(x, w)
+                               for pc, wc in zip(p, row)]
+        matrix = [",".join(["row\\col", *p])] + [",".join([xc, *row]) for xc, row in zip(x, w)]
+        for name, lines in ((f"wigner_{tag}.csv", triples), (f"wigner_{tag}_matrix.csv", matrix)):
+            assert (tmp_path / name).read_bytes() == "\n".join([*lines, ""]).encode(), name
 
 
 def test_spinboson_exact_and_weak_coupling_columns(tmp_path):
@@ -530,6 +549,9 @@ _SPINBOSON = ["spinboson", "--gamma0", "0.02", "--cutoff", "8", "--temperature",
 _EXIT_2_CASES = {
     "qbm-n-x-0": _QBM_FLAGS + ["--wigner", "--n-x", "0"],
     "qbm-n-x-1": _QBM_FLAGS + ["--wigner", "--n-x", "1"],
+    "qbm-alpha-overflows": _QBM_FLAGS + ["--alpha", "1e200"],
+    "qbm-x-max-overflows": _QBM_FLAGS + ["--wigner", "--x-max", "1e300"],
+    "qbm-x-max-negative": _QBM_FLAGS + ["--wigner", "--x-max", "-5"],
     "spinspin-n-times-0": ["spinspin", "--n-env", "2", "--t-max", "1", "--n-times", "0"],
     "qec-n-shots-0": ["qec", "--n-shots", "0"],
     "qec-n-shots-negative": ["qec", "--n-shots", "-5"],

@@ -22,7 +22,8 @@ from decosim import (
     sigma,
     tensor,
 )
-from decosim.core import check_states, spectral_entropy
+from decosim.core import PAULIS, check_states, spectral_entropy
+from decosim.pointer import InteractionSpec, collective_dephasing_spec
 from decosim.errors import PhysicalityError
 
 from conftest import random_density, random_pure, random_unitary
@@ -144,6 +145,36 @@ def test_arrays_are_frozen():
     rho = DensityMatrix(np.eye(2) / 2)
     with pytest.raises(ValueError):
         rho.entries[0, 0] = 9.0
+
+
+def test_containers_freeze_a_private_copy_not_the_callers_array():
+    caller = {
+        "operator": np.eye(2, dtype=complex),
+        "density": np.eye(2, dtype=complex) / 2,
+        "state": np.array([1.0, 0.0], dtype=complex),
+        "system": np.diag([1.0, -1.0]).astype(complex),
+        "environment": np.array([[0, 1], [1, 0]], dtype=complex),
+    }
+    built = {
+        "operator": Operator(caller["operator"]).entries,
+        "density": DensityMatrix(caller["density"]).entries,
+        "state": StateVector(caller["state"]).amplitudes,
+    }
+    built["system"], built["environment"] = InteractionSpec(
+        ((caller["system"], caller["environment"]),)).terms[0]
+    for name, arr in caller.items():
+        assert arr.flags.writeable, name
+        before = built[name].copy()
+        arr *= 3.0  # the caller may go on using its array
+        assert np.array_equal(built[name], before), name
+        assert not built[name].flags.writeable, name
+
+
+def test_operator_constants_are_read_only_from_import():
+    states = [m.flags.writeable for m in PAULIS.values()]
+    collective_dephasing_spec(2)
+    Operator(PAULIS["x"])
+    assert states == [m.flags.writeable for m in PAULIS.values()] == [False] * 4
 
 
 def test_operator_hermitian_and_unitary_flags(rng):

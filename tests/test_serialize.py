@@ -1,4 +1,6 @@
 import os
+import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from decosim.serialize import (
     format_value,
     matrix_to_pairs,
     pairs_to_array,
+    render_cells,
     render_rows,
     write_coordinate_matrix,
     write_csv,
@@ -54,6 +57,78 @@ def test_render_rows_matches_format_value_byte_for_byte(tmp_path):
     assert open(path).read().splitlines() == ["a,b", *lines]
     with pytest.raises(ValueError):
         render_rows(values)
+
+
+def _assert_cells_match_format_value(values) -> None:
+    values = np.asarray(values, dtype=float)
+    cells = render_cells(values)
+    assert cells.shape == values.shape and cells.dtype == np.dtype("S24")
+    expected = [format_value(v).encode() for v in values.ravel().tolist()]
+    mismatches = [(v, c, e) for v, c, e in zip(values.ravel().tolist(), cells.ravel().tolist(),
+                                               expected) if c != e]
+    assert mismatches == []
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=40))
+def test_render_cells_matches_format_value_on_any_float(values):
+    _assert_cells_match_format_value(values)
+
+
+def test_render_cells_matches_format_value_on_raw_bit_patterns():
+    bits = np.random.default_rng(12).integers(0, 2**64, size=100_000, dtype=np.uint64)
+    _assert_cells_match_format_value(bits.view(np.float64).reshape(-1, 4))
+
+
+def _exact_ties() -> list[float]:
+    """Doubles whose exact decimal value has 18 significant digits, the last a 5."""
+    ties = []
+    for exponent in range(-70, 0):
+        for odd in range(1, 400, 2):
+            value = odd * 2.0**exponent
+            digits = Decimal(value).as_tuple().digits
+            if len(digits) == 18 and digits[-1] == 5:
+                ties.append(value)
+    return ties
+
+
+def test_render_cells_edge_values():
+    ties = _exact_ties()
+    assert 2.0**-25 in ties and len(ties) > 20
+    dbl_max, tiny = sys.float_info.max, 5e-324
+    near = [np.nextafter(edge, toward) for edge in (1e16, 1e17) for toward in (0.0, np.inf)]
+    edges = [0.0, -0.0, dbl_max, -dbl_max, tiny, -tiny, sys.float_info.min,
+             2.0**-25, 3 * 2.0**-26, 9.9999999999999998e16, 1e16, 1e17, *near,
+             *(10.0**k for k in range(-310, 309))]
+    values = np.array(edges + ties)
+    _assert_cells_match_format_value(np.concatenate([values, -values]))
+    assert render_cells(9.9999999999999998e16).tolist() == b"1.0000000000000000e+17"
+
+
+def test_cell_arrays_write_the_same_bytes_as_floats(tmp_path):
+    table = _awkward_doubles()[: 3 * 50].reshape(-1, 3)
+    paths = [str(tmp_path / name) for name in ("floats.csv", "cells.csv")]
+    for path, rows in zip(paths, (table, render_cells(table))):
+        write_csv(path, ["x", "p", "w"], rows)
+    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    x, p = table[:, 0], table[:5, 1]
+    values = _awkward_doubles()[: 50 * 5].reshape(50, 5)
+    for path, args in zip(paths, ((x, p, values), tuple(map(render_cells, (x, p, values))))):
+        write_coordinate_matrix(path, *args)
+    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    with pytest.raises(ValueError, match="header has 3"):
+        write_csv(paths[0], ["x", "p", "w"], render_cells(table[:, :2]))
+
+
+def test_tables_longer_and_wider_than_one_assembly_block(tmp_path):
+    rng = np.random.default_rng(5)
+    for shape in [(7001, 3), (3, 20_000)]:
+        table = rng.normal(size=shape) * 10.0 ** rng.integers(-120, 120, size=shape)
+        path = str(tmp_path / "t.csv")
+        write_csv(path, [f"c{j}" for j in range(shape[1])], table)
+        lines = [",".join(format_value(v) for v in row) for row in table.tolist()]
+        assert open(path).read().splitlines()[1:] == lines
+        assert render_rows(table) == lines
 
 
 def test_write_csv_table_forms_give_the_same_bytes(tmp_path):
