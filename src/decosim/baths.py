@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.integrate import quad, simpson
 
 from .errors import ConvergenceError
 
@@ -164,6 +163,8 @@ def bath_kernels(
     Raises ConvergenceError when the thermally weighted integrand has not
     decayed at the top of the frequency window (no-cutoff divergence).
     """
+    from scipy.integrate import simpson  # only simpson: ``quad`` names the config here
+
     quad = quad or QuadratureConfig()
     tau = np.asarray(tau_grid, dtype=float)
     w_max = quad.omega_max if quad.omega_max is not None else density.default_omega_max()
@@ -223,6 +224,8 @@ def _principal_value(density: SpectralDensity, numerator, frequency: float) -> f
     is smooth apart from a simple pole at w = W, which a Cauchy-weight
     quadrature handles to near machine precision.
     """
+    from scipy.integrate import quad
+
     w0 = float(frequency)
 
     def regular(w):

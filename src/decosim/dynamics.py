@@ -9,7 +9,9 @@ G = -i H_eff and pairs a tuple of (A, B) matrices, so that
 ``evolve`` turns that form into the Liouvillian L once and propagates
 each snapshot interval exactly, rho(t + Delta) = exp(L Delta) rho(t),
 then symmetrizes the snapshots and validates them in one ``check_states``
-call on their (T, d, d) stack, which also gives their spectra.
+call on their (T, d, d) stack, which also gives their spectra.  It
+imports ``scipy.linalg`` (dense expm) or ``scipy.sparse`` (expm_multiply)
+on the branch that uses it, so importing this module loads no SciPy.
 ``unravel`` propagates pure-state diffusive trajectories whose ensemble
 mean converges to the same master equation; trajectory randomness is
 keyed by (master_seed, trajectory_index) with a counter-based bit
@@ -25,9 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .core import DensityMatrix, Operator, StateVector, check_states, symmetrize
 from .errors import ConvergenceError, PhysicalityError, PositivityError
@@ -110,12 +109,12 @@ def _rk4_step(rhs, rho: np.ndarray, dt: float) -> np.ndarray:
     return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def liouvillian(compiled, kron=sp.kron):
+def liouvillian(compiled, kron):
     """L with vec(drho/dt) = L vec(rho), vec the row-major flattening.
 
     vec(A X B) = (A kron B^T) vec(X), so for ``compiled`` = (G, pairs)
     L = G kron 1 + 1 kron conj(G) + sum (A kron B^T + B^dag kron conj(A)),
-    sparse with the default ``kron`` and a dense array with ``np.kron``.
+    a dense array with ``kron=np.kron`` and sparse with ``scipy.sparse.kron``.
     """
     g, pairs = compiled
     one = np.eye(g.shape[0])
@@ -147,10 +146,18 @@ def evolve(
     ptol = generator.positivity_tol
     d = generator.dim
     dense = d <= DENSE_PROPAGATOR_MAX_DIM
-    lv = liouvillian(generator.compiled, np.kron if dense else sp.kron)
-    norm_time = 0.0 if dense else spla.norm(lv, 1) * n_steps * dt
-    if not norm_time <= MAX_SPARSE_NORM_TIME:  # also catches an overflowed, NaN norm
-        raise ConvergenceError(f"||L||_1 t = {norm_time:.3g} is too stiff to propagate")
+    if dense:
+        import scipy.linalg
+
+        lv = liouvillian(generator.compiled, np.kron)
+    else:
+        import scipy.sparse
+        import scipy.sparse.linalg as spla
+
+        lv = liouvillian(generator.compiled, scipy.sparse.kron)
+        norm_time = spla.norm(lv, 1) * n_steps * dt
+        if not norm_time <= MAX_SPARSE_NORM_TIME:  # also catches an overflowed, NaN norm
+            raise ConvergenceError(f"||L||_1 t = {norm_time:.3g} is too stiff to propagate")
     vec = symmetrize(rho0.entries).reshape(-1)
     n_uniform, rest = divmod(n_steps, store_every)
     vecs = []

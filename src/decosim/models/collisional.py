@@ -25,10 +25,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import sici
 
-from ..core import hermiticity_defect
+from ..core import frozen, hermiticity_defect
 from ..errors import PhysicalityError
 
 GRID_TRACE_TOL = 1e-8
@@ -63,6 +61,8 @@ class ScatteringModel:
 
 def total_scattering_rate(model: ScatteringModel) -> float:
     """Gamma_tot = int dq rho(q) v(q) sigma_tot(q) with sigma_tot = 4 pi |f|^2."""
+    from scipy.integrate import quad
+
     value, _ = quad(
         lambda q: model.density_of_momenta(q) * model.speed(q) * 4.0 * np.pi * model.cross_section(q),
         0.0,
@@ -74,6 +74,8 @@ def total_scattering_rate(model: ScatteringModel) -> float:
 
 def localization_prefactor(model: ScatteringModel) -> float:
     """Lambda = (4 pi / 3) int dq rho(q) v(q) q^2 |f(q)|^2, the small-separation curvature."""
+    from scipy.integrate import quad
+
     value, _ = quad(
         lambda q: model.density_of_momenta(q)
         * model.speed(q)
@@ -112,6 +114,8 @@ def localization_rate(model: ScatteringModel, separation: float) -> float:
         return total_scattering_rate(model)
     if model.regime == "long-wavelength":
         return localization_prefactor(model) * dx**2
+
+    from scipy.integrate import quad
 
     def integrand(q: float) -> float:
         return (
@@ -169,6 +173,8 @@ def _saturation_fraction(u: np.ndarray) -> np.ndarray:
     Rises from 0 like U^2 / 9 to 1; below ``SERIES_BELOW`` the series
     U^2/9 - 2U^4/225 + U^6/2205 replaces the cancelling closed form.
     """
+    from scipy.special import sici
+
     small = u < SERIES_BELOW
     big = np.where(small, 1.0, u)
     si, _ = sici(2.0 * big)
@@ -229,10 +235,8 @@ class GridState:
         trace = float(np.real(np.sum(np.diag(rho))) * steps.mean())
         if abs(trace - 1.0) > GRID_TRACE_TOL:
             raise PhysicalityError(f"grid trace {trace!r} deviates from 1 beyond {GRID_TRACE_TOL}")
-        x.setflags(write=False)
-        rho.setflags(write=False)
-        object.__setattr__(self, "positions", x)
-        object.__setattr__(self, "matrix", rho)
+        object.__setattr__(self, "positions", frozen(x, self.positions))
+        object.__setattr__(self, "matrix", frozen(rho, self.matrix))
 
     @property
     def spacing(self) -> float:

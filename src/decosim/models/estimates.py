@@ -8,16 +8,23 @@ scenarios.  Scattering constants for the scenario table are config
 inputs: the published order-of-magnitude times are carried along for
 display next to the computed values, never as the source of the
 constants.
+
+The physical constants are the exact SI definitions (the 2019 SI fixes
+h and k_B), not ``scipy.constants``: the same doubles, without SciPy's
+import cost in a short-lived process.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.constants import hbar, k as k_boltzmann
 
 from ..errors import ConfigError
+
+hbar = 6.62607015e-34 / (2.0 * math.pi)  # J s, from the exact Planck constant h
+k_boltzmann = 1.380649e-23  # J / K, exact
 
 ENVIRONMENTS = (
     "cosmic background radiation",
@@ -55,10 +62,16 @@ class TimescaleReport:
 
 
 def thermal_de_broglie_wavelength(mass: float, temperature: float) -> float:
-    """hbar / sqrt(2 m k_B T), all SI."""
+    """hbar / sqrt(2 m k_B T), all SI; ValueError when it is not a positive finite double."""
     if mass <= 0 or temperature <= 0:
         raise ValueError("mass and temperature must be positive")
-    return hbar / np.sqrt(2.0 * mass * k_boltzmann * temperature)
+    with np.errstate(over="ignore", divide="ignore"):
+        lam = hbar / np.sqrt(2.0 * mass * k_boltzmann * temperature)
+    if not 0.0 < lam < np.inf:
+        raise ValueError(
+            f"thermal wavelength for mass {mass} kg at {temperature} K is outside the double range"
+        )
+    return lam
 
 
 def timescale_ratio(
@@ -73,9 +86,16 @@ def timescale_ratio(
     if separation <= 0 or relaxation_time <= 0:
         raise ValueError("separation and relaxation_time must be positive")
     lam = thermal_de_broglie_wavelength(mass, temperature)
-    ratio = (separation / lam) ** 2
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = (separation / lam) ** 2
+        tau_d = relaxation_time / ratio
+    if not (0.0 < ratio < np.inf and tau_d < np.inf):
+        raise ValueError(
+            f"timescale ratio for separation {separation} m and thermal wavelength "
+            f"{lam:.3e} m is outside the double range"
+        )
     return TimescaleReport(
-        tau_d=relaxation_time / ratio,
+        tau_d=tau_d,
         tau_r=relaxation_time,
         ratio=ratio,
         lambda_db=lam,
@@ -127,7 +147,13 @@ def table1_scenarios(
                 raise ConfigError(
                     f"{kind} must be a finite positive number for {env} / {label}, got {raw!r}"
                 )
-            tau = 1.0 / (value * dx**2) if kind == "lambda" else 1.0 / value
+            rate = value * dx**2 if kind == "lambda" else value  # lambda dx^2 may underflow to 0
+            if not (rate > 0.0 and 1.0 / rate < np.inf):
+                raise ConfigError(
+                    f"{kind} = {value!r} for {env} / {label} gives a localization time "
+                    "outside the double range"
+                )
+            tau = 1.0 / rate
             entries.append(
                 ScenarioEntry(
                     environment=env,
@@ -161,8 +187,13 @@ def visibility_vs_pressure(
     p = np.asarray(pressures, dtype=float)
     if np.any(p < 0):
         raise ValueError("pressures must be nonnegative")
-    vis = v0 * np.exp(-gamma_per_pressure * p * t_transit)
+    # an overflowed exponent is -inf (visibility 0), or NaN when t_transit is 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        vis = v0 * np.exp(-gamma_per_pressure * p * t_transit)
+    log_slope = -gamma_per_pressure * t_transit
+    if not (np.isfinite(log_slope) and np.isfinite(vis).all()):
+        raise ValueError("gamma_per_pressure * t_transit * pressure overflows a double")
     p = p.copy()
     p.setflags(write=False)
     vis.setflags(write=False)
-    return VisibilityCurve(p, vis, v0, -gamma_per_pressure * t_transit)
+    return VisibilityCurve(p, vis, v0, log_slope)

@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from ..core import StateVector, basis_state, ket, symmetrize
+from ..core import StateVector, basis_state, frozen, ket, symmetrize
 from ..dynamics import _rk4_step, compiled_rhs, fixed_step_count
 from ..errors import GridResolutionError, PhysicalityError
 from .collisional import GridState
@@ -199,8 +199,7 @@ class FreeParticleGenerator:
         rates = diffusion * (x[:, None] - x[None, :]) ** 2
         g = -1j * kinetic - 1j * self.gamma0 * (x[:, None] * p_op)
         drift = (g, ((np.diag(x).astype(complex), -1j * self.gamma0 * p_op),))
-        x.setflags(write=False)
-        object.__setattr__(self, "positions", x)
+        object.__setattr__(self, "positions", frozen(x, self.positions))
         object.__setattr__(self, "p_op", p_op)
         object.__setattr__(self, "kinetic", kinetic)
         object.__setattr__(self, "decay_rates", rates)
@@ -276,8 +275,7 @@ class WignerGrid:
                 f"Wigner normalization {total!r} deviates from 1 beyond {WIGNER_NORM_TOL}"
             )
         for name, arr in (("x", x), ("p", p), ("values", w)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen(arr, getattr(self, name)))
 
     def negativity_volume(self) -> float:
         dx = float(self.x[1] - self.x[0])

@@ -118,6 +118,12 @@ def _scaled(mag: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return whole.astype(np.int64) + t_floor.astype(np.int64), t - t_floor
 
 
+def _divmod(d: np.ndarray, unit: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.divmod(d, unit)`` for nonnegative int64 ``d``, several times faster than it."""
+    q = d // unit
+    return q, d - q * unit
+
+
 def render_cells(values) -> np.ndarray:
     """Each value of a float array as its ``format_value`` bytes, an ``S24`` array of the same shape.
 
@@ -150,12 +156,12 @@ def render_cells(values) -> np.ndarray:
     # 32 bytes a row: b"\0", sign or NUL, the lead digit and ".", 16 digits,
     # the exponent; a cell is bytes 1..24 of a negative row, 2..25 of the rest
     negative = np.signbit(flat)
-    lead, rest = np.divmod(digits, 10**16)
-    upper, lower = np.divmod(rest, 10**8)
+    lead, rest = _divmod(digits, 10**16)
+    upper, lower = _divmod(rest, 10**8)
     words = np.empty((flat.size, 8), dtype=np.uint32)
     words[:, 0] = _LEAD[lead + 10 * negative]
-    words[:, 1], words[:, 2] = (_QUADS[q] for q in np.divmod(upper, 10**4))
-    words[:, 3], words[:, 4] = (_QUADS[q] for q in np.divmod(lower, 10**4))
+    words[:, 1], words[:, 2] = (_QUADS[q] for q in _divmod(upper, 10**4))
+    words[:, 3], words[:, 4] = (_QUADS[q] for q in _divmod(lower, 10**4))
     words[:, 5:7] = _EXPONENTS[k + _EXP_OFFSET]
     words[:, 7] = 0
     # move each row down by its start byte, as little-endian 64-bit words

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,6 +431,26 @@ def test_estimate_visibility_mode(tmp_path):
     assert np.abs(v - np.exp(-p)).max() < 1e-12
 
 
+def test_import_and_estimate_load_no_scipy_subpackage(tmp_path):
+    # each subcommand runs in its own process; importing a SciPy subpackage
+    # at module level would cost every one of them about 0.25 s
+    script = (
+        "import sys\n"
+        "import decosim, decosim.cli\n"
+        "assert decosim.cli.main(['estimate', '--mass-g', '1', '--temp-K', '300',\n"
+        "                         '--dx-cm', '1', '--output', sys.argv[1]]) == 0\n"
+        "heavy = ('linalg', 'sparse', 'integrate', 'optimize', 'special', 'constants')\n"
+        "print(sorted(m for m in sys.modules if m in {'scipy.' + h for h in heavy}))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_qec_error_rate_table(tmp_path):
     rc = main(["qec", "--p-list", "[0.02, 0.05]", "--n-shots", "20000",
                "--output", str(tmp_path)])
@@ -590,6 +614,16 @@ _EXIT_2_CASES = {
     "spinspin-splitting-overflows": ["spinspin", "--couplings", "[1e308]", "--splitting", "1e308",
                                      "--t-max", "1e-6", "--n-times", "2"],
     "output-names-a-file": EVOLVE_FLAGS + ["--output", "taken"],
+    "estimate-ratio-overflows": ["estimate", "--mass-g", "1", "--temp-K", "300",
+                                 "--dx-cm", "1e300"],
+    "estimate-wavelength-underflows": ["estimate", "--mass-g", "1e300", "--temp-K", "1e300",
+                                       "--dx-cm", "1"],
+    "estimate-wavelength-overflows": ["estimate", "--mass-g", "1e-300", "--temp-K", "1e-300",
+                                      "--dx-cm", "1"],
+    "visibility-exponent-overflows": ["estimate", "--visibility", "--gamma-per-pressure", "1e308",
+                                      "--t-transit", "1e308", "--p-max", "1", "--n-p", "5"],
+    "table1-tau-overflows": ["estimate", "--table1", "--constants", json.dumps(
+        {env: {label: {"lambda": 5e-324} for label, _ in OBJECTS} for env in ENVIRONMENTS})],
 }
 
 

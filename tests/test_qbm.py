@@ -18,7 +18,13 @@ from decosim.models import (
 )
 from decosim.core import symmetrize
 from decosim.models.collisional import GridState
-from decosim.models.qbm import hermite_functions, ladder, position_momentum, wigner_transform
+from decosim.models.qbm import (
+    WignerGrid,
+    hermite_functions,
+    ladder,
+    position_momentum,
+    wigner_transform,
+)
 
 
 def test_ladder_commutator():
@@ -282,6 +288,25 @@ def test_wigner_grid_too_small_is_rejected():
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
     with pytest.raises(GridResolutionError):
         wigner_from_fock(rho, 1.0, 1.0, np.linspace(-2, 2, 41))
+
+
+def test_model_containers_freeze_a_private_copy_not_the_callers_arrays():
+    psi = coherent_state(1.0, 20).amplitudes
+    positions = np.linspace(-8.0, 8.0, 161)
+    grid = wigner_from_fock(np.outer(psi, psi.conj()), 1.0, 1.0, positions)
+    x = np.linspace(-4.0, 4.0, 16)
+    matrix = np.diag(np.full(16, 1.0 / (16 * (x[1] - x[0])))).astype(complex)
+    state = GridState(x, matrix)
+    gen = free_particle_generator(x, 1.0, 0.5, 1.0)
+    values = grid.values.copy()
+    direct = WignerGrid(grid.x.copy(), grid.p.copy(), values)
+    for caller in (positions, x, matrix, values):
+        assert caller.flags.writeable
+    for built in (grid.x, grid.p, grid.values, state.positions, state.matrix, gen.positions,
+                  direct.values):
+        assert not built.flags.writeable
+    values *= 3.0  # the caller may go on using its array
+    assert np.array_equal(direct.values, grid.values)
 
 
 @pytest.mark.parametrize("params", [
