@@ -65,7 +65,7 @@ def main() -> None:
         )
 
     path = os.path.join(args.output, "cat_lifetimes.csv")
-    write_csv(path, ["alpha", "separation", "measured_rate", "asymptotic_rate"], rows)
+    write_csv(path, ["alpha", "separation", "measured_rate", "asymptotic_rate"], np.array(rows))
     print("the gap to the point-particle asymptote shrinks roughly as 1/alpha^2")
     print(f"wrote {path}")
 

@@ -22,7 +22,7 @@ from decosim import (
     evolve,
     unravel,
 )
-from decosim.serialize import write_csv
+from decosim.serialize import render_cells, write_csv
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -44,8 +44,8 @@ def main() -> None:
     reference = evolve(spec, rho0, 1.0, dt=1.0).states[-1]
 
     sizes = (100, 1000, 10000)
-    rows = []
     means = []
+    spreads = []
     for i, n in enumerate(sizes):
         distances = []
         for r in range(args.reps):
@@ -59,14 +59,17 @@ def main() -> None:
             distances.append(trace_distance(out.ensemble[-1], reference))
         mean = float(np.mean(distances))
         means.append(mean)
-        rows.append([n, mean, float(np.std(distances)), args.reps])
+        spreads.append(float(np.std(distances)))
         print(f"n = {n:6d}: mean distance {mean:.5f} (spread {np.std(distances):.5f})")
 
     slope = float(np.polyfit(np.log10(sizes), np.log10(means), 1)[0])
     print(f"fitted scaling exponent {slope:.3f} (expected -0.5)")
 
     path = os.path.join(args.output, "scaling.csv")
-    write_csv(path, ["n_trajectories", "mean_distance", "spread", "reps"], rows)
+    counts = np.array([[str(n), str(args.reps)] for n in sizes], dtype=bytes)
+    table = np.column_stack([counts[:, 0], render_cells(np.column_stack([means, spreads])),
+                             counts[:, 1]])
+    write_csv(path, ["n_trajectories", "mean_distance", "spread", "reps"], table)
     print(f"wrote {path}")
 
 

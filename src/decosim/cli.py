@@ -11,9 +11,10 @@ Exit codes: 0 success, 2 config error, 3 numerical contract violation.
 ``main`` is the only place that maps exceptions to them, each reported
 as one stderr line: ConvergenceError (positivity abort, non-convergent
 quadrature), PhysicalityError, GridResolutionError and numpy's
-LinAlgError exit 3; any other ValueError exits 2.  That covers a
-ConfigError from the parsing here and every library constructor or
-solver that rejects a parameter, so handlers call the library without
+LinAlgError exit 3; any other ValueError exits 2, and so does a
+MemoryError, since a grid too large for memory is a config choice.  That
+covers a ConfigError from the parsing here and every library constructor
+or solver that rejects a parameter, so handlers call the library without
 wrapping it and the CLI adds only checks the library cannot make: JSON
 shapes, cross-field rules, and finite floats for every float field.
 """
@@ -78,7 +79,6 @@ from .serialize import (
     matrix_to_pairs,
     pairs_to_array,
     render_cells,
-    render_rows,
     write_coordinate_matrix,
     write_csv,
     write_json,
@@ -447,7 +447,7 @@ def _cmd_spinboson(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     return [path], summary
 
 
-SPINSPIN_SCHEMA = (
+_SPIN_BATH_FIELDS = (
     Field("couplings", "json", "list of coupling strengths (overrides n_env)"),
     Field("n_env", "int", "number of environment qubits to draw"),
     Field("coupling_seed", "int", "seed for drawn couplings", default=7),
@@ -455,6 +455,9 @@ SPINSPIN_SCHEMA = (
     Field("coupling_high", "float", "upper bound of drawn couplings", default=1.0),
     Field("splitting", "float", "system level splitting", default=0.0),
     Field("tunneling", "float", "system tunneling element", default=0.0),
+)
+
+SPINSPIN_SCHEMA = _SPIN_BATH_FIELDS + (
     Field("psi0", "json", "initial system state", default="plus"),
     Field("t_max", "float", "last grid time", required=True),
     Field("n_times", "int", "time-grid points", default=201),
@@ -499,13 +502,7 @@ SIEVE_SCHEMA = (
     Field("scenario", "str", "model family", required=True,
           choices=("dephasing-qubit", "spin-spin")),
     Field("kappa", "float", "dephasing rate (dephasing-qubit)", default=1.0),
-    Field("couplings", "json", "spin-spin couplings"),
-    Field("n_env", "int", "spin-spin environment size"),
-    Field("coupling_seed", "int", "seed for drawn couplings", default=7),
-    Field("coupling_low", "float", "lower bound of drawn couplings", default=0.25),
-    Field("coupling_high", "float", "upper bound of drawn couplings", default=1.0),
-    Field("splitting", "float", "spin-spin level splitting", default=0.0),
-    Field("tunneling", "float", "spin-spin tunneling element", default=0.0),
+) + _SPIN_BATH_FIELDS + (
     Field("t_final", "float", "ranking horizon", required=True),
     Field("n_times", "int", "time-grid points", default=41),
     Field("measure", "str", "ranking measure", default="purity",
@@ -530,10 +527,14 @@ def _cmd_sieve(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     report = predictability_sieve(
         generator, candidates, times, measure=cfg["measure"], labels=labels
     )
-    rows = [f"{cand.label},{line}" for cand in report.candidates
-            for line in render_rows(np.column_stack([times, cand.purity, cand.entropy]))]
+    cands = report.candidates
+    values = np.column_stack([np.tile(times, len(cands)),
+                              np.concatenate([c.purity for c in cands]),
+                              np.concatenate([c.entropy for c in cands])])
+    label_cells = np.repeat(np.array([c.label for c in cands], dtype=bytes), times.size)
     path = os.path.join(outdir, "sieve.csv")
-    write_csv(path, ["label", "t", "purity", "entropy"], rows)
+    write_csv(path, ["label", "t", "purity", "entropy"],
+              np.column_stack([label_cells, render_cells(values)]))
     print("ranking (most predictable first): " + ", ".join(report.ranking))
     return [path], {"ranking": list(report.ranking)}
 
@@ -605,11 +606,13 @@ def _cmd_qec(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     except (TypeError, ValueError):
         raise ConfigError("p_list must be a list of numbers") from None
     rows = logical_error_rate(p_values, n_shots=cfg["n_shots"], seed=cfg["seed"])
+    rates = np.array([[r.flip_probability, r.uncorrected_rate, r.corrected_rate] for r in rows])
+    shots = np.array([str(r.n_shots) for r in rows], dtype=bytes)
     path = os.path.join(outdir, "qec.csv")
     write_csv(
         path,
         ["p", "logical_error_rate_uncorrected", "logical_error_rate_corrected", "n_shots"],
-        [[r.flip_probability, r.uncorrected_rate, r.corrected_rate, r.n_shots] for r in rows],
+        np.column_stack([render_cells(rates.reshape(-1, 3)), shots]),
     )
     return [path], {}
 
@@ -644,11 +647,8 @@ def _cmd_estimate(cfg: dict, outdir: str) -> tuple[list[str], dict]:
             f"(thermal wavelength {report.lambda_db:.3e} m)"
         )
         path = os.path.join(outdir, "estimate.csv")
-        write_csv(
-            path,
-            ["mass_g", "temp_K", "dx_cm", "lambda_db_m", "ratio"],
-            [[cfg["mass_g"], cfg["temp_K"], cfg["dx_cm"], report.lambda_db, report.ratio]],
-        )
+        values = [cfg["mass_g"], cfg["temp_K"], cfg["dx_cm"], report.lambda_db, report.ratio]
+        write_csv(path, ["mass_g", "temp_K", "dx_cm", "lambda_db_m", "ratio"], np.array([values]))
         outputs.append(path)
         summary["ratio"] = report.ratio
         ran = True
@@ -656,13 +656,16 @@ def _cmd_estimate(cfg: dict, outdir: str) -> tuple[list[str], dict]:
         if not cfg["constants"]:
             raise ConfigError("table mode needs 'constants'")
         entries = table1_scenarios(cfg["constants"])
+        text = np.array([[e.environment, e.object_label, e.constant_kind] for e in entries],
+                        dtype=bytes)
+        numbers = render_cells(np.array([[e.separation, e.constant_value, e.tau_computed,
+                                          e.tau_reference] for e in entries]))
         path = os.path.join(outdir, "estimate_table.csv")
         write_csv(
             path,
             ["environment", "object", "separation_m", "constant_kind", "constant_value",
              "tau_computed_s", "tau_reference_s"],
-            [[e.environment, e.object_label, e.separation, e.constant_kind,
-              e.constant_value, e.tau_computed, e.tau_reference] for e in entries],
+            np.column_stack([text[:, :2], numbers[:, :1], text[:, 2:], numbers[:, 1:]]),
         )
         outputs.append(path)
         ran = True
@@ -782,6 +785,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:  # ConfigError and every library parameter check
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("config error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     seed = next(
         (cfg[k] for k in ("seed", "master_seed", "coupling_seed") if k in cfg), None

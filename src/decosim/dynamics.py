@@ -145,6 +145,14 @@ def evolve(
         raise ValueError("initial state dimension does not match the generator")
     ptol = generator.positivity_tol
     d = generator.dim
+    n_uniform, rest = divmod(n_steps, store_every)
+    n_snapshots = 1 + n_uniform + int(rest > 0)
+    try:
+        states = np.empty((n_snapshots, d, d), dtype=complex)
+    except (MemoryError, ValueError):  # too large to allocate, or to address at all
+        raise ValueError(f"{n_snapshots:.3g} snapshots of a {d}x{d} state do not fit "
+                         "in memory; raise dt or store_every") from None
+    states[0] = rho0.entries
     dense = d <= DENSE_PROPAGATOR_MAX_DIM
     if dense:
         import scipy.linalg
@@ -159,20 +167,21 @@ def evolve(
         if not norm_time <= MAX_SPARSE_NORM_TIME:  # also catches an overflowed, NaN norm
             raise ConvergenceError(f"||L||_1 t = {norm_time:.3g} is too stiff to propagate")
     vec = symmetrize(rho0.entries).reshape(-1)
-    n_uniform, rest = divmod(n_steps, store_every)
-    vecs = []
+    done = 1
     # (stride, count): the uniform snapshot grid, then a shorter last interval
     for stride, count in ((store_every, n_uniform), (rest, int(rest > 0))):
         if count and not dense:
-            vecs.extend(spla.expm_multiply(lv, vec, start=0.0, stop=count * stride * dt,
-                                           num=count + 1, endpoint=True)[1:])
+            vecs = spla.expm_multiply(lv, vec, start=0.0, stop=count * stride * dt,
+                                      num=count + 1, endpoint=True)[1:]
+            states[done:done + count] = vecs.reshape(-1, d, d)
             vec = vecs[-1]
         elif count:
             prop = scipy.linalg.expm(stride * dt * lv)
-            for _ in range(count):
+            for i in range(done, done + count):
                 vec = prop @ vec
-                vecs.append(vec)
-    states = np.concatenate([rho0.entries[None], symmetrize(np.reshape(vecs, (-1, d, d)))])
+                states[i] = vec.reshape(d, d)
+        done += count
+    states[1:] = symmetrize(states[1:])
     times = np.minimum(np.arange(len(states)) * store_every, n_steps) * dt
     # rho0 was validated as a DensityMatrix; the snapshots inherit the
     # generator's positivity tolerance, since a non-CP generator

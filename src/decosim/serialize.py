@@ -7,15 +7,17 @@ in the destination directory followed by an atomic rename, so readers
 never observe a half-written table.  Identical inputs produce identical
 bytes; nothing here timestamps or randomizes.
 
-Every float array is rendered by one vectorized kernel, ``render_cells``:
-each value becomes a 24-byte cell holding, byte for byte, the ``"%.16e"``
-text that ``format_value`` gives.  The 17 digits come from a double-double
-scaling by exact powers of ten, the fast path with a rounding certificate
-of Loitsch (PLDI 2010).  A value whose rounding that path cannot prove is
-rendered by ``"%.16e"`` itself: nan, +-inf, subnormals, magnitudes outside
-about 1e-290..1e291, and fractions within 2^-40 of a rounding tie.  Tables
-are assembled from the cells and separator bytes a block of lines at a
-time, so no Python loop runs per cell or per line.
+A table is one 2-d array of floats or of cells (bytes); text and integer
+columns are cells made by the caller.  Every float array is rendered by
+one vectorized kernel, ``render_cells``: each value becomes a 24-byte
+cell holding, byte for byte, the ``"%.16e"`` text that ``format_value``
+gives.  The 17 digits come from a double-double scaling by exact powers
+of ten, the fast path with a rounding certificate of Loitsch (PLDI 2010).
+A value whose rounding that path cannot prove is rendered by
+``format_value`` itself: nan, +-inf, subnormals, magnitudes outside about
+1e-290..1e291, and fractions within 2^-40 of a rounding tie.  Tables are
+assembled from the cells and separator bytes a block of lines at a time,
+so no Python loop runs per cell or per line.
 
 Complex matrices and vectors travel as nested JSON lists of [re, im]
 pairs in row-major order.
@@ -25,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from typing import Sequence
 
 import numpy as np
@@ -33,22 +34,9 @@ import numpy as np
 CELL_BYTES = 24  # len("-d.dddddddddddddddde-XXX"), the longest "%.16e" of a double
 
 
-def format_value(value) -> str:
-    """CSV cell rendering: floats at full precision, everything else via str."""
-    kind = type(value)
-    if kind is str:
-        return value
-    if kind is float:
-        return f"{value:.16e}"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.16e}"
-    if isinstance(value, (complex, np.complexfloating)):
-        raise TypeError("write complex data as separate re/im columns")
-    return str(value)
+def format_value(value: float) -> str:
+    """The reference text of one float cell: 17 significant digits, ``"%.16e"``."""
+    return "%.16e" % value
 
 
 # --- the cell kernel --------------------------------------------------------
@@ -171,7 +159,7 @@ def render_cells(values) -> np.ndarray:
     cells = moved.astype("<u8", copy=False).view(np.uint8)
 
     for i in np.flatnonzero(~(fast | zero)):
-        text = ("%.16e" % flat[i]).encode()
+        text = format_value(flat[i]).encode()
         cells[i] = 0
         cells[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
     return cells.view(f"S{CELL_BYTES}").reshape(arr.shape)
@@ -204,18 +192,13 @@ def _table_blocks(cells: np.ndarray) -> list[bytes]:
     return blocks
 
 
-def render_rows(values) -> list[str]:
-    """Each row of a 2-D float array as one CSV line, cells exactly as ``format_value``."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {arr.shape}")
-    return b"".join(_table_blocks(render_cells(arr))).decode("ascii").split("\n")[:-1]
-
-
 def atomic_write_bytes(path: str, *chunks: bytes) -> None:
+    """Write ``chunks`` through a unique temporary file, renamed to ``path``;
+    it is created as ``open(path, "w")`` would, mode 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
@@ -226,43 +209,36 @@ def atomic_write_bytes(path: str, *chunks: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+def _cells(table, ndim: int) -> np.ndarray:
+    """The cells of a float array, rendered, or of a bytes array, as they are."""
+    if not (isinstance(table, np.ndarray) and table.dtype.kind in "fS"):
+        raise TypeError(f"expected a float or bytes array, got {type(table).__name__}")
+    if table.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d array, got shape {table.shape}")
+    return table if table.dtype.kind == "S" else render_cells(table)
 
 
-def write_csv(path: str, header: Sequence[str], rows) -> None:
+def _write_table(path: str, header: Sequence[str], cells: np.ndarray) -> None:
+    """Header and cell lines, for both writers; a span traced around ``write_csv`` so
+    never holds a ``write_coordinate_matrix`` call, nor counts its file twice."""
+    if cells.shape[1] != len(header):
+        raise ValueError(f"table has shape {cells.shape}, header has {len(header)} cells")
+    head = (",".join(header) + "\n").encode("utf-8")
+    atomic_write_bytes(path, head, *_table_blocks(cells))
+
+
+def write_csv(path: str, header: Sequence[str], table: np.ndarray) -> None:
     """Comma-separated table with a single header line.
 
-    ``rows`` is a float array, rendered by ``render_cells``, an array of
-    cells already rendered (bytes dtype), or an iterable of rows: a ``str``
-    row is a line already rendered, any other row is rendered cell by cell
-    with ``format_value``.
+    ``table`` is a 2-d float array, rendered by ``render_cells``, or a 2-d
+    bytes array of cells already rendered, one column per header cell.
     """
-    width = len(header)
-    if isinstance(rows, np.ndarray) and rows.dtype.kind in "fS":
-        if rows.ndim != 2 or rows.shape[1] != width:
-            raise ValueError(f"table has shape {rows.shape}, header has {width} cells")
-        cells = rows if rows.dtype.kind == "S" else render_cells(rows)
-        head = (",".join(header) + "\n").encode("utf-8")
-        atomic_write_bytes(path, head, *_table_blocks(cells))
-    else:
-        lines = []
-        for row in rows:
-            if type(row) is str:
-                n_cells, line = row.count(",") + 1, row
-            else:
-                cells = [format_value(v) for v in row]
-                n_cells, line = len(cells), ",".join(cells)
-            if n_cells != width:
-                raise ValueError(f"row has {n_cells} cells, header has {width}")
-            lines.append(line)
-        # the empty last item gives the final newline without copying the text again
-        atomic_write_text(path, "\n".join([",".join(header), *lines, ""]))
+    _write_table(path, header, _cells(table, 2))
 
 
 def write_json(path: str, payload) -> None:
     """Compact, key-sorted JSON on one line; compact output keeps json's C encoder."""
-    atomic_write_text(path, json.dumps(payload, sort_keys=True) + "\n")
+    atomic_write_bytes(path, (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def matrix_to_pairs(matrix: np.ndarray) -> list:
@@ -283,27 +259,10 @@ def pairs_to_array(data) -> np.ndarray:
     raise ValueError("expected nested [re, im] pairs")
 
 
-def _cells(values, ndim: int) -> np.ndarray:
-    """Cells of a float array; bytes cells pass through, rendered lines are split into cells."""
-    if isinstance(values, list) and all(type(v) is str for v in values):
-        values = np.array([line.split(",") for line in values] if ndim == 2 else values,
-                          dtype=bytes)
-    is_cells = isinstance(values, np.ndarray) and values.dtype.kind == "S"
-    cells = values if is_cells else render_cells(values)
-    if cells.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-d array, got shape {cells.shape}")
-    return cells
-
-
 def write_coordinate_matrix(path: str, row_coords, col_coords, values) -> None:
-    """Dense matrix file with leading coordinate row and column.
-
-    Each argument is a float array (coordinates are vectors), its cells
-    from ``render_cells``, or its lines from ``render_rows``.
-    """
+    """Dense matrix file with leading coordinate row and column, from float or cell arrays."""
     rows_c, cols_c, cells = _cells(row_coords, 1), _cells(col_coords, 1), _cells(values, 2)
     if cells.shape != (rows_c.size, cols_c.size):
         raise ValueError("matrix shape does not match the coordinate axes")
-    head = np.concatenate([np.array([b"row\\col"]), cols_c])[None, :]
-    body = np.concatenate([rows_c[:, None], cells], axis=1)
-    atomic_write_bytes(path, *_table_blocks(head), *_table_blocks(body))
+    _write_table(path, ["row\\col", *cols_c.astype(str)],
+                 np.concatenate([rows_c[:, None], cells], axis=1))

@@ -7,19 +7,37 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from decosim import DensityMatrix, evolve
+import decosim.cli
+from decosim import (
+    KET_0,
+    KET_1,
+    KET_MINUS,
+    KET_PLUS,
+    SIGMA_Z,
+    DensityMatrix,
+    LindbladSpec,
+    Operator,
+    evolve,
+)
 from decosim.cli import COMMANDS, main
 from decosim.models import (
     ScatteringModel,
+    SpinEnvironment,
     caldeira_leggett_generator,
     cat_state,
     coherent_state,
     localization_rate,
+    table1_scenarios,
+    timescale_ratio,
     truncation_tail,
     wigner_from_fock,
 )
 from decosim.models.estimates import ENVIRONMENTS, OBJECTS
+from decosim.pointer import predictability_sieve
+from decosim.qec import logical_error_rate
 from decosim.serialize import format_value
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _read_csv(path):
@@ -463,6 +481,74 @@ def test_qec_error_rate_table(tmp_path):
     assert _manifest(tmp_path)["seed"] == 0
 
 
+def _assert_table_bytes(path, header, rows):
+    """The file holds exactly ``header`` and ``rows``: floats as format_value, the rest as str."""
+    lines = [",".join(header)] + [
+        ",".join(format_value(v) if isinstance(v, float) else str(v) for v in row) for row in rows
+    ]
+    assert open(path, "rb").read() == ("\n".join(lines) + "\n").encode()
+
+
+def test_mixed_tables_hold_the_library_results_cell_for_cell(tmp_path, capsys):
+    labels = ["zero", "one", "plus", "minus"]
+    candidates = [KET_0, KET_1, KET_PLUS, KET_MINUS]
+    times = np.linspace(0.0, 1.5, 4)
+    sieve_header = ["label", "t", "purity", "entropy"]
+    dephasing = LindbladSpec(Operator(np.zeros((2, 2), dtype=complex)),
+                             ((Operator(SIGMA_Z), 0.7),))
+    for generator, flags in [
+        (dephasing, ["--scenario", "dephasing-qubit", "--kappa", "0.7"]),
+        (SpinEnvironment((0.3, 0.8), tunneling=0.2),
+         ["--scenario", "spin-spin", "--couplings", "[0.3, 0.8]", "--tunneling", "0.2"]),
+    ]:
+        out = tmp_path / flags[1]
+        assert main(["sieve", *flags, "--t-final", "1.5", "--n-times", "4",
+                     "--output", str(out)]) == 0
+        report = predictability_sieve(generator, candidates, times, labels=labels)
+        _assert_table_bytes(out / "sieve.csv", sieve_header, [
+            (c.label, t, pur, ent) for c in report.candidates
+            for t, pur, ent in zip(times.tolist(), c.purity.tolist(), c.entropy.tolist())])
+
+    qec_header = ["p", "logical_error_rate_uncorrected", "logical_error_rate_corrected",
+                  "n_shots"]
+    for p_list in ([0.0, 0.05, 0.3], []):
+        out = tmp_path / f"qec{len(p_list)}"
+        assert main(["qec", "--p-list", json.dumps(p_list), "--n-shots", "5000", "--seed", "3",
+                     "--output", str(out)]) == 0
+        rows = logical_error_rate(p_list, n_shots=5000, seed=3)
+        _assert_table_bytes(out / "qec.csv", qec_header, [
+            (r.flip_probability, r.uncorrected_rate, r.corrected_rate, r.n_shots) for r in rows])
+
+    assert main(["estimate", "--mass-g", "2", "--temp-K", "300", "--dx-cm", "0.5",
+                 "--output", str(tmp_path / "ratio")]) == 0
+    report = timescale_ratio(2e-3, 300.0, 0.5e-2)
+    _assert_table_bytes(tmp_path / "ratio" / "estimate.csv",
+                        ["mass_g", "temp_K", "dx_cm", "lambda_db_m", "ratio"],
+                        [(2.0, 300.0, 0.5, report.lambda_db, report.ratio)])
+
+    config = ROOT / "configs" / "estimate_table.json"
+    assert main(["estimate", "--config", str(config), "--output", str(tmp_path / "table")]) == 0
+    entries = table1_scenarios(json.loads(config.read_text())["constants"])
+    _assert_table_bytes(tmp_path / "table" / "estimate_table.csv", [
+        "environment", "object", "separation_m", "constant_kind", "constant_value",
+        "tau_computed_s", "tau_reference_s"], [
+        (e.environment, e.object_label, e.separation, e.constant_kind, e.constant_value,
+         e.tau_computed, e.tau_reference) for e in entries])
+
+
+def test_memory_error_exits_2_on_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (10**12,)")
+
+    monkeypatch.setattr(decosim.cli, "uniform_beam_localization_rates", exhausted)
+    rc = main(["collisional", "--density-amplitude", "1", "--q-max", "2", "--speed", "1",
+               "--f2", "1", "--dx-min", "0.1", "--dx-max", "10", "--output", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    _assert_one_line(err, 2)
+    assert "out of memory" in err
+
+
 def _assert_one_line(err, rc):
     prefix = {2: "config error: ", 3: "numerical contract violated: "}[rc]
     assert err.startswith(prefix), err
@@ -571,6 +657,9 @@ _VISIBILITY = ["estimate", "--visibility", "--gamma-per-pressure", "2", "--t-tra
 _SPINBOSON = ["spinboson", "--gamma0", "0.02", "--cutoff", "8", "--temperature", "2",
               "--t-max", "0.5", "--n-times", "6"]
 _EXIT_2_CASES = {
+    # 1e300 snapshots: numpy refuses the stack before the generator is built
+    "evolve-dt-tiny": EVOLVE_FLAGS + ["--dt", "1e-300"],
+    "qbm-dt-tiny": _QBM_FLAGS + ["--dt", "1e-300"],
     "qbm-n-x-0": _QBM_FLAGS + ["--wigner", "--n-x", "0"],
     "qbm-n-x-1": _QBM_FLAGS + ["--wigner", "--n-x", "1"],
     "qbm-alpha-overflows": _QBM_FLAGS + ["--alpha", "1e200"],

@@ -29,3 +29,6 @@ def test_script_writes_its_table(tmp_path, script, extra, filename, header):
     lines = (tmp_path / filename).read_text().splitlines()
     assert lines[0] == header
     assert len(lines) > 1
+    if script == "trajectory_scaling.py":  # the counts are integers, the statistics floats
+        assert [line.split(",")[0::3] for line in lines[1:]] == [
+            ["100", "1"], ["1000", "1"], ["10000", "1"]]

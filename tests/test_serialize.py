@@ -8,12 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from decosim.serialize import (
-    atomic_write_text,
+    atomic_write_bytes,
     format_value,
     matrix_to_pairs,
     pairs_to_array,
     render_cells,
-    render_rows,
     write_coordinate_matrix,
     write_csv,
     write_json,
@@ -26,13 +25,8 @@ def test_float_cells_round_trip_exactly(x):
 
 
 def test_cell_rendering_by_type():
-    assert format_value(True) == "true"
-    assert format_value(False) == "false"
-    assert format_value(np.int64(7)) == "7"
-    assert format_value("plus") == "plus"
-    assert "e" in format_value(0.1)
-    with pytest.raises(TypeError):
-        format_value(1 + 2j)
+    assert format_value(0.1) == "1.0000000000000001e-01"
+    assert format_value(np.float64(-2.5)) == "-2.5000000000000000e+00"
 
 
 def _awkward_doubles() -> np.ndarray:
@@ -43,20 +37,16 @@ def _awkward_doubles() -> np.ndarray:
     return np.concatenate([special, randoms, rng.integers(0, 2**63, size=50).view(np.float64)])
 
 
-def test_render_rows_matches_format_value_byte_for_byte(tmp_path):
+def test_write_csv_matches_format_value_byte_for_byte(tmp_path):
     values = _awkward_doubles()
     table = values.reshape(-1, 2)
-    lines = render_rows(table)
-    assert len(lines) == table.shape[0]
-    cells = [cell for line in lines for cell in line.split(",")]
-    assert cells == [format_value(float(v)) for v in values]
-    assert cells == [format_value(v) for v in values]  # numpy scalars too
-    # write_csv's array form writes exactly these lines
     path = str(tmp_path / "awkward.csv")
     write_csv(path, ["a", "b"], table)
-    assert open(path).read().splitlines() == ["a,b", *lines]
-    with pytest.raises(ValueError):
-        render_rows(values)
+    lines = open(path).read().splitlines()
+    assert lines[0] == "a,b" and len(lines) == table.shape[0] + 1
+    cells = [cell for line in lines[1:] for cell in line.split(",")]
+    assert cells == [format_value(float(v)) for v in values]
+    assert cells == [format_value(v) for v in values]  # numpy scalars too
 
 
 def _assert_cells_match_format_value(values) -> None:
@@ -116,8 +106,11 @@ def test_cell_arrays_write_the_same_bytes_as_floats(tmp_path):
     for path, args in zip(paths, ((x, p, values), tuple(map(render_cells, (x, p, values))))):
         write_coordinate_matrix(path, *args)
     assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
-    with pytest.raises(ValueError, match="header has 3"):
-        write_csv(paths[0], ["x", "p", "w"], render_cells(table[:, :2]))
+    # the shape checks hold in both forms
+    for form in (np.asarray, render_cells):
+        for bad in (table[:, 0], table[None], table[:, :2]):
+            with pytest.raises(ValueError):
+                write_csv(paths[0], ["x", "p", "w"], form(bad))
 
 
 def test_tables_longer_and_wider_than_one_assembly_block(tmp_path):
@@ -128,67 +121,57 @@ def test_tables_longer_and_wider_than_one_assembly_block(tmp_path):
         write_csv(path, [f"c{j}" for j in range(shape[1])], table)
         lines = [",".join(format_value(v) for v in row) for row in table.tolist()]
         assert open(path).read().splitlines()[1:] == lines
-        assert render_rows(table) == lines
-
-
-def test_write_csv_table_forms_give_the_same_bytes(tmp_path):
-    table = _awkward_doubles()[: 3 * 50].reshape(-1, 3)
-    header = ["x", "p", "w"]
-    forms = {
-        "array": table,
-        "rendered lines": render_rows(table),
-        "rows of floats": table.tolist(),
-        "mixed rows": [line if k % 2 else row for k, (line, row)
-                       in enumerate(zip(render_rows(table), table.tolist()))],
-    }
-    written = {}
-    for name, rows in forms.items():
-        path = str(tmp_path / f"{name}.csv")
-        write_csv(path, header, rows)
-        written[name] = open(path, "rb").read()
-    assert len(set(written.values())) == 1
-    # the width check holds in every form
-    narrow = table[:, :2]
-    for rows in (narrow, render_rows(narrow), narrow.tolist(), table[:, 0]):
-        with pytest.raises(ValueError, match="header has 3"):
-            write_csv(str(tmp_path / "bad.csv"), header, rows)
 
 
 def test_write_csv_round_trip(tmp_path):
     path = str(tmp_path / "out" / "table.csv")
     rows = [(0.0, 1.0), (0.25, np.exp(-0.5)), (0.5, np.exp(-1.0))]
-    write_csv(path, ["t", "value"], rows)
+    write_csv(path, ["t", "value"], np.array(rows))
     raw = open(path).read().splitlines()
     assert raw[0] == "t,value"
     parsed = [tuple(float(c) for c in line.split(",")) for line in raw[1:]]
     assert parsed == rows
     # identical input, identical bytes
     before = open(path, "rb").read()
-    write_csv(path, ["t", "value"], rows)
+    write_csv(path, ["t", "value"], np.array(rows))
     assert open(path, "rb").read() == before
 
 
 def test_write_csv_rejects_ragged_rows(tmp_path):
     path = str(tmp_path / "bad.csv")
     with pytest.raises(ValueError):
-        write_csv(path, ["a", "b"], [(1.0, 2.0, 3.0)])
+        write_csv(path, ["a", "b"], np.array([(1.0, 2.0, 3.0)]))
+    # a table is an array; rows of Python values and integer arrays are not tables
+    for table in ([(1.0, 2.0)], np.array([(1, 2)])):
+        with pytest.raises(TypeError):
+            write_csv(path, ["a", "b"], table)
+    assert not os.path.exists(path)
 
 
 def test_atomic_write_leaves_no_partial_files(tmp_path):
     path = str(tmp_path / "nested" / "file.txt")
-    atomic_write_text(path, "hello\n")
+    atomic_write_bytes(path, b"hello\n")
     assert open(path).read() == "hello\n"
-
-    class Explodes:
-        def __str__(self):
-            raise RuntimeError("boom")
-
-    with pytest.raises(RuntimeError):
-        write_csv(path, ["a"], [(Explodes(),)])
+    with pytest.raises(TypeError):  # fails after a first chunk is written
+        atomic_write_bytes(path, b"partial", "not bytes")
     # the failed write neither clobbered the target nor left a temp file
     assert open(path).read() == "hello\n"
     leftovers = [f for f in os.listdir(tmp_path / "nested") if f != "file.txt"]
     assert leftovers == []
+
+
+def test_written_files_get_the_mode_open_gives(tmp_path):
+    old = os.umask(0o022)
+    try:
+        for umask in (0o022, 0o077, 0o002):
+            os.umask(umask)
+            reference = tmp_path / f"ref-{umask:o}"
+            open(reference, "w").close()
+            written = str(tmp_path / f"table-{umask:o}.csv")
+            write_csv(written, ["a"], np.zeros((1, 1)))
+            assert os.stat(written).st_mode == os.stat(reference).st_mode
+    finally:
+        os.umask(old)
 
 
 def test_matrix_pairs_round_trip():
@@ -225,13 +208,14 @@ def test_coordinate_matrix_layout(tmp_path):
     assert [float(c) for c in first[1:]] == [0.0, 1.0, 2.0]
     with pytest.raises(ValueError):
         write_coordinate_matrix(path, x, p, values.T)
-    # coordinate cells and matrix rows rendered beforehand give the same bytes
+    # coordinate and matrix cells rendered beforehand give the same bytes
     before = open(path, "rb").read()
-    x_cells, p_cells = render_rows(x[:, None]), render_rows(p[:, None])
-    rows = render_rows(values)
-    write_coordinate_matrix(path, x_cells, p_cells, rows)
+    x_cells, p_cells, cells = render_cells(x), render_cells(p), render_cells(values)
+    write_coordinate_matrix(path, x_cells, p_cells, cells)
     assert open(path, "rb").read() == before
     with pytest.raises(ValueError):
-        write_coordinate_matrix(path, x_cells, p_cells, render_rows(values[:, :2]))
+        write_coordinate_matrix(path, x_cells, p_cells, cells[:, :2])
     with pytest.raises(ValueError):
-        write_coordinate_matrix(path, x_cells[:1], p_cells, rows)
+        write_coordinate_matrix(path, x_cells[:1], p_cells, cells)
+    with pytest.raises(ValueError):
+        write_coordinate_matrix(path, x_cells[:, None], p_cells, cells)
