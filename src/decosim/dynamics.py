@@ -9,9 +9,10 @@ G = -i H_eff and pairs a tuple of (A, B) matrices, so that
 ``evolve`` turns that form into the Liouvillian L once and propagates
 each snapshot interval exactly, rho(t + Delta) = exp(L Delta) rho(t),
 then symmetrizes the snapshots and validates them in one ``check_states``
-call on their (T, d, d) stack, which also gives their spectra.  It
-imports ``scipy.linalg`` (dense expm) or ``scipy.sparse`` (expm_multiply)
-on the branch that uses it, so importing this module loads no SciPy.
+call on their (T, d, d) stack, which also gives their spectra.  The
+dense exponential is this module's NumPy scaling-and-squaring Pade
+``_expm``; only the sparse branch imports SciPy (``scipy.sparse`` for
+expm_multiply), so importing this module loads no SciPy.
 ``unravel`` propagates pure-state diffusive trajectories whose ensemble
 mean converges to the same master equation; trajectory randomness is
 keyed by (master_seed, trajectory_index) with a counter-based bit
@@ -31,9 +32,30 @@ import numpy as np
 from .core import DensityMatrix, Operator, StateVector, check_states, symmetrize
 from .errors import ConvergenceError, PhysicalityError, PositivityError
 
-DENSE_PROPAGATOR_MAX_DIM = 12  # dense expm(L t) measured slower than expm_multiply from d = 16
+# evolve of a Caldeira-Leggett generator from a coherent state, 1 BLAS thread
+# (2-core Xeon), ms at d = 8 / 12 / 16 / 20, dense _expm against
+# expm_multiply: t = 0.5 with 10 snapshots 0.8 / 6.2 / 31 / 114 against
+# 5.0 / 7.3 / 11.6 / 11.4; t = 5 with 50 snapshots 2.1 / 9.7 / 49 / 119
+# against 38 / 36 / 42 / 39.  Dense wins through d = 12 and loses from d = 16.
+DENSE_PROPAGATOR_MAX_DIM = 12
 MAX_SPARSE_NORM_TIME = 1e6  # expm_multiply: ~0.1 ms per unit of ||L||_1 t at d = 40; minutes here
 TRAJECTORY_BLOCK = 1024  # fixed reduction granularity; never tied to worker count
+
+# Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3: the [m/m]
+# Pade approximant of exp meets double precision on a 1-norm up to theta_m;
+# (theta_m, coefficients b_0..b_m) for m = 3, 5, 7, 9, 13
+_PADE = (
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
+                            1512.0, 56.0, 1.0)),
+    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                           30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    (5.371920351148152e0, (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+                           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+                           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+                           960960.0, 16380.0, 182.0, 1.0)),
+)
 
 
 @dataclass(frozen=True)
@@ -62,11 +84,14 @@ class LindbladSpec:
                 raise ValueError(f"rates must be nonnegative, got {rate}")
             terms.append((op, float(rate)))
         object.__setattr__(self, "lindblad_terms", tuple(terms))
-        # the compiled form, built once; not a field, so eq/repr are unchanged
+        # the compiled form, built once; not a field, so eq/repr are unchanged.
+        # A rate near the double range overflows it to inf entries, which
+        # evolve and unravel each report as one numerical-contract error.
         g = -1j * self.hamiltonian.entries
-        for op, rate in terms:
-            g -= 0.5 * rate * (op.entries.conj().T @ op.entries)
-        pairs = tuple((op.entries, 0.5 * rate * op.entries.conj().T) for op, rate in terms)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for op, rate in terms:
+                g -= 0.5 * rate * (op.entries.conj().T @ op.entries)
+            pairs = tuple((op.entries, 0.5 * rate * op.entries.conj().T) for op, rate in terms)
         object.__setattr__(self, "compiled", (g, pairs))
 
     @property
@@ -124,6 +149,48 @@ def liouvillian(compiled, kron):
     return out
 
 
+def _expm(a: np.ndarray, norm: float) -> np.ndarray:
+    """exp(a) for a square array whose 1-norm ``norm`` is finite.
+
+    A diagonal a (pure dephasing in the Hamiltonian's eigenbasis) takes the
+    exact elementwise exponential.  Otherwise scaling and squaring (Higham
+    2005): the lowest Pade degree m in (3, 5, 7, 9) with norm <= theta_m,
+    else degree 13 on a / 2^s with s the fewest halvings that bring the
+    norm under theta_13, followed by s squarings.  Powers are formed only
+    after the scaling, so a finite norm cannot overflow them.  The
+    approximant is evaluated as I + 2 (V - U)^-1 U rather than
+    (V - U)^-1 (V + U): a zero column of a (a stationary basis state) then
+    stays an exact column of I, instead of carrying a rounding error that
+    the squarings amplify 2^s-fold.
+    """
+    diag = a.diagonal()
+    if np.count_nonzero(a) == np.count_nonzero(diag):
+        return np.diag(np.exp(diag))
+    *low, (theta13, b) = _PADE
+    ident = np.eye(a.shape[0])
+    for theta, coef in low:
+        if norm <= theta:
+            even = [ident, a @ a]  # a^0, a^2, ..., a^(m - 1)
+            while len(even) < len(coef) // 2:
+                even.append(even[-1] @ even[1])
+            u = a @ sum(c * p for c, p in zip(coef[1::2], even))
+            v = sum(c * p for c, p in zip(coef[0::2], even))
+            return ident + 2.0 * np.linalg.solve(v - u, u)
+    s = max(0, int(np.ceil(np.log2(norm / theta13))))
+    a = a * 2.0 ** -s
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    out = ident + 2.0 * np.linalg.solve(v - u, u)
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 def evolve(
     generator,
     rho0: DensityMatrix,
@@ -155,17 +222,22 @@ def evolve(
     states[0] = rho0.entries
     dense = d <= DENSE_PROPAGATOR_MAX_DIM
     if dense:
-        import scipy.linalg
-
-        lv = liouvillian(generator.compiled, np.kron)
+        kron = np.kron
     else:
         import scipy.sparse
         import scipy.sparse.linalg as spla
 
-        lv = liouvillian(generator.compiled, scipy.sparse.kron)
-        norm_time = spla.norm(lv, 1) * n_steps * dt
-        if not norm_time <= MAX_SPARSE_NORM_TIME:  # also catches an overflowed, NaN norm
-            raise ConvergenceError(f"||L||_1 t = {norm_time:.3g} is too stiff to propagate")
+        kron = scipy.sparse.kron
+    # rates near the double range overflow L itself; that is caught once here
+    with np.errstate(over="ignore", invalid="ignore"):
+        lv = liouvillian(generator.compiled, kron)
+        norm = abs(lv).sum(axis=0).max()  # ||L||_1
+        norm_time = norm * (n_steps * dt)
+    if not np.isfinite(norm_time):
+        raise ConvergenceError("||L||_1 t overflows a double; the generator is too large "
+                               "to propagate")
+    if not dense and norm_time > MAX_SPARSE_NORM_TIME:
+        raise ConvergenceError(f"||L||_1 t = {norm_time:.3g} is too stiff to propagate")
     vec = symmetrize(rho0.entries).reshape(-1)
     done = 1
     # (stride, count): the uniform snapshot grid, then a shorter last interval
@@ -176,10 +248,13 @@ def evolve(
             states[done:done + count] = vecs.reshape(-1, d, d)
             vec = vecs[-1]
         elif count:
-            prop = scipy.linalg.expm(stride * dt * lv)
-            for i in range(done, done + count):
-                vec = prop @ vec
-                states[i] = vec.reshape(d, d)
+            # a propagator that overflows leaves non-finite snapshots, which
+            # check_states reports as one error instead of numpy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                prop = _expm(stride * dt * lv, norm * stride * dt)
+                for i in range(done, done + count):
+                    vec = prop @ vec
+                    states[i] = vec.reshape(d, d)
         done += count
     states[1:] = symmetrize(states[1:])
     times = np.minimum(np.arange(len(states)) * store_every, n_steps) * dt
@@ -346,10 +421,11 @@ def unravel(
     )
     rates = np.array([rate for _, rate in spec.lindblad_terms], dtype=float)
     a = spec.compiled[0]  # -iH - (1/2) sum kappa L^dag L, and L^dag L = L^2 for Hermitian L
-    stacked = np.vstack(
-        [np.eye(2 * spec.dim), _real_form(cfg.dt * a)]
-        + [_real_form(op.entries) for op, _ in spec.lindblad_terms]
-    )
+    with np.errstate(invalid="ignore"):  # an overflowed a gives NaN, reported after the steps
+        stacked = np.vstack(
+            [np.eye(2 * spec.dim), _real_form(cfg.dt * a)]
+            + [_real_form(op.entries) for op, _ in spec.lindblad_terms]
+        )
     blocks = [
         range(lo, min(lo + TRAJECTORY_BLOCK, cfg.n_trajectories))
         for lo in range(0, cfg.n_trajectories, TRAJECTORY_BLOCK)

@@ -41,7 +41,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _read_csv(path):
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     header = lines[0].split(",")
     return header, [line.split(",") for line in lines[1:]]
 
@@ -449,14 +449,29 @@ def test_estimate_visibility_mode(tmp_path):
     assert np.abs(v - np.exp(-p)).max() < 1e-12
 
 
+_DEPHASING_FLAGS = ["--hamiltonian", "sigma_x", "--lindblad",
+                    '[{"operator": "sigma_z", "rate": 0.5}]', "--t-final", "0.2"]
+
+
 def test_import_and_estimate_load_no_scipy_subpackage(tmp_path):
     # each subcommand runs in its own process; importing a SciPy subpackage
-    # at module level would cost every one of them about 0.25 s
+    # at module level would cost every one of them about 0.25 s, and the
+    # dense propagator of evolve, trajectories, sieve and spinboson needs none
+    runs = [
+        ["estimate", "--mass-g", "1", "--temp-K", "300", "--dx-cm", "1"],
+        ["evolve", *_DEPHASING_FLAGS, "--dt", "0.1"],
+        ["trajectories", *_DEPHASING_FLAGS, "--dt", "0.01", "--n-trajectories", "4"],
+        ["sieve", "--scenario", "dephasing-qubit", "--t-final", "1", "--n-times", "5"],
+        ["spinboson", "--gamma0", "0.01", "--cutoff", "8", "--temperature", "1",
+         "--t-max", "2", "--n-times", "5", "--n-modes", "8", "--born-markov",
+         "--no-check-convergence"],
+    ]
     script = (
-        "import sys\n"
+        "import json, os, sys\n"
         "import decosim, decosim.cli\n"
-        "assert decosim.cli.main(['estimate', '--mass-g', '1', '--temp-K', '300',\n"
-        "                         '--dx-cm', '1', '--output', sys.argv[1]]) == 0\n"
+        "for i, argv in enumerate(json.loads(sys.argv[2])):\n"
+        "    out = os.path.join(sys.argv[1], str(i))\n"
+        "    assert decosim.cli.main(argv + ['--output', out]) == 0, argv\n"
         "heavy = ('linalg', 'sparse', 'integrate', 'optimize', 'special', 'constants')\n"
         "print(sorted(m for m in sys.modules if m in {'scipy.' + h for h in heavy}))\n"
     )
@@ -464,8 +479,8 @@ def test_import_and_estimate_load_no_scipy_subpackage(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
-    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
-                          capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path), json.dumps(runs)],
+                          env=env, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
 
 
@@ -725,14 +740,33 @@ def test_invalid_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):
 
 
 @pytest.mark.filterwarnings("error")
+def test_liouvillian_beyond_the_double_range_exits_3(tmp_path, capsys):
+    # rate 1e308 overflows L's diagonal (-2 * rate); 1e200 is finite and
+    # removes every coherence within the first snapshot interval
+    argv = ["evolve", "--hamiltonian", "identity", "--rho0", "plus",
+            "--t-final", "1", "--dt", "0.1", "--output", str(tmp_path)]
+    assert main(argv + ["--lindblad", '[{"operator": "sigma_z", "rate": 1e308}]']) == 3
+    _assert_one_line(capsys.readouterr().err, 3)
+    assert main(argv + ["--lindblad", '[{"operator": "sigma_z", "rate": 1e200}]']) == 0
+    assert capsys.readouterr().err == ""
+    header, rows = _read_csv(tmp_path / "evolve.csv")
+    assert np.all(_column(header, rows, "rho_0_1_re")[1:] == 0.0)
+    for name in ("rho_0_0_re", "rho_1_1_re"):
+        populations = _column(header, rows, name)
+        assert np.all(populations == populations[0])
+
+
+@pytest.mark.filterwarnings("error")
 def test_ensemble_blowup_exits_3(tmp_path, capsys):
     # a finite but enormous rate: the ensemble average stops being a state;
-    # a numpy warning on the way would be a second stderr line, so it fails here
-    rc = main([
-        "trajectories", "--hamiltonian", "identity",
-        "--lindblad", '[{"operator": "sigma_z", "rate": 1e300}]',
-        "--t-final", "0.05", "--dt", "0.01", "--n-trajectories", "4",
-        "--output", str(tmp_path),
-    ])
-    assert rc == 3
-    _assert_one_line(capsys.readouterr().err, 3)
+    # a numpy warning on the way would be a second stderr line, so it fails
+    # here; for 2 sigma_z at 1e308 the compiled generator itself overflows
+    for lindblad in ['[{"operator": "sigma_z", "rate": 1e300}]',
+                     '[{"operator": [[[2, 0], [0, 0]], [[0, 0], [-2, 0]]], "rate": 1e308}]']:
+        rc = main([
+            "trajectories", "--hamiltonian", "identity", "--lindblad", lindblad,
+            "--t-final", "0.05", "--dt", "0.01", "--n-trajectories", "4",
+            "--output", str(tmp_path),
+        ])
+        assert rc == 3
+        _assert_one_line(capsys.readouterr().err, 3)

@@ -2,6 +2,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from decosim import (
     DensityMatrix,
@@ -15,12 +16,15 @@ from decosim import (
     unravel,
 )
 from decosim.dynamics import (
+    _PADE,
     DENSE_PROPAGATOR_MAX_DIM,
     TRAJECTORY_BLOCK,
     _block_noise,
+    _expm,
     compiled_rhs,
+    liouvillian,
 )
-from decosim.errors import PositivityError
+from decosim.errors import ConvergenceError, PositivityError
 from decosim.models import caldeira_leggett_generator, coherent_state
 from decosim.models.spinboson import SpinBosonBornMarkovGenerator
 
@@ -202,6 +206,71 @@ def test_non_cp_generator_raises_positivity_error_naming_t():
     rho0 = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
     with pytest.raises(PositivityError, match=r"below floor -0\.001 at t=0\.01$"):
         evolve(gen, rho0, 1.0, dt=1e-3, store_every=10)
+
+
+def _norm1(a):
+    return np.abs(a).sum(axis=0).max()
+
+
+def _assert_expm_matches_scipy(a):
+    ref = scipy.linalg.expm(a)
+    assert _norm1(_expm(a, _norm1(a)) - ref) <= 1e-12 * _norm1(ref)
+
+
+def _random_liouvillian(rng, d):
+    jumps = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2)]
+    spec = LindbladSpec(Operator(_random_hermitian(rng, d)),
+                        ((Operator(jumps[0]), 0.7), (Operator(jumps[1]), 0.3)))
+    return liouvillian(spec.compiled, np.kron)
+
+
+# each 1-norm bound theta_m (m = 3, 5, 7, 9, 13) approached from both sides
+@pytest.mark.parametrize("theta", [theta for theta, _ in _PADE])
+@pytest.mark.parametrize("side", [0.99, 1.01])
+def test_expm_matches_scipy_on_each_side_of_the_pade_bounds(theta, side):
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    _assert_expm_matches_scipy(a * (theta * side / _norm1(a)))
+
+
+@pytest.mark.parametrize("d", [2, 4, 12])
+@pytest.mark.parametrize("t", [1e-4, 0.05, 1.0, 20.0])
+def test_expm_matches_scipy_on_lindblad_liouvillians(d, t):
+    _assert_expm_matches_scipy(t * _random_liouvillian(np.random.default_rng(d), d))
+
+
+def test_expm_matches_scipy_after_many_squarings():
+    a = 500.0 * _random_liouvillian(np.random.default_rng(5), 3)
+    assert np.log2(_norm1(a) / _PADE[-1][0]) > 10  # more than 10 squarings
+    _assert_expm_matches_scipy(a)
+
+
+def test_expm_of_a_diagonal_is_exact():
+    assert np.array_equal(_expm(np.zeros((4, 4), dtype=complex), 0.0), np.eye(4))
+    diag = np.diag([0.0, -0.3 + 2j, -7.0, 1e-3])
+    assert np.array_equal(_expm(diag, 7.0), np.diag(np.exp(np.diag(diag))))
+
+
+def test_stiff_damping_keeps_its_stationary_state():
+    # ||L||_1 t = 2e10 takes 32 squarings; the ground state's column must
+    # stay exact through them, or trace errors grow 2^32-fold past 1e-10
+    lower = Operator(np.array([[0, 1], [0, 0]], dtype=complex))
+    spec = LindbladSpec(Operator(SIGMA_X), ((lower, 1e10),))
+    res = evolve(spec, _plus_density(), 1.0, dt=0.1)
+    assert np.abs(res.states[1:] - np.diag([1.0, 0.0])).max() < 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [2, DENSE_PROPAGATOR_MAX_DIM + 1])
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_overflowing_liouvillian_raises_convergence_error(d, scale):
+    # a scaled sigma_z: at scale 1 the compiled form stays finite and L's
+    # diagonal (-2 * rate) overflows; at scale 2 the compiled form overflows
+    op = Operator(scale * np.diag([1.0, -1.0] * d)[:d, :d])
+    spec = LindbladSpec(Operator(np.zeros((d, d))), ((op, 1e308),))
+    rho0 = DensityMatrix(np.full((d, d), 1.0 / d, dtype=complex))
+    with pytest.raises(ConvergenceError, match="overflows a double"):
+        evolve(spec, rho0, 1.0, dt=0.1)
 
 
 def test_trajectory_config_validation():
