@@ -41,21 +41,13 @@ DENSE_PROPAGATOR_MAX_DIM = 12
 MAX_SPARSE_NORM_TIME = 1e6  # expm_multiply: ~0.1 ms per unit of ||L||_1 t at d = 40; minutes here
 TRAJECTORY_BLOCK = 1024  # fixed reduction granularity; never tied to worker count
 
-# Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3: the [m/m]
-# Pade approximant of exp meets double precision on a 1-norm up to theta_m;
-# (theta_m, coefficients b_0..b_m) for m = 3, 5, 7, 9, 13
-_PADE = (
-    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
-                            1512.0, 56.0, 1.0)),
-    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
-                           30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-    (5.371920351148152e0, (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-                           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-                           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-                           960960.0, 16380.0, 182.0, 1.0)),
-)
+# Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3: the [13/13]
+# Pade approximant of exp meets double precision on a 1-norm up to _THETA13;
+# _PADE13 holds its coefficients b_0..b_13
+_THETA13 = 5.371920351148152
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -154,29 +146,20 @@ def _expm(a: np.ndarray, norm: float) -> np.ndarray:
 
     A diagonal a (pure dephasing in the Hamiltonian's eigenbasis) takes the
     exact elementwise exponential.  Otherwise scaling and squaring (Higham
-    2005): the lowest Pade degree m in (3, 5, 7, 9) with norm <= theta_m,
-    else degree 13 on a / 2^s with s the fewest halvings that bring the
-    norm under theta_13, followed by s squarings.  Powers are formed only
-    after the scaling, so a finite norm cannot overflow them.  The
-    approximant is evaluated as I + 2 (V - U)^-1 U rather than
-    (V - U)^-1 (V + U): a zero column of a (a stationary basis state) then
-    stays an exact column of I, instead of carrying a rounding error that
-    the squarings amplify 2^s-fold.
+    2005): the degree-13 Pade approximant of a / 2^s, with s the fewest
+    halvings that bring the norm under theta_13, followed by s squarings.
+    Powers are formed only after the scaling, so a finite norm cannot
+    overflow them.  The approximant is evaluated as I + 2 (V - U)^-1 U
+    rather than (V - U)^-1 (V + U): a zero column of a (a stationary basis
+    state) then stays an exact column of I, instead of carrying a rounding
+    error that the squarings amplify 2^s-fold.
     """
     diag = a.diagonal()
     if np.count_nonzero(a) == np.count_nonzero(diag):
         return np.diag(np.exp(diag))
-    *low, (theta13, b) = _PADE
+    b = _PADE13
     ident = np.eye(a.shape[0])
-    for theta, coef in low:
-        if norm <= theta:
-            even = [ident, a @ a]  # a^0, a^2, ..., a^(m - 1)
-            while len(even) < len(coef) // 2:
-                even.append(even[-1] @ even[1])
-            u = a @ sum(c * p for c, p in zip(coef[1::2], even))
-            v = sum(c * p for c, p in zip(coef[0::2], even))
-            return ident + 2.0 * np.linalg.solve(v - u, u)
-    s = max(0, int(np.ceil(np.log2(norm / theta13))))
+    s = max(0, int(np.ceil(np.log2(norm / _THETA13))))
     a = a * 2.0 ** -s
     a2 = a @ a
     a4 = a2 @ a2
@@ -240,23 +223,23 @@ def evolve(
         raise ConvergenceError(f"||L||_1 t = {norm_time:.3g} is too stiff to propagate")
     vec = symmetrize(rho0.entries).reshape(-1)
     done = 1
-    # (stride, count): the uniform snapshot grid, then a shorter last interval
-    for stride, count in ((store_every, n_uniform), (rest, int(rest > 0))):
-        if count and not dense:
-            vecs = spla.expm_multiply(lv, vec, start=0.0, stop=count * stride * dt,
-                                      num=count + 1, endpoint=True)[1:]
-            states[done:done + count] = vecs.reshape(-1, d, d)
-            vec = vecs[-1]
-        elif count:
-            # a propagator that overflows leaves non-finite snapshots, which
-            # check_states reports as one error instead of numpy warnings
-            with np.errstate(over="ignore", invalid="ignore"):
+    # a dense propagator that overflows leaves non-finite snapshots, which
+    # check_states reports as one error instead of numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (stride, count): the uniform snapshot grid, then a shorter last interval
+        for stride, count in ((store_every, n_uniform), (rest, int(rest > 0))):
+            if count and not dense:
+                vecs = spla.expm_multiply(lv, vec, start=0.0, stop=count * stride * dt,
+                                          num=count + 1, endpoint=True)[1:]
+                states[done:done + count] = vecs.reshape(-1, d, d)
+                vec = vecs[-1]
+            elif count:
                 prop = _expm(stride * dt * lv, norm * stride * dt)
                 for i in range(done, done + count):
                     vec = prop @ vec
                     states[i] = vec.reshape(d, d)
-        done += count
-    states[1:] = symmetrize(states[1:])
+            done += count
+        states[1:] = symmetrize(states[1:])
     times = np.minimum(np.arange(len(states)) * store_every, n_steps) * dt
     # rho0 was validated as a DensityMatrix; the snapshots inherit the
     # generator's positivity tolerance, since a non-CP generator

@@ -741,12 +741,15 @@ def test_invalid_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):
 
 @pytest.mark.filterwarnings("error")
 def test_liouvillian_beyond_the_double_range_exits_3(tmp_path, capsys):
-    # rate 1e308 overflows L's diagonal (-2 * rate); 1e200 is finite and
+    # rate 1e308 overflows L's diagonal (-2 * rate); sigma_x at 1e100 leaves
+    # L finite but overflows its propagator; sigma_z at 1e200 is finite and
     # removes every coherence within the first snapshot interval
     argv = ["evolve", "--hamiltonian", "identity", "--rho0", "plus",
             "--t-final", "1", "--dt", "0.1", "--output", str(tmp_path)]
-    assert main(argv + ["--lindblad", '[{"operator": "sigma_z", "rate": 1e308}]']) == 3
-    _assert_one_line(capsys.readouterr().err, 3)
+    for lindblad in ['[{"operator": "sigma_z", "rate": 1e308}]',
+                     '[{"operator": "sigma_x", "rate": 1e100}]']:
+        assert main(argv + ["--lindblad", lindblad]) == 3
+        _assert_one_line(capsys.readouterr().err, 3)
     assert main(argv + ["--lindblad", '[{"operator": "sigma_z", "rate": 1e200}]']) == 0
     assert capsys.readouterr().err == ""
     header, rows = _read_csv(tmp_path / "evolve.csv")
