@@ -6,13 +6,15 @@ G = -i H_eff and pairs a tuple of (A, B) matrices, so that
 
     drho/dt = K + K^dag,   K = G rho + sum_(A, B) (A rho) B.
 
-``evolve`` turns that form into the Liouvillian L once and propagates
-each snapshot interval exactly, rho(t + Delta) = exp(L Delta) rho(t),
-then symmetrizes the snapshots and validates them in one ``check_states``
-call on their (T, d, d) stack, which also gives their spectra.  The
-dense exponential is this module's NumPy scaling-and-squaring Pade
-``_expm``; only the sparse branch imports SciPy (``scipy.sparse`` for
-expm_multiply), so importing this module loads no SciPy.
+``evolve`` propagates each snapshot interval exactly,
+rho(t + Delta) = exp(L Delta) rho(t), then symmetrizes the snapshots and
+validates them in one ``check_states`` call on their (T, d, d) stack,
+which also gives their spectra.  Up to ``DENSE_PROPAGATOR_MAX_DIM`` it
+builds the Liouvillian L once and takes this module's NumPy
+scaling-and-squaring Pade ``_expm`` of it; above, it never forms L and
+sums a truncated Taylor series with substeps on the d x d matrix rho,
+each term one application of the compiled form.  Neither branch loads
+SciPy.
 ``unravel`` propagates pure-state diffusive trajectories whose ensemble
 mean converges to the same master equation; trajectory randomness is
 keyed by (master_seed, trajectory_index) with a counter-based bit
@@ -23,6 +25,7 @@ product against the stacked operators (1, dt A, L_1, ..., L_m).
 """
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,12 +36,17 @@ from .core import DensityMatrix, Operator, StateVector, check_states, symmetrize
 from .errors import ConvergenceError, PhysicalityError, PositivityError
 
 # evolve of a Caldeira-Leggett generator from a coherent state, 1 BLAS thread
-# (2-core Xeon), ms at d = 8 / 12 / 16 / 20, dense _expm against
-# expm_multiply: t = 0.5 with 10 snapshots 0.8 / 6.2 / 31 / 114 against
-# 5.0 / 7.3 / 11.6 / 11.4; t = 5 with 50 snapshots 2.1 / 9.7 / 49 / 119
-# against 38 / 36 / 42 / 39.  Dense wins through d = 12 and loses from d = 16.
+# (2-core Xeon), best of 7 in each of 3-4 runs, ms at d = 8 / 12 / 16 / 20,
+# dense _expm against the Taylor branch: t = 0.5 with 10 snapshots
+# 1.1-1.8 / 6.0-9.0 / 27-40 / 84-135 against 1.3-2.5 / 1.5-2.9 / 3.1-5.1 / 3.6-6.1;
+# t = 5 with 50 snapshots 1.2-1.6 / 5.6-7.7 / 28-46 / 87-140 against
+# 7.1-11 / 15-24 / 24-34 / 28-35.  Dense wins a long run through d = 12,
+# but the Taylor branch already wins a short one at d = 12.
 DENSE_PROPAGATOR_MAX_DIM = 12
-MAX_SPARSE_NORM_TIME = 1e6  # expm_multiply: ~0.1 ms per unit of ||L||_1 t at d = 40; minutes here
+# Taylor branch: ~0.2 ms per unit of the bound on ||L||_1 t at d = 40; minutes here
+MAX_SPARSE_NORM_TIME = 1e6
+_MAX_TAYLOR_TERMS = 90
+_TAYLOR_TOL_SQ = 2.0 ** -106  # (2^-53)^2, compared with squared Frobenius norms
 TRAJECTORY_BLOCK = 1024  # fixed reduction granularity; never tied to worker count
 
 # Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3: the [13/13]
@@ -126,19 +134,68 @@ def _rk4_step(rhs, rho: np.ndarray, dt: float) -> np.ndarray:
     return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def liouvillian(compiled, kron):
-    """L with vec(drho/dt) = L vec(rho), vec the row-major flattening.
+def liouvillian(compiled) -> np.ndarray:
+    """Dense L with vec(drho/dt) = L vec(rho), vec the row-major flattening.
 
     vec(A X B) = (A kron B^T) vec(X), so for ``compiled`` = (G, pairs)
-    L = G kron 1 + 1 kron conj(G) + sum (A kron B^T + B^dag kron conj(A)),
-    a dense array with ``kron=np.kron`` and sparse with ``scipy.sparse.kron``.
+    L = G kron 1 + 1 kron conj(G) + sum (A kron B^T + B^dag kron conj(A)).
     """
     g, pairs = compiled
     one = np.eye(g.shape[0])
-    out = kron(g, one) + kron(one, g.conj())
+    out = np.kron(g, one) + np.kron(one, g.conj())
     for a, b in pairs:
-        out = out + kron(a, b.T) + kron(b.conj().T, a.conj())
+        out = out + np.kron(a, b.T) + np.kron(b.conj().T, a.conj())
     return out
+
+
+def liouvillian_norm_bound(compiled) -> float:
+    """2 ||G||_1 + 2 sum ||A||_1 ||B||_inf, an upper bound on ||L||_1 that never forms L.
+
+    Each Kronecker term of ``liouvillian`` has ||X kron Y||_1 = ||X||_1 ||Y||_1,
+    and ||B^T||_1 = ||B^dag||_1 = ||B||_inf.
+    """
+    g, pairs = compiled
+    bound = 2.0 * abs(g).sum(axis=0).max()
+    for a, b in pairs:
+        bound += 2.0 * abs(a).sum(axis=0).max() * abs(b).sum(axis=1).max()
+    return float(bound)
+
+
+def _taylor_propagate(compiled, rho: np.ndarray, h: float, norm: float) -> np.ndarray:
+    """exp(L h) rho for Hermitian rho, with ``norm`` >= ||L||_1 finite, without forming L.
+
+    s = ceil(norm h / 2) substeps of tau = h / s each sum the Taylor series
+    term_k = (tau / k) L(term_(k-1)) until two successive terms fall below
+    2^-53 of the running sum in Frobenius norm (the scheme of
+    ``expm_multiply``: Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+    Each L(term) is one product of the stacked [G; A_1; ...] with term and
+    one product per pair; every term stays exactly Hermitian.
+    """
+    g, pairs = compiled
+    d = g.shape[0]
+    stacked = np.vstack([g, *(a for a, _ in pairs)])
+    s = max(1, math.ceil(norm * h / 2.0))
+    tau = h / s
+    for _ in range(s):
+        acc = rho.copy()
+        term = rho
+        small = False
+        # tau ||L||_1 <= 2, so term k is at most 2^k / k! of rho, below 1e-100
+        # by k = 90; the cap ends the loop on non-finite terms
+        for k in range(1, _MAX_TAYLOR_TERMS + 1):
+            prod = stacked @ term
+            term = prod[:d]  # becomes K = G term + sum (A term) B, then K + K^dag
+            for j, (_, b) in enumerate(pairs, 1):
+                term += prod[j * d:(j + 1) * d] @ b
+            term += term.conj().T
+            term *= tau / k
+            acc += term
+            was_small = small
+            small = np.vdot(term, term).real <= _TAYLOR_TOL_SQ * np.vdot(acc, acc).real
+            if small and was_small:
+                break
+        rho = acc
+    return rho
 
 
 def _expm(a: np.ndarray, norm: float) -> np.ndarray:
@@ -204,40 +261,36 @@ def evolve(
                          "in memory; raise dt or store_every") from None
     states[0] = rho0.entries
     dense = d <= DENSE_PROPAGATOR_MAX_DIM
-    if dense:
-        kron = np.kron
-    else:
-        import scipy.sparse
-        import scipy.sparse.linalg as spla
-
-        kron = scipy.sparse.kron
-    # rates near the double range overflow L itself; that is caught once here
+    # rates near the double range overflow L, or the bound on its norm;
+    # that is caught once here
     with np.errstate(over="ignore", invalid="ignore"):
-        lv = liouvillian(generator.compiled, kron)
-        norm = abs(lv).sum(axis=0).max()  # ||L||_1
+        if dense:
+            lv = liouvillian(generator.compiled)
+            norm = abs(lv).sum(axis=0).max()  # ||L||_1
+        else:
+            norm = liouvillian_norm_bound(generator.compiled)
         norm_time = norm * (n_steps * dt)
     if not np.isfinite(norm_time):
         raise ConvergenceError("||L||_1 t overflows a double; the generator is too large "
                                "to propagate")
     if not dense and norm_time > MAX_SPARSE_NORM_TIME:
         raise ConvergenceError(f"||L||_1 t = {norm_time:.3g} is too stiff to propagate")
-    vec = symmetrize(rho0.entries).reshape(-1)
+    rho = symmetrize(rho0.entries)
     done = 1
-    # a dense propagator that overflows leaves non-finite snapshots, which
+    # a propagation that overflows leaves non-finite snapshots, which
     # check_states reports as one error instead of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         # (stride, count): the uniform snapshot grid, then a shorter last interval
         for stride, count in ((store_every, n_uniform), (rest, int(rest > 0))):
-            if count and not dense:
-                vecs = spla.expm_multiply(lv, vec, start=0.0, stop=count * stride * dt,
-                                          num=count + 1, endpoint=True)[1:]
-                states[done:done + count] = vecs.reshape(-1, d, d)
-                vec = vecs[-1]
-            elif count:
-                prop = _expm(stride * dt * lv, norm * stride * dt)
-                for i in range(done, done + count):
-                    vec = prop @ vec
-                    states[i] = vec.reshape(d, d)
+            h = stride * dt
+            if count and dense:
+                prop = _expm(h * lv, norm * h)
+            for i in range(done, done + count):
+                if dense:
+                    rho = (prop @ rho.reshape(-1)).reshape(d, d)
+                else:
+                    rho = _taylor_propagate(generator.compiled, rho, h, norm)
+                states[i] = rho
             done += count
         states[1:] = symmetrize(states[1:])
     times = np.minimum(np.arange(len(states)) * store_every, n_steps) * dt

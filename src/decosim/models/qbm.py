@@ -87,12 +87,15 @@ class CaldeiraLeggettGenerator:
             )
         x, p = position_momentum(self.n_max, self.mass, self.frequency)
         shifted_sq = self.frequency**2 - 2.0 * self.gamma0 * self.cutoff
-        h_eff = p @ p / (2.0 * self.mass) + 0.5 * self.mass * shifted_sq * (x @ x)
-        g = -1j * h_eff - self.diffusion * (x @ x)
-        b = self.diffusion * x
-        if not self.pure_decoherence:
-            g -= 1j * self.gamma0 * (x @ p)
-            b -= 1j * self.gamma0 * p
+        # parameters near the double range overflow the compiled form to
+        # inf or nan entries, which evolve reports as one numerical-contract error
+        with np.errstate(over="ignore", invalid="ignore"):
+            h_eff = p @ p / (2.0 * self.mass) + 0.5 * self.mass * shifted_sq * (x @ x)
+            g = -1j * h_eff - self.diffusion * (x @ x)
+            b = self.diffusion * x
+            if not self.pure_decoherence:
+                g -= 1j * self.gamma0 * (x @ p)
+                b -= 1j * self.gamma0 * p
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "h_eff", h_eff)

@@ -144,7 +144,7 @@ def test_numerical_contract_violations_exit_3(tmp_path, capsys):
                "--n-modes", "4", "--no-born-markov", "--output", str(tmp_path)])
     assert rc == 3
     assert "numerical contract violated" in capsys.readouterr().err
-    # a Liouvillian far too stiff for expm_multiply (n_max above the dense limit)
+    # a Liouvillian far too stiff for the Taylor branch (n_max above the dense limit)
     rc = main(_QBM_FLAGS + ["--n-max", "20", "--gamma0", "1e300", "--cutoff", "1e-300",
                             "--output", str(tmp_path)])
     assert rc == 3
@@ -455,8 +455,9 @@ _DEPHASING_FLAGS = ["--hamiltonian", "sigma_x", "--lindblad",
 
 def test_import_and_estimate_load_no_scipy_subpackage(tmp_path):
     # each subcommand runs in its own process; importing a SciPy subpackage
-    # at module level would cost every one of them about 0.25 s, and the
-    # dense propagator of evolve, trajectories, sieve and spinboson needs none
+    # at module level would cost every one of them about 0.25 s, and neither
+    # propagator of evolve (dense up to dimension 12, Taylor above, here
+    # qbm at n_max 40) nor the sine integral of collisional needs one
     runs = [
         ["estimate", "--mass-g", "1", "--temp-K", "300", "--dx-cm", "1"],
         ["evolve", *_DEPHASING_FLAGS, "--dt", "0.1"],
@@ -465,6 +466,10 @@ def test_import_and_estimate_load_no_scipy_subpackage(tmp_path):
         ["spinboson", "--gamma0", "0.01", "--cutoff", "8", "--temperature", "1",
          "--t-max", "2", "--n-times", "5", "--n-modes", "8", "--born-markov",
          "--no-check-convergence"],
+        ["qbm", "--gamma0", "0.01", "--cutoff", "10", "--temperature", "10", "--alpha", "1.0",
+         "--n-max", "40", "--t-final", "0.1", "--dt", "0.01", "--no-wigner"],
+        ["collisional", "--density-amplitude", "1", "--q-max", "2", "--speed", "1",
+         "--f2", "1", "--dx-min", "0.01", "--dx-max", "100", "--n-dx", "9", "--log-spacing"],
     ]
     script = (
         "import json, os, sys\n"
@@ -757,6 +762,20 @@ def test_liouvillian_beyond_the_double_range_exits_3(tmp_path, capsys):
     for name in ("rho_0_0_re", "rho_1_1_re"):
         populations = _column(header, rows, name)
         assert np.all(populations == populations[0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_max", ["10", "20"])  # the dense branch, then the Taylor branch
+@pytest.mark.parametrize("gamma0", ["1e306", "1e307"])
+def test_qbm_beyond_the_double_range_exits_3(tmp_path, capsys, n_max, gamma0):
+    # gamma0 T and gamma0 Lambda near the double range overflow the compiled
+    # generator (at n_max 10 only from gamma0 1e307 on); the overflow must
+    # surface as the one exit-3 line, not as numpy warnings first
+    rc = main(["qbm", "--gamma0", gamma0, "--cutoff", "10", "--temperature", "10",
+               "--alpha", "1", "--n-max", n_max, "--t-final", "0.1", "--dt", "0.01",
+               "--no-wigner", "--output", str(tmp_path)])
+    assert rc == 3
+    _assert_one_line(capsys.readouterr().err, 3)
 
 
 @pytest.mark.filterwarnings("error")

@@ -20,7 +20,7 @@ from decosim.models import (
     uniform_beam_localization_rates,
     uniform_beam_rates,
 )
-from decosim.models.collisional import _angular_factor
+from decosim.models.collisional import _angular_factor, _sine_integral
 
 RHO0, SPEED, F2, QMAX = 1.0, 1.0, 0.1, 2.0
 _gauss_legendre_rule = functools.cache(roots_legendre)
@@ -46,6 +46,14 @@ def _rate_closed_form(dx: float) -> float:
     z = QMAX * dx
     si, _ = sici(2.0 * z)
     return 4 * np.pi * RHO0 * SPEED * F2 * (QMAX - (si - np.sin(z) ** 2 / z) / dx)
+
+
+def test_sine_integral_matches_sici():
+    # a log grid over 1e-8 .. 1e6 plus the series / continued-fraction seam at 4
+    x = np.concatenate([np.logspace(-8.0, 6.0, 2801), np.linspace(3.99, 4.01, 201),
+                        [np.nextafter(4.0, 0.0), 4.0, np.nextafter(4.0, 8.0)]])
+    ref, _ = sici(x)
+    assert np.all(np.abs(_sine_integral(x) - ref) <= 4e-15 * ref)
 
 
 def test_rate_against_closed_form():

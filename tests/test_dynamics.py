@@ -3,6 +3,8 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from decosim import (
     DensityMatrix,
@@ -23,6 +25,7 @@ from decosim.dynamics import (
     _expm,
     compiled_rhs,
     liouvillian,
+    liouvillian_norm_bound,
 )
 from decosim.errors import ConvergenceError, PositivityError
 from decosim.models import caldeira_leggett_generator, coherent_state
@@ -138,7 +141,7 @@ def _snapshot_generators():
     yield SpinBosonBornMarkovGenerator(0.5, 1.0, 0.05, 0.02, 0.03), plus
     h = _random_hermitian(rng, 3)
     yield LindbladSpec(Operator(h), ((Operator(h @ h), 0.1),)), DensityMatrix(np.eye(3) / 3)
-    # above DENSE_PROPAGATOR_MAX_DIM, so evolve takes the expm_multiply path
+    # above DENSE_PROPAGATOR_MAX_DIM, so evolve takes the Taylor branch
     psi = coherent_state(1.0, 30).amplitudes
     oscillator = DensityMatrix(np.outer(psi, psi.conj()))
     yield caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=30), oscillator
@@ -221,7 +224,7 @@ def _random_liouvillian(rng, d):
     jumps = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2)]
     spec = LindbladSpec(Operator(_random_hermitian(rng, d)),
                         ((Operator(jumps[0]), 0.7), (Operator(jumps[1]), 0.3)))
-    return liouvillian(spec.compiled, np.kron)
+    return liouvillian(spec.compiled)
 
 
 # small 1-norms take no squaring; theta_13 approached from both sides
@@ -259,6 +262,88 @@ def test_stiff_damping_keeps_its_stationary_state():
     spec = LindbladSpec(Operator(SIGMA_X), ((lower, 1e10),))
     res = evolve(spec, _plus_density(), 1.0, dt=0.1)
     assert np.abs(res.states[1:] - np.diag([1.0, 0.0])).max() < 1e-9
+
+
+def _sparse_liouvillian(compiled):
+    """The Liouvillian of ``liouvillian``, assembled with scipy.sparse.kron."""
+    g, pairs = compiled
+    one = scipy.sparse.identity(g.shape[0], format="csr")
+    kron = partial(scipy.sparse.kron, format="csr")
+    out = kron(g, one) + kron(one, g.conj())
+    for a, b in pairs:
+        out = out + kron(a, b.T) + kron(b.conj().T, a.conj())
+    return out
+
+
+def _coherent_density(alpha, n_max):
+    psi = coherent_state(alpha, n_max).amplitudes
+    return DensityMatrix(np.outer(psi, psi.conj()))
+
+
+def _random_lindblad_run(d):
+    rng = np.random.default_rng(d)
+    jumps = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2)]
+    spec = LindbladSpec(Operator(_random_hermitian(rng, d)),
+                        ((Operator(jumps[0]), 0.05), (Operator(jumps[1]), 0.02)))
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho0 = m @ m.conj().T
+    return spec, DensityMatrix(rho0 / np.trace(rho0).real)
+
+
+# (generator, rho0, t_final, dt, store_every); "pure-cl-40" is the benchmark's
+# cat configuration, and "-rest" runs it with 1.05 / 1e-2 = 105 steps: 2
+# intervals of 50, each of 83 substeps, and a shorter last interval of 5
+_TAYLOR_CASES = {
+    "pure-cl-13": lambda: (caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=13,
+                                                      pure_decoherence=True),
+                           _coherent_density(1.0, 13), 0.5, 1e-3, 50),
+    "pure-cl-40": lambda: (caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 50.0, n_max=40,
+                                                      pure_decoherence=True),
+                           _coherent_density(2.0, 40), 0.1, 1e-4, 50),
+    "full-cl-30": lambda: (caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=30),
+                           _coherent_density(1.0, 30), 0.5, 1e-3, 50),
+    "lindblad-16": lambda: (*_random_lindblad_run(16), 0.3, 1e-2, 5),
+    "pure-cl-40-rest": lambda: (caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 50.0, n_max=40,
+                                                           pure_decoherence=True),
+                                _coherent_density(2.0, 40), 1.05, 1e-2, 50),
+}
+
+
+@pytest.mark.parametrize("case", list(_TAYLOR_CASES))
+def test_taylor_branch_matches_expm_multiply(case):
+    gen, rho0, t_final, dt, store_every = _TAYLOR_CASES[case]()
+    assert gen.dim > DENSE_PROPAGATOR_MAX_DIM
+    res = evolve(gen, rho0, t_final, dt, store_every)
+    lv = _sparse_liouvillian(gen.compiled)
+    vec = rho0.entries.reshape(-1)
+    ref = [rho0.entries]
+    for h in np.diff(res.times):
+        vec = scipy.sparse.linalg.expm_multiply(h * lv, vec)
+        ref.append(vec.reshape(gen.dim, gen.dim))
+    ref = np.array(ref)
+    assert np.abs(res.states - ref).max() <= 1e-13 * np.abs(ref).max()
+    if case.endswith("-rest"):
+        assert np.diff(res.times)[-1] < np.diff(res.times)[0]
+
+
+def test_liouvillian_norm_bound_holds():
+    rng = np.random.default_rng(17)
+    generators = [caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 50.0, n_max=12),
+                  caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 50.0, n_max=12,
+                                             pure_decoherence=True)]
+    for d in (2, 3, 5, 8):
+        jumps = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3)]
+        generators.append(LindbladSpec(
+            Operator(_random_hermitian(rng, d)),
+            tuple((Operator(op), rate) for op, rate in zip(jumps, rng.uniform(0.0, 3.0, 3)))))
+    # a jump into one state from all of them: ||A||_1 = d but ||A||_inf = 1, so
+    # a bound that swapped the two norms of A or of B would fall below ||L||_1
+    feed = np.zeros((6, 6))
+    feed[:, 0] = 1.0
+    generators.append(LindbladSpec(Operator(np.zeros((6, 6))), ((Operator(feed), 1.0),)))
+    for gen in generators:
+        exact = _norm1(liouvillian(gen.compiled))
+        assert liouvillian_norm_bound(gen.compiled) >= exact, gen
 
 
 @pytest.mark.filterwarnings("error")
