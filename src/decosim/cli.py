@@ -1,11 +1,13 @@
 """Scenario runner: every solver reachable as a subcommand that emits data files.
 
-Configuration comes from a strict JSON file (--config), with any scalar
-key overridable by a same-named flag; unknown keys are rejected rather
-than ignored.  Each run writes plot-ready CSV (17-significant-digit
-scientific notation) plus a manifest.json recording the fully resolved
-config, the seed, library versions, and wall time; the manifest's
-"config" block rerun through --config reproduces the CSV bytes exactly.
+Configuration comes from a strict JSON file (--config), with any key
+overridable by a same-named flag; unknown keys are rejected rather than
+ignored.  A flag takes the same value as its key, written as JSON text
+(bare text for str fields and for operator or state names; --x/--no-x for
+bools), and ``_coerce`` checks both alike.  Each run writes plot-ready CSV
+(17-significant-digit scientific notation) plus a manifest.json recording
+the fully resolved config, the seed, library versions, and wall time; the
+manifest's "config" block rerun through --config reproduces the CSV bytes.
 
 Exit codes: 0 success, 2 config error, 3 numerical contract violation.
 ``main`` is the only place that maps exceptions to them, each reported
@@ -13,10 +15,11 @@ as one stderr line: ConvergenceError (positivity abort, non-convergent
 quadrature), PhysicalityError, GridResolutionError and numpy's
 LinAlgError exit 3; any other ValueError exits 2, and so does a
 MemoryError, since a grid too large for memory is a config choice.  That
-covers a ConfigError from the parsing here and every library constructor
-or solver that rejects a parameter, so handlers call the library without
-wrapping it and the CLI adds only checks the library cannot make: JSON
-shapes, cross-field rules, and finite floats for every float field.
+covers a malformed command line, a ConfigError from the parsing here and
+every library constructor or solver that rejects a parameter, so handlers
+call the library without wrapping it and the CLI adds only checks the
+library cannot make: JSON types and shapes, cross-field rules, and finite
+floats for every float field.
 """
 from __future__ import annotations
 
@@ -110,20 +113,25 @@ class Field:
     choices: tuple[str, ...] | None = None
 
 
+_JSON_TYPES = {"float": (int, float), "int": (int, float), "bool": bool, "str": str}
+
+
 def _coerce(field: Field, value):
+    """The one check of a config value, from a file or a flag: JSON type, finiteness, choices.
+
+    Numbers are JSON numbers, never booleans or text; an int may be written 1e3.
+    """
     if field.kind == "json":
         return value
+    out = value
     try:
+        if (isinstance(value, bool) != (field.kind == "bool")
+                or not isinstance(value, _JSON_TYPES[field.kind])):
+            raise TypeError(value)
         if field.kind == "float":
             out = float(value)
-        elif field.kind == "int":
-            out = int(value)
-            if isinstance(value, float) and value != out:
-                raise ValueError(value)
-        elif isinstance(value, bool if field.kind == "bool" else str):
-            out = value
-        else:
-            raise TypeError(value)
+        elif field.kind == "int" and (out := int(value)) != value:
+            raise ValueError(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"'{field.name}' expects a {field.kind}, got {value!r}") from None
     if field.kind == "float" and not np.isfinite(out):
@@ -145,8 +153,7 @@ def _resolve_config(schema: tuple[Field, ...], config_path: str | None, ns) -> d
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    known = {f.name for f in schema}
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(data) - {f.name for f in schema})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     merged = {}
@@ -162,45 +169,51 @@ def _resolve_config(schema: tuple[Field, ...], config_path: str | None, ns) -> d
     return merged
 
 
-def _parse_operator(spec, what: str) -> np.ndarray:
+def _parse_pairs(spec, what: str, names: dict, kind: str) -> np.ndarray:
+    """A named constant, or a finite array from nested [re, im] pairs (a vector or a matrix)."""
     if isinstance(spec, str):
-        if spec not in _NAMED_OPERATORS:
-            raise ConfigError(f"{what}: unknown operator name {spec!r}")
-        return _NAMED_OPERATORS[spec]
+        if spec not in names:
+            raise ConfigError(f"{what}: unknown {kind} name {spec!r}")
+        return names[spec]
     try:
         arr = pairs_to_array(spec)
     except (ValueError, TypeError):
-        raise ConfigError(f"{what}: expected an operator name or [re, im] matrix") from None
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ConfigError(f"{what}: matrix must be square")
+        raise ConfigError(f"{what}: expected a {kind} name or nested [re, im] pairs") from None
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{what}: entries must be finite")
     return arr
 
 
-def _parse_state(spec, what: str) -> np.ndarray:
-    if isinstance(spec, str):
-        if spec not in _NAMED_STATES:
-            raise ConfigError(f"{what}: unknown state name {spec!r}")
-        return _NAMED_STATES[spec]
-    try:
-        arr = pairs_to_array(spec)
-    except (ValueError, TypeError):
-        raise ConfigError(f"{what}: expected a state name or [re, im] vector") from None
+def _parse_operator(spec, what: str) -> np.ndarray:
+    arr = _parse_pairs(spec, what, _NAMED_OPERATORS, "operator")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ConfigError(f"{what}: matrix must be square")
+    return arr
+
+
+def _unit_vector(arr: np.ndarray, what: str) -> np.ndarray:
     if arr.ndim != 1:
         raise ConfigError(f"{what}: state must be a vector")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{what}: entries must be finite")
     norm = np.linalg.norm(arr)
     if norm == 0:
         raise ConfigError(f"{what}: zero vector is not a state")
     return arr / norm
 
 
+def _parse_state(spec, what: str) -> np.ndarray:
+    arr = _parse_pairs(spec, what, _NAMED_STATES, "state")
+    return arr if isinstance(spec, str) else _unit_vector(arr, what)
+
+
 def _parse_list(spec, what: str) -> list:
     if not isinstance(spec, list):
         raise ConfigError(f"{what}: expected a JSON list, got {spec!r}")
     return spec
+
+
+def _parse_floats(spec, what: str) -> list[float]:
+    return [_coerce(Field(f"{what}[{k}]", "float", ""), v)
+            for k, v in enumerate(_parse_list(spec, what))]
 
 
 def _density_columns(dim: int) -> list[str]:
@@ -239,20 +252,14 @@ EVOLVE_SCHEMA = _OPERATOR_FIELDS + (
 def _cmd_evolve(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     spec = _build_lindblad(cfg)
     raw = cfg["rho0"]
-    if isinstance(raw, str):
-        rho0 = StateVector(_parse_state(raw, "rho0")).density()
+    arr = _parse_pairs(raw, "rho0", _NAMED_STATES, "state")
+    if arr.ndim == 1:
+        rho0 = StateVector(arr if isinstance(raw, str) else _unit_vector(arr, "rho0")).density()
     else:
         try:
-            mat = pairs_to_array(raw)
-        except (ValueError, TypeError):
-            raise ConfigError("rho0: expected a state name, [re,im] vector, or matrix") from None
-        if mat.ndim == 1:
-            rho0 = StateVector(_parse_state(raw, "rho0")).density()
-        else:
-            try:
-                rho0 = DensityMatrix(mat)
-            except ValueError as exc:
-                raise ConfigError(f"rho0: {exc}") from None
+            rho0 = DensityMatrix(arr)
+        except ValueError as exc:
+            raise ConfigError(f"rho0: {exc}") from None
     result = evolve(spec, rho0, cfg["t_final"], cfg["dt"], cfg["store_every"])
     header = ["t", "purity", "entropy"] + _density_columns(spec.dim)
     table = np.column_stack([result.times, purity(result.states), spectral_entropy(result.spectra),
@@ -467,10 +474,7 @@ SPINSPIN_SCHEMA = _SPIN_BATH_FIELDS + (
 
 def _resolve_couplings(cfg: dict) -> tuple[float, ...]:
     if cfg["couplings"] is not None:
-        try:
-            return tuple(float(g) for g in cfg["couplings"])
-        except (TypeError, ValueError):
-            raise ConfigError("couplings must be a list of numbers") from None
+        return tuple(_parse_floats(cfg["couplings"], "couplings"))
     if cfg["n_env"] is None:
         raise ConfigError("provide either 'couplings' or 'n_env'")
     if not np.isfinite(cfg["coupling_high"] - cfg["coupling_low"]):
@@ -601,10 +605,7 @@ QEC_SCHEMA = (
 
 
 def _cmd_qec(cfg: dict, outdir: str) -> tuple[list[str], dict]:
-    try:
-        p_values = [float(p) for p in cfg["p_list"]]
-    except (TypeError, ValueError):
-        raise ConfigError("p_list must be a list of numbers") from None
+    p_values = _parse_floats(cfg["p_list"], "p_list")
     rows = logical_error_rate(p_values, n_shots=cfg["n_shots"], seed=cfg["seed"])
     rates = np.array([[r.flip_probability, r.uncorrected_rate, r.corrected_rate] for r in rows])
     shots = np.array([str(r.n_shots) for r in rows], dtype=bytes)
@@ -714,34 +715,33 @@ COMMANDS = {
 def _json_flag(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except json.JSONDecodeError:  # a bare name, or text that _coerce rejects
         return text
 
 
 def _add_field_flag(parser: argparse.ArgumentParser, field: Field) -> None:
-    flag = "--" + field.name.replace("_", "-")
+    """A flag that converts and checks nothing itself: ``_coerce`` checks its value."""
     kwargs: dict = {"dest": field.name, "help": field.help, "default": None}
-    if field.kind == "float":
-        kwargs["type"] = float
-    elif field.kind == "int":
-        kwargs["type"] = int
-    elif field.kind == "bool":
-        parser.add_argument(flag, dest=field.name, help=field.help, default=None,
-                            action=argparse.BooleanOptionalAction)
-        return
-    elif field.kind == "str":
-        kwargs["type"] = str
-        if field.choices:
-            kwargs["choices"] = field.choices
-    else:  # json payloads stay flag-accessible as JSON text or a bare name
+    if field.kind == "bool":
+        kwargs["action"] = argparse.BooleanOptionalAction
+    elif field.kind != "str":
         kwargs["type"] = _json_flag
-    parser.add_argument(flag, **kwargs)
+    if field.choices:
+        kwargs["metavar"] = "{" + ",".join(field.choices) + "}"
+    parser.add_argument("--" + field.name.replace("_", "-"), **kwargs)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ConfigError: one stderr line and exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser for every subcommand, built once per process (parsing leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="decosim",
         description="open-quantum-system scenario runner; emits CSV/JSON plus a manifest",
     )
@@ -767,10 +767,10 @@ def _json_safe(value):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    schema, handler, _ = COMMANDS[args.command]
     started = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        schema, handler, _ = COMMANDS[args.command]
         cfg = _resolve_config(schema, args.config, args)
         outdir = cfg.get("output") or "."
         try:
@@ -789,9 +789,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print("config error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
-    seed = next(
-        (cfg[k] for k in ("seed", "master_seed", "coupling_seed") if k in cfg), None
-    )
+    seed = next((cfg[k] for k in ("seed", "master_seed", "coupling_seed") if k in cfg), None)
     manifest = {
         "subcommand": args.command,
         "config": _json_safe(cfg),

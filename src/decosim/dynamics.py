@@ -123,7 +123,10 @@ def fixed_step_count(t_final: float, dt: float, store_every: int) -> int:
         raise ValueError(f"need finite dt > 0 and t_final >= 0, got dt={dt}, t_final={t_final}")
     if store_every < 1:
         raise ValueError(f"need store_every >= 1, got {store_every}")
-    return max(1, int(round(t_final / dt))) if t_final > 0 else 0
+    steps = t_final / dt
+    if not np.isfinite(steps):
+        raise ValueError(f"t_final / dt overflows a double, got dt={dt}, t_final={t_final}")
+    return max(1, int(round(steps))) if t_final > 0 else 0
 
 
 def _rk4_step(rhs, rho: np.ndarray, dt: float) -> np.ndarray:
@@ -328,7 +331,7 @@ class TrajectoryConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_final / self.dt)))
+        return fixed_step_count(self.t_final, self.dt, 1)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,7 @@ exp(-i h_s t) = cos(w_s t) - i sin(w_s t) h_s / w_s, w_s = |(a_s, b)|, so
 the reduced state is a population-weighted mixture of 2^N branches that
 is linear in cos(2 w_s t) and sin(2 w_s t) (``reduced_evolution``).  The
 per-string propagators stay available for the joint pure state and for
-information-flow analyses.  Dense Hamiltonian and propagator builders are
-provided for small N so the block solver can be checked against brute
-force.
+information-flow analyses.
 """
 from __future__ import annotations
 
@@ -20,10 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import KET_PLUS, NORM_TOL, SIGMA_X, SIGMA_Z, Operator, StateVector, check_states
+from ..core import KET_PLUS, NORM_TOL, SIGMA_X, SIGMA_Z, StateVector, check_states
 
 MAX_ENV_QUBITS = 14
-MAX_DENSE_QUBITS = 10
 # (times x bit strings) entries per chunk of the reduced-state sums; bounds their memory
 _CHUNK_ENTRIES = 2**16
 
@@ -210,38 +207,3 @@ def spin_spin_exact(
         joint = tuple(frames)
     return SpinSpinResult(times, raw, spectra, factor, joint)
 
-
-def _require_dense(env: SpinEnvironment, what: str) -> int:
-    if env.n_spins > MAX_DENSE_QUBITS:
-        raise ValueError(
-            f"dense {what} limited to {MAX_DENSE_QUBITS} environment qubits"
-        )
-    return 2**env.n_spins
-
-
-def spin_spin_hamiltonian(env: SpinEnvironment) -> Operator:
-    """Dense joint Hamiltonian, system qubit first in the tensor order."""
-    n_env = _require_dense(env, "Hamiltonian")
-    a, b = env._block_fields()
-    dim = 2 * n_env
-    h = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(n_env)
-    h[idx, idx] = a
-    h[n_env + idx, n_env + idx] = -a
-    h[idx, n_env + idx] = b
-    h[n_env + idx, idx] = b
-    return Operator(h, dims=(2,) * (env.n_spins + 1))
-
-
-def spin_spin_propagator(env: SpinEnvironment, t: float) -> Operator:
-    """Dense joint propagator assembled from the per-string blocks."""
-    n_env = _require_dense(env, "propagator")
-    u_blocks = env.block_unitaries(float(t))
-    dim = 2 * n_env
-    u = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(n_env)
-    u[idx, idx] = u_blocks[:, 0, 0]
-    u[idx, n_env + idx] = u_blocks[:, 0, 1]
-    u[n_env + idx, idx] = u_blocks[:, 1, 0]
-    u[n_env + idx, n_env + idx] = u_blocks[:, 1, 1]
-    return Operator(u, dims=(2,) * (env.n_spins + 1))

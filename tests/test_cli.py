@@ -643,32 +643,42 @@ def _sweep_values(field):
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_schema_sweep_keeps_the_exit_code_contract(tmp_path, capsys, command):
+def test_schema_sweep_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, command):
+    # each value goes in once through the config file and once as the field's
+    # flag, whose text is the value's JSON (the bare text for a str field)
+    monkeypatch.chdir(tmp_path)  # a str value swept into --output names a directory here
     schema = COMMANDS[command][0]
     cfg_path = tmp_path / "cfg.json"
+    base_path = tmp_path / "base.json"
     violations = []
     for base in _SWEEP_BASES[command]:
         base = dict(base, output=str(tmp_path / "out"))
-        cfg_path.write_text(json.dumps(base))
-        assert main([command, "--config", str(cfg_path)]) == 0, capsys.readouterr().err
+        base_path.write_text(json.dumps(base))
+        assert main([command, "--config", str(base_path)]) == 0, capsys.readouterr().err
         for field in schema:
+            flag = "--" + field.name.replace("_", "-")
             for value in _sweep_values(field):
-                capsys.readouterr()
                 cfg_path.write_text(json.dumps(dict(base, **{field.name: value})))
-                case = f"{field.name}={value!r} from {base}"
-                try:
-                    rc = main([command, "--config", str(cfg_path)])
-                except Exception as exc:  # the contract allows no traceback
-                    violations.append(f"{case}: raised {type(exc).__name__}: {exc}")
-                    continue
-                err = capsys.readouterr().err
-                if rc not in (0, 2, 3):
-                    violations.append(f"{case}: exit {rc}")
-                elif rc != 0:
+                text = str(value) if field.kind == "str" else json.dumps(value)
+                for argv, case in [
+                    ([command, "--config", str(cfg_path)], f"{field.name}={value!r}"),
+                    ([command, "--config", str(base_path), f"{flag}={text}"], f"{flag}={text}"),
+                ]:
+                    capsys.readouterr()
+                    case += f" from {base}"
                     try:
-                        _assert_one_line(err, rc)
-                    except AssertionError:
-                        violations.append(f"{case}: exit {rc} with stderr {err!r}")
+                        rc = main(argv)
+                    except (Exception, SystemExit) as exc:  # no traceback, no usage dump
+                        violations.append(f"{case}: raised {type(exc).__name__}: {exc}")
+                        continue
+                    err = capsys.readouterr().err
+                    if rc not in (0, 2, 3):
+                        violations.append(f"{case}: exit {rc}")
+                    elif rc != 0:
+                        try:
+                            _assert_one_line(err, rc)
+                        except AssertionError:
+                            violations.append(f"{case}: exit {rc} with stderr {err!r}")
     assert not violations, "\n".join(violations)
 
 
@@ -733,6 +743,23 @@ _EXIT_2_CASES = {
                                       "--t-transit", "1e308", "--p-max", "1", "--n-p", "5"],
     "table1-tau-overflows": ["estimate", "--table1", "--constants", json.dumps(
         {env: {label: {"lambda": 5e-324} for label, _ in OBJECTS} for env in ENVIRONMENTS})],
+    # t_final / dt beyond the double range: no step count exists
+    "evolve-t-final-dbl-max": EVOLVE_FLAGS + ["--t-final", "1.7976931348623157e308",
+                                              "--dt", "0.1"],
+    "evolve-dt-denormal": EVOLVE_FLAGS + ["--dt", "5e-324"],
+    "trajectories-dt-denormal": ["trajectories", "--hamiltonian", "identity", "--t-final", "1",
+                                 "--dt", "5e-324", "--n-trajectories", "4"],
+    "qbm-t-final-dbl-max": _QBM_FLAGS + ["--t-final", "1.7976931348623157e308"],
+    # a malformed command line, or a value of the wrong JSON type on it
+    "no-subcommand": [],
+    "unknown-flag": EVOLVE_FLAGS + ["--bogus", "1"],
+    "evolve-dt-not-a-number": EVOLVE_FLAGS + ["--dt", "abc"],
+    "sieve-scenario-unknown": ["sieve", "--scenario", "bogus", "--t-final", "1"],
+    "store-every-true": EVOLVE_FLAGS + ["--store-every", "true"],
+    "lindblad-rate-true": EVOLVE_FLAGS + ["--lindblad",
+                                          '[{"operator": "sigma_z", "rate": true}]'],
+    "couplings-true": ["spinspin", "--couplings", "[true, 0.5]", "--t-max", "1"],
+    "couplings-text": ["spinspin", "--couplings", '["0.5"]', "--t-max", "1"],
 }
 
 
@@ -742,6 +769,29 @@ def test_invalid_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "taken").write_text("")
     assert main(argv) == 2
     _assert_one_line(capsys.readouterr().err, 2)
+
+
+def test_a_flag_takes_the_value_of_its_config_key(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"p_list": [0.05], "n_shots": 1e3}')
+    assert main(["qec", "--config", str(cfg_path), "--output", str(tmp_path / "file")]) == 0
+    assert main(["qec", "--p-list", "[0.05]", "--n-shots", "1e3",
+                 "--output", str(tmp_path / "flag")]) == 0
+    config = _manifest(tmp_path / "file")["config"]
+    assert config == dict(_manifest(tmp_path / "flag")["config"], output=str(tmp_path / "file"))
+    assert config["n_shots"] == 1000
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_names_every_flag_and_choice(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    for field in COMMANDS[command][0]:
+        assert "--" + field.name.replace("_", "-") in text
+        for choice in field.choices or ():
+            assert choice in text
 
 
 @pytest.mark.filterwarnings("error")

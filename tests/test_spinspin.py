@@ -11,12 +11,7 @@ from decosim import (
     purity,
 )
 from decosim.core import symmetrize
-from decosim.models import (
-    SpinEnvironment,
-    spin_spin_exact,
-    spin_spin_hamiltonian,
-    spin_spin_propagator,
-)
+from decosim.models import SpinEnvironment, spin_spin_exact
 from decosim.models.spinspin import _CHUNK_ENTRIES
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -30,6 +25,32 @@ def _reduced_evolution_loop(env: SpinEnvironment, psi, times) -> np.ndarray:
         branches = env.block_unitaries(float(t)) @ psi
         out[k] = symmetrize(np.einsum("e,ei,ej->ij", pops, branches, branches.conj()))
     return out
+
+
+def spin_spin_hamiltonian(env: SpinEnvironment) -> Operator:
+    """Oracle: the dense joint Hamiltonian, system qubit first in the tensor order."""
+    n_env = 2**env.n_spins
+    a, b = env._block_fields()
+    h = np.zeros((2 * n_env, 2 * n_env), dtype=complex)
+    idx = np.arange(n_env)
+    h[idx, idx] = a
+    h[n_env + idx, n_env + idx] = -a
+    h[idx, n_env + idx] = b
+    h[n_env + idx, idx] = b
+    return Operator(h, dims=(2,) * (env.n_spins + 1))
+
+
+def spin_spin_propagator(env: SpinEnvironment, t: float) -> Operator:
+    """Oracle: the dense joint propagator assembled from the per-string blocks."""
+    n_env = 2**env.n_spins
+    u_blocks = env.block_unitaries(float(t))
+    u = np.zeros((2 * n_env, 2 * n_env), dtype=complex)
+    idx = np.arange(n_env)
+    u[idx, idx] = u_blocks[:, 0, 0]
+    u[idx, n_env + idx] = u_blocks[:, 0, 1]
+    u[n_env + idx, idx] = u_blocks[:, 1, 0]
+    u[n_env + idx, n_env + idx] = u_blocks[:, 1, 1]
+    return Operator(u, dims=(2,) * (env.n_spins + 1))
 
 
 def _random_qubit(rng) -> np.ndarray:
@@ -196,6 +217,3 @@ def test_validation_guards():
         SpinEnvironment((0.5,), env_states=(np.array([1.0, 0.0, 0.0]),))
     with pytest.raises(ValueError):
         spin_spin_exact(SpinEnvironment((0.5,)), np.array([1.0, 1.0]), [0.0, 1.0])
-    dense_limit = SpinEnvironment(tuple(0.1 * (i + 1) for i in range(11)))
-    with pytest.raises(ValueError):
-        spin_spin_hamiltonian(dense_limit)
