@@ -43,6 +43,9 @@ class OhmicLorentzCutoff:
         finite = np.isfinite([self.mass, self.gamma0, self.cutoff]).all()
         if not finite or self.mass <= 0 or self.cutoff <= 0 or self.gamma0 < 0:
             raise ValueError("need finite mass > 0, cutoff > 0, gamma0 >= 0")
+        # J divides by cutoff^2 + w^2, so the square must be a finite normal double
+        if not np.finfo(float).tiny <= self.cutoff * self.cutoff < np.inf:
+            raise ValueError(f"cutoff^2 must be a finite normal double, got cutoff {self.cutoff}")
 
     def __call__(self, omega):
         w = np.asarray(omega, dtype=float)
@@ -312,14 +315,19 @@ def spin_boson_coefficients(
     if tunneling < 0:
         raise ValueError("tunneling frequency must be nonnegative")
     thermal = _thermal_density(density, temperature)
-    dephasing = 0.5 * np.pi * thermal(tunneling)
-    if tunneling == 0.0:
-        return CoefficientSet(dephasing=dephasing, renormalization=0.0, decay=0.0)
-    return CoefficientSet(
-        dephasing=dephasing,
-        renormalization=-tunneling * _principal_value(density, thermal, tunneling),
-        decay=0.5 * np.pi * float(density(tunneling)),
-    )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dephasing = 0.5 * np.pi * thermal(tunneling)
+        if tunneling == 0.0:
+            coeffs = CoefficientSet(dephasing=dephasing, renormalization=0.0, decay=0.0)
+        else:
+            coeffs = CoefficientSet(
+                dephasing=dephasing,
+                renormalization=-tunneling * _principal_value(density, thermal, tunneling),
+                decay=0.5 * np.pi * float(density(tunneling)),
+            )
+    if not np.isfinite([coeffs.dephasing, coeffs.renormalization, coeffs.decay]).all():
+        raise ValueError("the weak-coupling coefficients overflow a double")
+    return coeffs
 
 
 def effective_spectral_density(

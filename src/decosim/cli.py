@@ -177,7 +177,7 @@ def _parse_pairs(spec, what: str, names: dict, kind: str) -> np.ndarray:
         return names[spec]
     try:
         arr = pairs_to_array(spec)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         raise ConfigError(f"{what}: expected a {kind} name or nested [re, im] pairs") from None
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{what}: entries must be finite")
@@ -428,7 +428,9 @@ def _cmd_spinboson(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     if cfg["n_times"] < 2:  # the weak-coupling step below reads times[1]
         raise ConfigError(f"'n_times' must be at least 2, got {cfg['n_times']}")
     density = OhmicLorentzCutoff(cfg["mass"], cfg["gamma0"], cfg["cutoff"])
-    times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
+    # near DBL_MAX linspace's last product overflows before it puts t_max itself there
+    with np.errstate(over="ignore"):
+        times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
     header = ["t"]
     columns = [times]
     summary: dict = {}

@@ -85,8 +85,12 @@ class CaldeiraLeggettGenerator:
             raise ValueError(
                 "need mass > 0, frequency > 0, gamma0 >= 0, cutoff > 0, temperature >= 0"
             )
+        # past the double range a float product is inf, where ** raises OverflowError
+        frequency_sq = self.frequency * self.frequency
+        if frequency_sq == np.inf:
+            raise ValueError(f"frequency^2 overflows a double, got frequency {self.frequency}")
         x, p = position_momentum(self.n_max, self.mass, self.frequency)
-        shifted_sq = self.frequency**2 - 2.0 * self.gamma0 * self.cutoff
+        shifted_sq = frequency_sq - 2.0 * self.gamma0 * self.cutoff
         # parameters near the double range overflow the compiled form to
         # inf or nan entries, which evolve reports as one numerical-contract error
         with np.errstate(over="ignore", invalid="ignore"):

@@ -6,8 +6,12 @@ Two solvers for the same physics at different trust levels:
   modes on a midpoint grid.  With the tunneling term absent the total
   Hamiltonian block-diagonalizes over the two system levels, so the
   reduced coherence factorizes into per-mode factors, each given in
-  closed form by the independent-boson result.  A doubled-mode-count
-  rerun certifies discretization convergence.
+  closed form by the independent-boson result.  The product's exponent
+  is summed from two phase tables of about sqrt(M) modes each (see
+  ``_coherence_product``), so T times and M modes cost T (n1 + n2) sines
+  and cosines plus one (2T, n1) @ (n1, n2) product, and memory grows like
+  T sqrt(M), not T M.  A doubled-mode-count rerun certifies
+  discretization convergence.
 
 * ``spin_boson_born_markov_generator`` is the weak-coupling master
   equation with dephasing, renormalization, and decay coefficients from
@@ -18,6 +22,7 @@ Two solvers for the same physics at different trust levels:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,17 +64,49 @@ def _coherence_product(
     omega_max: float,
     n_modes: int,
 ) -> np.ndarray:
-    """Independent-boson product over the modes, exp(-sum_j Gamma_j(t)).
+    """Independent-boson product over the modes, exp(-sum_j W_j (1 - cos w_j t)).
 
-    Gamma_j(t) = (4 g_j^2 / w_j^2) (1 - cos w_j t) coth(w_j / 2T), with
-    coth = 1 at T = 0, is the exact decay exponent of one displaced mode
+    W_j = (4 g_j^2 / w_j^2) coth(w_j / 2T), with coth = 1 at T = 0, and
+    W_j (1 - cos w_j t) is the exact decay exponent of one displaced mode
     starting thermal.
+
+    The sum is taken from two phase tables, not from a (T, M) cosine
+    matrix.  The modes sit on the midpoint grid w_j = (j + 1/2) dw, so
+    with j = n2 j1 + j2 (n2 = ceil(sqrt M), n1 = ceil(M / n2), W zero-padded
+    to an (n1, n2) matrix) each phase is a + b with a = n2 dw j1 t and
+    b = (j2 + 1/2) dw t, and the exact identity
+    1 - e^{i(a+b)} = (1 - e^{ia}) + e^{ia} (1 - e^{ib}) gives
+
+        sum_j W_j (1 - cos w_j t) = Re[E(a) @ W.sum(1) + rowsum((e^{ia} @ W) * E(b))],
+
+    E(x) = 1 - e^{ix} = 2 sin^2(x/2) - i sin x.  Sines and cosines run on
+    T (n1 + n2) arguments and one real (2T, n1) @ (n1, n2) product does
+    the rest, so memory grows like T sqrt(M).  Every term is built from
+    sines, so the exponent is exactly 0 at t = 0, and nothing cancels
+    against sum W.
     """
-    omegas, g_sq = _mode_parameters(density, omega_max, n_modes)
-    weight = 4.0 * g_sq / omegas**2
-    if temperature > 0.0:
-        weight /= np.tanh(omegas / (2.0 * temperature))
-    return np.exp(-(1.0 - np.cos(np.outer(times, omegas))) @ weight)
+    # a tanh(w / 2T) that saturates to 1 as T -> 0 is the T = 0 limit; any
+    # other overflow leaves a weight, or 8 times their sum, beyond a double
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        omegas, g_sq = _mode_parameters(density, omega_max, n_modes)
+        weight = 4.0 * g_sq / omegas**2
+        if temperature > 0.0:
+            weight /= np.tanh(omegas / (2.0 * temperature))
+        if not np.isfinite(8.0 * weight.sum()):  # every partial sum below stays under 5 sum W
+            raise ValueError("the bath mode weights overflow a double")
+    n2 = math.isqrt(n_modes - 1) + 1
+    n1 = -(-n_modes // n2)
+    table = np.zeros(n1 * n2)
+    table[:n_modes] = weight
+    table = table.reshape(n1, n2)
+    dw = omega_max / n_modes
+    a = np.outer(times, (n2 * dw) * np.arange(n1))
+    b = np.outer(times, (np.arange(n2) + 0.5) * dw)
+    re, im = np.split(np.concatenate([np.cos(a), np.sin(a)]) @ table, 2)  # e^{ia} @ W
+    exponent = 2.0 * np.sin(0.5 * a) ** 2 @ table.sum(1)
+    exponent += np.einsum("tk,tk->t", re, 2.0 * np.sin(0.5 * b) ** 2)
+    exponent += np.einsum("tk,tk->t", im, np.sin(b))
+    return np.exp(-exponent)
 
 
 def spin_boson_exact_dephasing(
@@ -98,6 +135,8 @@ def spin_boson_exact_dephasing(
     if omega_max is None:
         cutoff = getattr(density, "cutoff", None)
         omega_max = 5.0 * cutoff if cutoff else density.default_omega_max()
+    if not np.isfinite(float(omega_max) * float(times[-1])):
+        raise ValueError("the phases omega t overflow a double")
     coherence = _coherence_product(density, temperature, times, omega_max, n_modes)
     doubling = None
     if check_convergence:

@@ -250,8 +250,14 @@ def matrix_to_pairs(matrix: np.ndarray) -> list:
 
 
 def pairs_to_array(data) -> np.ndarray:
-    """Inverse of matrix_to_pairs; accepts vectors or matrices."""
-    arr = np.asarray(data, dtype=float)
+    """Inverse of matrix_to_pairs; accepts vectors or matrices.
+
+    Every entry must be a number: booleans and text are refused, not read as 1.0.
+    """
+    entries = np.asarray(data, dtype=object)
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entries.flat):
+        raise TypeError("[re, im] entries must be numbers")
+    arr = entries.astype(float)
     if arr.ndim == 2 and arr.shape[-1] == 2:
         return arr[:, 0] + 1j * arr[:, 1]
     if arr.ndim == 3 and arr.shape[-1] == 2:

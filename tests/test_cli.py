@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -682,6 +683,37 @@ def test_schema_sweep_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch
     assert not violations, "\n".join(violations)
 
 
+_DOUBLE_EXTREMES = [1e300, -1e300, 1e-300, -1e-300, 1e306, 1e-306, sys.float_info.max, 5e-324]
+
+
+def test_spinboson_extremes_keep_the_one_line_contract(tmp_path, capsys):
+    # every float field of the spin-boson model at the edges of the double
+    # range, tunneling 0: any traceback or numpy warning breaks the contract,
+    # and so does stderr beyond the one exit-2 or exit-3 line, or any at exit 0
+    base_path = tmp_path / "base.json"
+    base_path.write_text(json.dumps(dict(_SWEEP_BASES["spinboson"][0],
+                                         output=str(tmp_path / "out"))))
+    violations = []
+    for name in ("mass", "gamma0", "cutoff", "temperature", "splitting", "t_max"):
+        for value in _DOUBLE_EXTREMES:
+            case = f"--{name.replace('_', '-')}={json.dumps(value)}"
+            capsys.readouterr()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    rc = main(["spinboson", "--config", str(base_path), case])
+                except Exception as exc:
+                    violations.append(f"{case}: raised {type(exc).__name__}: {exc}")
+                    continue
+            err = capsys.readouterr().err
+            if caught:
+                violations.append(f"{case}: exit {rc} after {len(caught)} warnings, "
+                                  f"first {caught[0].message}")
+            elif (rc == 0 and err) or (rc != 0 and (rc not in (2, 3) or err.count("\n") != 1)):
+                violations.append(f"{case}: exit {rc} with stderr {err!r}")
+    assert not violations, "\n".join(violations)
+
+
 _VISIBILITY = ["estimate", "--visibility", "--gamma-per-pressure", "2", "--t-transit", "0.5",
                "--p-max", "3"]
 _SPINBOSON = ["spinboson", "--gamma0", "0.02", "--cutoff", "8", "--temperature", "2",
@@ -695,6 +727,10 @@ _EXIT_2_CASES = {
     "qbm-alpha-overflows": _QBM_FLAGS + ["--alpha", "1e200"],
     "qbm-x-max-overflows": _QBM_FLAGS + ["--wigner", "--x-max", "1e300"],
     "qbm-x-max-negative": _QBM_FLAGS + ["--wigner", "--x-max", "-5"],
+    # frequency^2 beyond the double range
+    "qbm-frequency-1e300": _QBM_FLAGS + ["--frequency", "1e300"],
+    "qbm-frequency-1e306": _QBM_FLAGS + ["--frequency", "1e306"],
+    "qbm-frequency-dbl-max": _QBM_FLAGS + ["--frequency", "1.7976931348623157e308"],
     "spinspin-n-times-0": ["spinspin", "--n-env", "2", "--t-max", "1", "--n-times", "0"],
     "qec-n-shots-0": ["qec", "--n-shots", "0"],
     "qec-n-shots-negative": ["qec", "--n-shots", "-5"],
@@ -760,6 +796,13 @@ _EXIT_2_CASES = {
                                           '[{"operator": "sigma_z", "rate": true}]'],
     "couplings-true": ["spinspin", "--couplings", "[true, 0.5]", "--t-max", "1"],
     "couplings-text": ["spinspin", "--couplings", '["0.5"]', "--t-max", "1"],
+    "hamiltonian-entry-true": ["evolve", "--hamiltonian", '[[[true,0],[0,0]],[[0,0],[1,0]]]',
+                               "--t-final", "0.1", "--dt", "0.05"],
+    "hamiltonian-entry-text": ["evolve", "--hamiltonian", '[[["1",0],[0,0]],[[0,0],[1,0]]]',
+                               "--t-final", "0.1", "--dt", "0.05"],
+    "hamiltonian-entry-beyond-a-double": ["evolve", "--hamiltonian",
+                                          f"[[[1{'0' * 400},0],[0,0]],[[0,0],[1,0]]]",
+                                          "--t-final", "0.1", "--dt", "0.05"],
 }
 
 

@@ -186,6 +186,14 @@ def test_matrix_pairs_round_trip():
         pairs_to_array([[1.0, 2.0, 3.0]])
 
 
+@pytest.mark.parametrize("entry", [True, False, "1", None, [1.0]])
+def test_pairs_hold_only_numbers(entry):
+    # json booleans and text are not numbers, as for float config fields
+    with pytest.raises(TypeError):
+        pairs_to_array([[entry, 0], [0, 0]])
+    assert np.array_equal(pairs_to_array([[1, 0], [0.5, -2]]), np.array([1, 0.5 - 2j]))
+
+
 def test_write_json_is_stable(tmp_path):
     path = str(tmp_path / "m.json")
     write_json(path, {"b": 1, "a": matrix_to_pairs(np.eye(2, dtype=complex))})

@@ -15,6 +15,7 @@ from decosim.models import (
     spin_boson_exact_dephasing,
 )
 from decosim.models.qbm import ladder
+from decosim.models.spinboson import _coherence_product, _mode_parameters
 
 DENSITY = OhmicLorentzCutoff(mass=1.0, gamma0=0.02, cutoff=8.0)
 
@@ -91,6 +92,35 @@ def test_closed_form_mode_factor_matches_fock_solver(omega, g, temperature, tol)
     assert res.population_drift == 0.0
 
 
+def _direct_coherence(density, temperature, times, omega_max, n_modes):
+    """exp(-sum_j W_j (1 - cos w_j t)) from the full (times, modes) cosine matrix."""
+    omegas, g_sq = _mode_parameters(density, omega_max, n_modes)
+    weight = 4.0 * g_sq / omegas**2
+    if temperature > 0.0:
+        weight /= np.tanh(omegas / (2.0 * temperature))
+    exponent = (1.0 - np.cos(np.outer(times, omegas))) @ weight
+    return np.exp(-exponent), exponent
+
+
+_UNIFORM_TIMES = np.linspace(0.0, 25.0, 201)  # omega_max t up to 1e3 at omega_max = 40
+_UNEVEN_TIMES = np.concatenate(
+    [[0.0], np.cumsum(np.random.default_rng(3).uniform(1e-3, 0.5, 60))]
+)
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 7, 64, 511, 512, 1000, 1024, 4096])
+@pytest.mark.parametrize("temperature", [0.0, 0.05, 1.2, 50.0])
+@pytest.mark.parametrize("times", [_UNIFORM_TIMES, _UNEVEN_TIMES], ids=["uniform", "uneven"])
+def test_two_table_product_matches_the_direct_cosine_sum(n_modes, temperature, times):
+    # square, prime and zero-padded mode counts; the coherence's relative
+    # error is the exponent's absolute error, so above an exponent of 1 the
+    # bound is relative to the exponent
+    got = _coherence_product(DENSITY, temperature, times, 40.0, n_modes)
+    expected, exponent = _direct_coherence(DENSITY, temperature, times, 40.0, n_modes)
+    assert got[0] == 1.0
+    assert np.all(np.abs(got / expected - 1.0) <= 1e-13 * np.maximum(exponent, 1.0))
+
+
 def test_single_mode_closed_form_at_zero_temperature():
     # all spectral weight near w0 acts as one displaced mode:
     # |coherence| = exp[-(4 W / w0^2) (1 - cos w0 t)] with W the total weight
@@ -155,6 +185,14 @@ def test_born_markov_pure_dephasing_solution():
     for k, t in enumerate(res.times):
         expected = 0.5 * np.exp(-4.0 * gen.dephasing * t) * np.exp(-0.7j * t)
         assert abs(res.states[k][0, 1] - expected) < 1e-8
+
+
+@pytest.mark.parametrize("gamma0, temperature", [(1e300, 2.0), (0.02, 1.7976931348623157e308)])
+def test_weak_coupling_coefficients_beyond_the_double_range_raise(gamma0, temperature):
+    # J'(0) or 2 T J'(0) overflows: a ValueError, with no numpy warning first
+    density = OhmicLorentzCutoff(mass=1e10, gamma0=gamma0, cutoff=8.0)
+    with pytest.raises(ValueError, match="overflow a double"):
+        spin_boson_born_markov_generator(density, temperature, splitting=0.5, tunneling=0.0)
 
 
 def _born_markov_rhs_oracle(gen, rho):
