@@ -151,6 +151,8 @@ def _resolve_config(schema: tuple[Field, ...], config_path: str | None, ns) -> d
             raise ConfigError(f"cannot read config file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ConfigError("config file nests JSON too deeply") from None
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
     unknown = sorted(set(data) - {f.name for f in schema})
@@ -387,7 +389,11 @@ def _cmd_qbm(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     if cfg["wigner"]:
         scale = np.sqrt(1.0 / (2.0 * cfg["mass"] * cfg["frequency"]))
         # default window: packet separation plus a thermal-width margin
-        occupation = 1.0 / np.expm1(cfg["frequency"] / cfg["temperature"]) if cfg["temperature"] > 0 else 0.0
+        # near T = 0 expm1 overflows to inf, and 1/inf is the occupation's limit 0
+        with np.errstate(over="ignore"):
+            occupation = 1.0 / np.expm1(cfg["frequency"] / cfg["temperature"]) if cfg["temperature"] > 0 else 0.0
+        if not np.isfinite(occupation):
+            raise ConfigError(f"thermal occupation at temperature {cfg['temperature']!r} overflows")
         x_max = cfg["x_max"] or (2.0 * abs(alpha) * np.sqrt(2.0)
                                  + 7.0 * np.sqrt(2.0 * occupation + 1.0)) * scale
         positions = np.linspace(-x_max, x_max, cfg["n_x"])
@@ -424,13 +430,18 @@ SPINBOSON_SCHEMA = (
 )
 
 
+def _time_grid(t_max: float, n: int) -> np.ndarray:
+    """n uniform times from 0 to t_max."""
+    # near DBL_MAX linspace's last product overflows before it puts t_max itself there
+    with np.errstate(over="ignore"):
+        return np.linspace(0.0, t_max, n)
+
+
 def _cmd_spinboson(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     if cfg["n_times"] < 2:  # the weak-coupling step below reads times[1]
         raise ConfigError(f"'n_times' must be at least 2, got {cfg['n_times']}")
     density = OhmicLorentzCutoff(cfg["mass"], cfg["gamma0"], cfg["cutoff"])
-    # near DBL_MAX linspace's last product overflows before it puts t_max itself there
-    with np.errstate(over="ignore"):
-        times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
+    times = _time_grid(cfg["t_max"], cfg["n_times"])
     header = ["t"]
     columns = [times]
     summary: dict = {}
@@ -489,7 +500,7 @@ def _cmd_spinspin(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     couplings = _resolve_couplings(cfg)
     env = SpinEnvironment(couplings, splitting=cfg["splitting"], tunneling=cfg["tunneling"])
     psi0 = StateVector(_parse_state(cfg["psi0"], "psi0"))
-    times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
+    times = _time_grid(cfg["t_max"], cfg["n_times"])
     result = spin_spin_exact(env, psi0, times)
     coherence = result.states[:, 0, 1]
     magnitude = np.hypot(coherence.real, coherence.imag)  # abs() of each entry, to the bit
@@ -520,7 +531,7 @@ SIEVE_SCHEMA = (
 def _cmd_sieve(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     labels = ["zero", "one", "plus", "minus"]
     candidates = [StateVector(_NAMED_STATES[name]) for name in labels]
-    times = np.linspace(0.0, cfg["t_final"], cfg["n_times"])
+    times = _time_grid(cfg["t_final"], cfg["n_times"])
     if cfg["scenario"] == "dephasing-qubit":
         generator = LindbladSpec(
             Operator(np.zeros((2, 2), dtype=complex)),
@@ -719,6 +730,8 @@ def _json_flag(text: str):
         return json.loads(text)
     except json.JSONDecodeError:  # a bare name, or text that _coerce rejects
         return text
+    except RecursionError:  # the parser reports it through _Parser.error, a ConfigError
+        raise argparse.ArgumentTypeError("JSON text nested too deeply") from None
 
 
 def _add_field_flag(parser: argparse.ArgumentParser, field: Field) -> None:

@@ -8,12 +8,16 @@ h_s = a_s sz + b sx per environment bit string s, with a_s shifted by the
 string's coupling sum.  Each block propagator has the closed form
 exp(-i h_s t) = cos(w_s t) - i sin(w_s t) h_s / w_s, w_s = |(a_s, b)|, so
 the reduced state is a population-weighted mixture of 2^N branches that
-is linear in cos(2 w_s t) and sin(2 w_s t) (``reduced_evolution``).  The
+is linear in cos(2 w_s t) and sin(2 w_s t) (``reduced_evolution``).  On
+a uniform time grid each phase splits into a coarse and a fine part,
+t = c + u, so the sums need cosines and sines of (n1 + n2) 2^N phases,
+n1 n2 >= T and n2 about sqrt(T), not of T 2^N (``_phase_sums``).  The
 per-string propagators stay available for the joint pure state and for
 information-flow analyses.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +27,58 @@ from ..core import KET_PLUS, NORM_TOL, SIGMA_X, SIGMA_Z, StateVector, check_stat
 MAX_ENV_QUBITS = 14
 # (times x bit strings) entries per chunk of the reduced-state sums; bounds their memory
 _CHUNK_ENTRIES = 2**16
+
+
+def _phase_sums(times, theta, cos_weights, sin_weights) -> np.ndarray:
+    """(T, 3) sums cos(t theta) @ cos_weights + sin(t theta) @ sin_weights.
+
+    Each time is split as t = c + u, and
+    cos(A + B) w_c + sin(A + B) w_s = cos A (w_c cos B + w_s sin B) + sin A (w_s cos B - w_c sin B)
+    folds the fine parts u into two (2^N, 3 n2) tables F_c and F_s, so the
+    sums are cos(c theta) @ F_c + sin(c theta) @ F_s.  On a uniform grid
+    t_k = t0 + k dt, k = n2 k1 + k2 gives c = t0 + k1 n2 dt and u = k2 dt
+    with n2 about sqrt(T), capped so each table holds at most
+    ``_CHUNK_ENTRIES`` entries; rows past the last time are dropped.  On
+    any other grid c = times and u = {0}, where F_c = w_c and F_s = w_s
+    exactly and this is the direct sum.
+    """
+    n_times, size = times.size, theta.size
+    n2 = min(math.isqrt(max(n_times - 1, 0)) + 1, _CHUNK_ENTRIES // (3 * size))
+    coarse, fine = times, np.zeros(1)
+    if n2 > 1:
+        # near DBL_MAX the model times may overflow: that grid is taken as not uniform
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = (times[-1] - times[0]) / (n_times - 1)
+            model = times[0] + np.arange(n_times) * step
+            tol = 4.0 * np.finfo(float).eps * np.abs(times).max()
+            uniform = (np.all(np.abs(model - times) <= tol)
+                       and np.isfinite(theta.max() * np.abs(model).max()))
+        if uniform:
+            coarse, fine = model[::n2], np.arange(n2) * step
+    n2 = fine.size
+    sin_fine = np.sin(np.outer(theta, fine))
+    cos_fine = np.cos(np.outer(theta, fine))
+    table_c = np.empty((size, n2, 3))
+    table_s = np.empty((size, n2, 3))
+    for f in range(3):  # one feature at a time keeps the temporaries at (2^N, n2)
+        np.multiply(cos_fine, cos_weights[:, f, None], out=table_c[:, :, f])
+        table_c[:, :, f] += sin_fine * sin_weights[:, f, None]
+        np.multiply(cos_fine, sin_weights[:, f, None], out=table_s[:, :, f])
+        table_s[:, :, f] -= sin_fine * cos_weights[:, f, None]
+    del sin_fine, cos_fine  # freed before the coarse chunks, which bounds the peak memory
+    table_c = table_c.reshape(size, 3 * n2)
+    table_s = table_s.reshape(size, 3 * n2)
+
+    flat = np.empty((coarse.size * n2, 3))
+    # coarse rows per chunk: with fine tables they take half the entries, so
+    # tables and chunk fit the budget; without, the direct sum's rows as before
+    rows = max(1, _CHUNK_ENTRIES // (size if n2 == 1 else 2 * size))
+    for lo in range(0, coarse.size, rows):
+        phase = np.outer(coarse[lo : lo + rows], theta)
+        block = np.cos(phase) @ table_c
+        block += np.sin(phase, out=phase) @ table_s
+        flat[lo * n2 : (lo + rows) * n2] = block.reshape(-1, 3)
+    return flat[:n_times]
 
 
 def _sign_table(n: int) -> np.ndarray:
@@ -125,7 +181,10 @@ class SpinEnvironment:
         and one (T, 2^N) sine matrix, each times a fixed (2^N, 3) weight,
         and rho11 = sum_s p_s - rho00.  The a_s / w_s and b / w_s factors
         sit in the weights, set to 0 where w_s = 0, so that block
-        contributes P at every t without a special case.
+        contributes P at every t without a special case.  ``_phase_sums``
+        forms those products: on a uniform grid t = c + u from n1 coarse
+        and n2 fine times, n1 n2 >= T, with (n1 + n2) 2^N cosines and as
+        many sines; on any other grid directly from the T 2^N phases.
         """
         psi = np.asarray(getattr(psi0, "amplitudes", psi0), dtype=complex).reshape(2)
         times = np.asarray(t_grid, dtype=float)
@@ -153,11 +212,7 @@ class SpinEnvironment:
         cos_weights = (coeffs * [1.0, -1.0, -1.0, -1.0]) @ features(even)
         sin_weights = np.stack([half * alpha, half * beta], 1) @ features(odd)
 
-        flat = np.empty((times.size, 3))
-        step = max(1, _CHUNK_ENTRIES // omega.size)
-        for lo in range(0, times.size, step):
-            phase = np.outer(times[lo : lo + step], 2.0 * omega)
-            flat[lo : lo + step] = np.cos(phase) @ cos_weights + np.sin(phase) @ sin_weights
+        flat = _phase_sums(times, 2.0 * omega, cos_weights, sin_weights)
         flat += constant
         out = np.empty((times.size, 2, 2), dtype=complex)
         out[:, 0, 0] = flat[:, 0]

@@ -255,6 +255,8 @@ def pairs_to_array(data) -> np.ndarray:
     Every entry must be a number: booleans and text are refused, not read as 1.0.
     """
     entries = np.asarray(data, dtype=object)
+    if entries.ndim > 3:  # before .flat, which refuses more than 32 dimensions
+        raise ValueError("expected nested [re, im] pairs")
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entries.flat):
         raise TypeError("[re, im] entries must be numbers")
     arr = entries.astype(float)

@@ -714,6 +714,10 @@ def test_spinboson_extremes_keep_the_one_line_contract(tmp_path, capsys):
     assert not violations, "\n".join(violations)
 
 
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
 _VISIBILITY = ["estimate", "--visibility", "--gamma-per-pressure", "2", "--t-transit", "0.5",
                "--p-max", "3"]
 _SPINBOSON = ["spinboson", "--gamma0", "0.02", "--cutoff", "8", "--temperature", "2",
@@ -803,6 +807,13 @@ _EXIT_2_CASES = {
     "hamiltonian-entry-beyond-a-double": ["evolve", "--hamiltonian",
                                           f"[[[1{'0' * 400},0],[0,0]],[[0,0],[1,0]]]",
                                           "--t-final", "0.1", "--dt", "0.05"],
+    # JSON nested past the recursion limit, in a file and in a flag; and past
+    # numpy's 32 dimensions but within the limit
+    "config-nested-too-deep": ["evolve", "--config", "deep.json"],
+    "hamiltonian-nested-too-deep": ["evolve", "--hamiltonian", _nested(100000),
+                                    "--t-final", "0.1", "--dt", "0.05"],
+    "hamiltonian-nested-500-deep": ["evolve", "--hamiltonian", _nested(500),
+                                    "--t-final", "0.1", "--dt", "0.05"],
 }
 
 
@@ -810,8 +821,34 @@ _EXIT_2_CASES = {
 def test_invalid_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # outputs default to the working directory
     (tmp_path / "taken").write_text("")
+    (tmp_path / "deep.json").write_text('{"hamiltonian": ' + _nested(100000) + "}")
     assert main(argv) == 2
     _assert_one_line(capsys.readouterr().err, 2)
+
+
+_DBL_MAX = "1.7976931348623157e308"
+_QUIET_EXTREMES = {
+    # linspace's last product overflows before it writes t_max there
+    "spinspin-t-max-dbl-max": ["spinspin", "--couplings", "[0.3,0.1]", "--t-max", _DBL_MAX,
+                               "--n-times", "7"],
+    "sieve-t-final-dbl-max": ["sieve", "--scenario", "spin-spin", "--couplings", "[0.3,0.1]",
+                              "--t-final", _DBL_MAX, "--n-times", "7"],
+    # expm1 of frequency / temperature overflows: the occupation is its limit 0
+    **{f"qbm-temperature-{t}": ["qbm", "--mass", "1", "--frequency", "1", "--gamma0", "0.01",
+                                "--cutoff", "10", "--n-max", "10", "--t-final", "0.01",
+                                "--dt", "0.001", "--alpha", "1", "--temperature", t]
+       for t in ("1e-300", "1e-306", "5e-324")},
+}
+
+
+@pytest.mark.parametrize("argv", _QUIET_EXTREMES.values(), ids=_QUIET_EXTREMES.keys())
+def test_double_range_extremes_exit_0_silently(tmp_path, capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv + ["--output", str(tmp_path)])
+    assert [str(w.message) for w in caught] == []
+    assert rc == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_a_flag_takes_the_value_of_its_config_key(tmp_path):

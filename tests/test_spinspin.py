@@ -11,8 +11,9 @@ from decosim import (
     purity,
 )
 from decosim.core import symmetrize
+from decosim.models import spinspin
 from decosim.models import SpinEnvironment, spin_spin_exact
-from decosim.models.spinspin import _CHUNK_ENTRIES
+from decosim.models.spinspin import _CHUNK_ENTRIES, _phase_sums
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
@@ -25,6 +26,22 @@ def _reduced_evolution_loop(env: SpinEnvironment, psi, times) -> np.ndarray:
         branches = env.block_unitaries(float(t)) @ psi
         out[k] = symmetrize(np.einsum("e,ei,ej->ij", pops, branches, branches.conj()))
     return out
+
+
+def _direct_phase_sums(times, theta, cos_weights, sin_weights) -> np.ndarray:
+    """Oracle: cos(t theta) @ w_c + sin(t theta) @ w_s from one cosine and one sine matrix per chunk."""
+    flat = np.empty((times.size, 3))
+    step = max(1, _CHUNK_ENTRIES // theta.size)
+    for lo in range(0, times.size, step):
+        phase = np.outer(times[lo : lo + step], theta)
+        flat[lo : lo + step] = np.cos(phase) @ cos_weights + np.sin(phase) @ sin_weights
+    return flat
+
+
+def _direct_reduced_evolution(env: SpinEnvironment, psi, times, monkeypatch) -> np.ndarray:
+    with monkeypatch.context() as patch:
+        patch.setattr(spinspin, "_phase_sums", _direct_phase_sums)
+        return env.reduced_evolution(psi, times)
 
 
 def spin_spin_hamiltonian(env: SpinEnvironment) -> Operator:
@@ -91,6 +108,76 @@ def test_reduced_evolution_across_several_chunks():
     times = np.linspace(0.0, 5.0, 3 * _CHUNK_ENTRIES // 2**10 + 7)
     closed = env.reduced_evolution(PLUS, times)
     assert np.abs(closed - _reduced_evolution_loop(env, PLUS, times)).max() < 1e-13
+
+
+_UNIFORM_COUNTS = [1, 2, 3, 4, 17, 121, 199, 201, 2001]  # primes, squares, padded counts
+
+
+def _spot_rows(n_times: int, rng, n_random: int = 16) -> np.ndarray:
+    """Every row of a short grid; the ends and some random rows of a long one."""
+    if n_times <= 32:
+        return np.arange(n_times)
+    ends = [0, 1, 2, n_times - 3, n_times - 2, n_times - 1]
+    return np.unique(np.concatenate([ends, rng.choice(n_times, n_random, replace=False)]))
+
+
+@pytest.mark.parametrize("n", [1, 4, 12, 14, "zero-frequency"])
+@pytest.mark.parametrize("splitting", [0.0, 0.3])
+@pytest.mark.parametrize("tunneling", [0.0, 0.3])
+def test_reduced_evolution_on_uniform_grids(monkeypatch, n, splitting, tunneling):
+    # every row against the direct sum, spot rows against the block loop; at
+    # N = 14 the fine table holds one column (the direct sum), so the grid
+    # stops at 201 times there
+    rng = np.random.default_rng(7 if n == "zero-frequency" else n)
+    couplings = (1.0, 1.0) if n == "zero-frequency" else tuple(rng.uniform(0.2, 1.2, n))
+    env = SpinEnvironment(
+        couplings,
+        env_states=tuple(_random_qubit(rng) for _ in couplings),
+        splitting=splitting,
+        tunneling=tunneling,
+    )
+    psi = _random_qubit(rng)
+    for n_times in _UNIFORM_COUNTS if n != 14 else _UNIFORM_COUNTS[:-1]:
+        for t0 in (0.0, 0.37):
+            times = np.linspace(t0, 5.0, n_times)
+            closed = env.reduced_evolution(psi, times)
+            assert np.abs(closed - _direct_reduced_evolution(env, psi, times, monkeypatch)).max() < 1e-13
+            rows = _spot_rows(n_times, rng, 4 if n == 14 else 16)  # the loop costs 2^N per row
+            loop = _reduced_evolution_loop(env, psi, times[rows])
+            assert np.abs(closed[rows] - loop).max() < 1e-13
+            if t0 == 0.0 and len(couplings) <= 4:
+                # at N >= 12 the constant and the cosine weights cancel to about 1e-14 at t = 0
+                assert np.abs(closed[0] - np.outer(psi, psi.conj())).max() < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 4, 12, 14])
+def test_phase_sums_on_a_non_uniform_grid_are_the_direct_sum(n):
+    rng = np.random.default_rng(40 + n)
+    theta = rng.uniform(0.0, 3.0, 2**n)
+    cos_weights, sin_weights = rng.normal(size=(2, 2**n, 3))
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 4.0, 60))])
+    nudged = np.linspace(0.0, 4.0, 61)
+    nudged[30] += 1e-9  # uniform but for one time
+    for grid in (times, times[:1], times[::-1], nudged):
+        assert np.array_equal(_phase_sums(grid, theta, cos_weights, sin_weights),
+                              _direct_phase_sums(grid, theta, cos_weights, sin_weights))
+
+
+def test_reduced_evolution_across_coarse_chunks_with_a_full_fine_table(monkeypatch):
+    # 2^10 strings: the fine table stops at its cap of n2 columns, and the
+    # coarse rows take three chunks, the last one partly padded
+    n = 10
+    n2 = _CHUNK_ENTRIES // (3 * 2**n)
+    rows = _CHUNK_ENTRIES // (2 * 2**n)
+    n_times = 2 * rows * n2 + 7
+    assert np.sqrt(n_times) > n2 and -(-n_times // n2) > 2 * rows
+    rng = np.random.default_rng(11)
+    env = SpinEnvironment(tuple(rng.uniform(0.2, 1.2, n)), splitting=0.4, tunneling=0.3)
+    times = np.linspace(0.25, 6.0, n_times)
+    closed = env.reduced_evolution(PLUS, times)
+    assert np.abs(closed - _direct_reduced_evolution(env, PLUS, times, monkeypatch)).max() < 1e-13
+    rows = _spot_rows(n_times, rng)
+    assert np.abs(closed[rows] - _reduced_evolution_loop(env, PLUS, times[rows])).max() < 1e-13
 
 
 def test_decoherence_factor_is_a_product_of_cosines():
