@@ -31,12 +31,13 @@ import platform
 import sys
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy
 
+# only what every subcommand needs: each handler imports its solver when it runs
 from . import __version__
-from .baths import OhmicLorentzCutoff
 from .core import (
     KET_0,
     KET_1,
@@ -52,32 +53,12 @@ from .core import (
     purity,
     spectral_entropy,
 )
-from .dynamics import LindbladSpec, TrajectoryConfig, evolve, unravel
 from .errors import (
     ConfigError,
     ConvergenceError,
     GridResolutionError,
     PhysicalityError,
 )
-from .models import (
-    SpinEnvironment,
-    WignerGrid,
-    caldeira_leggett_generator,
-    cat_state,
-    coherent_state,
-    spin_boson_born_markov_generator,
-    spin_boson_exact_dephasing,
-    spin_spin_exact,
-    table1_scenarios,
-    timescale_ratio,
-    truncation_tail,
-    uniform_beam_localization_rates,
-    uniform_beam_rates,
-    visibility_vs_pressure,
-    wigner_from_fock,
-)
-from .pointer import collective_dfs, dfs_find, InteractionSpec, predictability_sieve
-from .qec import logical_error_rate
 from .serialize import (
     matrix_to_pairs,
     pairs_to_array,
@@ -86,6 +67,10 @@ from .serialize import (
     write_csv,
     write_json,
 )
+
+if TYPE_CHECKING:
+    from .dynamics import LindbladSpec
+    from .models.qbm import WignerGrid
 
 _NAMED_OPERATORS = {
     "sigma_x": SIGMA_X,
@@ -223,7 +208,20 @@ def _density_columns(dim: int) -> list[str]:
     return [f"rho_{i}_{j}_{part}" for i in range(dim) for j in range(dim) for part in ("re", "im")]
 
 
+def _uniform_grid(start: float, stop: float, n: int, what: str) -> np.ndarray:
+    """n uniform points from start to stop; a grid past the double range is a config error."""
+    # near DBL_MAX linspace's last product overflows before it puts stop itself
+    # there, and a stop - start past DBL_MAX makes every point inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(start, stop, n)
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError(f"the {what} grid from {start!r} to {stop!r} overflows a double")
+    return grid
+
+
 def _build_lindblad(cfg) -> LindbladSpec:
+    from .dynamics import LindbladSpec
+
     h = _parse_operator(cfg["hamiltonian"], "hamiltonian")
     terms = []
     for k, item in enumerate(_parse_list(cfg["lindblad"], "lindblad")):
@@ -252,6 +250,8 @@ EVOLVE_SCHEMA = _OPERATOR_FIELDS + (
 
 
 def _cmd_evolve(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+    from .dynamics import evolve
+
     spec = _build_lindblad(cfg)
     raw = cfg["rho0"]
     arr = _parse_pairs(raw, "rho0", _NAMED_STATES, "state")
@@ -284,6 +284,8 @@ TRAJECTORIES_SCHEMA = _OPERATOR_FIELDS + (
 
 
 def _cmd_trajectories(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+    from .dynamics import TrajectoryConfig, evolve, unravel
+
     spec = _build_lindblad(cfg)
     psi0 = StateVector(_parse_state(cfg["psi0"], "psi0"))
     tc = TrajectoryConfig(
@@ -325,6 +327,8 @@ COLLISIONAL_SCHEMA = (
 
 
 def _cmd_collisional(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+    from .models.collisional import uniform_beam_localization_rates, uniform_beam_rates
+
     if cfg["n_dx"] < 1 or cfg["dx_min"] <= 0 or cfg["dx_max"] <= cfg["dx_min"]:
         raise ConfigError("need n_dx >= 1 and 0 < dx_min < dx_max")
     rho0, v0, f2 = cfg["density_amplitude"], cfg["speed"], cfg["f2"]
@@ -365,6 +369,15 @@ QBM_SCHEMA = (
 
 
 def _cmd_qbm(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+    from .dynamics import evolve
+    from .models.qbm import (
+        caldeira_leggett_generator,
+        cat_state,
+        coherent_state,
+        truncation_tail,
+        wigner_from_fock,
+    )
+
     gen = caldeira_leggett_generator(
         cfg["mass"], cfg["frequency"], cfg["gamma0"], cfg["cutoff"], cfg["temperature"],
         n_max=cfg["n_max"], pure_decoherence=cfg["pure_decoherence"],
@@ -396,7 +409,7 @@ def _cmd_qbm(cfg: dict, outdir: str) -> tuple[list[str], dict]:
             raise ConfigError(f"thermal occupation at temperature {cfg['temperature']!r} overflows")
         x_max = cfg["x_max"] or (2.0 * abs(alpha) * np.sqrt(2.0)
                                  + 7.0 * np.sqrt(2.0 * occupation + 1.0)) * scale
-        positions = np.linspace(-x_max, x_max, cfg["n_x"])
+        positions = _uniform_grid(-x_max, x_max, cfg["n_x"], "position")
         for tag, state in (("initial", result.states[0]), ("final", result.states[-1])):
             grid = wigner_from_fock(state, cfg["mass"], cfg["frequency"], positions)
             outputs += _write_wigner(outdir, tag, grid)
@@ -430,18 +443,15 @@ SPINBOSON_SCHEMA = (
 )
 
 
-def _time_grid(t_max: float, n: int) -> np.ndarray:
-    """n uniform times from 0 to t_max."""
-    # near DBL_MAX linspace's last product overflows before it puts t_max itself there
-    with np.errstate(over="ignore"):
-        return np.linspace(0.0, t_max, n)
-
-
 def _cmd_spinboson(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+    from .baths import OhmicLorentzCutoff
+    from .dynamics import evolve
+    from .models.spinboson import spin_boson_born_markov_generator, spin_boson_exact_dephasing
+
     if cfg["n_times"] < 2:  # the weak-coupling step below reads times[1]
         raise ConfigError(f"'n_times' must be at least 2, got {cfg['n_times']}")
     density = OhmicLorentzCutoff(cfg["mass"], cfg["gamma0"], cfg["cutoff"])
-    times = _time_grid(cfg["t_max"], cfg["n_times"])
+    times = _uniform_grid(0.0, cfg["t_max"], cfg["n_times"], "time")
     header = ["t"]
     columns = [times]
     summary: dict = {}
@@ -497,10 +507,12 @@ def _resolve_couplings(cfg: dict) -> tuple[float, ...]:
 
 
 def _cmd_spinspin(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+    from .models.spinspin import SpinEnvironment, spin_spin_exact
+
     couplings = _resolve_couplings(cfg)
     env = SpinEnvironment(couplings, splitting=cfg["splitting"], tunneling=cfg["tunneling"])
     psi0 = StateVector(_parse_state(cfg["psi0"], "psi0"))
-    times = _time_grid(cfg["t_max"], cfg["n_times"])
+    times = _uniform_grid(0.0, cfg["t_max"], cfg["n_times"], "time")
     result = spin_spin_exact(env, psi0, times)
     coherence = result.states[:, 0, 1]
     magnitude = np.hypot(coherence.real, coherence.imag)  # abs() of each entry, to the bit
@@ -529,9 +541,13 @@ SIEVE_SCHEMA = (
 
 
 def _cmd_sieve(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+    from .dynamics import LindbladSpec
+    from .models.spinspin import SpinEnvironment
+    from .pointer import predictability_sieve
+
     labels = ["zero", "one", "plus", "minus"]
     candidates = [StateVector(_NAMED_STATES[name]) for name in labels]
-    times = _time_grid(cfg["t_final"], cfg["n_times"])
+    times = _uniform_grid(0.0, cfg["t_final"], cfg["n_times"], "time")
     if cfg["scenario"] == "dephasing-qubit":
         generator = LindbladSpec(
             Operator(np.zeros((2, 2), dtype=complex)),
@@ -566,6 +582,8 @@ DFS_SCHEMA = (
 
 
 def _cmd_dfs(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+    from .pointer import InteractionSpec, collective_dfs, dfs_find
+
     payload: dict = {}
     if cfg["collective"]:
         if cfg["n"] is None:
@@ -618,6 +636,8 @@ QEC_SCHEMA = (
 
 
 def _cmd_qec(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+    from .qec import logical_error_rate
+
     p_values = _parse_floats(cfg["p_list"], "p_list")
     rows = logical_error_rate(p_values, n_shots=cfg["n_shots"], seed=cfg["seed"])
     rates = np.array([[r.flip_probability, r.uncorrected_rate, r.corrected_rate] for r in rows])
@@ -648,6 +668,8 @@ ESTIMATE_SCHEMA = (
 
 
 def _cmd_estimate(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+    from .models.estimates import table1_scenarios, timescale_ratio, visibility_vs_pressure
+
     outputs: list[str] = []
     summary: dict = {}
     ran = False
@@ -691,7 +713,7 @@ def _cmd_estimate(cfg: dict, outdir: str) -> tuple[list[str], dict]:
             raise ConfigError(f"'n_p' must be at least 1, got {cfg['n_p']}")
         curve = visibility_vs_pressure(
             cfg["gamma_per_pressure"], cfg["t_transit"],
-            np.linspace(0.0, cfg["p_max"], cfg["n_p"]), v0=cfg["v0"],
+            _uniform_grid(0.0, cfg["p_max"], cfg["n_p"], "pressure"), v0=cfg["v0"],
         )
         path = os.path.join(outdir, "visibility.csv")
         write_csv(

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -474,6 +473,8 @@ def unravel(
         return _unravel_block(stacked, rates, psi0.amplitudes, cfg, block, sample_steps)
 
     if n_workers > 1 and len(blocks) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # a serial run never loads it
+
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(run, blocks))
     else:

@@ -43,8 +43,18 @@ def ladder(n_max: int) -> np.ndarray:
 
 def position_momentum(n_max: int, mass: float, frequency: float) -> tuple[np.ndarray, np.ndarray]:
     a = ladder(n_max)
-    x = np.sqrt(1.0 / (2.0 * mass * frequency)) * (a + a.conj().T)
-    p = 1j * np.sqrt(mass * frequency / 2.0) * (a.conj().T - a)
+    # the zero-point widths (2 M W)^(-1/2) and (M W / 2)^(1/2): where one is 0
+    # or inf, x or p holds only zeros, or nan where inf meets a zero entry
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        x_width = np.sqrt(1.0 / (2.0 * np.float64(mass) * frequency))
+        p_width = np.sqrt(np.float64(mass) * frequency / 2.0)
+    if not (0.0 < x_width < np.inf and 0.0 < p_width < np.inf):
+        raise ValueError(
+            f"zero-point widths of mass {mass!r} and frequency {frequency!r} "
+            "must be finite and nonzero"
+        )
+    x = x_width * (a + a.conj().T)
+    p = 1j * p_width * (a.conj().T - a)
     return x, p
 
 

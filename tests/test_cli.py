@@ -561,7 +561,7 @@ def test_memory_error_exits_2_on_one_line(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (10**12,)")
 
-    monkeypatch.setattr(decosim.cli, "uniform_beam_localization_rates", exhausted)
+    monkeypatch.setattr(decosim.models.collisional, "uniform_beam_localization_rates", exhausted)
     rc = main(["collisional", "--density-amplitude", "1", "--q-max", "2", "--speed", "1",
                "--f2", "1", "--dx-min", "0.1", "--dx-max", "10", "--output", str(tmp_path)])
     assert rc == 2
@@ -790,6 +790,13 @@ _EXIT_2_CASES = {
     "trajectories-dt-denormal": ["trajectories", "--hamiltonian", "identity", "--t-final", "1",
                                  "--dt", "5e-324", "--n-trajectories", "4"],
     "qbm-t-final-dbl-max": _QBM_FLAGS + ["--t-final", "1.7976931348623157e308"],
+    # x_max - (-x_max) overflows: every Wigner grid point is inf or nan
+    "qbm-x-max-dbl-max": _QBM_FLAGS + ["--wigner", "--x-max", "1.7976931348623157e308"],
+    # a zero-point width (2 M w)^(-1/2) or (M w / 2)^(1/2) that is inf or 0
+    "qbm-mass-denormal": _QBM_FLAGS + ["--mass", "5e-324"],
+    "qbm-frequency-denormal": _QBM_FLAGS + ["--frequency", "5e-324"],
+    "qbm-mass-frequency-underflow": _QBM_FLAGS + ["--mass", "5e-324", "--frequency", "0.1"],
+    "qbm-mass-dbl-max": _QBM_FLAGS + ["--mass", "1.7976931348623157e308"],
     # a malformed command line, or a value of the wrong JSON type on it
     "no-subcommand": [],
     "unknown-flag": EVOLVE_FLAGS + ["--bogus", "1"],
@@ -828,11 +835,13 @@ def test_invalid_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):
 
 _DBL_MAX = "1.7976931348623157e308"
 _QUIET_EXTREMES = {
-    # linspace's last product overflows before it writes t_max there
+    # linspace's last product overflows before it writes t_max or p_max there
     "spinspin-t-max-dbl-max": ["spinspin", "--couplings", "[0.3,0.1]", "--t-max", _DBL_MAX,
                                "--n-times", "7"],
     "sieve-t-final-dbl-max": ["sieve", "--scenario", "spin-spin", "--couplings", "[0.3,0.1]",
                               "--t-final", _DBL_MAX, "--n-times", "7"],
+    "visibility-p-max-dbl-max": ["estimate", "--visibility", "--gamma-per-pressure", "2",
+                                 "--t-transit", "0.5", "--p-max", _DBL_MAX, "--n-p", "4"],
     # expm1 of frequency / temperature overflows: the occupation is its limit 0
     **{f"qbm-temperature-{t}": ["qbm", "--mass", "1", "--frequency", "1", "--gamma0", "0.01",
                                 "--cutoff", "10", "--n-max", "10", "--t-final", "0.01",
