@@ -31,9 +31,8 @@ _EXPORTS = {
             "unravel",
         ),
         "baths": (
-            "CoefficientSet", "OhmicLorentzCutoff", "QuadratureConfig", "SampledSpectralDensity",
-            "bath_kernels", "effective_spectral_density", "qbm_coefficients",
-            "spin_boson_coefficients",
+            "CoefficientSet", "OhmicLorentzCutoff", "QuadratureConfig", "bath_kernels",
+            "qbm_coefficients", "spin_boson_coefficients",
         ),
         "errors": (
             "ConfigError", "ConvergenceError", "GridResolutionError", "PhysicalityError",

@@ -1,4 +1,4 @@
-"""Spectral densities, bath correlation kernels, and weak-coupling coefficients.
+"""The Lorentz-Drude spectral density, its bath correlation kernels, and weak-coupling coefficients.
 
 The noise kernel nu and dissipation kernel eta are frequency integrals
 of the spectral density weighted by thermal occupation, evaluated by
@@ -9,14 +9,17 @@ every kernel at the 1e-3 level.
 
 The weak-coupling master-equation coefficients are half-line time
 integrals of those kernels against trigonometric factors at the system
-frequency.  They reduce to closed forms in J and coth at that frequency,
-plus principal-value frequency integrals for the renormalization and
-anomalous-diffusion terms, so no kernel grid is built for them.
+frequency.  They reduce to J and coth at that frequency plus two
+principal-value frequency integrals, and for the Lorentz-Drude density
+those have exact forms: a rational function for the frequency shift,
+and a Matsubara sum, written with the digamma function, for the
+renormalization and anomalous diffusion.  No kernel grid and no
+quadrature is needed for them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -58,42 +61,6 @@ class OhmicLorentzCutoff:
 
     def default_omega_max(self) -> float:
         return 20.0 * self.cutoff
-
-
-@dataclass(frozen=True)
-class SampledSpectralDensity:
-    """Nonnegative samples on an increasing frequency grid, linear in between, zero outside."""
-
-    omegas: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.omegas, dtype=float)
-        j = np.asarray(self.values, dtype=float)
-        if w.ndim != 1 or w.size < 2 or j.shape != w.shape:
-            raise ValueError("need matching 1-d omega and value arrays with >= 2 samples")
-        if np.any(np.diff(w) <= 0) or w[0] < 0:
-            raise ValueError("frequency grid must be strictly increasing and nonnegative")
-        if np.any(j < 0):
-            raise ValueError("spectral density must be nonnegative")
-        object.__setattr__(self, "omegas", w)
-        object.__setattr__(self, "values", j)
-
-    def __call__(self, omega):
-        return np.interp(
-            np.asarray(omega, dtype=float), self.omegas, self.values, left=0.0, right=0.0
-        )
-
-    def zero_frequency_slope(self) -> float:
-        w, j = self.omegas, self.values
-        k = 1 if w[0] == 0.0 else 0
-        return float(j[k] / w[k]) if w[k] > 0 else 0.0
-
-    def default_omega_max(self) -> float:
-        return float(self.omegas[-1])
-
-
-SpectralDensity = Union[OhmicLorentzCutoff, SampledSpectralDensity]
 
 
 @dataclass(frozen=True)
@@ -153,7 +120,7 @@ def _window(omega: np.ndarray, taper_fraction: float) -> np.ndarray:
 
 
 def bath_kernels(
-    density: SpectralDensity,
+    density: OhmicLorentzCutoff,
     temperature: float,
     tau_grid: np.ndarray,
     quad: QuadratureConfig | None = None,
@@ -218,88 +185,90 @@ class CoefficientSet:
     decay: float | None = None
 
 
-def _principal_value(density: SpectralDensity, numerator, frequency: float) -> float:
-    """PV int_0^inf numerator(w) / (w^2 - W^2) dw.
+# B_2k / 2k for k = 1..7, the coefficients of z^-2k in the asymptotic series of psi
+_PSI_SERIES = np.array([1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12])
 
-    The equivalent time-domain route converges only like the spectral
-    weight left outside the frequency window; for a 1/w-tailed density
-    that is percent-level at any affordable window.  Here the integrand
-    is smooth apart from a simple pole at w = W, which a Cauchy-weight
-    quadrature handles to near machine precision.
+
+def _digamma(z) -> np.ndarray:
+    """psi(z) for Re z >= 1, with an error of order 1e-16 max(|psi(z)|, 1).
+
+    The recurrence psi(z) = psi(z + 1) - 1/z lifts |z| to 10 or more; there
+    the asymptotic series ln z - 1/2z - sum_k B_2k / (2k z^2k) with seven
+    terms leaves a remainder below 1e-16 (Abramowitz & Stegun 6.3.5, 6.3.18).
     """
-    from scipy.integrate import quad
-
-    w0 = float(frequency)
-
-    def regular(w):
-        return numerator(w) / (w + w0)
-
-    principal, err_p = quad(regular, 0.0, 2.0 * w0, weight="cauchy", wvar=w0)
-    if isinstance(density, SampledSpectralDensity):
-        upper = float(density.omegas[-1])  # zero outside the sample support
-    else:
-        upper = np.inf
-    rest, err_r = 0.0, 0.0
-    if upper > 2.0 * w0:
-        rest, err_r = quad(lambda w: regular(w) / (w - w0), 2.0 * w0, upper, limit=200)
-    total = principal + rest
-    if err_p + err_r > 1e-6 * max(abs(total), 1.0):
-        raise ConvergenceError(
-            "principal-value quadrature did not converge "
-            f"(error estimate {err_p + err_r:.2e})"
-        )
-    return total
+    z = np.array(z, dtype=complex)
+    out = np.zeros_like(z)
+    small = np.abs(z) < 10.0
+    while small.any():
+        out[small] -= 1.0 / z[small]
+        z[small] += 1.0
+        small = np.abs(z) < 10.0
+    inv = 1.0 / z
+    inv2 = inv * inv
+    series = np.polynomial.polynomial.polyval(inv2, _PSI_SERIES) * inv2
+    return out + np.log(z) - 0.5 * inv - series
 
 
-def _thermal_density(density: SpectralDensity, temperature: float):
-    """w -> J(w) coth(w / 2T) as a scalar function, finite at w = 0."""
-    slope0 = density.zero_frequency_slope()
+def _renormalization(density: OhmicLorentzCutoff, temperature: float, frequency: float) -> float:
+    """R(W) = -W PV int J(w) coth(w/2T) / (w^2 - W^2) dw, in closed form.
 
-    def weighted(w):
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        j_vals = np.asarray(density(w), dtype=float)
-        return float(_thermal_weight(w, j_vals, temperature, slope0)[0])
+    For the Lorentz-Drude density the Matsubara sum of the thermal weight
+    gives, with c = J'(0), L the cutoff and x = 2 pi T (Weiss, Quantum
+    Dissipative Systems),
 
-    return weighted
+        R = W c L / (L^2 + W^2) [pi T - L (psi(1 + L/x) - Re psi(1 + iW/x))],
+
+    and R = -W c L^2 ln(L/W) / (L^2 + W^2) at T = 0, which is also the
+    limit taken wherever L/x or W/x overflows.  W L / (L^2 + W^2) is
+    evaluated as (W/h)(L/h) with h = hypot(L, W), so no square overflows.
+    """
+    cutoff = density.cutoff
+    h = math.hypot(cutoff, frequency)
+    scale = density.zero_frequency_slope() * (frequency / h) * (cutoff / h)
+    x = 2.0 * math.pi * temperature
+    if temperature > 0.0 and max(cutoff, frequency) / x < math.inf:
+        psi = _digamma([1.0 + cutoff / x, 1.0 + 1j * frequency / x]).real
+        return scale * math.pi * temperature - scale * cutoff * float(psi[0] - psi[1])
+    return -scale * cutoff * (math.log(cutoff) - math.log(frequency))
+
+
+def _thermal(density: OhmicLorentzCutoff, temperature: float, omega: float) -> float:
+    """J(w) coth(w / 2T) at one frequency, finite at w = 0."""
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    j_vals = np.asarray(density(w), dtype=float)
+    return float(_thermal_weight(w, j_vals, temperature, density.zero_frequency_slope())[0])
 
 
 def qbm_coefficients(
-    density: SpectralDensity,
-    temperature: float,
-    frequency: float,
-    mass: float | None = None,
+    density: OhmicLorentzCutoff, temperature: float, frequency: float
 ) -> CoefficientSet:
     """Oscillator weak-coupling coefficients at system frequency W.
 
-    frequency_shift_sq  = -(2/M) PV int J(w) w / (w^2 - W^2),
+    frequency_shift_sq  = -(2/M) PV int J(w) w / (w^2 - W^2) = -2 gamma0 L^3 / (L^2 + W^2),
     damping             =  pi J(W) / (2 M W),
     normal_diffusion    =  (pi/2) J(W) coth(W/2T),
-    anomalous_diffusion =  (1/M) PV int J(w) coth(w/2T) / (w^2 - W^2).
+    anomalous_diffusion =  (1/M) PV int J(w) coth(w/2T) / (w^2 - W^2) = -R(W) / (W M),
 
+    with M the density's mass, L its cutoff and R from _renormalization.
     These are the half-line time integrals of the bath kernels against
-    cos(W t) and sin(W t), done in closed form; the two principal values
-    go through _principal_value.  In the high-temperature ohmic regime
-    normal_diffusion approaches 2 M gamma0 T and damping approaches
-    gamma0, temperature-independent.
+    cos(W t) and sin(W t), done in closed form.  In the high-temperature
+    ohmic regime normal_diffusion approaches 2 M gamma0 T and damping
+    approaches gamma0, temperature-independent.
     """
     if frequency <= 0:
         raise ValueError("system frequency must be positive")
-    if mass is None:
-        mass = getattr(density, "mass", None)
-    if mass is None or mass <= 0:
-        raise ValueError("oscillator coefficients need a positive mass")
-    thermal = _thermal_density(density, temperature)
+    mass, cutoff = density.mass, density.cutoff
+    h = math.hypot(cutoff, frequency)
     return CoefficientSet(
-        frequency_shift_sq=-(2.0 / mass)
-        * _principal_value(density, lambda w: float(density(w)) * w, frequency),
+        frequency_shift_sq=-2.0 * density.gamma0 * cutoff * (cutoff / h) ** 2,
         damping=0.5 * np.pi * float(density(frequency)) / (mass * frequency),
-        normal_diffusion=0.5 * np.pi * thermal(frequency),
-        anomalous_diffusion=_principal_value(density, thermal, frequency) / mass,
+        normal_diffusion=0.5 * np.pi * _thermal(density, temperature, frequency),
+        anomalous_diffusion=-_renormalization(density, temperature, frequency) / (frequency * mass),
     )
 
 
 def spin_boson_coefficients(
-    density: SpectralDensity, temperature: float, tunneling: float
+    density: OhmicLorentzCutoff, temperature: float, tunneling: float
 ) -> CoefficientSet:
     """Two-level weak-coupling coefficients at tunneling frequency Delta0.
 
@@ -314,36 +283,16 @@ def spin_boson_coefficients(
     """
     if tunneling < 0:
         raise ValueError("tunneling frequency must be nonnegative")
-    thermal = _thermal_density(density, temperature)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        dephasing = 0.5 * np.pi * thermal(tunneling)
+        dephasing = 0.5 * np.pi * _thermal(density, temperature, tunneling)
         if tunneling == 0.0:
             coeffs = CoefficientSet(dephasing=dephasing, renormalization=0.0, decay=0.0)
         else:
             coeffs = CoefficientSet(
                 dephasing=dephasing,
-                renormalization=-tunneling * _principal_value(density, thermal, tunneling),
+                renormalization=_renormalization(density, temperature, tunneling),
                 decay=0.5 * np.pi * float(density(tunneling)),
             )
     if not np.isfinite([coeffs.dephasing, coeffs.renormalization, coeffs.decay]).all():
         raise ValueError("the weak-coupling coefficients overflow a double")
     return coeffs
-
-
-def effective_spectral_density(
-    density: SpectralDensity, temperature: float
-) -> SampledSpectralDensity:
-    """Temperature-rescaled density J(w) tanh(w / 2T), sampled.
-
-    The samples are ``DEFAULT_N_OMEGA`` points evenly spaced on
-    [0, density.default_omega_max()].  At T = 0 the factor is one; the
-    effective density always lies at or below the input and approaches
-    it as T -> 0.
-    """
-    w = np.linspace(0.0, density.default_omega_max(), DEFAULT_N_OMEGA)
-    j_vals = np.asarray(density(w), dtype=float)
-    if temperature == 0.0:
-        factor = np.ones_like(w)
-    else:
-        factor = np.tanh(w / (2.0 * temperature))
-    return SampledSpectralDensity(w, j_vals * factor)

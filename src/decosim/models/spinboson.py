@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..baths import SpectralDensity, spin_boson_coefficients
+from ..baths import OhmicLorentzCutoff, spin_boson_coefficients
 from ..core import SIGMA_X, SIGMA_Y, SIGMA_Z
 from ..errors import ConvergenceError
 
@@ -48,7 +48,7 @@ class SpinBosonExactResult:
 
 
 def _mode_parameters(
-    density: SpectralDensity, omega_max: float, n_modes: int
+    density: OhmicLorentzCutoff, omega_max: float, n_modes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint discretization: g_j^2 = J(w_j) dw on a uniform grid."""
     dw = omega_max / n_modes
@@ -58,7 +58,7 @@ def _mode_parameters(
 
 
 def _coherence_product(
-    density: SpectralDensity,
+    density: OhmicLorentzCutoff,
     temperature: float,
     times: np.ndarray,
     omega_max: float,
@@ -110,7 +110,7 @@ def _coherence_product(
 
 
 def spin_boson_exact_dephasing(
-    density: SpectralDensity,
+    density: OhmicLorentzCutoff,
     temperature: float,
     times: np.ndarray,
     splitting: float = 0.0,
@@ -197,7 +197,7 @@ class SpinBosonBornMarkovGenerator:
 
 
 def spin_boson_born_markov_generator(
-    density: SpectralDensity,
+    density: OhmicLorentzCutoff,
     temperature: float,
     splitting: float,
     tunneling: float,

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -41,3 +43,41 @@ def as_density(mat, dims=()) -> DensityMatrix:
 
 def as_operator(mat, dims=()) -> Operator:
     return Operator(mat, dims)
+
+
+@dataclass(frozen=True)
+class SampledSpectralDensity:
+    """Nonnegative samples on an increasing frequency grid, linear in between, zero outside.
+
+    A test-side density for single-mode and spike baths: it offers the
+    call, ``zero_frequency_slope`` and ``default_omega_max`` that the mode
+    discretization and ``bath_kernels`` read from a density.
+    """
+
+    omegas: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        w = np.asarray(self.omegas, dtype=float)
+        j = np.asarray(self.values, dtype=float)
+        if w.ndim != 1 or w.size < 2 or j.shape != w.shape:
+            raise ValueError("need matching 1-d omega and value arrays with >= 2 samples")
+        if np.any(np.diff(w) <= 0) or w[0] < 0:
+            raise ValueError("frequency grid must be strictly increasing and nonnegative")
+        if np.any(j < 0):
+            raise ValueError("spectral density must be nonnegative")
+        object.__setattr__(self, "omegas", w)
+        object.__setattr__(self, "values", j)
+
+    def __call__(self, omega):
+        return np.interp(
+            np.asarray(omega, dtype=float), self.omegas, self.values, left=0.0, right=0.0
+        )
+
+    def zero_frequency_slope(self) -> float:
+        w, j = self.omegas, self.values
+        k = 1 if w[0] == 0.0 else 0
+        return float(j[k] / w[k]) if w[k] > 0 else 0.0
+
+    def default_omega_max(self) -> float:
+        return float(self.omegas[-1])

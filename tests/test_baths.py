@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import psi
 
 from decosim import (
     OhmicLorentzCutoff,
     QuadratureConfig,
-    SampledSpectralDensity,
     bath_kernels,
-    effective_spectral_density,
     qbm_coefficients,
     spin_boson_coefficients,
 )
+from decosim.baths import _digamma
 from decosim.errors import ConvergenceError
+
+from conftest import SampledSpectralDensity
 
 MASS, GAMMA0, CUTOFF = 1.0, 0.02, 8.0
 DENSITY = OhmicLorentzCutoff(MASS, GAMMA0, CUTOFF)
@@ -95,8 +97,11 @@ def _subtracted_pole(f, w0: float) -> float:
     )
 
 
-@pytest.mark.parametrize("temperature", [0.0, 0.5, 2.0, 6.0])
-@pytest.mark.parametrize("frequency", [0.3, 1.5, 5.0])
+# at T = 0.05, 1 + cutoff / 2 pi T is past 10, so psi takes the series with
+# no recurrence step; W = 8 is W = cutoff, where the T = 0 value is exactly
+# 0, and W = 40 is W >> cutoff
+@pytest.mark.parametrize("temperature", [0.0, 0.05, 0.5, 2.0, 6.0, 200.0])
+@pytest.mark.parametrize("frequency", [0.3, 1.5, 5.0, 8.0, 40.0])
 def test_principal_value_coefficients_match_subtracted_pole(temperature, frequency):
     def thermal(w):
         if temperature == 0.0:
@@ -108,6 +113,15 @@ def test_principal_value_coefficients_match_subtracted_pole(temperature, frequen
     assert two_level.renormalization == pytest.approx(-frequency * pv, rel=1e-8)
     oscillator = qbm_coefficients(DENSITY, temperature, frequency)
     assert oscillator.anomalous_diffusion == pytest.approx(pv / MASS, rel=1e-8)
+
+
+def test_digamma_matches_scipy_psi():
+    # Re z from 1 up, so both the recurrence and the series are exercised
+    re = np.geomspace(1.0, 1e15, 61)
+    im = np.concatenate([[0.0], np.geomspace(1e-3, 1e300, 121)])
+    z = re[:, None] + 1j * im[None, :]
+    expected = psi(z)
+    assert np.all(np.abs(_digamma(z) - expected) <= 1e-13 * np.abs(expected))
 
 
 def test_zero_temperature_two_level_coefficients_are_finite():
@@ -145,15 +159,6 @@ def test_sampled_density_validation():
         SampledSpectralDensity(np.array([1.0, 0.5]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         SampledSpectralDensity(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
-
-
-def test_effective_density_lies_below_input():
-    eff = effective_spectral_density(DENSITY, temperature=3.0)
-    raw = DENSITY(eff.omegas)
-    assert np.all(eff.values <= raw + 1e-15)
-    # T -> 0 recovers the input
-    cold = effective_spectral_density(DENSITY, temperature=0.0)
-    assert np.allclose(cold.values, DENSITY(cold.omegas))
 
 
 def test_quadrature_config_validation():

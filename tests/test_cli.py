@@ -458,7 +458,8 @@ def test_import_and_estimate_load_no_scipy_subpackage(tmp_path):
     # each subcommand runs in its own process; importing a SciPy subpackage
     # at module level would cost every one of them about 0.25 s, and neither
     # propagator of evolve (dense up to dimension 12, Taylor above, here
-    # qbm at n_max 40) nor the sine integral of collisional needs one
+    # qbm at n_max 40), the sine integral of collisional, nor the closed-form
+    # principal value of spinboson with tunneling needs one
     runs = [
         ["estimate", "--mass-g", "1", "--temp-K", "300", "--dx-cm", "1"],
         ["evolve", *_DEPHASING_FLAGS, "--dt", "0.1"],
@@ -467,6 +468,8 @@ def test_import_and_estimate_load_no_scipy_subpackage(tmp_path):
         ["spinboson", "--gamma0", "0.01", "--cutoff", "8", "--temperature", "1",
          "--t-max", "2", "--n-times", "5", "--n-modes", "8", "--born-markov",
          "--no-check-convergence"],
+        ["spinboson", "--gamma0", "0.01", "--cutoff", "8", "--temperature", "1",
+         "--t-max", "2", "--n-times", "5", "--tunneling", "0.3", "--born-markov"],
         ["qbm", "--gamma0", "0.01", "--cutoff", "10", "--temperature", "10", "--alpha", "1.0",
          "--n-max", "40", "--t-final", "0.1", "--dt", "0.01", "--no-wigner"],
         ["collisional", "--density-amplitude", "1", "--q-max", "2", "--speed", "1",
@@ -688,13 +691,14 @@ _DOUBLE_EXTREMES = [1e300, -1e300, 1e-300, -1e-300, 1e306, 1e-306, sys.float_inf
 
 def test_spinboson_extremes_keep_the_one_line_contract(tmp_path, capsys):
     # every float field of the spin-boson model at the edges of the double
-    # range, tunneling 0: any traceback or numpy warning breaks the contract,
-    # and so does stderr beyond the one exit-2 or exit-3 line, or any at exit 0
+    # range, the others at tunneling 0: any traceback or numpy warning breaks
+    # the contract, and so does stderr beyond the one exit-2 or exit-3 line,
+    # or any at exit 0
     base_path = tmp_path / "base.json"
     base_path.write_text(json.dumps(dict(_SWEEP_BASES["spinboson"][0],
                                          output=str(tmp_path / "out"))))
     violations = []
-    for name in ("mass", "gamma0", "cutoff", "temperature", "splitting", "t_max"):
+    for name in ("mass", "gamma0", "cutoff", "temperature", "splitting", "tunneling", "t_max"):
         for value in _DOUBLE_EXTREMES:
             case = f"--{name.replace('_', '-')}={json.dumps(value)}"
             capsys.readouterr()

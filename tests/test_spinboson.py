@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from decosim import (
-    DensityMatrix,
-    OhmicLorentzCutoff,
-    SampledSpectralDensity,
-    evolve,
-)
+from decosim import DensityMatrix, OhmicLorentzCutoff, evolve
 from decosim.core import SIGMA_Y, SIGMA_Z
 from decosim.dynamics import compiled_rhs
 from decosim.errors import ConvergenceError
@@ -16,6 +11,8 @@ from decosim.models import (
 )
 from decosim.models.qbm import ladder
 from decosim.models.spinboson import _coherence_product, _mode_parameters
+
+from conftest import SampledSpectralDensity
 
 DENSITY = OhmicLorentzCutoff(mass=1.0, gamma0=0.02, cutoff=8.0)
 
