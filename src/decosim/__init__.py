@@ -22,9 +22,8 @@ _EXPORTS = {
             "partial_trace_keep_state", "purity", "sigma", "tensor",
         ),
         "channels": (
-            "IndirectMeasurement", "KrausChannel", "apply_channel", "dilation_action",
-            "indirect_measurement", "kraus_from_unitary", "measurement_operators",
-            "verify_completeness",
+            "IndirectMeasurement", "KrausChannel", "apply_channel", "indirect_measurement",
+            "kraus_from_unitary", "measurement_operators", "verify_completeness",
         ),
         "dynamics": (
             "EvolutionResult", "LindbladSpec", "TrajectoryConfig", "TrajectoryResult", "evolve",

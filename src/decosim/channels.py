@@ -132,15 +132,6 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(symmetrize(out), rho.dims)
 
 
-def dilation_action(u: Operator, rho_sys: DensityMatrix, rho_env: DensityMatrix) -> DensityMatrix:
-    """Reference map Tr_env[ U (rho_sys x rho_env) U^dag ]."""
-    d_s, d_e, _ = _dilation_blocks(u)
-    joint = np.kron(rho_sys.entries, rho_env.entries)
-    evolved = u.entries @ joint @ u.entries.conj().T
-    red = _partial_trace_array(evolved, (d_s, d_e), [0])
-    return DensityMatrix(symmetrize(red), rho_sys.dims)
-
-
 def _check_projectors(projectors, d_e: int) -> None:
     acc = np.zeros((d_e, d_e), dtype=complex)
     mats = [p.entries for p in projectors]

@@ -21,7 +21,8 @@ keyed by (master_seed, trajectory_index) with a counter-based bit
 generator, and reduction happens in fixed blocks of ``TRAJECTORY_BLOCK``
 (1024) trajectories so results are bitwise reproducible for any worker
 count.  Each Euler-Maruyama step advances a whole block with one matrix
-product against the stacked operators (1, dt A, L_1, ..., L_m).
+product against the stacked operators (L_1, ..., L_m, dt A) and one
+contraction for the norm and expectations.
 """
 from __future__ import annotations
 
@@ -47,6 +48,9 @@ MAX_SPARSE_NORM_TIME = 1e6
 _MAX_TAYLOR_TERMS = 90
 _TAYLOR_TOL_SQ = 2.0 ** -106  # (2^-53)^2, compared with squared Frobenius norms
 TRAJECTORY_BLOCK = 1024  # fixed reduction granularity; never tied to worker count
+# steps between renormalizations of a trajectory, which is carried unnormalized
+# in between; this bounds how far its norm grows from 1
+_RENORM_EVERY = 32
 
 # Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3: the [13/13]
 # Pade approximant of exp meets double precision on a 1-norm up to _THETA13;
@@ -367,7 +371,7 @@ def _real_form(mat: np.ndarray) -> np.ndarray:
 
 
 def _unravel_block(
-    stacked: np.ndarray,
+    ops: np.ndarray,
     rates: np.ndarray,
     psi0: np.ndarray,
     cfg: TrajectoryConfig,
@@ -376,51 +380,72 @@ def _unravel_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Euler-Maruyama for one block of trajectories; returns (snapshot sums, final states).
 
-    With A = -iH - (1/2) sum_mu kappa_mu L_mu^2, e_mu = <psi|L_mu|psi> and
-    w_mu = sqrt(kappa_mu) dW_mu, one step is
+    With A = -iH - (1/2) sum_mu kappa_mu L_mu^2, n = <psi|psi>,
+    e_mu = <psi|L_mu|psi> / n and w_mu = sqrt(kappa_mu) dW_mu, one step is
       psi' = s psi + dt A psi + sum_mu c_mu L_mu psi,
-      c_mu = dt kappa_mu e_mu + w_mu,
-      s = 1 - sum_mu (dt kappa_mu e_mu^2 / 2 + w_mu e_mu),
-    followed by renormalization.  ``stacked`` holds the real forms of
-    (1, dt A, L_1, ..., L_m) one above the other, so one matrix product
-    gives every term and psi' is their sum weighted by (s, 1, c_1, ..., c_m).
+      q_mu = dt kappa_mu e_mu / 2,  u_mu = q_mu + w_mu,  c_mu = u_mu + q_mu,
+      s = 1 - sum_mu e_mu u_mu.
+    The weights depend on psi only through the e_mu, which do not change
+    when psi is scaled, so the step is homogeneous of degree 1: a scaled
+    psi steps to the same scaled psi'.  The state is therefore carried
+    unnormalized and lies on the same ray as one renormalized every step
+    (Gisin & Percival, J. Phys. A 25, 5677 (1992)); it is renormalized at
+    each snapshot, at the last step and every ``_RENORM_EVERY`` steps.
     States are kept as columns (Re psi; Im psi), so every elementwise
-    operation runs along the block's trajectories.
+    operation runs along the block's trajectories.  Two buffers of rows
+    (psi, L_1 psi, ..., L_m psi, dt A psi) take turns: one matrix product
+    against ``ops``, the real forms of (L_1, ..., L_m, dt A), fills rows 1
+    and up, one contraction of rows 0..m with psi gives n and the
+    <psi|L_mu|psi>, and the rows weighted by (s, c_1, ..., c_m, 1) sum to
+    the next buffer's psi.
     """
     dt, n_steps = cfg.dt, cfg.n_steps
     b, d, m = len(indices), psi0.size, rates.size
     noise = _block_noise(cfg.master_seed, indices, n_steps, m)
     noise *= np.sqrt(dt * rates)
-    dt_rates = (dt * rates)[:, None]
-    half_dt_rates = 0.5 * dt_rates
-    psi = np.repeat(np.concatenate([psi0.real, psi0.imag])[:, None], b, axis=1)
-    weights = np.ones((m + 2, b))
+    half_dt_rates = (0.5 * dt * rates)[:, None]
+    bufs = np.empty((2, m + 2, 2 * d, b))
+    bufs[0, 0] = np.concatenate([psi0.real, psi0.imag])[:, None]
+    # each buffer with its rows 1 and up seen as one matmul output
+    cur, nxt = ((buf, buf.reshape(-1, b)[2 * d :]) for buf in bufs)
+    dots = np.empty((m + 1, b))  # (n, <psi|L_1|psi>, ..., <psi|L_m|psi>)
+    e, q, u = np.empty((3, m, b))
+    weights = np.ones((m + 2, b))  # (s, c_1, ..., c_m, 1)
     sums = np.empty((sample_steps.size, d, d), dtype=complex)
+    snapshots = set(sample_steps.tolist())
 
     def ensemble_sum(psi):
         z = psi[:d] + 1j * psi[d:]
         return np.einsum("ib,jb->ij", z, z.conj())
 
     pos = 0
-    if sample_steps[pos] == 0:
-        sums[pos] = ensemble_sum(psi)
+    if 0 in snapshots:
+        sums[pos] = ensemble_sum(cur[0][0])
         pos += 1
     # a blown-up ensemble turns into inf/nan here silently; the ensemble
     # validation in ``unravel`` reports it as one error
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for step in range(n_steps):
-            terms = (stacked @ psi).reshape(m + 2, 2 * d, b)
-            # Re <psi|L_mu psi> is the real dot product of the stacked columns
-            expect = np.einsum("mkb,kb->mb", terms[2:], psi)
-            coef = weights[2:]  # c_mu, written in place
-            np.multiply(dt_rates, expect, out=coef)
-            coef += noise[:, step].T
-            weights[0] = 1.0 - np.einsum("mb,mb->b", coef - half_dt_rates * expect, expect)
-            psi = np.einsum("mb,mkb->kb", weights, terms)
-            psi /= np.sqrt(np.einsum("kb,kb->b", psi, psi))
-            if pos < sample_steps.size and sample_steps[pos] == step + 1:
-                sums[pos] = ensemble_sum(psi)
-                pos += 1
+        for step in range(1, n_steps + 1):
+            buf, products = cur
+            psi = buf[0]
+            np.matmul(ops, psi, out=products)
+            np.einsum("mkb,kb->mb", buf[: m + 1], psi, out=dots)
+            np.divide(dots[1:], dots[0], out=e)
+            np.multiply(half_dt_rates, e, out=q)
+            np.add(q, noise[:, step - 1].T, out=u)
+            np.add(u, q, out=weights[1 : m + 1])
+            np.einsum("mb,mb->b", e, u, out=weights[0])
+            np.subtract(1.0, weights[0], out=weights[0])
+            np.einsum("mb,mkb->kb", weights, buf, out=nxt[0][0])
+            cur, nxt = nxt, cur
+            at_snapshot = step in snapshots
+            if at_snapshot or step % _RENORM_EVERY == 0:
+                psi = cur[0][0]
+                psi /= np.sqrt(np.einsum("kb,kb->b", psi, psi))
+                if at_snapshot:
+                    sums[pos] = ensemble_sum(psi)
+                    pos += 1
+    psi = cur[0][0]
     return sums, (psi[:d] + 1j * psi[d:]).T
 
 
@@ -433,7 +458,8 @@ def unravel(
 ) -> TrajectoryResult:
     """Diffusive pure-state unraveling of a Lindblad equation with Hermitian operators.
 
-    Euler-Maruyama steps with per-step renormalization; the ensemble
+    Euler-Maruyama steps of the unnormalized state, renormalized at
+    every snapshot and every ``_RENORM_EVERY`` steps; the ensemble
     average over trajectories reproduces ``evolve`` up to O(dt) bias and
     O(1/sqrt(n)) statistics.  Identical master seeds give bitwise
     identical ensembles for any worker count.
@@ -460,31 +486,28 @@ def unravel(
     rates = np.array([rate for _, rate in spec.lindblad_terms], dtype=float)
     a = spec.compiled[0]  # -iH - (1/2) sum kappa L^dag L, and L^dag L = L^2 for Hermitian L
     with np.errstate(invalid="ignore"):  # an overflowed a gives NaN, reported after the steps
-        stacked = np.vstack(
-            [np.eye(2 * spec.dim), _real_form(cfg.dt * a)]
-            + [_real_form(op.entries) for op, _ in spec.lindblad_terms]
+        ops = np.vstack(
+            [_real_form(op.entries) for op, _ in spec.lindblad_terms] + [_real_form(cfg.dt * a)]
         )
-    blocks = [
-        range(lo, min(lo + TRAJECTORY_BLOCK, cfg.n_trajectories))
-        for lo in range(0, cfg.n_trajectories, TRAJECTORY_BLOCK)
-    ]
+    # allocated before any block runs, so an ensemble too large for memory is refused at once
+    total = np.zeros((sample_steps.size, spec.dim, spec.dim), dtype=complex)
+    finals = np.zeros((cfg.n_trajectories, spec.dim), dtype=complex)
+    starts = range(0, cfg.n_trajectories, TRAJECTORY_BLOCK)
 
-    def run(block):
-        return _unravel_block(stacked, rates, psi0.amplitudes, cfg, block, sample_steps)
+    def run(lo):
+        block = range(lo, min(lo + TRAJECTORY_BLOCK, cfg.n_trajectories))
+        return _unravel_block(ops, rates, psi0.amplitudes, cfg, block, sample_steps)
 
-    if n_workers > 1 and len(blocks) > 1:
+    if n_workers > 1 and len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor  # a serial run never loads it
 
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run, blocks))
+            results = list(pool.map(run, starts))
     else:
-        results = [run(block) for block in blocks]
-
-    total = np.zeros((sample_steps.size, spec.dim, spec.dim), dtype=complex)
-    finals = np.zeros((cfg.n_trajectories, spec.dim), dtype=complex)
-    for block, (sums, last) in zip(blocks, results):  # fixed block order
+        results = map(run, starts)
+    for lo, (sums, last) in zip(starts, results):  # fixed block order
         total += sums
-        finals[block.start : block.stop] = last
+        finals[lo : lo + len(last)] = last
     total /= cfg.n_trajectories
     times = sample_steps * cfg.dt
     ensemble = symmetrize(total)

@@ -120,7 +120,8 @@ def spin_boson_exact_dephasing(
 ) -> SpinBosonExactResult:
     """Exact reduced coherence of the no-tunneling model on a discretized bath.
 
-    The coherence includes the free phase e^{-i splitting t}; populations
+    The modes fill (0, omega_max), by default (0, 5 cutoff).  The
+    coherence includes the free phase e^{-i splitting t}; populations
     are conserved identically, so the reported drift is 0.0.
     Raises ConvergenceError when doubling the mode count moves the
     coherence by more than 2% anywhere on the time grid.
@@ -133,8 +134,7 @@ def spin_boson_exact_dephasing(
     if n_modes < 1:
         raise ValueError(f"need at least one bath mode, got {n_modes}")
     if omega_max is None:
-        cutoff = getattr(density, "cutoff", None)
-        omega_max = 5.0 * cutoff if cutoff else density.default_omega_max()
+        omega_max = 5.0 * density.cutoff
     if not np.isfinite(float(omega_max) * float(times[-1])):
         raise ValueError("the phases omega t overflow a double")
     coherence = _coherence_product(density, temperature, times, omega_max, n_modes)

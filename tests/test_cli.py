@@ -201,6 +201,64 @@ def test_trajectory_bounds_exit_2(tmp_path, capsys, monkeypatch, flags, workers_
     assert err.count("\n") == 1
 
 
+def _cli_child(argv, extra_env, prelude="", timeout=120):
+    """``main(argv)`` in a fresh interpreter; the child prints its own peak RSS in KiB."""
+    script = (
+        "import sys\n" + prelude + "import decosim.cli\n"
+        "rc = decosim.cli.main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM')))\n"
+        "sys.exit(rc)\n"
+    )
+    env = dict(os.environ, **extra_env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS and /proc")
+def test_huge_ensemble_is_refused_before_any_block_runs(tmp_path):
+    # only ever run with the child's own address space capped at 1 GiB: an
+    # unravel that walks its blocks before allocating would otherwise grow
+    # for many GB before anything refused the size
+    cap = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    )
+    done = _cli_child([
+        "trajectories", "--hamiltonian", "identity",
+        "--lindblad", '[{"operator": "sigma_z", "rate": 1.0}]',
+        "--t-final", "0.1", "--dt", "0.01", "--n-trajectories", "1000000000000000",
+        "--output", str(tmp_path),
+    ], {"OPENBLAS_NUM_THREADS": "1"}, prelude=cap)
+    assert done.returncode == 2, done.stderr
+    _assert_one_line(done.stderr, 2)
+    assert "out of memory" in done.stderr
+    assert int(done.stdout.split()[-1]) < 200 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_trajectories_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # non-commuting H, L_1 and L_2, and more than two blocks
+    argv = [
+        "trajectories", "--hamiltonian", "sigma_x",
+        "--lindblad", '[{"operator": "sigma_z", "rate": 0.7}, '
+                      '{"operator": "sigma_y", "rate": 0.4}]',
+        "--psi0", "plus", "--t-final", "0.3", "--dt", "0.005",
+        "--n-trajectories", "2100", "--store-every", "7", "--master-seed", "5",
+    ]
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        done = _cli_child(argv + ["--output", str(out)],
+                          {"OPENBLAS_NUM_THREADS": threads, "DECOSIM_WORKERS": "1"})
+        assert done.returncode == 0, done.stderr
+        files.append((out / "trajectories.csv").read_bytes())
+    assert files[0] == files[1]
+
+
 def test_collisional_rates_and_curve(tmp_path):
     rc = main([
         "collisional", "--density-amplitude", "1.0", "--q-max", "2.0",

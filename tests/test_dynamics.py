@@ -18,6 +18,7 @@ from decosim import (
     unravel,
 )
 from decosim.dynamics import (
+    _RENORM_EVERY,
     _THETA13,
     DENSE_PROPAGATOR_MAX_DIM,
     TRAJECTORY_BLOCK,
@@ -411,7 +412,8 @@ def _textbook_unravel(h, terms, psi0, cfg, store_every):
     """Per-operator Euler-Maruyama step, trajectories as rows: the oracle for ``unravel``.
 
     Trajectory i draws its increments from a fresh Philox keyed by
-    (master_seed, i); returns (ensemble snapshots, final states).
+    (master_seed, i); returns (ensemble snapshots, final states, and the
+    least over steps of the mean |norm - 1| before renormalization).
     """
     n, n_steps, dt = cfg.n_trajectories, cfg.n_steps, cfg.dt
     dw = np.stack([
@@ -420,6 +422,7 @@ def _textbook_unravel(h, terms, psi0, cfg, store_every):
     ]) * np.sqrt(dt)
     psi = np.tile(psi0.astype(complex), (n, 1))
     snapshots = [psi.T @ psi.conj() / n]
+    least_move = np.inf
     for step in range(n_steps):
         drift = -1j * (psi @ h.T)
         stoch = np.zeros_like(psi)
@@ -430,10 +433,12 @@ def _textbook_unravel(h, terms, psi0, cfg, store_every):
             drift -= 0.5 * rate * (centered @ l.T - expect * centered)
             stoch += np.sqrt(rate) * centered * dw[:, step, mu][:, None]
         psi = psi + dt * drift + stoch
-        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        norms = np.linalg.norm(psi, axis=1)
+        least_move = min(least_move, np.abs(norms - 1.0).mean())
+        psi /= norms[:, None]
         if (step + 1) % store_every == 0 or step + 1 == n_steps:
             snapshots.append(psi.T @ psi.conj() / n)
-    return snapshots, psi
+    return snapshots, psi, least_move
 
 
 def test_fused_step_matches_textbook_oracle():
@@ -445,20 +450,34 @@ def test_fused_step_matches_textbook_oracle():
 
     h, l1, l2 = hermitian(3), hermitian(3), hermitian(3)
     assert np.abs(l1 @ l2 - l2 @ l1).max() > 0.1
-    terms = ((l1, 0.7), (l2, 0.3))
     psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
     psi0 /= np.linalg.norm(psi0)
-    spec = LindbladSpec(Operator(h), tuple((Operator(l), rate) for l, rate in terms))
-    # crosses a block boundary, so later blocks' keys are checked too
-    cfg = TrajectoryConfig(
-        dt=1e-3, t_final=0.1, n_trajectories=TRAJECTORY_BLOCK + 5, master_seed=2024
-    )
-    got = unravel(spec, StateVector(psi0), cfg, store_every=25, n_workers=1)
-    snapshots, finals = _textbook_unravel(h, terms, psi0, cfg, store_every=25)
-    assert len(got.ensemble) == len(snapshots)
-    for state, ref in zip(got.ensemble, snapshots):
-        assert np.abs(state - ref).max() < 1e-12
-    assert np.abs(got.final_states - finals).max() < 1e-12
+    cases = [
+        # crosses a block boundary, so later blocks' keys are checked too
+        ((0.7, 0.3), TrajectoryConfig(
+            dt=1e-3, t_final=0.1, n_trajectories=TRAJECTORY_BLOCK + 5, master_seed=2024
+        ), 25),
+        # only the final snapshot: the state is carried unnormalized through
+        # four renormalization periods and a remainder, at rates that move
+        # its norm every step
+        ((6.0, 2.5), TrajectoryConfig(
+            dt=1e-3, t_final=0.139, n_trajectories=300, master_seed=77
+        ), 139),
+    ]
+    for rates, cfg, store_every in cases:
+        terms = tuple(zip((l1, l2), rates))
+        spec = LindbladSpec(Operator(h), tuple((Operator(l), rate) for l, rate in terms))
+        got = unravel(spec, StateVector(psi0), cfg, store_every=store_every, n_workers=1)
+        snapshots, finals, least_move = _textbook_unravel(h, terms, psi0, cfg, store_every)
+        assert len(got.ensemble) == len(snapshots)
+        for state, ref in zip(got.ensemble, snapshots):
+            assert np.abs(state - ref).max() < 1e-12
+        assert np.abs(got.final_states - finals).max() < 1e-12
+        assert np.abs(np.linalg.norm(got.final_states, axis=1) - 1.0).max() < 1e-12
+    # the last case is the one described above
+    assert cfg.n_steps == store_every > 4 * _RENORM_EVERY
+    assert cfg.n_steps % _RENORM_EVERY
+    assert least_move > 1e-3
 
 
 def test_block_noise_is_the_per_trajectory_philox_stream():

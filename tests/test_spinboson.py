@@ -124,7 +124,9 @@ def test_single_mode_closed_form_at_zero_temperature():
     w0, weight = 3.0, 0.04
     density = _triangle_spike(w0, 0.05, weight)
     times = np.array([0.0, 0.4, 1.0, 2.0, 3.0])
-    res = spin_boson_exact_dephasing(density, 0.0, times, n_modes=512)
+    res = spin_boson_exact_dephasing(
+        density, 0.0, times, n_modes=512, omega_max=density.default_omega_max()
+    )
     expected = np.exp(-(4.0 * weight / w0**2) * (1.0 - np.cos(w0 * times)))
     assert np.abs(res.coherence_magnitude - expected).max() < 2e-4
     # at zero temperature the no-splitting coherence is purely real
