@@ -60,7 +60,6 @@ from .errors import (
     PhysicalityError,
 )
 from .serialize import (
-    matrix_to_pairs,
     pairs_to_array,
     render_cells,
     write_coordinate_matrix,
@@ -581,6 +580,11 @@ DFS_SCHEMA = (
 )
 
 
+def _basis_array(result) -> np.ndarray:
+    """The basis vectors of a DFS result as the rows of one complex array, shape (0,) when empty."""
+    return np.array([vec.amplitudes for vec in result.basis], dtype=complex)
+
+
 def _cmd_dfs(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     from .pointer import InteractionSpec, collective_dfs, dfs_find
 
@@ -602,7 +606,7 @@ def _cmd_dfs(cfg: dict, outdir: str) -> tuple[list[str], dict]:
             "basis_labels": report.labels,
         }
         if report.result is not None:
-            payload["basis"] = [matrix_to_pairs(vec.amplitudes) for vec in report.result.basis]
+            payload["basis"] = _basis_array(report.result)
         summary = {"dimension": report.dimension}
     else:
         if not cfg["system_terms"] or not cfg["env_terms"]:
@@ -619,7 +623,7 @@ def _cmd_dfs(cfg: dict, outdir: str) -> tuple[list[str], dict]:
             "dimension": result.dimension,
             "eigenvalues": list(result.eigenvalues),
             "certificate_defect": result.certificate_defect,
-            "basis": [matrix_to_pairs(vec.amplitudes) for vec in result.basis],
+            "basis": _basis_array(result),
         }
         summary = {"dimension": result.dimension}
     path = os.path.join(outdir, "dfs_basis.json")

@@ -306,20 +306,19 @@ class LogicalErrorRow:
     n_shots: int
 
 
-def _pattern_outcome(pattern: tuple[int, ...], reference: StateVector) -> tuple[bool, bool]:
-    """(uncorrected is wrong, corrected is wrong) for one definite flip pattern."""
-    enc = encode(reference)
-    amps = enc.amplitudes
-    for qubit in pattern:
-        amps = _apply_single(amps, enc.dims, SIGMA_Z, qubit)
-    noisy = StateVector(amps, dims=enc.dims)
-    raw_fid = abs(np.vdot(enc.amplitudes, amps)) ** 2
-    branches = syndrome_and_recover(noisy, psi_logical=reference, mode="exhaustive")
-    # phase flips give a deterministic syndrome: a single surviving branch
-    if len(branches) != 1:
-        raise PhysicalityError("phase-flip pattern produced a non-deterministic syndrome")
-    corrected_fid = branches[0].fidelity
-    return raw_fid < 1.0 - 1e-9, corrected_fid < 1.0 - 1e-9
+def _weight_flags(psi_logical: StateVector) -> tuple[tuple[bool, bool], ...]:
+    """(uncorrected is wrong, corrected is wrong) for a flip pattern of weight 0..3.
+
+    One or two flips leave the code space, so the uncorrected state always
+    fails.  Recovery undoes one flip, completes two to ZZZ, and leaves three;
+    ZZZ maps |+++> <-> |--->, the logical X, which is harmless only when
+    |<psi|X|psi>|^2 reaches 1 - 1e-9.
+    """
+    if psi_logical.dim != 2:
+        raise ValueError("logical input must be a single qubit")
+    amps = psi_logical.amplitudes
+    x_bad = abs(np.vdot(amps, SIGMA_X @ amps)) ** 2 < 1.0 - 1e-9
+    return (False, False), (True, False), (True, x_bad), (x_bad, x_bad)
 
 
 def logical_error_rate(
@@ -332,7 +331,9 @@ def logical_error_rate(
 
     Shots are grouped by flip pattern (the syndrome is deterministic per
     pattern), so a multinomial draw over the eight patterns reproduces
-    the per-shot sampling law exactly.  The reference state defaults to
+    the per-shot sampling law exactly.  Whether a pattern fails follows from
+    its weight alone (``_weight_flags``); ``tests/test_qec.py`` checks that
+    against the simulated syndrome circuit.  The reference state defaults to
     a generic non-symmetric logical qubit so every unflagged logical
     operation counts as an error.
     """
@@ -341,7 +342,8 @@ def logical_error_rate(
     if psi_logical is None:
         psi_logical = StateVector(np.array([np.cos(0.3), np.exp(0.4j) * np.sin(0.3)]))
     patterns = [tuple(q for q in range(3) if mask >> q & 1) for mask in range(8)]
-    flags = [_pattern_outcome(pat, psi_logical) for pat in patterns]
+    by_weight = _weight_flags(psi_logical)
+    flags = [by_weight[len(pat)] for pat in patterns]
     rng = np.random.default_rng(seed)
     rows = []
     for p in np.atleast_1d(np.asarray(flip_probabilities, dtype=float)):

@@ -19,8 +19,12 @@ A value whose rounding that path cannot prove is rendered by
 assembled from the cells and separator bytes a block of lines at a time,
 so no Python loop runs per cell or per line.
 
-Complex matrices and vectors travel as nested JSON lists of [re, im]
-pairs in row-major order.
+JSON files are key-sorted, on one line, with json's default ``", "`` and
+``": "`` separators.  ``write_json`` takes complex arrays as top-level
+payload values and writes each as nested lists of [re, im] pairs in
+row-major order, the text ``json.dumps`` gives for those lists: each
+distinct double is rendered once and the text is assembled by one join.
+``pairs_to_array`` reads vectors and matrices back.
 """
 from __future__ import annotations
 
@@ -236,21 +240,58 @@ def write_csv(path: str, header: Sequence[str], table: np.ndarray) -> None:
     _write_table(path, header, _cells(table, 2))
 
 
-def write_json(path: str, payload) -> None:
-    """Compact, key-sorted JSON on one line; compact output keeps json's C encoder."""
-    atomic_write_bytes(path, (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))
+def _float_text(x: float) -> str:
+    """A double as json writes it: ``float.__repr__``, or NaN / Infinity / -Infinity."""
+    if math.isfinite(x):
+        return repr(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
 
-def matrix_to_pairs(matrix: np.ndarray) -> list:
-    """Row-major nested lists of [re, im] pairs."""
-    arr = np.asarray(matrix, dtype=complex)
-    if arr.ndim not in (1, 2):
-        raise ValueError("only vectors and matrices are serialized")
-    return np.stack([arr.real, arr.imag], -1).tolist()
+def _array_text(value: np.ndarray) -> str:
+    """A complex array as json's text of its nested [re, im] lists.
+
+    The doubles are keyed by their bits, so -0.0 keeps its own text.  Each is
+    followed by the brackets it closes and the separator after it: ``c`` counts
+    the trailing axes at their last index, so ``"]" * c + ", " + "[" * c``,
+    and ``"]" * ndim`` after the very last double.
+    """
+    if value.dtype.kind != "c":
+        raise TypeError(f"expected a complex array, got dtype {value.dtype}")
+    arr = np.asarray(value, dtype=complex)
+    pairs = np.stack([arr.real, arr.imag], -1)
+    if pairs.size == 0:
+        return json.dumps(pairs.tolist())
+    bits, inverse = np.unique(pairs.view(np.uint64).ravel(), return_inverse=True)
+    texts = np.array([_float_text(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    ndim = pairs.ndim
+    closes = np.zeros(pairs.shape, dtype=np.intp)
+    for k in range(1, ndim + 1):
+        closes[(Ellipsis,) + (-1,) * k] += 1
+    seps = np.array(["]" * c + ", " + "[" * c for c in range(ndim)] + ["]" * ndim], dtype=object)
+    tokens = np.empty(2 * pairs.size, dtype=object)
+    tokens[0::2] = texts[inverse]
+    tokens[1::2] = seps[closes.ravel()]
+    return "[" * ndim + "".join(tokens.tolist())
+
+
+def write_json(path: str, payload: dict) -> None:
+    """Key-sorted JSON on one line, with json's default separators.
+
+    The bytes are ``json.dumps(payload, sort_keys=True)`` with every complex
+    array among the payload's values replaced by its nested [re, im] lists.
+    An array anywhere else, or a real one, raises ``TypeError`` as json does.
+    """
+    if not all(isinstance(key, str) for key in payload):
+        raise TypeError("JSON payload keys must be strings")
+    text = ", ".join(
+        json.dumps(key) + ": " + (_array_text(value) if isinstance(value, np.ndarray)
+                                  else json.dumps(value, sort_keys=True))
+        for key, value in sorted(payload.items()))
+    atomic_write_bytes(path, ("{" + text + "}\n").encode("utf-8"))
 
 
 def pairs_to_array(data) -> np.ndarray:
-    """Inverse of matrix_to_pairs; accepts vectors or matrices.
+    """A complex vector or matrix from nested [re, im] pairs, as ``write_json`` writes them.
 
     Every entry must be a number: booleans and text are refused, not read as 1.0.
     """

@@ -487,6 +487,37 @@ def test_dfs_explicit_interaction(tmp_path):
     assert main(["dfs", "--output", str(tmp_path)]) == 2
 
 
+def test_dfs_collective_bytes_match_the_pair_list_path(tmp_path):
+    from decosim.pointer import collective_dfs
+    from test_serialize import matrix_to_pairs
+
+    assert main(["dfs", "--collective", "--n", "8", "--output", str(tmp_path)]) == 0
+    report = collective_dfs(8)
+    payload = {
+        "dimension": report.dimension,
+        "magnetization": report.magnetization,
+        "exact_bits": report.exact_bits,
+        "stirling_bits": report.stirling_bits,
+        "efficiency": report.efficiency,
+        "odd_fallback": report.odd_fallback,
+        "basis_labels": report.labels,
+        "basis": [matrix_to_pairs(vec.amplitudes) for vec in report.result.basis],
+    }
+    expected = json.dumps(payload, sort_keys=True) + "\n"
+    assert (tmp_path / "dfs_basis.json").read_bytes() == expected.encode()
+
+
+def test_dfs_with_no_common_eigenspace_writes_an_empty_basis(tmp_path):
+    # sigma_z and sigma_x share no eigenvector: the subspace is empty, not an error
+    rc = main([
+        "dfs", "--system-terms", '["sigma_z","sigma_x"]', "--env-terms", '["sigma_x","sigma_z"]',
+        "--output", str(tmp_path),
+    ])
+    assert rc == 0
+    assert (tmp_path / "dfs_basis.json").read_bytes() == (
+        b'{"basis": [], "certificate_defect": null, "dimension": 0, "eigenvalues": []}\n')
+
+
 def test_estimate_ratio_mode(tmp_path, capsys):
     rc = main(["estimate", "--mass-g", "1", "--temp-K", "300", "--dx-cm", "1",
                "--output", str(tmp_path)])

@@ -16,6 +16,7 @@ from decosim.qec import (
     logical_error_rate,
     syndrome_and_recover,
 )
+from decosim.qec import _weight_flags
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SY = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
@@ -221,6 +222,51 @@ def test_logical_error_rates_match_the_closed_forms():
     assert corrected == sorted(corrected)
 
 
+def _pattern_outcome(pattern: tuple[int, ...], reference: StateVector) -> tuple[bool, bool]:
+    """(uncorrected is wrong, corrected is wrong) for one definite flip pattern, by circuit."""
+    enc = encode(reference)
+    noisy = _flip(enc, pattern)
+    raw_fid = abs(np.vdot(enc.amplitudes, noisy.amplitudes)) ** 2
+    branches = syndrome_and_recover(noisy, psi_logical=reference, mode="exhaustive")
+    # phase flips give a deterministic syndrome: a single surviving branch
+    assert len(branches) == 1
+    return raw_fid < 1.0 - 1e-9, branches[0].fidelity < 1.0 - 1e-9
+
+
+_PATTERNS = [tuple(q for q in range(3) if mask >> q & 1) for mask in range(8)]
+
+
+@pytest.mark.parametrize("psi", [
+    _logical(),  # the default reference of logical_error_rate
+    StateVector(np.array([1.0, 0.0])),
+    StateVector(np.array([0.0, 1.0])),
+    StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0)),  # X_L leaves |+_L> alone
+    StateVector(np.array([1.0, -1.0]) / np.sqrt(2.0)),  # and |-_L> up to a sign
+], ids=["default", "zero", "one", "plus", "minus"])
+def test_weight_flags_match_the_syndrome_circuit(psi):
+    flags = _weight_flags(psi)
+    expected = [_pattern_outcome(pat, psi) for pat in _PATTERNS]
+    assert [flags[len(pat)] for pat in _PATTERNS] == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi))
+def test_weight_flags_match_the_syndrome_circuit_on_random_states(theta, phase):
+    psi = _logical(theta, phase)
+    flags = _weight_flags(psi)
+    expected = [_pattern_outcome(pat, psi) for pat in _PATTERNS]
+    assert [flags[len(pat)] for pat in _PATTERNS] == expected
+
+
+def test_harmless_logical_flip_counts_no_failures():
+    # at p = 1 every shot flips all three qubits: the identity on |+_L>, X_L on the default
+    plus = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
+    (row,) = logical_error_rate([1.0], n_shots=50, psi_logical=plus)
+    assert row.uncorrected_rate == 0.0 and row.corrected_rate == 0.0
+    (row,) = logical_error_rate([1.0], n_shots=50)
+    assert row.uncorrected_rate == 1.0 and row.corrected_rate == 1.0
+
+
 def test_error_model_validation():
     with pytest.raises(ValueError):
         ErrorModel(kind="depolarizing")
@@ -230,5 +276,7 @@ def test_error_model_validation():
         ErrorModel(kind="partial-decoherence", entangled_qubits=4)
     with pytest.raises(ValueError):
         logical_error_rate([1.2], n_shots=10)
+    with pytest.raises(ValueError):
+        logical_error_rate([0.1], n_shots=10, psi_logical=StateVector(np.ones(4) / 2.0))
     with pytest.raises(ValueError):
         syndrome_and_recover(encode(_logical()), readout_flip_probability=-0.1)

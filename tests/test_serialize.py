@@ -1,16 +1,16 @@
+import json
 import os
 import sys
 from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decosim.serialize import (
     atomic_write_bytes,
     format_value,
-    matrix_to_pairs,
     pairs_to_array,
     render_cells,
     write_coordinate_matrix,
@@ -174,6 +174,49 @@ def test_written_files_get_the_mode_open_gives(tmp_path):
         os.umask(old)
 
 
+def matrix_to_pairs(matrix: np.ndarray) -> list:
+    """Row-major nested lists of [re, im] pairs: the oracle of ``write_json``'s array text."""
+    arr = np.asarray(matrix, dtype=complex)
+    if arr.ndim not in (1, 2):
+        raise ValueError("only vectors and matrices are serialized")
+    return np.stack([arr.real, arr.imag], -1).tolist()
+
+
+def _oracle_json(payload: dict) -> bytes:
+    """The bytes ``write_json`` gave when every complex array went through ``matrix_to_pairs``."""
+    lists = {k: matrix_to_pairs(v) if isinstance(v, np.ndarray) else v for k, v in payload.items()}
+    return (json.dumps(lists, sort_keys=True) + "\n").encode("utf-8")
+
+
+_EDGE_DOUBLES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                 sys.float_info.max, -sys.float_info.max, 1.0, 0.1, -2.5e-300]
+_doubles = st.one_of(st.sampled_from(_EDGE_DOUBLES), st.floats(width=64))
+_shapes = st.one_of(
+    st.tuples(st.integers(0, 6)),
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+)
+
+
+def _pack(re, im, shape) -> np.ndarray:
+    """Real and imaginary parts set bit for bit.
+
+    ``re + 1j * im`` would drop the sign of -0.0 and turn inf into nan.
+    """
+    arr = np.empty(shape, dtype=complex)
+    arr.real = np.array(re, dtype=float).reshape(shape)
+    arr.imag = np.array(im, dtype=float).reshape(shape)
+    return arr
+
+
+@st.composite
+def _complex_arrays(draw):
+    shape = draw(_shapes)
+    size = int(np.prod(shape))
+    re = draw(st.lists(_doubles, min_size=size, max_size=size))
+    im = draw(st.lists(_doubles, min_size=size, max_size=size))
+    return _pack(re, im, shape)
+
+
 def test_matrix_pairs_round_trip():
     rng = np.random.default_rng(3)
     mat = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
@@ -200,6 +243,48 @@ def test_write_json_is_stable(tmp_path):
     text = open(path).read()
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_complex_arrays(),
+       st.dictionaries(st.text(max_size=4), st.none() | st.integers() | st.text(max_size=3),
+                       max_size=3))
+def test_write_json_arrays_match_json_dumps_of_pairs(tmp_path_factory, arr, extra):
+    path = str(tmp_path_factory.getbasetemp() / "arrays.json")
+    payload = {**extra, "basis": arr, "zz": arr.T}
+    write_json(path, payload)
+    with open(path, "rb") as handle:
+        assert handle.read() == _oracle_json(payload)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 4), (3, 0), (1, 1)])
+def test_write_json_empty_and_tiny_arrays(tmp_path, shape):
+    path = str(tmp_path / "a.json")
+    arr = _pack([-0.0] * int(np.prod(shape)), [np.nan] * int(np.prod(shape)), shape)
+    write_json(path, {"a": arr})
+    with open(path, "rb") as handle:
+        assert handle.read() == _oracle_json({"a": arr})
+
+
+def test_write_json_complex64_widens_like_the_oracle(tmp_path):
+    arr = (np.arange(6).reshape(2, 3) / 7 + 1j / 3).astype(np.complex64)
+    path = str(tmp_path / "a.json")
+    write_json(path, {"a": arr})
+    with open(path, "rb") as handle:
+        assert handle.read() == _oracle_json({"a": arr})
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": np.zeros(3)},                         # real ndarray
+    {"a": [np.zeros(2, dtype=complex)]},        # array nested in a list
+    {"a": {"b": np.zeros(2, dtype=complex)}},   # array nested in a dict
+    {1: "key is not text"},                     # json would write it as "1"
+])
+def test_write_json_refuses_unserializable_payloads(tmp_path, payload):
+    path = tmp_path / "a.json"
+    with pytest.raises(TypeError):
+        write_json(str(path), payload)
+    assert not path.exists()
 
 
 def test_coordinate_matrix_layout(tmp_path):
