@@ -580,11 +580,6 @@ DFS_SCHEMA = (
 )
 
 
-def _basis_array(result) -> np.ndarray:
-    """The basis vectors of a DFS result as the rows of one complex array, shape (0,) when empty."""
-    return np.array([vec.amplitudes for vec in result.basis], dtype=complex)
-
-
 def _cmd_dfs(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     from .pointer import InteractionSpec, collective_dfs, dfs_find
 
@@ -606,7 +601,7 @@ def _cmd_dfs(cfg: dict, outdir: str) -> tuple[list[str], dict]:
             "basis_labels": report.labels,
         }
         if report.result is not None:
-            payload["basis"] = _basis_array(report.result)
+            payload["basis"] = report.result.basis
         summary = {"dimension": report.dimension}
     else:
         if not cfg["system_terms"] or not cfg["env_terms"]:
@@ -623,7 +618,7 @@ def _cmd_dfs(cfg: dict, outdir: str) -> tuple[list[str], dict]:
             "dimension": result.dimension,
             "eigenvalues": list(result.eigenvalues),
             "certificate_defect": result.certificate_defect,
-            "basis": _basis_array(result),
+            "basis": result.basis,
         }
         summary = {"dimension": result.dimension}
     path = os.path.join(outdir, "dfs_basis.json")

@@ -11,9 +11,8 @@ the reduced state is a population-weighted mixture of 2^N branches that
 is linear in cos(2 w_s t) and sin(2 w_s t) (``reduced_evolution``).  On
 a uniform time grid each phase splits into a coarse and a fine part,
 t = c + u, so the sums need cosines and sines of (n1 + n2) 2^N phases,
-n1 n2 >= T and n2 about sqrt(T), not of T 2^N (``_phase_sums``).  The
-per-string propagators stay available for the joint pure state and for
-information-flow analyses.
+n1 n2 >= T and n2 about sqrt(T), not of T 2^N (``_phase_sums``).  Only
+the reduced state is computed; the joint pure state is never formed.
 """
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import KET_PLUS, NORM_TOL, SIGMA_X, SIGMA_Z, StateVector, check_states
+from ..core import KET_PLUS, NORM_TOL, SIGMA_X, SIGMA_Z, check_states
 
 MAX_ENV_QUBITS = 14
 # (times x bit strings) entries per chunk of the reduced-state sums; bounds their memory
@@ -155,20 +154,6 @@ class SpinEnvironment:
         """(a_s, b) of the system blocks h_s = a_s sz + b sx, one a_s per bit string."""
         return 0.5 * (self.splitting + self.shift_sums), -0.5 * self.tunneling
 
-    def block_unitaries(self, t: float) -> np.ndarray:
-        """(2^N, 2, 2) system propagators, one per environment bit string."""
-        a, b = self._block_fields()
-        omega = np.hypot(a, b)
-        c = np.cos(omega * t)
-        # sin(w t)/w with its w -> 0 limit
-        k = np.where(omega > 0.0, np.sin(omega * t) / np.where(omega > 0.0, omega, 1.0), t)
-        u = np.empty((a.size, 2, 2), dtype=complex)
-        u[:, 0, 0] = c - 1j * k * a
-        u[:, 1, 1] = c + 1j * k * a
-        u[:, 0, 1] = -1j * k * b
-        u[:, 1, 0] = -1j * k * b
-        return u
-
     def reduced_evolution(self, psi0, t_grid) -> np.ndarray:
         """Reduced 2x2 trajectory of a pure system state; (T, 2, 2) array.
 
@@ -224,19 +209,20 @@ class SpinEnvironment:
 
 @dataclass(frozen=True)
 class SpinSpinResult:
-    """Reduced states (T, 2, 2), validated and read-only, with their eigenvalues (T, 2)."""
+    """Reduced states (T, 2, 2), validated and read-only, with their eigenvalues (T, 2).
+
+    ``decoherence_factor`` is |rho01(t) / rho01(0)|, set only without
+    tunneling and for a system state with |rho01(0)| > 1e-12.
+    """
 
     times: np.ndarray
     states: np.ndarray
     spectra: np.ndarray
-    decoherence_factor: np.ndarray | None  # |rho01(t)/rho01(0)|, tunneling-free runs only
-    joint_states: tuple[StateVector, ...] | None
+    decoherence_factor: np.ndarray | None
 
 
-def spin_spin_exact(
-    env: SpinEnvironment, psi0, t_grid, keep_joint: bool = False
-) -> SpinSpinResult:
-    """Exact reduced trajectory; joint pure states retained on request."""
+def spin_spin_exact(env: SpinEnvironment, psi0, t_grid) -> SpinSpinResult:
+    """Exact reduced trajectory of the central qubit from the pure state ``psi0``."""
     psi = np.asarray(getattr(psi0, "amplitudes", psi0), dtype=complex).reshape(2)
     if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
         raise ValueError("system state is not normalized")
@@ -251,14 +237,4 @@ def spin_spin_exact(
     rho01_0 = psi[0] * np.conj(psi[1])
     if env.tunneling == 0.0 and abs(rho01_0) > 1e-12:
         factor = np.abs(raw[:, 0, 1]) / abs(rho01_0)
-    joint = None
-    if keep_joint:
-        amps = env.env_amplitudes()
-        dims = (2,) * (env.n_spins + 1)
-        frames = []
-        for t in times:
-            branches = env.block_unitaries(float(t)) @ psi  # (E, 2)
-            frames.append(StateVector((branches.T * amps).reshape(-1), dims=dims))
-        joint = tuple(frames)
-    return SpinSpinResult(times, raw, spectra, factor, joint)
-
+    return SpinSpinResult(times, raw, spectra, factor)

@@ -37,7 +37,6 @@ from .core import (
     DensityMatrix,
     StateVector,
     _pure_reduced_array,
-    basis_state,
     check_states,
     embed,
     entropy,
@@ -46,7 +45,6 @@ from .core import (
     purity,
     spectral_entropy,
 )
-from .dynamics import evolve
 
 EIGENVECTOR_RESIDUAL_TOL = 1e-9
 DEGENERACY_REL_TOL = 1e-9
@@ -56,6 +54,7 @@ CERTIFICATE_DIM_CAP = 4096
 CERTIFICATE_TIMES = (0.3, 0.7, 1.1, 1.9, 2.6)
 MAX_FRAGMENT_QUBITS = 12
 COLLECTIVE_LABEL_MAX_QUBITS = 14
+COLLECTIVE_MAX_QUBITS = 14_000  # C(N, N/2) keeps under Python's 4300-digit int-to-text limit
 COLLECTIVE_BASIS_CAP = 1 << 20  # amplitudes of an explicit collective basis, at most
 UNIFORM_GRID_TOL = 1e-12  # relative to the last grid time
 
@@ -181,28 +180,34 @@ def pointer_states(spec: InteractionSpec) -> list[tuple[StateVector, tuple[float
 
 @dataclass(frozen=True)
 class DFSResult:
-    """A common eigenspace of all coupling operators, with its certificates."""
+    """A common eigenspace of all coupling operators, with its certificates.
 
-    basis: tuple[StateVector, ...]
+    ``basis`` holds the orthonormal basis vectors as the rows of one
+    read-only (k, d) complex array; k is 0 for an empty subspace.
+    """
+
+    basis: np.ndarray
     eigenvalues: tuple[float, ...]
     certificate_defect: float | None = None
 
     def __post_init__(self):
-        if self.basis:
-            mat = np.column_stack([v.amplitudes for v in self.basis])
-            gram = mat.conj().T @ mat
-            if np.abs(gram - np.eye(len(self.basis))).max() > ORTHONORMAL_TOL:
-                raise ValueError("subspace basis is not orthonormal")
+        rows = np.asarray(self.basis, dtype=complex)
+        if rows.ndim != 2:
+            raise ValueError(f"subspace basis must be a (k, d) array, got shape {rows.shape}")
+        with np.errstate(all="ignore"):  # a non-finite or huge entry makes the defect nan or inf
+            defect = np.abs(rows @ rows.conj().T - np.eye(rows.shape[0])).max(initial=0.0)
+        if not defect <= ORTHONORMAL_TOL:
+            raise ValueError("subspace basis rows are not finite and orthonormal")
+        object.__setattr__(self, "basis", frozen(rows, self.basis))
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return self.basis.shape[0]
 
     def projector(self) -> np.ndarray:
-        if not self.basis:
+        if not self.dimension:
             raise ValueError("empty subspace has no projector")
-        mat = np.column_stack([v.amplitudes for v in self.basis])
-        return mat @ mat.conj().T
+        return self.basis.T @ self.basis.conj()
 
 
 def _certificate(spec: InteractionSpec, basis: np.ndarray) -> float:
@@ -239,13 +244,13 @@ def dfs_find(spec: InteractionSpec) -> DFSResult:
     """
     branches = _branches(spec.system_operators(), spec.system_dim)
     if not branches:
-        return DFSResult(basis=(), eigenvalues=())
+        return DFSResult(basis=np.zeros((0, spec.system_dim), dtype=complex), eigenvalues=())
     values, basis = branches[0]
     defect = None
     if basis.shape[1] > 0 and spec.system_dim * spec.env_dim <= CERTIFICATE_DIM_CAP:
         defect = _certificate(spec, basis)
     return DFSResult(
-        basis=tuple(StateVector(col) for col in basis.T),
+        basis=basis.T,
         eigenvalues=values,
         certificate_defect=defect,
     )
@@ -281,10 +286,12 @@ def collective_dfs(n_qubits: int) -> CollectiveDFSReport:
     are listed in ``labels``; the basis vectors themselves are materialized
     in ``result`` only while dimension * 2**N is at most
     ``COLLECTIVE_BASIS_CAP`` (2**20 amplitudes, N <= 11).  Above that only
-    the counting survives.
+    the counting survives, up to ``COLLECTIVE_MAX_QUBITS`` (14 000).
     """
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
+    if n_qubits > COLLECTIVE_MAX_QUBITS:
+        raise ValueError(f"{n_qubits} qubits exceeds the limit {COLLECTIVE_MAX_QUBITS}")
     odd = n_qubits % 2 == 1
     n_zeros = (n_qubits + 1) // 2
     magnetization = 2 * n_zeros - n_qubits  # 0 for even N, +1 for odd
@@ -293,13 +300,13 @@ def collective_dfs(n_qubits: int) -> CollectiveDFSReport:
     stirling_bits = n_qubits - 0.5 * math.log2(math.pi * n_qubits / 2.0)
     labels = result = None
     if n_qubits <= COLLECTIVE_LABEL_MAX_QUBITS:
-        labels = tuple(
-            "".join("1" if q in ones else "0" for q in range(n_qubits))
-            for ones in combinations(range(n_qubits), n_qubits - n_zeros)
-        )
+        # qubit 0 is the most significant bit of each code
+        codes = [sum(1 << (n_qubits - 1 - q) for q in ones)
+                 for ones in combinations(range(n_qubits), n_qubits - n_zeros)]
+        labels = tuple(format(code, f"0{n_qubits}b") for code in codes)
     if dimension * 2**n_qubits <= COLLECTIVE_BASIS_CAP:
-        dims = (2,) * n_qubits
-        basis = tuple(basis_state(2**n_qubits, int(label, 2), dims=dims) for label in labels)
+        basis = np.zeros((dimension, 2**n_qubits), dtype=complex)
+        basis[np.arange(dimension), codes] = 1.0
         result = DFSResult(basis=basis, eigenvalues=(float(magnetization),))
     return CollectiveDFSReport(
         n_qubits=n_qubits,
@@ -342,6 +349,8 @@ def _reduced_series(generator, psi: np.ndarray, times: np.ndarray):
             "generator must expose reduced_evolution(psi0, t_grid) or a compiled "
             "master-equation form (G, pairs)"
         )
+    from .dynamics import evolve
+
     # one evolve call snapshots every multiple of dt, so the grid must be those
     dt = times[1]
     if np.abs(times - dt * np.arange(times.size)).max() > UNIFORM_GRID_TOL * times[-1]:

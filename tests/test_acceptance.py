@@ -107,8 +107,8 @@ def test_criterion_02_collective_dfs_dimension_and_projector():
     report = collective_dfs(4)
     assert report.dimension == 6
     labels = {
-        format(int(np.argmax(np.abs(v.amplitudes))), "04b")
-        for v in report.result.basis
+        format(int(np.argmax(np.abs(row))), "04b")
+        for row in report.result.basis
     }
     assert labels == {"0011", "0101", "0110", "1001", "1010", "1100"}
     found = dfs_find(collective_dephasing_spec(4))

@@ -14,6 +14,7 @@ from decosim import (
     KET_1,
     KET_MINUS,
     KET_PLUS,
+    SIGMA_X,
     SIGMA_Z,
     DensityMatrix,
     LindbladSpec,
@@ -501,10 +502,51 @@ def test_dfs_collective_bytes_match_the_pair_list_path(tmp_path):
         "efficiency": report.efficiency,
         "odd_fallback": report.odd_fallback,
         "basis_labels": report.labels,
-        "basis": [matrix_to_pairs(vec.amplitudes) for vec in report.result.basis],
+        "basis": [matrix_to_pairs(row) for row in report.result.basis],
     }
     expected = json.dumps(payload, sort_keys=True) + "\n"
     assert (tmp_path / "dfs_basis.json").read_bytes() == expected.encode()
+
+
+# XX + ZZ on two qubits: eigenvalue 0 on the span of (|00> - |11>) and (|01> + |10>)
+_XX_PLUS_ZZ = [[1, 0, 0, 1], [0, -1, 1, 0], [0, 1, -1, 0], [1, 0, 0, 1]]
+
+
+def test_dfs_find_bytes_match_the_pair_list_path(tmp_path):
+    from decosim.pointer import InteractionSpec, dfs_find
+    from test_serialize import matrix_to_pairs
+
+    coupling = [[[float(x), 0.0] for x in row] for row in _XX_PLUS_ZZ]
+    assert main([
+        "dfs", "--system-terms", json.dumps([coupling]), "--env-terms", '["sigma_x"]',
+        "--output", str(tmp_path),
+    ]) == 0
+    result = dfs_find(InteractionSpec(terms=((np.array(_XX_PLUS_ZZ, dtype=complex), SIGMA_X),)))
+    assert result.dimension == 2
+    payload = {
+        "dimension": result.dimension,
+        "eigenvalues": list(result.eigenvalues),
+        "certificate_defect": result.certificate_defect,
+        "basis": [matrix_to_pairs(row) for row in result.basis],
+    }
+    expected = json.dumps(payload, sort_keys=True) + "\n"
+    assert (tmp_path / "dfs_basis.json").read_bytes() == expected.encode()
+
+
+def test_collective_dfs_refuses_huge_counts_at_once(tmp_path, capsys):
+    # each in a child with a timeout: counting before the bound would run
+    # math.comb for minutes at 10^9 qubits
+    timed = ("import atexit, time\nimport decosim.cli\n_start = time.perf_counter()\n"
+             "atexit.register(lambda: print(time.perf_counter() - _start))\n")
+    for n in ("15000", "1000000000"):
+        done = _cli_child(["dfs", "--collective", "--n", n, "--output", str(tmp_path)], {},
+                          prelude=timed, timeout=60)
+        assert done.returncode == 2
+        _assert_one_line(done.stderr, 2)
+        assert "14000" in done.stderr
+        assert float(done.stdout.split()[-1]) < 1.0
+    assert main(["dfs", "--collective", "--n", "14000", "--output", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "dfs_basis.json").read_text())["basis_labels"] is None
 
 
 def test_dfs_with_no_common_eigenspace_writes_an_empty_basis(tmp_path):

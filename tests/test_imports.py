@@ -29,6 +29,7 @@ _RUNS = {
                      "--f2", "1", "--dx-min", "0.01", "--dx-max", "100", "--n-dx", "9"],
                     {"decosim.models", "decosim.models.collisional"}),
     "qec": (["qec", "--p-list", "[0.05]", "--n-shots", "100"], {"decosim.qec"}),
+    "dfs": (["dfs", "--collective", "--n", "4"], {"decosim.pointer"}),
 }
 _SCRIPT = (
     "import json, sys\n"

@@ -22,11 +22,11 @@ from decosim import (
     tensor,
 )
 from decosim.models import SpinEnvironment
-from decosim.pointer import InteractionSpec, pointer_states
+from decosim.pointer import DFSResult, InteractionSpec, pointer_states
 
 
-def _bit_label(state: StateVector, n: int) -> str:
-    index = int(np.argmax(np.abs(state.amplitudes)))
+def _bit_label(row: np.ndarray, n: int) -> str:
+    index = int(np.argmax(np.abs(row)))
     return format(index, f"0{n}b")
 
 
@@ -71,11 +71,37 @@ def test_incompatible_couplings_have_no_common_eigenspace():
     )
     found = dfs_find(spec)
     assert found.dimension == 0
-    assert found.basis == ()
+    assert found.basis.shape == (0, 2)
     assert found.eigenvalues == ()
     with pytest.raises(ValueError):
         found.projector()
     assert pointer_states(spec) == []
+
+
+def test_dfs_result_checks_its_basis_rows_once():
+    rows = np.eye(4, dtype=complex)[:2]
+    result = DFSResult(basis=rows, eigenvalues=(0.0,))
+    assert result.dimension == 2
+    assert not result.basis.flags.writeable
+    assert rows.flags.writeable  # the caller's array is not frozen
+    skewed = rows.copy()
+    skewed[1, 0] = 1e-6
+    with pytest.raises(ValueError, match="orthonormal"):
+        DFSResult(basis=skewed, eigenvalues=(0.0,))
+    with pytest.raises(ValueError, match="orthonormal"):
+        DFSResult(basis=2.0 * rows, eigenvalues=(0.0,))
+    poisoned = rows.copy()
+    poisoned[0, 3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        DFSResult(basis=poisoned, eigenvalues=(0.0,))
+    with pytest.raises(ValueError, match="finite"):
+        DFSResult(basis=np.full((1, 2), np.inf, dtype=complex), eigenvalues=(0.0,))
+    with pytest.raises(ValueError, match="shape"):
+        DFSResult(basis=rows[0], eigenvalues=(0.0,))
+    empty = DFSResult(basis=np.zeros((0, 4), dtype=complex), eigenvalues=())
+    assert empty.dimension == 0
+    with pytest.raises(ValueError, match="empty"):
+        empty.projector()
 
 
 def test_commutativity_residual_flags_pointer_observables():

@@ -5,6 +5,7 @@ from scipy.linalg import expm
 from decosim import (
     DensityMatrix,
     Operator,
+    StateVector,
     apply_channel,
     kraus_from_unitary,
     partial_trace_keep_state,
@@ -18,12 +19,27 @@ from decosim.models.spinspin import _CHUNK_ENTRIES, _phase_sums
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
+def _block_unitaries(env: SpinEnvironment, t: float) -> np.ndarray:
+    """Oracle: (2^N, 2, 2) system propagators exp(-i h_s t), one per environment bit string."""
+    a, b = env._block_fields()
+    omega = np.hypot(a, b)
+    c = np.cos(omega * t)
+    # sin(w t)/w with its w -> 0 limit
+    k = np.where(omega > 0.0, np.sin(omega * t) / np.where(omega > 0.0, omega, 1.0), t)
+    u = np.empty((a.size, 2, 2), dtype=complex)
+    u[:, 0, 0] = c - 1j * k * a
+    u[:, 1, 1] = c + 1j * k * a
+    u[:, 0, 1] = -1j * k * b
+    u[:, 1, 0] = -1j * k * b
+    return u
+
+
 def _reduced_evolution_loop(env: SpinEnvironment, psi, times) -> np.ndarray:
     """Oracle: propagate every branch with its block unitary and mix, one time at a time."""
     pops = env.env_populations()
     out = np.empty((len(times), 2, 2), dtype=complex)
     for k, t in enumerate(times):
-        branches = env.block_unitaries(float(t)) @ psi
+        branches = _block_unitaries(env, float(t)) @ psi
         out[k] = symmetrize(np.einsum("e,ei,ej->ij", pops, branches, branches.conj()))
     return out
 
@@ -60,7 +76,7 @@ def spin_spin_hamiltonian(env: SpinEnvironment) -> Operator:
 def spin_spin_propagator(env: SpinEnvironment, t: float) -> Operator:
     """Oracle: the dense joint propagator assembled from the per-string blocks."""
     n_env = 2**env.n_spins
-    u_blocks = env.block_unitaries(float(t))
+    u_blocks = _block_unitaries(env, float(t))
     u = np.zeros((2 * n_env, 2 * n_env), dtype=complex)
     idx = np.arange(n_env)
     u[idx, idx] = u_blocks[:, 0, 0]
@@ -248,9 +264,12 @@ def test_dense_propagator_matches_matrix_exponential():
 def test_joint_state_traces_down_to_the_reduced_state():
     env = SpinEnvironment((0.4, 1.2), splitting=0.3, tunneling=0.6)
     times = np.linspace(0.0, 3.0, 7)
-    res = spin_spin_exact(env, PLUS, times, keep_joint=True)
-    assert res.joint_states is not None
-    for joint, state in zip(res.joint_states, res.states):
+    res = spin_spin_exact(env, PLUS, times)
+    amps = env.env_amplitudes()
+    dims = (2,) * (env.n_spins + 1)
+    for t, state in zip(times, res.states):
+        branches = _block_unitaries(env, float(t)) @ PLUS  # (2^N, 2)
+        joint = StateVector((branches.T * amps).reshape(-1), dims=dims)
         reduced = partial_trace_keep_state(joint, [0])
         assert np.abs(reduced.entries - state).max() < 1e-12
 
@@ -286,7 +305,7 @@ def test_overflowing_phases_are_rejected():
 def test_block_unitaries_are_unitary():
     env = SpinEnvironment((0.31, 0.77, 1.9), splitting=1.1, tunneling=0.8)
     for t in (0.0, 0.4, 2.9):
-        u = env.block_unitaries(t)
+        u = _block_unitaries(env, t)
         defect = np.abs(
             np.einsum("eij,ekj->eik", u, u.conj()) - np.eye(2)[None, :, :]
         ).max()
