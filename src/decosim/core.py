@@ -289,7 +289,7 @@ def spectral_entropy(spectra) -> np.ndarray:
     packed = np.take_along_axis(terms, np.argsort(~positive, axis=1, kind="stable"), axis=1)
     counts = positive.sum(axis=1)
     sums = np.empty(len(rows))
-    for m in np.unique(counts):
+    for m in np.flatnonzero(np.bincount(counts)):  # the distinct counts, ascending
         sums[counts == m] = packed[counts == m, :m].sum(axis=1)
     return (-sums / LOG2).reshape(p.shape[:-1])
 

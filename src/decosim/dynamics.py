@@ -12,9 +12,12 @@ validates them in one ``check_states`` call on their (T, d, d) stack,
 which also gives their spectra.  Up to ``DENSE_PROPAGATOR_MAX_DIM`` it
 builds the Liouvillian L once and takes this module's NumPy
 scaling-and-squaring Pade ``_expm`` of it; above, it never forms L and
-sums a truncated Taylor series with substeps on the d x d matrix rho,
-each term one application of the compiled form.  Neither branch loads
-SciPy.
+sums truncated Taylor series on the d x d matrix rho, each term one
+application of the compiled form.  One series, a window, reaches
+||L||_1 tau = _TAYLOR_THETA (8) and is summed until two successive terms
+fall below 2^-53 of its far-end sum; every snapshot inside the window is
+read off the same terms, and a snapshot beyond one reach takes equal
+substeps.  Neither branch loads SciPy.
 ``unravel`` propagates pure-state diffusive trajectories whose ensemble
 mean converges to the same master equation; trajectory randomness is
 keyed by (master_seed, trajectory_index) with a counter-based bit
@@ -36,17 +39,25 @@ from .core import DensityMatrix, Operator, StateVector, check_states, symmetrize
 from .errors import ConvergenceError, PhysicalityError, PositivityError
 
 # evolve of a Caldeira-Leggett generator from a coherent state, 1 BLAS thread
-# (2-core Xeon), best of 7 in each of 3-4 runs, ms at d = 8 / 12 / 16 / 20,
-# dense _expm against the Taylor branch: t = 0.5 with 10 snapshots
-# 1.1-1.8 / 6.0-9.0 / 27-40 / 84-135 against 1.3-2.5 / 1.5-2.9 / 3.1-5.1 / 3.6-6.1;
-# t = 5 with 50 snapshots 1.2-1.6 / 5.6-7.7 / 28-46 / 87-140 against
-# 7.1-11 / 15-24 / 24-34 / 28-35.  Dense wins a long run through d = 12,
-# but the Taylor branch already wins a short one at d = 12.
+# (2-core Xeon), best of 7 in each of 3 runs, ms at d = 8 / 12 / 16 / 20,
+# dense _expm against the windowed Taylor branch: t = 0.5 with 10 snapshots
+# 1.2-1.7 / 8.2-9.7 / 30-37 / 93-132 against 0.8-1.3 / 1.1-1.7 / 1.7-2.3 / 2.4-3.6;
+# t = 5 with 50 snapshots 1.5-2.3 / 7.4-11 / 31-33 / 97-128 against
+# 4.8-8.1 / 9.4-14 / 12-15 / 15-23.  Dense wins a long run at d = 8 and about
+# ties one at d = 12; the Taylor branch wins a short one from d = 8 up.
 DENSE_PROPAGATOR_MAX_DIM = 12
-# Taylor branch: ~0.2 ms per unit of the bound on ||L||_1 t at d = 40; minutes here
+# Taylor branch: ~0.08 ms per unit of the bound on ||L||_1 t at d = 40, on
+# intervals of many substeps; about a minute and a half here
 MAX_SPARSE_NORM_TIME = 1e6
+# reach of one Taylor expansion, ||L||_1 tau <= _TAYLOR_THETA.  Its terms can grow
+# to about e^theta / sqrt(2 pi theta) of rho before they cancel: on a lowering-operator
+# ladder (d = 16-32, from the top level) the snapshots err by up to 2.0e-14 at 8
+# against 1.1e-13 at 10, next to expm_multiply
+_TAYLOR_THETA = 8.0
 _MAX_TAYLOR_TERMS = 90
 _TAYLOR_TOL_SQ = 2.0 ** -106  # (2^-53)^2, compared with squared Frobenius norms
+# bound on the entries of the per-term buffer that adds a term into a window's inner snapshots
+_WINDOW_CHUNK_ENTRIES = 2 ** 13
 TRAJECTORY_BLOCK = 1024  # fixed reduction granularity; never tied to worker count
 # steps between renormalizations of a trajectory, which is carried unnormalized
 # in between; this bounds how far its norm grows from 1
@@ -167,27 +178,40 @@ def liouvillian_norm_bound(compiled) -> float:
     return float(bound)
 
 
-def _taylor_propagate(compiled, rho: np.ndarray, h: float, norm: float) -> np.ndarray:
-    """exp(L h) rho for Hermitian rho, with ``norm`` >= ||L||_1 finite, without forming L.
+def _taylor_snapshots(compiled, rho: np.ndarray, out: np.ndarray, steps: np.ndarray,
+                      dt: float, norm: float) -> None:
+    """out[i] = exp(L steps[i] dt) rho for Hermitian rho, with ``norm`` >= ||L||_1 finite.
 
-    s = ceil(norm h / 2) substeps of tau = h / s each sum the Taylor series
-    term_k = (tau / k) L(term_(k-1)) until two successive terms fall below
-    2^-53 of the running sum in Frobenius norm (the scheme of
-    ``expm_multiply``: Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
-    Each L(term) is one product of the stacked [G; A_1; ...] with term and
-    one product per pair; every term stays exactly Hermitian.
+    ``steps`` are positive and ascending, and L is never formed.  From the last
+    state reached, one window expands to the farthest snapshot within
+    reach, norm tau <= _TAYLOR_THETA: it sums P_0 = rho and
+    P_k = (tau / k) L(P_(k-1)) until two successive terms fall below 2^-53
+    of the far-end sum in Frobenius norm (the scheme of ``expm_multiply``:
+    Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  Each snapshot
+    of the window, at r = offset / tau, is written as sum_k r^k P_k
+    straight into its row of ``out``; the far-end sum starts the next
+    window.  A snapshot beyond one reach is the end of
+    ceil(norm h / _TAYLOR_THETA) equal substeps, and only it is stored.
+    Each L(P) is one product of the stacked [G; A_1; ...] with P and one
+    product per pair; every term stays exactly Hermitian.
     """
     g, pairs = compiled
     d = g.shape[0]
     stacked = np.vstack([g, *(a for a, _ in pairs)])
-    s = max(1, math.ceil(norm * h / 2.0))
-    tau = h / s
-    for _ in range(s):
-        acc = rho.copy()
-        term = rho
+    chunk = max(1, _WINDOW_CHUNK_ENTRIES // (d * d))
+
+    def expand(start, rows, ratios, tau):
+        # rows[-1] is the far end; the rows before it sit at ``ratios`` of tau
+        rows[:] = start
+        far = rows[-1]
+        inner = len(ratios)
+        if inner:
+            weights = np.ones(inner)
+            buf = np.empty((min(inner, chunk), d, d), dtype=complex)
+        term = far
         small = False
-        # tau ||L||_1 <= 2, so term k is at most 2^k / k! of rho, below 1e-100
-        # by k = 90; the cap ends the loop on non-finite terms
+        # tau ||L||_1 <= 8, so term k is at most 8^k / k! of rho, about
+        # 1e-57 by k = 90; the cap ends the loop on non-finite terms
         for k in range(1, _MAX_TAYLOR_TERMS + 1):
             prod = stacked @ term
             term = prod[:d]  # becomes K = G term + sum (A term) B, then K + K^dag
@@ -195,13 +219,35 @@ def _taylor_propagate(compiled, rho: np.ndarray, h: float, norm: float) -> np.nd
                 term += prod[j * d:(j + 1) * d] @ b
             term += term.conj().T
             term *= tau / k
-            acc += term
+            far += term
+            if inner:
+                weights *= ratios
+                for lo in range(0, inner, chunk):
+                    part = buf[:min(chunk, inner - lo)]
+                    np.multiply(weights[lo:lo + chunk, None, None], term, out=part)
+                    rows[lo:lo + len(part)] += part
             was_small = small
-            small = np.vdot(term, term).real <= _TAYLOR_TOL_SQ * np.vdot(acc, acc).real
+            small = np.vdot(term, term).real <= _TAYLOR_TOL_SQ * np.vdot(far, far).real
             if small and was_small:
                 break
-        rho = acc
-    return rho
+
+    # snapshots one expansion reaches, in steps of dt
+    reach = _TAYLOR_THETA / (norm * dt) if norm * dt > 0 else math.inf
+    origin = 0
+    i = 0
+    while i < len(out):
+        j = int(np.searchsorted(steps, origin + reach, side="right"))
+        if j > i:
+            span = steps[i:j] - origin
+            expand(rho, out[i:j], span[:-1] / span[-1], span[-1] * dt)
+        else:
+            j = i + 1
+            h = (steps[i] - origin) * dt
+            s = max(1, math.ceil(norm * h / _TAYLOR_THETA))
+            for _ in range(s):
+                expand(rho, out[i:j], (), h / s)
+                rho = out[i]
+        rho, origin, i = out[j - 1], steps[j - 1], j
 
 
 def _expm(a: np.ndarray, norm: float) -> np.ndarray:
@@ -282,24 +328,25 @@ def evolve(
     if not dense and norm_time > MAX_SPARSE_NORM_TIME:
         raise ConvergenceError(f"||L||_1 t = {norm_time:.3g} is too stiff to propagate")
     rho = symmetrize(rho0.entries)
-    done = 1
+    steps = np.minimum(np.arange(n_snapshots) * store_every, n_steps)
     # a propagation that overflows leaves non-finite snapshots, which
     # check_states reports as one error instead of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        # (stride, count): the uniform snapshot grid, then a shorter last interval
-        for stride, count in ((store_every, n_uniform), (rest, int(rest > 0))):
-            h = stride * dt
-            if count and dense:
-                prop = _expm(h * lv, norm * h)
-            for i in range(done, done + count):
-                if dense:
+        if dense:
+            done = 1
+            # (stride, count): the uniform snapshot grid, then a shorter last interval
+            for stride, count in ((store_every, n_uniform), (rest, int(rest > 0))):
+                h = stride * dt
+                if count:
+                    prop = _expm(h * lv, norm * h)
+                for i in range(done, done + count):
                     rho = (prop @ rho.reshape(-1)).reshape(d, d)
-                else:
-                    rho = _taylor_propagate(generator.compiled, rho, h, norm)
-                states[i] = rho
-            done += count
+                    states[i] = rho
+                done += count
+        else:
+            _taylor_snapshots(generator.compiled, rho, states[1:], steps[1:], dt, norm)
         states[1:] = symmetrize(states[1:])
-    times = np.minimum(np.arange(len(states)) * store_every, n_steps) * dt
+    times = steps * dt
     # rho0 was validated as a DensityMatrix; the snapshots inherit the
     # generator's positivity tolerance, since a non-CP generator
     # transiently dips below the strict floor
@@ -480,9 +527,9 @@ def unravel(
     if store_every < 1:
         raise ValueError(f"need store_every >= 1, got {store_every}")
     n_steps = cfg.n_steps
-    sample_steps = np.unique(
-        np.concatenate([np.arange(0, n_steps + 1, store_every), [n_steps]])
-    )
+    sample_steps = np.arange(0, n_steps + 1, store_every)
+    if sample_steps[-1] != n_steps:
+        sample_steps = np.append(sample_steps, n_steps)
     rates = np.array([rate for _, rate in spec.lindblad_terms], dtype=float)
     a = spec.compiled[0]  # -iH - (1/2) sum kappa L^dag L, and L^dag L = L^2 for Hermitian L
     with np.errstate(invalid="ignore"):  # an overflowed a gives NaN, reported after the steps

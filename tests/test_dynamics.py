@@ -19,6 +19,7 @@ from decosim import (
 )
 from decosim.dynamics import (
     _RENORM_EVERY,
+    _TAYLOR_THETA,
     _THETA13,
     DENSE_PROPAGATOR_MAX_DIM,
     TRAJECTORY_BLOCK,
@@ -291,9 +292,26 @@ def _random_lindblad_run(d):
     return spec, DensityMatrix(rho0 / np.trace(rho0).real)
 
 
+def _ladder_run(d):
+    """Amplitude damping of a d-level ladder from its top level, and a dt that
+    puts 10 snapshots in one window reaching 0.999 _TAYLOR_THETA.
+
+    L is strongly non-normal (each level feeds the one below), so Taylor
+    terms grow far above the state before they cancel.
+    """
+    lower = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    spec = LindbladSpec(Operator(np.zeros((d, d))), ((Operator(lower), 1.0),))
+    rho0 = np.zeros((d, d), dtype=complex)
+    rho0[-1, -1] = 1.0
+    dt = 0.999 * _TAYLOR_THETA / (10 * liouvillian_norm_bound(spec.compiled))
+    return spec, DensityMatrix(rho0), 40 * dt, dt, 1
+
+
 # (generator, rho0, t_final, dt, store_every); "pure-cl-40" is the benchmark's
-# cat configuration, and "-rest" runs it with 1.05 / 1e-2 = 105 steps: 2
-# intervals of 50, each of 83 substeps, and a shorter last interval of 5
+# cat configuration, with 4 snapshots in a window; "-every" stores all 50
+# steps of its run, 24 in a window; "-rest" runs it with 1.05 / 1e-2 = 105
+# steps: 2 intervals of 50, each of 21 substeps, and a shorter last interval
+# of 5, of 3 substeps
 _TAYLOR_CASES = {
     "pure-cl-13": lambda: (caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=13,
                                                       pure_decoherence=True),
@@ -304,9 +322,13 @@ _TAYLOR_CASES = {
     "full-cl-30": lambda: (caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=30),
                            _coherent_density(1.0, 30), 0.5, 1e-3, 50),
     "lindblad-16": lambda: (*_random_lindblad_run(16), 0.3, 1e-2, 5),
+    "pure-cl-40-every": lambda: (caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 50.0, n_max=40,
+                                                            pure_decoherence=True),
+                                 _coherent_density(2.0, 40), 0.05, 1e-3, 1),
     "pure-cl-40-rest": lambda: (caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 50.0, n_max=40,
                                                            pure_decoherence=True),
                                 _coherent_density(2.0, 40), 1.05, 1e-2, 50),
+    "ladder-16": lambda: _ladder_run(16),
 }
 
 

@@ -17,6 +17,14 @@ _RUNS = {
     "import-only": ([], set()),
     "estimate": (["estimate", "--mass-g", "1", "--temp-K", "300", "--dx-cm", "1"],
                  {"decosim.models", "decosim.models.estimates"}),
+    "evolve": (["evolve", "--hamiltonian", "sigma_x", "--lindblad",
+                '[{"operator": "sigma_z", "rate": 0.5}]', "--rho0", "plus", "--t-final", "0.2",
+                "--dt", "0.01"],
+               {"decosim.dynamics"}),
+    "qbm": (["qbm", "--n-max", "14", "--alpha", "1", "--gamma0", "0.01", "--cutoff", "10",
+             "--temperature", "10", "--t-final", "0.05", "--dt", "0.01"],
+            {"decosim.dynamics", "decosim.models", "decosim.models.collisional",
+             "decosim.models.qbm"}),
     "trajectories": (["trajectories", "--hamiltonian", "sigma_x", "--lindblad",
                       '[{"operator": "sigma_z", "rate": 0.5}]', "--t-final", "0.2",
                       "--dt", "0.01", "--n-trajectories", "4"],
@@ -37,7 +45,7 @@ _SCRIPT = (
     "argv = json.loads(sys.argv[1])\n"
     "assert not argv or decosim.cli.main(argv) == 0, argv\n"
     "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'decosim'),\n"
-    "                  'concurrent.futures' in sys.modules]))\n"
+    "                  'concurrent.futures' in sys.modules, 'numpy.ma' in sys.modules]))\n"
 )
 
 
@@ -53,9 +61,10 @@ def test_each_process_loads_only_its_subcommands_modules(tmp_path, case):
     done = subprocess.run([sys.executable, "-c", _SCRIPT, json.dumps(argv)],
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    loaded, thread_pool = json.loads(done.stdout.splitlines()[-1])
+    loaded, thread_pool, masked_arrays = json.loads(done.stdout.splitlines()[-1])
     assert set(loaded) == _CLI_MODULES | solver
     assert not thread_pool  # one worker runs without the thread pool
+    assert not masked_arrays  # numpy.ma, which np.unique loads, takes 9-20 ms to import
 
 
 @pytest.mark.parametrize("package", ["decosim", "decosim.models"])
