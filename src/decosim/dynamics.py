@@ -143,14 +143,6 @@ def fixed_step_count(t_final: float, dt: float, store_every: int) -> int:
     return max(1, int(round(steps))) if t_final > 0 else 0
 
 
-def _rk4_step(rhs, rho: np.ndarray, dt: float) -> np.ndarray:
-    k1 = rhs(rho)
-    k2 = rhs(rho + 0.5 * dt * k1)
-    k3 = rhs(rho + 0.5 * dt * k2)
-    k4 = rhs(rho + dt * k3)
-    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def liouvillian(compiled) -> np.ndarray:
     """Dense L with vec(drho/dt) = L vec(rho), vec the row-major flattening.
 

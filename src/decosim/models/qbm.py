@@ -4,15 +4,12 @@ Two representations of the same master equation
 
     drho/dt = -i[H', rho] - i gamma0 [x, {p, rho}] - 2 M gamma0 T [x, [x, rho]]
 
-with H' = p^2/2M + M(W^2 - 2 gamma0 Lambda) x^2 / 2, each compiled once
-to the (G, pairs) form of ``decosim.dynamics``: a truncated
-oscillator number basis for bound motion (with an optional
-pure-decoherence variant that drops the dissipative term and is then of
-Lindblad form), and a uniform position grid with a spectral momentum
-operator for the free particle.  The grid evolution splits off the
-double-commutator decay, which is diagonal in (x, x') and therefore
-applied exactly; an explicit stepper on that stiff term alone would
-need two orders of magnitude smaller steps.
+with H' = p^2/2M + M(W^2 - 2 gamma0 Lambda) x^2 / 2, each compiled once,
+by one routine, to the (G, pairs) form of ``decosim.dynamics`` and
+propagated by its ``evolve``: a truncated oscillator number basis for
+bound motion (with an optional pure-decoherence variant that drops the
+dissipative term and is then of Lindblad form), and a uniform position
+grid with a spectral momentum operator for the free particle.
 
 Also provides the Wigner transform
     W(x, p) = (1/pi) int dy rho(x + y, x - y) e^{-2 i p y}
@@ -22,12 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from ..core import StateVector, basis_state, frozen, ket, symmetrize
-from ..dynamics import _rk4_step, compiled_rhs, fixed_step_count
+from ..core import DensityMatrix, StateVector, basis_state, frozen, ket, symmetrize
+from ..dynamics import evolve
 from ..errors import GridResolutionError, PhysicalityError
 from .collisional import GridState
 
@@ -58,6 +54,37 @@ def position_momentum(n_max: int, mass: float, frequency: float) -> tuple[np.nda
     return x, p
 
 
+def _check_parameters(mass: float, gamma0: float, temperature: float, **positive: float) -> None:
+    """The checks both representations share: every parameter finite, mass > 0,
+    gamma0 >= 0, temperature >= 0, and each of ``positive`` > 0."""
+    params = dict(mass=mass, gamma0=gamma0, temperature=temperature, **positive)
+    if not np.all(np.isfinite(list(params.values()))):
+        raise ValueError(f"parameters must be finite, got {params}")
+    if any(value <= 0 for value in (mass, *positive.values())) or min(gamma0, temperature) < 0:
+        names = ", ".join(f"{name} > 0" for name in ("mass", *positive))
+        raise ValueError(f"need {names}, gamma0 >= 0, temperature >= 0, got {params}")
+
+
+def _compile(gen, x: np.ndarray, p: np.ndarray, h_eff: np.ndarray, damped: bool) -> None:
+    """Set ``x``, ``p``, ``h_eff`` and the compiled form of the master equation on ``gen``.
+
+    G = -iH' - D x^2 - i gamma0 x p with the one pair (x, D x - i gamma0 p),
+    D = ``gen.diffusion``; without damping both gamma0 terms drop.
+    """
+    # parameters near the double range overflow the compiled form to
+    # inf or nan entries, which evolve reports as one numerical-contract error
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = -1j * h_eff - gen.diffusion * (x @ x)
+        b = gen.diffusion * x
+        if damped:
+            g -= 1j * gen.gamma0 * (x @ p)
+            b -= 1j * gen.gamma0 * p
+    object.__setattr__(gen, "x", x)
+    object.__setattr__(gen, "p", p)
+    object.__setattr__(gen, "h_eff", h_eff)
+    object.__setattr__(gen, "compiled", (g, ((x, b),)))
+
+
 @dataclass(frozen=True)
 class CaldeiraLeggettGenerator:
     """Number-basis master-equation generator for a damped oscillator.
@@ -85,35 +112,17 @@ class CaldeiraLeggettGenerator:
     def __post_init__(self):
         if self.n_max < MIN_N_MAX:
             raise ValueError(f"n_max must be at least {MIN_N_MAX}, got {self.n_max}")
-        params = (self.mass, self.frequency, self.gamma0, self.cutoff, self.temperature)
-        if not np.all(np.isfinite(params)):
-            raise ValueError(f"parameters must be finite, got {params}")
-        if (
-            self.mass <= 0 or self.frequency <= 0 or self.gamma0 < 0
-            or self.cutoff <= 0 or self.temperature < 0
-        ):
-            raise ValueError(
-                "need mass > 0, frequency > 0, gamma0 >= 0, cutoff > 0, temperature >= 0"
-            )
+        _check_parameters(self.mass, self.gamma0, self.temperature,
+                          frequency=self.frequency, cutoff=self.cutoff)
         # past the double range a float product is inf, where ** raises OverflowError
         frequency_sq = self.frequency * self.frequency
         if frequency_sq == np.inf:
             raise ValueError(f"frequency^2 overflows a double, got frequency {self.frequency}")
         x, p = position_momentum(self.n_max, self.mass, self.frequency)
         shifted_sq = frequency_sq - 2.0 * self.gamma0 * self.cutoff
-        # parameters near the double range overflow the compiled form to
-        # inf or nan entries, which evolve reports as one numerical-contract error
         with np.errstate(over="ignore", invalid="ignore"):
             h_eff = p @ p / (2.0 * self.mass) + 0.5 * self.mass * shifted_sq * (x @ x)
-            g = -1j * h_eff - self.diffusion * (x @ x)
-            b = self.diffusion * x
-            if not self.pure_decoherence:
-                g -= 1j * self.gamma0 * (x @ p)
-                b -= 1j * self.gamma0 * p
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "h_eff", h_eff)
-        object.__setattr__(self, "compiled", (g, ((x, b),)))
+        _compile(self, x, p, h_eff, damped=not self.pure_decoherence)
 
     @property
     def dim(self) -> int:
@@ -184,20 +193,23 @@ def cat_state(alpha: complex, n_max: int) -> StateVector:
 
 @dataclass(frozen=True)
 class FreeParticleGenerator:
-    """Grid free-particle pieces: spectral momentum, damping, and exact decay rates.
+    """Grid master-equation generator for a free particle: the oscillator's equation, no potential.
 
-    The drift (unitary plus damping part) is compiled to G = -iT - i gamma0 X p
-    with one pair (X, -i gamma0 p), X = diag(positions); the decay part
-    is applied exactly by ``evolve_free_particle``.
+    x = diag(positions), p is the spectral (FFT) momentum and H' = p^2/2M;
+    the compiled form is the oscillator's, G = -iH' - D x^2 - i gamma0 x p
+    with one pair (x, D x - i gamma0 p).  The equation is not of Lindblad
+    form, hence the loose positivity tolerance.
     """
+
+    positivity_tol = 1e-3  # eigenvalue floor of the snapshots; a class constant, not a field
 
     positions: np.ndarray
     mass: float
     gamma0: float
     temperature: float
-    p_op: np.ndarray = field(init=False, repr=False)
-    kinetic: np.ndarray = field(init=False, repr=False)
-    decay_rates: np.ndarray = field(init=False, repr=False)
+    x: np.ndarray = field(init=False, repr=False)
+    p: np.ndarray = field(init=False, repr=False)
+    h_eff: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.positions, dtype=float)
@@ -206,25 +218,24 @@ class FreeParticleGenerator:
         h = x[1] - x[0]
         if np.abs(np.diff(x) - h).max() > 1e-9 * h:
             raise ValueError("grid must be uniform")
+        _check_parameters(self.mass, self.gamma0, self.temperature)
         n = x.size
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
         f = np.fft.fft(np.eye(n), axis=0)
-        finv = np.conj(f.T) / n
-        p_op = finv @ (k[:, None] * f)
-        kinetic = finv @ ((k**2)[:, None] * f) / (2.0 * self.mass)
-        diffusion = 2.0 * self.mass * self.gamma0 * self.temperature
-        rates = diffusion * (x[:, None] - x[None, :]) ** 2
-        g = -1j * kinetic - 1j * self.gamma0 * (x[:, None] * p_op)
-        drift = (g, ((np.diag(x).astype(complex), -1j * self.gamma0 * p_op),))
+        p = np.conj(f.T) / n @ (k[:, None] * f)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h_eff = p @ p / (2.0 * self.mass)
         object.__setattr__(self, "positions", frozen(x, self.positions))
-        object.__setattr__(self, "p_op", p_op)
-        object.__setattr__(self, "kinetic", kinetic)
-        object.__setattr__(self, "decay_rates", rates)
-        object.__setattr__(self, "compiled", drift)
+        _compile(self, np.diag(x).astype(complex), p, h_eff, damped=True)
 
     @property
     def dim(self) -> int:
         return self.positions.size
+
+    @property
+    def diffusion(self) -> float:
+        """D = 2 M gamma0 T, the momentum-diffusion coefficient."""
+        return 2.0 * self.mass * self.gamma0 * self.temperature
 
 
 def free_particle_generator(
@@ -240,25 +251,20 @@ def evolve_free_particle(
     dt: float,
     store_every: int = 10,
 ) -> tuple[np.ndarray, list[GridState]]:
-    """Strang-split integration: exact half-step decay, RK4 drift, half-step decay.
+    """Propagate a grid state with ``decosim.dynamics.evolve``; snapshots and checks as there.
 
-    Run parameters are checked as in ``decosim.dynamics.evolve``; t_final = 0
-    returns the initial frame alone.
+    The Hermitian part of the grid matrix, divided by its trace, enters as
+    the unit-trace density matrix spacing rho / trace(spacing rho); the
+    frames are scaled back, so a grid trace within ``GridState``'s
+    tolerance of 1 is carried unchanged.  Frame 0 is ``state`` itself.
     """
-    n_steps = fixed_step_count(t_final, dt, store_every)
     if not np.array_equal(state.positions, gen.positions):
         raise ValueError("state grid does not match the generator grid")
-    half = np.exp(-0.5 * dt * gen.decay_rates)  # exactly symmetric, so rho stays Hermitian
-    drift = partial(compiled_rhs, gen.compiled)
     rho = symmetrize(state.matrix)
-    times = [0.0]
-    frames = [state]
-    for step in range(1, n_steps + 1):
-        rho = half * _rk4_step(drift, half * rho, dt)
-        if step % store_every == 0 or step == n_steps:
-            times.append(step * dt)
-            frames.append(GridState(gen.positions, rho))
-    return np.array(times), frames
+    norm = np.real(np.trace(rho))
+    res = evolve(gen, DensityMatrix(rho / norm), t_final, dt, store_every)
+    frames = [state] + [GridState(gen.positions, s * norm) for s in res.states[1:]]
+    return res.times, frames
 
 
 def position_moments(state: GridState) -> tuple[float, float]:

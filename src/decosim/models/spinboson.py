@@ -39,12 +39,7 @@ class SpinBosonExactResult:
     times: np.ndarray
     coherence: np.ndarray  # complex rho01(t) / rho01(0)
     population_drift: float  # 0.0: the closed form conserves populations exactly
-    n_modes: int
     doubling_change: float | None
-
-    @property
-    def coherence_magnitude(self) -> np.ndarray:
-        return np.abs(self.coherence)
 
 
 def _mode_parameters(
@@ -149,7 +144,7 @@ def spin_boson_exact_dephasing(
             )
         coherence = refined
     phase = np.exp(-1j * splitting * times)
-    return SpinBosonExactResult(times, coherence * phase, 0.0, n_modes, doubling)
+    return SpinBosonExactResult(times, coherence * phase, 0.0, doubling)
 
 
 @dataclass(frozen=True)

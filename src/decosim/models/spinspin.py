@@ -209,16 +209,11 @@ class SpinEnvironment:
 
 @dataclass(frozen=True)
 class SpinSpinResult:
-    """Reduced states (T, 2, 2), validated and read-only, with their eigenvalues (T, 2).
-
-    ``decoherence_factor`` is |rho01(t) / rho01(0)|, set only without
-    tunneling and for a system state with |rho01(0)| > 1e-12.
-    """
+    """Reduced states (T, 2, 2), validated and read-only, with their eigenvalues (T, 2)."""
 
     times: np.ndarray
     states: np.ndarray
     spectra: np.ndarray
-    decoherence_factor: np.ndarray | None
 
 
 def spin_spin_exact(env: SpinEnvironment, psi0, t_grid) -> SpinSpinResult:
@@ -233,8 +228,4 @@ def spin_spin_exact(env: SpinEnvironment, psi0, t_grid) -> SpinSpinResult:
     spectra = check_states(raw)
     raw.setflags(write=False)
     spectra.setflags(write=False)
-    factor = None
-    rho01_0 = psi[0] * np.conj(psi[1])
-    if env.tunneling == 0.0 and abs(rho01_0) > 1e-12:
-        factor = np.abs(raw[:, 0, 1]) / abs(rho01_0)
-    return SpinSpinResult(times, raw, spectra, factor)
+    return SpinSpinResult(times, raw, spectra)

@@ -53,10 +53,10 @@ def _second_moments(gen, rho):
 
 
 def _caldeira_leggett_rhs_oracle(gen, rho):
-    """The hand-written number-basis right-hand side the compiled form replaced."""
+    """The hand-written right-hand side the compiled form replaced, in either representation."""
     x, p = gen.x, gen.p
     out = -1j * (gen.h_eff @ rho - rho @ gen.h_eff)
-    if not gen.pure_decoherence:
+    if not getattr(gen, "pure_decoherence", False):
         anti = p @ rho + rho @ p
         out += -1j * gen.gamma0 * (x @ anti - anti @ x)
     inner = x @ rho - rho @ x
@@ -64,13 +64,50 @@ def _caldeira_leggett_rhs_oracle(gen, rho):
     return out
 
 
-def _free_particle_drift_oracle(gen, rho):
-    """The hand-written grid drift (unitary plus damping) the compiled form replaced."""
-    out = -1j * (gen.kinetic @ rho - rho @ gen.kinetic)
+def _spectral_kinetic(positions, mass):
+    """p^2/2M built directly from the squared wavenumbers, not as a product of p with itself."""
+    n = positions.size
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=positions[1] - positions[0])
+    f = np.fft.fft(np.eye(n), axis=0)
+    return np.conj(f.T) / n @ ((k**2)[:, None] * f) / (2.0 * mass)
+
+
+def _free_particle_rhs_oracle(gen, rho):
+    """The grid right-hand side, written on the position vector: the oscillator's at W = 0."""
     x = gen.positions
-    anti = gen.p_op @ rho + rho @ gen.p_op
+    kinetic = _spectral_kinetic(x, gen.mass)
+    out = -1j * (kinetic @ rho - rho @ kinetic)
+    anti = gen.p @ rho + rho @ gen.p
     out += -1j * gen.gamma0 * (x[:, None] * anti - anti * x[None, :])
+    out -= gen.diffusion * (x[:, None] - x[None, :]) ** 2 * rho
     return out
+
+
+def _strang_evolve_oracle(gen, state, t_final, dt, store_every):
+    """Strang split on the grid: exact half-steps of the position decay around an RK4 drift step.
+
+    The decay -D[x,[x,rho]] multiplies rho(x, x') by exp(-D (x - x')^2 dt / 2)
+    per half-step; the drift is the rest of the equation, compiled to
+    G = -iH' - i gamma0 x p with one pair (x, -i gamma0 p).  Returns the
+    matrices at every ``store_every``-th step and the last.
+    """
+    x = gen.positions
+    half = np.exp(-0.5 * dt * gen.diffusion * (x[:, None] - x[None, :]) ** 2)
+    drift = (-1j * gen.h_eff - 1j * gen.gamma0 * (gen.x @ gen.p),
+             ((gen.x, -1j * gen.gamma0 * gen.p),))
+    n_steps = int(round(t_final / dt))
+    rho = symmetrize(state.matrix)
+    frames = [rho]
+    for step in range(1, n_steps + 1):
+        rho = half * rho
+        k1 = compiled_rhs(drift, rho)
+        k2 = compiled_rhs(drift, rho + 0.5 * dt * k1)
+        k3 = compiled_rhs(drift, rho + 0.5 * dt * k2)
+        k4 = compiled_rhs(drift, rho + dt * k3)
+        rho = half * (rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        if step % store_every == 0 or step == n_steps:
+            frames.append(rho)
+    return np.array(frames)
 
 
 def _random_hermitian(rng, d):
@@ -90,10 +127,14 @@ def test_compiled_caldeira_leggett_matches_hand_written_rhs(pure):
 
 def test_compiled_free_particle_drift_matches_hand_written_rhs():
     gen = free_particle_generator(np.linspace(-12.0, 12.0, 64), 1.0, 1.0, 0.5)
+    assert np.array_equal(gen.x, np.diag(gen.positions))
     rng = np.random.default_rng(6)
     for _ in range(3):
         rho = _random_hermitian(rng, gen.dim)
-        err = np.abs(compiled_rhs(gen.compiled, rho) - _free_particle_drift_oracle(gen, rho)).max()
+        err = np.abs(compiled_rhs(gen.compiled, rho) - _free_particle_rhs_oracle(gen, rho)).max()
+        assert err <= 1e-13 * np.linalg.norm(rho)
+        # the operator form the oscillator's oracle reads agrees too
+        err = np.abs(compiled_rhs(gen.compiled, rho) - _caldeira_leggett_rhs_oracle(gen, rho)).max()
         assert err <= 1e-13 * np.linalg.norm(rho)
 
 
@@ -204,6 +245,42 @@ def test_free_particle_shares_the_run_parameter_checks(t_final, dt, store_every)
     # t_final = 0 keeps the initial frame alone, as evolve does
     times, frames = evolve_free_particle(gen, state, 0.0, 1e-3)
     assert times.tolist() == [0.0] and frames == [state]
+
+
+def test_free_particle_matches_the_strang_split_oracle():
+    x = np.linspace(-5.0, 5.0, 32)
+    gen = free_particle_generator(x, 1.0, 0.5, 1.0)
+    state = two_gaussian_superposition(x, 0.0, 0.8)
+    scale = np.abs(state.matrix).max()
+    errors = []
+    for dt in (1e-3, 2.5e-4):
+        times, frames = evolve_free_particle(gen, state, 0.1, dt, store_every=10)
+        split = _strang_evolve_oracle(gen, state, 0.1, dt, store_every=10)
+        assert len(frames) == len(split) == len(times)
+        errors.append(max(np.abs(f.matrix - r).max() for f, r in zip(frames, split)) / scale)
+    # the split errs by O(dt^2) against the exact propagation
+    assert errors[0] < 1e-7
+    assert errors[1] <= errors[0] / 10.0
+
+
+def test_free_particle_carries_a_grid_trace_off_one():
+    x = np.linspace(-5.0, 5.0, 32)
+    gen = free_particle_generator(x, 1.0, 0.5, 1.0)
+    base = two_gaussian_superposition(x, 0.0, 0.8)
+    state = GridState(x, base.matrix * (1.0 + 5e-9))
+    times, frames = evolve_free_particle(gen, state, 0.1, 1e-3, store_every=25)
+    assert frames[0] is state and len(frames) == len(times) == 5
+    for frame in frames:
+        trace = np.real(np.trace(frame.matrix)) * frame.spacing
+        assert abs(trace - (1.0 + 5e-9)) < 1e-12
+
+
+def test_free_particle_refuses_a_run_too_long_to_store_at_once():
+    x = np.linspace(-5.0, 5.0, 32)
+    gen = free_particle_generator(x, 1.0, 0.5, 1.0)
+    state = two_gaussian_superposition(x, 0.0, 0.8)
+    with pytest.raises(ValueError, match="fit in memory"):
+        evolve_free_particle(gen, state, 1e12, 1e-3)
 
 
 def test_wigner_ground_state_is_the_expected_gaussian():
@@ -323,6 +400,16 @@ def test_model_containers_freeze_a_private_copy_not_the_callers_arrays():
 def test_caldeira_leggett_rejects_invalid_parameters(params):
     with pytest.raises(ValueError):
         caldeira_leggett_generator(*params, n_max=8)
+
+
+@pytest.mark.parametrize("mass, gamma0, temperature", [
+    (-1.0, 0.5, 1.0), (0.0, 0.5, 1.0), (np.nan, 0.5, 1.0), (np.inf, 0.5, 1.0),
+    (1.0, -0.5, 1.0), (1.0, np.inf, 1.0), (1.0, np.nan, 1.0),
+    (1.0, 0.5, -1.0), (1.0, 0.5, np.inf),
+])
+def test_free_particle_rejects_invalid_parameters(mass, gamma0, temperature):
+    with pytest.raises(ValueError):
+        free_particle_generator(np.linspace(-5.0, 5.0, 32), mass, gamma0, temperature)
 
 
 def test_generator_guards():

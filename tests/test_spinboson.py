@@ -128,7 +128,7 @@ def test_single_mode_closed_form_at_zero_temperature():
         density, 0.0, times, n_modes=512, omega_max=density.default_omega_max()
     )
     expected = np.exp(-(4.0 * weight / w0**2) * (1.0 - np.cos(w0 * times)))
-    assert np.abs(res.coherence_magnitude - expected).max() < 2e-4
+    assert np.abs(np.abs(res.coherence) - expected).max() < 2e-4
     # at zero temperature the no-splitting coherence is purely real
     assert np.abs(res.coherence.imag).max() < 1e-9
 
@@ -141,7 +141,7 @@ def test_exact_dephasing_matches_continuum_quadrature():
     res = spin_boson_exact_dephasing(DENSITY, 2.0, times, n_modes=1024, omega_max=80.0)
     for t, gamma in CONTINUUM_EXPONENT.items():
         k = int(np.where(times == t)[0][0])
-        got = -np.log(res.coherence_magnitude[k])
+        got = -np.log(np.abs(res.coherence[k]))
         assert got == pytest.approx(gamma, rel=3e-3)
     assert res.population_drift < 1e-10
     assert res.doubling_change is not None and res.doubling_change < 0.02
