@@ -406,8 +406,8 @@ def _cmd_qbm(cfg: dict, outdir: str) -> tuple[list[str], dict]:
             occupation = 1.0 / np.expm1(cfg["frequency"] / cfg["temperature"]) if cfg["temperature"] > 0 else 0.0
         if not np.isfinite(occupation):
             raise ConfigError(f"thermal occupation at temperature {cfg['temperature']!r} overflows")
-        x_max = cfg["x_max"] or (2.0 * abs(alpha) * np.sqrt(2.0)
-                                 + 7.0 * np.sqrt(2.0 * occupation + 1.0)) * scale
+        auto = (2.0 * abs(alpha) * np.sqrt(2.0) + 7.0 * np.sqrt(2.0 * occupation + 1.0)) * scale
+        x_max = auto if cfg["x_max"] is None else cfg["x_max"]  # 0 or below fails the grid rule
         positions = _uniform_grid(-x_max, x_max, cfg["n_x"], "position")
         for tag, state in (("initial", result.states[0]), ("final", result.states[-1])):
             grid = wigner_from_fock(state, cfg["mass"], cfg["frequency"], positions)

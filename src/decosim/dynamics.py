@@ -44,8 +44,9 @@ from .errors import ConvergenceError, PhysicalityError, PositivityError
 # 1.2-1.7 / 8.2-9.7 / 30-37 / 93-132 against 0.8-1.3 / 1.1-1.7 / 1.7-2.3 / 2.4-3.6;
 # t = 5 with 50 snapshots 1.5-2.3 / 7.4-11 / 31-33 / 97-128 against
 # 4.8-8.1 / 9.4-14 / 12-15 / 15-23.  Dense wins a long run at d = 8 and about
-# ties one at d = 12; the Taylor branch wins a short one from d = 8 up.
-DENSE_PROPAGATOR_MAX_DIM = 12
+# ties one at d = 12; the Taylor branch wins a short one from d = 8 up.  Above
+# d = 9 OpenBLAS threads the LU solve of _expm, whose bits then follow the thread count.
+DENSE_PROPAGATOR_MAX_DIM = 9
 # Taylor branch: ~0.08 ms per unit of the bound on ||L||_1 t at d = 40, on
 # intervals of many substeps; about a minute and a half here
 MAX_SPARSE_NORM_TIME = 1e6
@@ -141,6 +142,11 @@ def fixed_step_count(t_final: float, dt: float, store_every: int) -> int:
     if not np.isfinite(steps):
         raise ValueError(f"t_final / dt overflows a double, got dt={dt}, t_final={t_final}")
     return max(1, int(round(steps))) if t_final > 0 else 0
+
+
+def snapshot_steps(n_steps: int, store_every: int) -> np.ndarray:
+    """Step indices of the snapshots: every ``store_every``-th step from 0, then the last one."""
+    return np.append(np.arange(0, n_steps, store_every), n_steps)
 
 
 def liouvillian(compiled) -> np.ndarray:
@@ -296,13 +302,12 @@ def evolve(
         raise ValueError("initial state dimension does not match the generator")
     ptol = generator.positivity_tol
     d = generator.dim
-    n_uniform, rest = divmod(n_steps, store_every)
-    n_snapshots = 1 + n_uniform + int(rest > 0)
     try:
-        states = np.empty((n_snapshots, d, d), dtype=complex)
+        steps = snapshot_steps(n_steps, store_every)
+        states = np.empty((steps.size, d, d), dtype=complex)
     except (MemoryError, ValueError):  # too large to allocate, or to address at all
-        raise ValueError(f"{n_snapshots:.3g} snapshots of a {d}x{d} state do not fit "
-                         "in memory; raise dt or store_every") from None
+        raise ValueError(f"{n_steps // store_every + 1:.3g} snapshots of a {d}x{d} state do "
+                         "not fit in memory; raise dt or store_every") from None
     states[0] = rho0.entries
     dense = d <= DENSE_PROPAGATOR_MAX_DIM
     # rates near the double range overflow L, or the bound on its norm;
@@ -320,21 +325,15 @@ def evolve(
     if not dense and norm_time > MAX_SPARSE_NORM_TIME:
         raise ConvergenceError(f"||L||_1 t = {norm_time:.3g} is too stiff to propagate")
     rho = symmetrize(rho0.entries)
-    steps = np.minimum(np.arange(n_snapshots) * store_every, n_steps)
     # a propagation that overflows leaves non-finite snapshots, which
     # check_states reports as one error instead of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if dense:
-            done = 1
-            # (stride, count): the uniform snapshot grid, then a shorter last interval
-            for stride, count in ((store_every, n_uniform), (rest, int(rest > 0))):
-                h = stride * dt
-                if count:
-                    prop = _expm(h * lv, norm * h)
-                for i in range(done, done + count):
-                    rho = (prop @ rho.reshape(-1)).reshape(d, d)
-                    states[i] = rho
-                done += count
+            props = {}  # one propagator per distinct interval, in steps
+            for i, k in enumerate(np.diff(steps).tolist(), 1):
+                if k not in props:
+                    props[k] = _expm(k * dt * lv, norm * (k * dt))
+                states[i] = rho = (props[k] @ rho.reshape(-1)).reshape(d, d)
         else:
             _taylor_snapshots(generator.compiled, rho, states[1:], steps[1:], dt, norm)
         states[1:] = symmetrize(states[1:])
@@ -518,10 +517,7 @@ def unravel(
         raise ValueError(f"need n_workers >= 1, got {n_workers}")
     if store_every < 1:
         raise ValueError(f"need store_every >= 1, got {store_every}")
-    n_steps = cfg.n_steps
-    sample_steps = np.arange(0, n_steps + 1, store_every)
-    if sample_steps[-1] != n_steps:
-        sample_steps = np.append(sample_steps, n_steps)
+    sample_steps = snapshot_steps(cfg.n_steps, store_every)
     rates = np.array([rate for _, rate in spec.lindblad_terms], dtype=float)
     a = spec.compiled[0]  # -iH - (1/2) sum kappa L^dag L, and L^dag L = L^2 for Hermitian L
     with np.errstate(invalid="ignore"):  # an overflowed a gives NaN, reported after the steps

@@ -246,6 +246,20 @@ def uniform_beam_localization_rates(
     return rates.total_rate * _saturation_fraction(q_max * np.minimum(dx, 1e20 / q_max))
 
 
+def uniform_positions(positions, min_points: int = 2) -> np.ndarray:
+    """``positions`` as floats, after the one rule of every position grid: at least
+    ``min_points`` finite, increasing points on one axis, whose steps spread by at
+    most 1e-9 of their mean.  The test says what must hold, so NaN fails it."""
+    x = np.asarray(positions, dtype=float)
+    if x.ndim != 1 or x.size < min_points:
+        raise ValueError(f"need a 1-d position grid with at least {min_points} points, "
+                         f"got shape {x.shape}")
+    steps = np.diff(x)
+    if not (np.isfinite(x).all() and steps.min() > 0 and np.ptp(steps) <= 1e-9 * steps.mean()):
+        raise ValueError("the position grid must be finite, increasing and uniform")
+    return x
+
+
 @dataclass(frozen=True)
 class GridState:
     """Position-space density matrix sampled on a uniform grid.
@@ -258,18 +272,13 @@ class GridState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.positions, dtype=float)
+        x = uniform_positions(self.positions)
         rho = np.asarray(self.matrix, dtype=complex)
-        if x.ndim != 1 or x.size < 2:
-            raise ValueError("need a 1-d grid with at least two points")
-        steps = np.diff(x)
-        if np.any(steps <= 0) or (steps.max() - steps.min()) > 1e-9 * steps.mean():
-            raise ValueError("grid must be uniform and increasing")
         if rho.shape != (x.size, x.size):
             raise ValueError(f"matrix shape {rho.shape} does not match grid size {x.size}")
         if hermiticity_defect(rho) > 1e-10:
             raise PhysicalityError("grid density matrix is not Hermitian within 1e-10")
-        trace = float(np.real(np.sum(np.diag(rho))) * steps.mean())
+        trace = float(np.real(np.sum(np.diag(rho))) * np.diff(x).mean())
         if abs(trace - 1.0) > GRID_TRACE_TOL:
             raise PhysicalityError(f"grid trace {trace!r} deviates from 1 beyond {GRID_TRACE_TOL}")
         object.__setattr__(self, "positions", frozen(x, self.positions))

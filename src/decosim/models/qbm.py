@@ -11,9 +11,9 @@ bound motion (with an optional pure-decoherence variant that drops the
 dissipative term and is then of Lindblad form), and a uniform position
 grid with a spectral momentum operator for the free particle.
 
-Also provides the Wigner transform
-    W(x, p) = (1/pi) int dy rho(x + y, x - y) e^{-2 i p y}
-for grid and number-basis states.
+Also provides the Wigner transform W(x, p) = (1/pi) int dy rho(x + y, x - y)
+e^{-2 i p y} of grid and number-basis states, summed over y by one FFT, on
+position grids that meet the one rule of ``collisional.uniform_positions``.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import numpy as np
 from ..core import DensityMatrix, StateVector, basis_state, frozen, ket, symmetrize
 from ..dynamics import evolve
 from ..errors import GridResolutionError, PhysicalityError
-from .collisional import GridState
+from .collisional import GridState, uniform_positions
 
 WIGNER_NORM_TOL = 1e-6
 MIN_N_MAX = 4
@@ -212,12 +212,8 @@ class FreeParticleGenerator:
     h_eff: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        x = np.asarray(self.positions, dtype=float)
-        if x.ndim != 1 or x.size < 8:
-            raise ValueError("need a 1-d grid with at least 8 points")
+        x = uniform_positions(self.positions, min_points=8)
         h = x[1] - x[0]
-        if np.abs(np.diff(x) - h).max() > 1e-9 * h:
-            raise ValueError("grid must be uniform")
         _check_parameters(self.mass, self.gamma0, self.temperature)
         n = x.size
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
@@ -316,6 +312,8 @@ def wigner_transform(state: GridState, boundary_tol: float = 1e-3) -> WignerGrid
     The offsets y = +-j h pair up through H = rho + rho^dag:
     Re W(x_i, p) = (h/pi) sum_{j >= 0} c_j Re(H[i+j, i-j] e^{-2i y_j p}),
     c_0 = 1/2 and c_j = 1 otherwise, for any matrix, Hermitian or not.
+    As 2 y_j p_k = -j pi + 2 pi j k/n, the sum is one length-n ``np.fft.fft``
+    of (-1)^j c_j H[i+j, i-j], zero-padded from the (n + 1)/2 offsets j.
     """
     x = state.positions
     n = x.size
@@ -327,9 +325,9 @@ def wigner_transform(state: GridState, boundary_tol: float = 1e-3) -> WignerGrid
     inside = offsets <= np.minimum(idx, n - 1 - idx)
     gathered = np.where(inside, herm[np.minimum(idx + offsets, n - 1), np.abs(idx - offsets)], 0.0)
     gathered[:, 0] *= 0.5
+    gathered[:, 1::2] *= -1.0  # the (-1)^j of e^{-2i y_j p_k}
     p_grid = -np.pi / (2.0 * h) + np.pi / (h * n) * np.arange(n)
-    angle = 2.0 * np.outer(offsets * h, p_grid)
-    w = (gathered.real @ np.cos(angle) + gathered.imag @ np.sin(angle)) * (h / np.pi)
+    w = np.fft.fft(gathered, n, axis=1).real * (h / np.pi)
     peak = np.abs(w).max()
     edge = np.abs(w[:, [0, 1, -2, -1]]).max()
     if peak > 0 and edge > boundary_tol * peak:
@@ -357,12 +355,7 @@ def wigner_from_fock(
     """Wigner transform of a number-basis density matrix via a position grid."""
     rho = np.asarray(rho, dtype=complex)
     n_max = rho.shape[0]
-    x = np.asarray(positions, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError(f"need a 1-d position grid with at least 2 points, got shape {x.shape}")
-    spacing = x[1] - x[0]
-    if not spacing > 0:
-        raise ValueError(f"the position grid must increase, got spacing {float(spacing)!r}")
+    x = uniform_positions(positions)
     scale = np.sqrt(mass * frequency)
     xi_max = float(np.abs(x).max()) * float(scale)  # Python floats overflow to inf quietly
     if not math.isfinite(xi_max * xi_max):
@@ -370,7 +363,7 @@ def wigner_from_fock(
                          "overflows a double in the oscillator functions")
     phi = hermite_functions(n_max, scale * x) * np.sqrt(scale)
     rho_x = phi.T @ rho @ np.conj(phi)
-    trace = float(np.real(np.trace(rho_x)) * spacing)
+    trace = float(np.real(np.trace(rho_x)) * (x[1] - x[0]))
     if abs(trace - 1.0) > 1e-6:
         raise GridResolutionError(
             f"position grid captures trace {trace!r}; widen or refine the grid"

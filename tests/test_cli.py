@@ -202,6 +202,14 @@ def test_trajectory_bounds_exit_2(tmp_path, capsys, monkeypatch, flags, workers_
     assert err.count("\n") == 1
 
 
+def _child_env(extra_env):
+    env = dict(os.environ, **extra_env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return env
+
+
 def _cli_child(argv, extra_env, prelude="", timeout=120):
     """``main(argv)`` in a fresh interpreter; the child prints its own peak RSS in KiB."""
     script = (
@@ -211,11 +219,7 @@ def _cli_child(argv, extra_env, prelude="", timeout=120):
         "    print(next(line.split()[1] for line in status if line.startswith('VmHWM')))\n"
         "sys.exit(rc)\n"
     )
-    env = dict(os.environ, **extra_env)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
-    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+    return subprocess.run([sys.executable, "-c", script, *argv], env=_child_env(extra_env),
                           capture_output=True, text=True, timeout=timeout)
 
 
@@ -240,24 +244,62 @@ def test_huge_ensemble_is_refused_before_any_block_runs(tmp_path):
     assert int(done.stdout.split()[-1]) < 200 * 1024
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
-def test_trajectories_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # non-commuting H, L_1 and L_2, and more than two blocks
-    argv = [
-        "trajectories", "--hamiltonian", "sigma_x",
-        "--lindblad", '[{"operator": "sigma_z", "rate": 0.7}, '
-                      '{"operator": "sigma_y", "rate": 0.4}]',
-        "--psi0", "plus", "--t-final", "0.3", "--dt", "0.005",
-        "--n-trajectories", "2100", "--store-every", "7", "--master-seed", "5",
-    ]
-    files = []
+def _output_bytes(outdir):
+    """Every file under ``outdir`` by relative path; manifests without their wall time."""
+    found = {}
+    for path in sorted(outdir.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "manifest.json":
+                data = {k: v for k, v in json.loads(data).items() if k != "wall_time_s"}
+            found[str(path.relative_to(outdir))] = data
+    return found
+
+
+def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # criterion 11's cat Wigner dump; a trajectory ensemble with non-commuting
+    # H, L_1 and L_2 over more than two blocks; and every base config of the
+    # schema sweep, which covers each subcommand.  Each thread count runs all
+    # of them through ``main`` in one child.
+    runs = {
+        "qbm-cat-wigner": [
+            "qbm", "--gamma0", "0.01", "--cutoff", "10", "--temperature", "50", "--n-max", "30",
+            "--pure-decoherence", "--alpha", "2", "--t-final", "0.04", "--dt", "2e-4",
+            "--store-every", "50", "--wigner", "--n-x", "161", "--x-max", "8",
+        ],
+        "trajectories-blocks": [
+            "trajectories", "--hamiltonian", "sigma_x",
+            "--lindblad", '[{"operator": "sigma_z", "rate": 0.7}, '
+                          '{"operator": "sigma_y", "rate": 0.4}]',
+            "--psi0", "plus", "--t-final", "0.3", "--dt", "0.005",
+            "--n-trajectories", "2100", "--store-every", "7", "--master-seed", "5",
+        ],
+    }
+    for command, bases in _SWEEP_BASES.items():
+        for k, base in enumerate(bases):
+            path = tmp_path / f"{command}-{k}.json"
+            path.write_text(json.dumps(base))
+            runs[f"{command}-{k}"] = [command, "--config", str(path)]
+    assert {argv[0] for argv in runs.values()} == set(COMMANDS)
+    argvs = json.dumps([argv + ["--output", name] for name, argv in runs.items()])
+    script = (
+        "import json, sys\nimport decosim.cli\n"
+        "sys.exit(max(decosim.cli.main(argv) for argv in json.loads(sys.argv[1])))\n"
+    )
+    outputs = []
     for threads in ("1", "2"):
-        out = tmp_path / threads
-        done = _cli_child(argv + ["--output", str(out)],
-                          {"OPENBLAS_NUM_THREADS": threads, "DECOSIM_WORKERS": "1"})
+        cwd = tmp_path / threads  # relative outputs keep the manifests' paths equal
+        cwd.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", script, argvs], cwd=cwd, capture_output=True, text=True,
+            env=_child_env({"OPENBLAS_NUM_THREADS": threads, "DECOSIM_WORKERS": "1"}),
+            timeout=120,
+        )
         assert done.returncode == 0, done.stderr
-        files.append((out / "trajectories.csv").read_bytes())
-    assert files[0] == files[1]
+        outputs.append(_output_bytes(cwd))
+    assert len(outputs[0]) > 2 * len(runs)
+    assert sorted(outputs[0]) == sorted(outputs[1])
+    assert [name for name in outputs[0] if outputs[0][name] != outputs[1][name]] == []
 
 
 def test_collisional_rates_and_curve(tmp_path):
@@ -866,6 +908,9 @@ _EXIT_2_CASES = {
     "qbm-alpha-overflows": _QBM_FLAGS + ["--alpha", "1e200"],
     "qbm-x-max-overflows": _QBM_FLAGS + ["--wigner", "--x-max", "1e300"],
     "qbm-x-max-negative": _QBM_FLAGS + ["--wigner", "--x-max", "-5"],
+    # an explicit zero half-width is not the automatic window
+    "qbm-x-max-0": _QBM_FLAGS + ["--wigner", "--x-max", "0"],
+    "qbm-x-max-negative-zero": _QBM_FLAGS + ["--wigner", "--x-max=-0.0"],
     # frequency^2 beyond the double range
     "qbm-frequency-1e300": _QBM_FLAGS + ["--frequency", "1e300"],
     "qbm-frequency-1e306": _QBM_FLAGS + ["--frequency", "1e306"],

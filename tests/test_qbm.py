@@ -232,6 +232,43 @@ def test_free_particle_grid_mismatch_rejected():
         evolve_free_particle(gen, other, 0.1, 1e-3)
 
 
+def _broken_grid(case):
+    """A 32-point grid on [-5, 5] broken in one way."""
+    x = np.linspace(-5.0, 5.0, 32)
+    h = x[1] - x[0]
+    if case == "nan":
+        x[5] = np.nan
+    elif case == "+inf":
+        x[-1] = np.inf
+    elif case == "-inf":
+        x[0] = -np.inf
+    elif case == "decreasing":
+        x = x[::-1].copy()
+    elif case == "repeated":
+        x[6] = x[5]
+    elif case == "non-uniform":
+        x[16] += 0.25 * h
+    return x
+
+
+_GRID_USERS = {
+    "GridState": lambda x: GridState(x, np.eye(32, dtype=complex) / (32 * 10.0 / 31)),
+    "free_particle_generator": lambda x: free_particle_generator(x, 1.0, 0.5, 1.0),
+    "wigner_from_fock": lambda x: wigner_from_fock(np.diag([1.0, 0, 0, 0, 0, 0]), 1.0, 1.0, x),
+}
+
+
+@pytest.mark.parametrize("user", _GRID_USERS)
+@pytest.mark.parametrize("case", ["nan", "+inf", "-inf", "decreasing", "repeated", "non-uniform"])
+def test_every_position_grid_meets_the_one_grid_rule(user, case):
+    build = _GRID_USERS[user]
+    build(_broken_grid(None))  # the unbroken grid is accepted
+    rule = "position grid must be finite, increasing and uniform"
+    with pytest.raises(ValueError, match=rule) as exc:
+        build(_broken_grid(case))
+    assert type(exc.value) is ValueError  # not a GridResolutionError about the trace
+
+
 @pytest.mark.parametrize("t_final, dt, store_every", [
     (0.1, 0.0, 1), (0.1, -1e-3, 1), (0.1, np.nan, 1), (0.1, np.inf, 1),
     (-0.1, 1e-3, 1), (np.nan, 1e-3, 1), (np.inf, 1e-3, 1), (0.1, 1e-3, 0),
