@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from decosim.models import uniform_beam_localization_rates, uniform_beam_rates
+from decosim.models import ScatteringModel, decoherence_rates, localization_rate
 from decosim.serialize import write_csv
 
 
@@ -23,9 +23,10 @@ def main() -> None:
     parser.add_argument("--output", default=".", help="output directory")
     args = parser.parse_args()
 
-    rates = uniform_beam_rates(1.0, 1.0, 1.0, args.q_max)
+    model = ScatteringModel(1.0, 1.0, 1.0, args.q_max)
+    rates = decoherence_rates(model)
     separations = np.logspace(-2, 3, 41) / args.q_max
-    exact = uniform_beam_localization_rates(1.0, 1.0, 1.0, args.q_max, separations)
+    exact = localization_rate(model, separations)
     table = np.column_stack([
         separations,
         exact,

@@ -326,12 +326,13 @@ COLLISIONAL_SCHEMA = (
 
 
 def _cmd_collisional(cfg: dict, outdir: str) -> tuple[list[str], dict]:
-    from .models.collisional import uniform_beam_localization_rates, uniform_beam_rates
+    from .models.collisional import ScatteringModel, decoherence_rates, localization_rate
 
     if cfg["n_dx"] < 1 or cfg["dx_min"] <= 0 or cfg["dx_max"] <= cfg["dx_min"]:
         raise ConfigError("need n_dx >= 1 and 0 < dx_min < dx_max")
-    rho0, v0, f2 = cfg["density_amplitude"], cfg["speed"], cfg["f2"]
-    rates = uniform_beam_rates(rho0, v0, f2, cfg["q_max"])
+    model = ScatteringModel(cfg["density_amplitude"], cfg["speed"], cfg["f2"], cfg["q_max"],
+                            cfg["regime"])
+    rates = decoherence_rates(model)
     # the lambda_dx2 column and the long-wavelength curve both hold Lambda dx^2
     if not np.isfinite(rates.prefactor * (cfg["dx_max"] * cfg["dx_max"])):
         raise ConfigError("Lambda * dx_max^2 overflows a double")
@@ -339,7 +340,7 @@ def _cmd_collisional(cfg: dict, outdir: str) -> tuple[list[str], dict]:
         grid = np.geomspace(cfg["dx_min"], cfg["dx_max"], cfg["n_dx"])
     else:
         grid = np.linspace(cfg["dx_min"], cfg["dx_max"], cfg["n_dx"])
-    curve = uniform_beam_localization_rates(rho0, v0, f2, cfg["q_max"], grid, cfg["regime"])
+    curve = localization_rate(model, grid)
     table = np.column_stack(
         [grid, curve, np.full_like(grid, rates.total_rate), rates.prefactor * grid**2]
     )
@@ -369,6 +370,7 @@ QBM_SCHEMA = (
 
 def _cmd_qbm(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     from .dynamics import evolve
+    from .models.collisional import uniform_positions
     from .models.qbm import (
         caldeira_leggett_generator,
         cat_state,
@@ -382,6 +384,17 @@ def _cmd_qbm(cfg: dict, outdir: str) -> tuple[list[str], dict]:
         n_max=cfg["n_max"], pure_decoherence=cfg["pure_decoherence"],
     )
     alpha = cfg["alpha"]
+    if cfg["wigner"]:  # the window is checked before the evolution pays for it
+        scale = np.sqrt(1.0 / (2.0 * cfg["mass"] * cfg["frequency"]))
+        # default window: packet separation plus a thermal-width margin
+        # near T = 0 expm1 overflows to inf, and 1/inf is the occupation's limit 0
+        with np.errstate(over="ignore"):
+            occupation = 1.0 / np.expm1(cfg["frequency"] / cfg["temperature"]) if cfg["temperature"] > 0 else 0.0
+        if not np.isfinite(occupation):
+            raise ConfigError(f"thermal occupation at temperature {cfg['temperature']!r} overflows")
+        auto = (2.0 * abs(alpha) * np.sqrt(2.0) + 7.0 * np.sqrt(2.0 * occupation + 1.0)) * scale
+        x_max = auto if cfg["x_max"] is None else cfg["x_max"]  # 0 or below fails the grid rule
+        positions = uniform_positions(_uniform_grid(-x_max, x_max, cfg["n_x"], "position"))
     psi = cat_state(alpha, cfg["n_max"])
     rho0 = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
     result = evolve(gen, rho0, cfg["t_final"], cfg["dt"], cfg["store_every"])
@@ -399,16 +412,6 @@ def _cmd_qbm(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     outputs = [path]
     summary = {"final_relative_coherence": relative[-1]}
     if cfg["wigner"]:
-        scale = np.sqrt(1.0 / (2.0 * cfg["mass"] * cfg["frequency"]))
-        # default window: packet separation plus a thermal-width margin
-        # near T = 0 expm1 overflows to inf, and 1/inf is the occupation's limit 0
-        with np.errstate(over="ignore"):
-            occupation = 1.0 / np.expm1(cfg["frequency"] / cfg["temperature"]) if cfg["temperature"] > 0 else 0.0
-        if not np.isfinite(occupation):
-            raise ConfigError(f"thermal occupation at temperature {cfg['temperature']!r} overflows")
-        auto = (2.0 * abs(alpha) * np.sqrt(2.0) + 7.0 * np.sqrt(2.0 * occupation + 1.0)) * scale
-        x_max = auto if cfg["x_max"] is None else cfg["x_max"]  # 0 or below fails the grid rule
-        positions = _uniform_grid(-x_max, x_max, cfg["n_x"], "position")
         for tag, state in (("initial", result.states[0]), ("final", result.states[-1])):
             grid = wigner_from_fock(state, cfg["mass"], cfg["frequency"], positions)
             outputs += _write_wigner(outdir, tag, grid)

@@ -11,9 +11,7 @@ _EXPORTS = {
     for module, names in {
         "collisional": (
             "DecoherenceRates", "GridState", "ScatteringModel", "decoherence_rates",
-            "evolve_collisional", "localization_prefactor", "localization_rate",
-            "separation_rates", "total_scattering_rate", "two_gaussian_superposition",
-            "uniform_beam_localization_rates", "uniform_beam_rates",
+            "evolve_collisional", "localization_rate", "two_gaussian_superposition",
         ),
         "estimates": (
             "ScenarioEntry", "TimescaleReport", "VisibilityCurve", "table1_scenarios",

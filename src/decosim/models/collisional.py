@@ -14,15 +14,13 @@ F vanishes at dx = 0, grows like Lambda dx^2 for separations small
 against the dominant wavelength, and saturates at the total scattering
 rate Gamma_tot once single collisions resolve the separation.
 
-For a beam with constant rho, v and |f|^2 on (0, q_max) the q-integral
-closes in the sine integral (``uniform_beam_localization_rates``); the
-callable ``ScatteringModel`` path integrates numerically and serves
-momentum-dependent models.
+``ScatteringModel`` is a beam with constant rho, v and |f|^2 on
+(0, q_max); for it the q-integral closes in the sine integral, which
+``localization_rate`` evaluates for a whole array of separations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -37,98 +35,31 @@ SERIES_BELOW = 1e-2
 
 @dataclass(frozen=True)
 class ScatteringModel:
-    """Environment monochromatic-beam data, all functions of momentum q > 0.
+    """A monochromatic beam with constant data on the momentum support (0, q_max).
 
     density_of_momenta: number density per momentum interval (1/(length^3 * momentum))
-    speed:              particle speed at momentum q (length/time)
-    cross_section:      |f(q)|^2, isotropic (area/steradian)
-    q_max:              upper limit of the momentum support used in quadrature
+    speed:              particle speed (length/time)
+    cross_section:      |f|^2, isotropic (area/steradian)
+    q_max:              upper limit of the momentum support
     regime:             'full', 'short-wavelength', or 'long-wavelength'
     """
 
-    density_of_momenta: Callable[[float], float]
-    speed: Callable[[float], float]
-    cross_section: Callable[[float], float]
+    density_of_momenta: float
+    speed: float
+    cross_section: float
     q_max: float
     regime: str = "full"
 
     def __post_init__(self):
-        if self.q_max <= 0:
+        if not self.q_max > 0:
             raise ValueError("q_max must be positive")
+        if not min(self.density_of_momenta, self.speed, self.cross_section) >= 0:
+            raise ValueError("need density, speed and cross-section >= 0")
+        rates = decoherence_rates(self)
+        if not (np.isfinite(rates.total_rate) and np.isfinite(rates.prefactor)):
+            raise ValueError("Gamma_tot or Lambda overflows a double")
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
-
-
-def total_scattering_rate(model: ScatteringModel) -> float:
-    """Gamma_tot = int dq rho(q) v(q) sigma_tot(q) with sigma_tot = 4 pi |f|^2."""
-    from scipy.integrate import quad
-
-    value, _ = quad(
-        lambda q: model.density_of_momenta(q) * model.speed(q) * 4.0 * np.pi * model.cross_section(q),
-        0.0,
-        model.q_max,
-        limit=200,
-    )
-    return float(value)
-
-
-def localization_prefactor(model: ScatteringModel) -> float:
-    """Lambda = (4 pi / 3) int dq rho(q) v(q) q^2 |f(q)|^2, the small-separation curvature."""
-    from scipy.integrate import quad
-
-    value, _ = quad(
-        lambda q: model.density_of_momenta(q)
-        * model.speed(q)
-        * q**2
-        * 4.0
-        * np.pi
-        / 3.0
-        * model.cross_section(q),
-        0.0,
-        model.q_max,
-        limit=200,
-    )
-    return float(value)
-
-
-def _angular_factor(u: float) -> float:
-    """int dc dc' (1 - cos(u (c - c'))) over [-1,1]^2 = 4 (1 - sinc^2 u).
-
-    Multiplied by pi |f|^2 this is the angular average of the collision
-    integrand for an isotropic cross section (azimuth already integrated).
-    """
-    return 4.0 * (1.0 - float(np.sinc(u / np.pi)) ** 2)
-
-
-def localization_rate(model: ScatteringModel, separation: float) -> float:
-    """Decoherence rate F at a given position-space separation (1/time).
-
-    Dispatches on the model regime: the full angular quadrature, the
-    saturated short-wavelength limit Gamma_tot, or the quadratic
-    long-wavelength law Lambda * separation^2.
-    """
-    dx = abs(float(separation))
-    if dx == 0.0:
-        return 0.0
-    if model.regime == "short-wavelength":
-        return total_scattering_rate(model)
-    if model.regime == "long-wavelength":
-        return localization_prefactor(model) * dx**2
-
-    from scipy.integrate import quad
-
-    def integrand(q: float) -> float:
-        return (
-            model.density_of_momenta(q)
-            * model.speed(q)
-            * np.pi
-            * model.cross_section(q)
-            * _angular_factor(q * dx)
-        )
-
-    # default tolerances miss the oscillating 1 - sinc^2 by up to 3e-7 above q_max dx ~ 1e2
-    value, _ = quad(integrand, 0.0, model.q_max, limit=400, epsabs=0.0, epsrel=1e-10)
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -146,25 +77,10 @@ class DecoherenceRates:
 
 
 def decoherence_rates(model: ScatteringModel) -> DecoherenceRates:
-    return DecoherenceRates(total_scattering_rate(model), localization_prefactor(model))
-
-
-def uniform_beam_rates(
-    density: float, speed: float, cross_section: float, q_max: float
-) -> DecoherenceRates:
-    """Gamma_tot = 4 pi rho v |f|^2 q_max and Lambda = Gamma_tot q_max^2 / 9.
-
-    Closed forms of ``decoherence_rates`` for constant rho, v and |f|^2 on (0, q_max).
-    """
-    if q_max <= 0:
-        raise ValueError("q_max must be positive")
-    if not min(density, speed, cross_section) >= 0:  # also catches NaN
-        raise ValueError("need density, speed and cross-section >= 0")
-    total = 4.0 * np.pi * density * speed * cross_section * q_max
-    prefactor = total * q_max * q_max / 9.0
-    if not (np.isfinite(total) and np.isfinite(prefactor)):
-        raise ValueError("Gamma_tot or Lambda overflows a double")
-    return DecoherenceRates(total, prefactor)
+    """Gamma_tot = 4 pi rho v |f|^2 q_max and Lambda = Gamma_tot q_max^2 / 9."""
+    q_max = model.q_max
+    total = 4.0 * np.pi * model.density_of_momenta * model.speed * model.cross_section * q_max
+    return DecoherenceRates(total, total * q_max * q_max / 9.0)
 
 
 def _sine_integral(x: np.ndarray) -> np.ndarray:
@@ -221,28 +137,21 @@ def _saturation_fraction(u: np.ndarray) -> np.ndarray:
     return np.where(small, series, closed)
 
 
-def uniform_beam_localization_rates(
-    density: float,
-    speed: float,
-    cross_section: float,
-    q_max: float,
-    separations,
-    regime: str = "full",
-) -> np.ndarray:
-    """F(dx) for constant rho, v and |f|^2 on (0, q_max), one value per separation.
+def localization_rate(model: ScatteringModel, separations) -> np.ndarray:
+    """F(dx) (1/time), one value per separation.
 
-    F = Gamma_tot g(U) / U with U = q_max |dx| in the full regime, and the
-    same limits as ``localization_rate`` in the other two.
+    F = Gamma_tot g(U) / U with U = q_max |dx| in the full regime, the
+    saturated short-wavelength limit Gamma_tot (0 at dx = 0), or the
+    quadratic long-wavelength law Lambda dx^2.
     """
-    if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-    rates = uniform_beam_rates(density, speed, cross_section, q_max)
+    rates = decoherence_rates(model)
     dx = np.abs(np.asarray(separations, dtype=float))
-    if regime == "short-wavelength":
+    if model.regime == "short-wavelength":
         return np.where(dx == 0.0, 0.0, rates.total_rate)
-    if regime == "long-wavelength":
+    if model.regime == "long-wavelength":
         return rates.prefactor * dx**2
     # the fraction is 1 to double precision from U = 1e20 on; the cap keeps U finite
+    q_max = model.q_max
     return rates.total_rate * _saturation_fraction(q_max * np.minimum(dx, 1e20 / q_max))
 
 
@@ -276,10 +185,10 @@ class GridState:
         rho = np.asarray(self.matrix, dtype=complex)
         if rho.shape != (x.size, x.size):
             raise ValueError(f"matrix shape {rho.shape} does not match grid size {x.size}")
-        if hermiticity_defect(rho) > 1e-10:
+        if not hermiticity_defect(rho) <= 1e-10:  # also catches NaN
             raise PhysicalityError("grid density matrix is not Hermitian within 1e-10")
         trace = float(np.real(np.sum(np.diag(rho))) * np.diff(x).mean())
-        if abs(trace - 1.0) > GRID_TRACE_TOL:
+        if not abs(trace - 1.0) <= GRID_TRACE_TOL:
             raise PhysicalityError(f"grid trace {trace!r} deviates from 1 beyond {GRID_TRACE_TOL}")
         object.__setattr__(self, "positions", frozen(x, self.positions))
         object.__setattr__(self, "matrix", frozen(rho, self.matrix))
@@ -289,30 +198,17 @@ class GridState:
         return float(self.positions[1] - self.positions[0])
 
 
-def separation_rates(model: ScatteringModel, state: GridState) -> np.ndarray:
-    """F(k * spacing) for k = 0 .. n-1, one value per distinct grid separation."""
-    n = state.positions.size
-    return np.array([localization_rate(model, k * state.spacing) for k in range(n)])
-
-
-def evolve_collisional(
-    state: GridState,
-    model: ScatteringModel,
-    t: float,
-    rates: np.ndarray | None = None,
-) -> GridState:
+def evolve_collisional(state: GridState, model: ScatteringModel, t: float) -> GridState:
     """Pointwise exponential suppression of off-diagonal coherences.
 
-    The diagonal is untouched (F(0) = 0); precomputed per-separation
-    ``rates`` can be passed to amortize the quadrature across times.
+    One rate per grid separation k * spacing; the diagonal is untouched (F(0) = 0).
     """
-    if t < 0:
+    if not t >= 0:  # also catches NaN
         raise ValueError("time must be nonnegative")
-    if rates is None:
-        rates = separation_rates(model, state)
     n = state.positions.size
+    rates = localization_rate(model, np.arange(n) * state.spacing)
     idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    decay = np.exp(-np.asarray(rates)[idx] * t)
+    decay = np.exp(-rates[idx] * t)
     return GridState(state.positions, state.matrix * decay)
 
 

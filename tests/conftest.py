@@ -83,3 +83,41 @@ class SampledSpectralDensity:
 
     def default_omega_max(self) -> float:
         return float(self.omegas[-1])
+
+
+def angular_factor(u: float) -> float:
+    """int dc dc' (1 - cos(u (c - c'))) over [-1,1]^2 = 4 (1 - sinc^2 u).
+
+    Multiplied by pi |f|^2 this is the angular average of the collision
+    integrand for an isotropic cross section (azimuth already integrated).
+    """
+    return 4.0 * (1.0 - float(np.sinc(u / np.pi)) ** 2)
+
+
+def quad_rates(model) -> tuple[float, float]:
+    """Gamma_tot = int dq rho v 4 pi |f|^2 and Lambda = (4 pi / 3) int dq rho v q^2 |f|^2
+    of a ``ScatteringModel`` by quadrature: the oracle of ``decoherence_rates``."""
+    from scipy.integrate import quad
+
+    flux = model.density_of_momenta * model.speed * model.cross_section
+    total, _ = quad(lambda q: flux * 4.0 * np.pi, 0.0, model.q_max, limit=200)
+    prefactor, _ = quad(lambda q: flux * q**2 * 4.0 * np.pi / 3.0, 0.0, model.q_max, limit=200)
+    return total, prefactor
+
+
+def quad_localization_rate(model, separation: float) -> float:
+    """F at one separation by quadrature of the scattering integral over q: the
+    oracle of ``localization_rate``, with its regime dispatch."""
+    from scipy.integrate import quad
+
+    dx = abs(float(separation))
+    if dx == 0.0:
+        return 0.0
+    if model.regime != "full":
+        total, prefactor = quad_rates(model)
+        return total if model.regime == "short-wavelength" else prefactor * dx**2
+    flux = model.density_of_momenta * model.speed * model.cross_section
+    # default tolerances miss the oscillating 1 - sinc^2 by up to 3e-7 above q_max dx ~ 1e2
+    value, _ = quad(lambda q: flux * np.pi * angular_factor(q * dx), 0.0, model.q_max,
+                    limit=400, epsabs=0.0, epsrel=1e-10)
+    return value

@@ -53,11 +53,9 @@ from decosim.models import (
     free_particle_generator,
     localization_rate,
     position_moments,
-    separation_rates,
     spin_boson_born_markov_generator,
     spin_boson_exact_dephasing,
     timescale_ratio,
-    total_scattering_rate,
     truncation_tail,
     two_gaussian_superposition,
     wigner_from_fock,
@@ -198,8 +196,8 @@ def test_criterion_05_trajectory_convergence_rate():
 
 def test_criterion_06_collisional_rate_limits():
     budget = _Budget(30.0)
-    model = ScatteringModel(lambda q: 1.0, lambda q: 1.0, lambda q: 1.0, q_max=2.0)
-    gamma_tot = total_scattering_rate(model)
+    model = ScatteringModel(1.0, 1.0, 1.0, q_max=2.0)
+    gamma_tot = decoherence_rates(model).total_rate
     assert gamma_tot == pytest.approx(8.0 * np.pi, rel=1e-9)
     prefactor = decoherence_rates(model).prefactor
     saturated = localization_rate(model, 200.0)
@@ -209,13 +207,11 @@ def test_criterion_06_collisional_rate_limits():
     rel_small = abs(quadratic - prefactor * 1e-4) / (prefactor * 1e-4)
     assert rel_small < 0.01
 
-    slow = ScatteringModel(
-        lambda q: 1000.0, lambda q: 1.0, lambda q: 1.0, q_max=0.05, regime="full"
-    )
+    slow = ScatteringModel(1000.0, 1.0, 1.0, q_max=0.05, regime="full")
     lam = decoherence_rates(slow).prefactor
     x = np.linspace(-6.0, 6.0, 121)
     state = two_gaussian_superposition(x, separation=4.0, sigma=0.2)
-    evolved = evolve_collisional(state, slow, 1.0, rates=separation_rates(slow, state))
+    evolved = evolve_collisional(state, slow, 1.0)
     n = x.size
     block0 = np.abs(state.matrix[: n // 2, n // 2 + 1 :])
     block1 = np.abs(evolved.matrix[: n // 2, n // 2 + 1 :])

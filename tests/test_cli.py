@@ -28,7 +28,6 @@ from decosim.models import (
     caldeira_leggett_generator,
     cat_state,
     coherent_state,
-    localization_rate,
     table1_scenarios,
     timescale_ratio,
     truncation_tail,
@@ -38,6 +37,8 @@ from decosim.models.estimates import ENVIRONMENTS, OBJECTS
 from decosim.pointer import predictability_sieve
 from decosim.qec import logical_error_rate
 from decosim.serialize import format_value
+
+from conftest import quad_localization_rate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -330,8 +331,8 @@ def test_collisional_curve_matches_localization_rate(tmp_path, regime):
     ])
     assert rc == 0
     header, rows = _read_csv(tmp_path / "collisional.csv")
-    model = ScatteringModel(lambda q: 1.3, lambda q: 0.7, lambda q: 1.1, 2.0, regime)
-    expected = [localization_rate(model, dx) for dx in _column(header, rows, "dx")]
+    model = ScatteringModel(1.3, 0.7, 1.1, 2.0, regime)
+    expected = [quad_localization_rate(model, dx) for dx in _column(header, rows, "dx")]
     assert _column(header, rows, "localization_rate") == pytest.approx(expected, rel=1e-9)
 
 
@@ -476,6 +477,14 @@ def test_evolve_and_qbm_bounds_exit_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("x_max", ["0", "-0.0"])
+def test_qbm_wigner_window_is_checked_before_the_evolution(tmp_path, capsys, x_max):
+    # a window that fails the grid rule exits before qbm.csv is written
+    assert main(_QBM_FLAGS + ["--wigner", f"--x-max={x_max}", "--output", str(tmp_path)]) == 2
+    _assert_one_line(capsys.readouterr().err, 2)
+    assert not (tmp_path / "qbm.csv").exists()
 
 
 def test_spinspin_matches_the_product_reference(tmp_path):
@@ -737,7 +746,7 @@ def test_memory_error_exits_2_on_one_line(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (10**12,)")
 
-    monkeypatch.setattr(decosim.models.collisional, "uniform_beam_localization_rates", exhausted)
+    monkeypatch.setattr(decosim.models.collisional, "localization_rate", exhausted)
     rc = main(["collisional", "--density-amplitude", "1", "--q-max", "2", "--speed", "1",
                "--f2", "1", "--dx-min", "0.1", "--dx-max", "10", "--output", str(tmp_path)])
     assert rc == 2

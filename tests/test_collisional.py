@@ -12,28 +12,19 @@ from decosim.models import (
     ScatteringModel,
     decoherence_rates,
     evolve_collisional,
-    localization_prefactor,
     localization_rate,
-    separation_rates,
-    total_scattering_rate,
     two_gaussian_superposition,
-    uniform_beam_localization_rates,
-    uniform_beam_rates,
 )
-from decosim.models.collisional import _angular_factor, _sine_integral
+from decosim.models.collisional import _sine_integral
+
+from conftest import angular_factor, quad_localization_rate, quad_rates
 
 RHO0, SPEED, F2, QMAX = 1.0, 1.0, 0.1, 2.0
 _gauss_legendre_rule = functools.cache(roots_legendre)
 
 
 def _uniform_model(regime="full"):
-    return ScatteringModel(
-        density_of_momenta=lambda q: RHO0,
-        speed=lambda q: SPEED,
-        cross_section=lambda q: F2,
-        q_max=QMAX,
-        regime=regime,
-    )
+    return ScatteringModel(RHO0, SPEED, F2, QMAX, regime)
 
 
 def _rate_closed_form(dx: float) -> float:
@@ -81,15 +72,13 @@ def _gauss_legendre_angular_factor(u: float) -> float:
 
 def test_angular_factor_matches_gauss_legendre():
     for u in np.geomspace(1e-3, 5000.0, 40):
-        assert abs(_angular_factor(u) - _gauss_legendre_angular_factor(u)) < 1e-13
+        assert abs(angular_factor(u) - _gauss_legendre_angular_factor(u)) < 1e-13
 
 
 def test_total_rate_and_prefactor_closed_forms():
-    model = _uniform_model()
-    assert total_scattering_rate(model) == pytest.approx(
-        4 * np.pi * RHO0 * SPEED * F2 * QMAX, rel=1e-10
-    )
-    assert localization_prefactor(model) == pytest.approx(
+    rates = decoherence_rates(_uniform_model())
+    assert rates.total_rate == pytest.approx(4 * np.pi * RHO0 * SPEED * F2 * QMAX, rel=1e-10)
+    assert rates.prefactor == pytest.approx(
         4 * np.pi / 3 * RHO0 * SPEED * F2 * QMAX**3 / 3, rel=1e-10
     )
 
@@ -108,13 +97,13 @@ def test_rate_is_even_in_separation():
 def test_rate_bounded_by_total_rate(log_dx):
     model = _uniform_model()
     rate = localization_rate(model, 10.0**log_dx)
-    assert -1e-12 <= rate <= total_scattering_rate(model) * (1 + 1e-9)
+    assert -1e-12 <= rate <= decoherence_rates(model).total_rate * (1 + 1e-9)
 
 
 def test_rate_monotone_in_separation():
     model = _uniform_model()
     grid = np.geomspace(1e-3, 50.0, 25)
-    rates = [localization_rate(model, dx) for dx in grid]
+    rates = localization_rate(model, grid)
     assert all(b >= a * (1 - 1e-9) for a, b in zip(rates, rates[1:]))
 
 
@@ -122,7 +111,7 @@ def test_regime_dispatch():
     assert localization_rate(_uniform_model("short-wavelength"), 0.3) == pytest.approx(
         4 * np.pi * RHO0 * SPEED * F2 * QMAX
     )
-    lam = localization_prefactor(_uniform_model())
+    lam = decoherence_rates(_uniform_model()).prefactor
     assert localization_rate(_uniform_model("long-wavelength"), 0.3) == pytest.approx(
         lam * 0.09
     )
@@ -142,6 +131,25 @@ def test_grid_state_validation():
         GridState(x, bad)  # hermiticity broken
 
 
+def _nan_at(*cells):
+    x = np.linspace(-1, 1, 8)
+    mat = np.eye(8, dtype=complex) / (8 * (x[1] - x[0]))
+    for cell in cells:
+        mat[cell] = np.nan
+    return lambda: GridState(x, mat)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (_nan_at((0, 5), (5, 0)), PhysicalityError, "not Hermitian"),
+    (_nan_at((3, 3)), PhysicalityError, "not Hermitian"),
+    (lambda: evolve_collisional(two_gaussian_superposition(np.linspace(-6, 6, 41), 4.0, 0.5),
+                                _uniform_model(), np.nan), ValueError, "time must be nonnegative"),
+], ids=["off-diagonal-pair", "diagonal", "time"])
+def test_nan_fails_the_grid_state_and_time_checks(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_superposition_state_normalization():
     x = np.linspace(-6, 6, 121)
     state = two_gaussian_superposition(x, separation=4.0, sigma=0.5)
@@ -152,9 +160,7 @@ def test_superposition_state_normalization():
 def test_collisional_evolution_fixes_diagonal():
     x = np.linspace(-6, 6, 61)
     state = two_gaussian_superposition(x, 4.0, 0.5)
-    model = _uniform_model()
-    rates = separation_rates(model, state)
-    evolved = evolve_collisional(state, model, 0.8, rates=rates)
+    evolved = evolve_collisional(state, _uniform_model(), 0.8)
     assert np.abs(np.diag(evolved.matrix) - np.diag(state.matrix)).max() < 1e-12
 
 
@@ -162,11 +168,8 @@ def test_collisional_evolution_is_a_semigroup():
     x = np.linspace(-6, 6, 41)
     state = two_gaussian_superposition(x, 4.0, 0.5)
     model = _uniform_model()
-    rates = separation_rates(model, state)
-    one_step = evolve_collisional(state, model, 1.1, rates=rates)
-    two_step = evolve_collisional(
-        evolve_collisional(state, model, 0.4, rates=rates), model, 0.7, rates=rates
-    )
+    one_step = evolve_collisional(state, model, 1.1)
+    two_step = evolve_collisional(evolve_collisional(state, model, 0.4), model, 0.7)
     assert np.abs(one_step.matrix - two_step.matrix).max() < 1e-13
 
 
@@ -174,11 +177,11 @@ def test_collisional_offdiagonal_decay_rate_is_exact():
     x = np.linspace(-6, 6, 41)
     state = two_gaussian_superposition(x, 4.0, 0.5)
     model = _uniform_model()
-    rates = separation_rates(model, state)
     t = 0.9
-    evolved = evolve_collisional(state, model, t, rates=rates)
+    evolved = evolve_collisional(state, model, t)
     i, j = 5, 30
-    expected = state.matrix[i, j] * np.exp(-rates[abs(i - j)] * t)
+    rate = localization_rate(model, abs(i - j) * state.spacing)
+    expected = state.matrix[i, j] * np.exp(-rate * t)
     assert evolved.matrix[i, j] == pytest.approx(expected, rel=1e-12)
 
 
@@ -190,7 +193,7 @@ def test_decoherence_rates_summary():
 
 
 def _uniform_curve(separations, regime="full"):
-    return uniform_beam_localization_rates(RHO0, SPEED, F2, QMAX, separations, regime)
+    return localization_rate(_uniform_model(regime), separations)
 
 
 def test_uniform_beam_curve_matches_the_quadrature_path():
@@ -198,7 +201,7 @@ def test_uniform_beam_curve_matches_the_quadrature_path():
     # the grid holds U = 199.5, where quad at its default tolerances erred by 7.4e-7
     separations = np.geomspace(1e-3, 1e3, 61) / QMAX
     model = _uniform_model()
-    expected = np.array([localization_rate(model, dx) for dx in separations])
+    expected = np.array([quad_localization_rate(model, dx) for dx in separations])
     assert np.abs(_uniform_curve(separations) / expected - 1.0).max() < 1e-9
 
 
@@ -210,7 +213,7 @@ def test_uniform_beam_curve_matches_the_sine_integral_form():
 
 def test_uniform_beam_curve_follows_the_quadratic_law_at_small_separations():
     separations = np.geomspace(1e-12, 1e-6, 13)
-    lam = uniform_beam_rates(RHO0, SPEED, F2, QMAX).prefactor
+    lam = decoherence_rates(_uniform_model()).prefactor
     assert np.abs(_uniform_curve(separations) / (lam * separations**2) - 1.0).max() < 1e-10
     assert _uniform_curve([0.0])[0] == 0.0
 
@@ -219,22 +222,21 @@ def test_uniform_beam_regimes_match_localization_rate():
     separations = np.array([0.0, 0.03, 0.7, 12.0])
     for regime in ("short-wavelength", "long-wavelength"):
         model = _uniform_model(regime)
-        expected = [localization_rate(model, dx) for dx in separations]
+        expected = [quad_localization_rate(model, dx) for dx in separations]
         assert _uniform_curve(separations, regime) == pytest.approx(expected, rel=1e-12)
-    rates = uniform_beam_rates(RHO0, SPEED, F2, QMAX)
-    reference = decoherence_rates(_uniform_model())
-    assert rates.total_rate == pytest.approx(reference.total_rate, rel=1e-12)
-    assert rates.prefactor == pytest.approx(reference.prefactor, rel=1e-12)
+    rates = decoherence_rates(_uniform_model())
+    total, prefactor = quad_rates(_uniform_model())
+    assert rates.total_rate == pytest.approx(total, rel=1e-12)
+    assert rates.prefactor == pytest.approx(prefactor, rel=1e-12)
     # far past any wavelength the curve is Gamma_tot, also where q_max dx overflows
-    wide = uniform_beam_localization_rates(RHO0, SPEED, F2, 1e10, [1e300])
-    assert wide[0] == uniform_beam_rates(RHO0, SPEED, F2, 1e10).total_rate
+    wide_model = ScatteringModel(RHO0, SPEED, F2, 1e10)
+    wide = localization_rate(wide_model, [1e300])
+    assert wide[0] == decoherence_rates(wide_model).total_rate
     with pytest.raises(ValueError):
         _uniform_curve(separations, "sideways")
     with pytest.raises(ValueError):
-        uniform_beam_rates(RHO0, SPEED, F2, 0.0)
+        ScatteringModel(RHO0, SPEED, F2, 0.0)
     for bad in ((-1.0, 1.0, 1.0), (1.0, -2.0, 1.0), (1.0, 1.0, -0.1),
                 (np.nan, 1.0, 1.0), (1.0, np.nan, 1.0), (1.0, 1.0, np.nan)):
         with pytest.raises(ValueError):
-            uniform_beam_rates(*bad, 1.0)
-        with pytest.raises(ValueError):
-            uniform_beam_localization_rates(*bad, 1.0, [0.5, 5.0])
+            ScatteringModel(*bad, 1.0)

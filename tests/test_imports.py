@@ -67,6 +67,28 @@ def test_each_process_loads_only_its_subcommands_modules(tmp_path, case):
     assert not masked_arrays  # numpy.ma, which np.unique loads, takes 9-20 ms to import
 
 
+def test_collisional_library_path_loads_no_scipy_subpackage():
+    # the rates and the grid evolution are closed forms summed in NumPy
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from decosim.models import (ScatteringModel, decoherence_rates, evolve_collisional,\n"
+        "                            localization_rate, two_gaussian_superposition)\n"
+        "model = ScatteringModel(1.0, 1.0, 1.0, 2.0)\n"
+        "decoherence_rates(model)\n"
+        "localization_rate(model, np.geomspace(1e-3, 1e3, 9))\n"
+        "evolve_collisional(two_gaussian_superposition(np.linspace(-6, 6, 41), 4.0, 0.5),\n"
+        "                   model, 0.5)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("package", ["decosim", "decosim.models"])
 def test_every_export_resolves_to_its_defining_modules_object(package):
     pkg = importlib.import_module(package)
