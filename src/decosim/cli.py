@@ -370,13 +370,13 @@ QBM_SCHEMA = (
 
 def _cmd_qbm(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     from .dynamics import evolve
-    from .models.collisional import uniform_positions
     from .models.qbm import (
         caldeira_leggett_generator,
         cat_state,
         coherent_state,
         truncation_tail,
         wigner_from_fock,
+        wigner_positions,
     )
 
     gen = caldeira_leggett_generator(
@@ -394,7 +394,8 @@ def _cmd_qbm(cfg: dict, outdir: str) -> tuple[list[str], dict]:
             raise ConfigError(f"thermal occupation at temperature {cfg['temperature']!r} overflows")
         auto = (2.0 * abs(alpha) * np.sqrt(2.0) + 7.0 * np.sqrt(2.0 * occupation + 1.0)) * scale
         x_max = auto if cfg["x_max"] is None else cfg["x_max"]  # 0 or below fails the grid rule
-        positions = uniform_positions(_uniform_grid(-x_max, x_max, cfg["n_x"], "position"))
+        positions = wigner_positions(_uniform_grid(-x_max, x_max, cfg["n_x"], "position"),
+                                     cfg["mass"], cfg["frequency"])
     psi = cat_state(alpha, cfg["n_max"])
     rho0 = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
     result = evolve(gen, rho0, cfg["t_final"], cfg["dt"], cfg["store_every"])

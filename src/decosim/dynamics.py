@@ -25,7 +25,9 @@ generator, and reduction happens in fixed blocks of ``TRAJECTORY_BLOCK``
 (1024) trajectories so results are bitwise reproducible for any worker
 count.  Each Euler-Maruyama step advances a whole block with one matrix
 product against the stacked operators (L_1, ..., L_m, dt A) and one
-contraction for the norm and expectations.
+contraction for the norm and expectations, and reads its Wiener
+increments from a step-major chunk of one renormalization period, which
+is scaled by sqrt(dt kappa) from the block's normals when the period starts.
 """
 from __future__ import annotations
 
@@ -435,20 +437,32 @@ def _unravel_block(
     against ``ops``, the real forms of (L_1, ..., L_m, dt A), fills rows 1
     and up, one contraction of rows 0..m with psi gives n and the
     <psi|L_mu|psi>, and the rows weighted by (s, c_1, ..., c_m, 1) sum to
-    the next buffer's psi.
+    the next buffer's psi.  The w_mu are read from a step-major chunk
+    (steps, m, b) that holds one renormalization period: at the start of
+    each period the block's (b, steps, m) normals of that period are
+    multiplied by sqrt(dt kappa_mu) into it, so every step reads one
+    contiguous (m, b) slab.  Every per-step view is bound before the loop.
     """
     dt, n_steps = cfg.dt, cfg.n_steps
     b, d, m = len(indices), psi0.size, rates.size
     noise = _block_noise(cfg.master_seed, indices, n_steps, m)
-    noise *= np.sqrt(dt * rates)
+    noise_scale = np.sqrt(dt * rates)[:, None]
+    chunk = np.empty((min(_RENORM_EVERY, n_steps), m, b))  # sqrt(kappa_mu) dW_mu of one period
+    chunk_rows = list(chunk)
     half_dt_rates = (0.5 * dt * rates)[:, None]
     bufs = np.empty((2, m + 2, 2 * d, b))
     bufs[0, 0] = np.concatenate([psi0.real, psi0.imag])[:, None]
-    # each buffer with its rows 1 and up seen as one matmul output
-    cur, nxt = ((buf, buf.reshape(-1, b)[2 * d :]) for buf in bufs)
+    # per buffer: psi, rows 0..m, rows 1 and up seen as one matmul output,
+    # all rows, and the other buffer's psi, which the step writes
+    views = [(buf[0], buf[: m + 1], buf.reshape(-1, b)[2 * d :], buf, other[0])
+             for buf, other in ((bufs[0], bufs[1]), (bufs[1], bufs[0]))]
     dots = np.empty((m + 1, b))  # (n, <psi|L_1|psi>, ..., <psi|L_m|psi>)
-    e, q, u = np.empty((3, m, b))
+    norm, overlaps = dots[0], dots[1:]
+    e, q, u, eu = np.empty((4, m, b))
     weights = np.ones((m + 2, b))  # (s, c_1, ..., c_m, 1)
+    s, c = weights[0], weights[1 : m + 1]
+    eu_sum = eu[0] if m == 1 else s  # sum_mu e_mu u_mu, summed into s when m > 1
+    ones = np.ones(b)
     sums = np.empty((sample_steps.size, d, d), dtype=complex)
     snapshots = set(sample_steps.tolist())
 
@@ -458,32 +472,35 @@ def _unravel_block(
 
     pos = 0
     if 0 in snapshots:
-        sums[pos] = ensemble_sum(cur[0][0])
+        sums[pos] = ensemble_sum(views[0][0])
         pos += 1
     # a blown-up ensemble turns into inf/nan here silently; the ensemble
     # validation in ``unravel`` reports it as one error
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for step in range(1, n_steps + 1):
-            buf, products = cur
-            psi = buf[0]
+            k = (step - 1) % _RENORM_EVERY
+            if k == 0:
+                period = noise[:, step - 1 : step - 1 + _RENORM_EVERY].transpose(1, 2, 0)
+                np.multiply(period, noise_scale, out=chunk[: len(period)])
+            psi, head, products, rows, psi_next = views[(step - 1) & 1]
             np.matmul(ops, psi, out=products)
-            np.einsum("mkb,kb->mb", buf[: m + 1], psi, out=dots)
-            np.divide(dots[1:], dots[0], out=e)
+            np.einsum("mkb,kb->mb", head, psi, out=dots)
+            np.divide(overlaps, norm, out=e)
             np.multiply(half_dt_rates, e, out=q)
-            np.add(q, noise[:, step - 1].T, out=u)
-            np.add(u, q, out=weights[1 : m + 1])
-            np.einsum("mb,mb->b", e, u, out=weights[0])
-            np.subtract(1.0, weights[0], out=weights[0])
-            np.einsum("mb,mkb->kb", weights, buf, out=nxt[0][0])
-            cur, nxt = nxt, cur
+            np.add(q, chunk_rows[k], out=u)
+            np.add(u, q, out=c)
+            np.multiply(e, u, out=eu)
+            if m > 1:
+                np.add.reduce(eu, axis=0, out=s)
+            np.subtract(ones, eu_sum, out=s)
+            np.einsum("mb,mkb->kb", weights, rows, out=psi_next)
             at_snapshot = step in snapshots
             if at_snapshot or step % _RENORM_EVERY == 0:
-                psi = cur[0][0]
-                psi /= np.sqrt(np.einsum("kb,kb->b", psi, psi))
+                psi_next /= np.sqrt(np.einsum("kb,kb->b", psi_next, psi_next))
                 if at_snapshot:
-                    sums[pos] = ensemble_sum(psi)
+                    sums[pos] = ensemble_sum(psi_next)
                     pos += 1
-    psi = cur[0][0]
+    psi = views[n_steps & 1][0]
     return sums, (psi[:d] + 1j * psi[d:]).T
 
 

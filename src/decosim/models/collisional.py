@@ -53,7 +53,8 @@ class ScatteringModel:
     def __post_init__(self):
         if not self.q_max > 0:
             raise ValueError("q_max must be positive")
-        if not min(self.density_of_momenta, self.speed, self.cross_section) >= 0:
+        # each tested on its own, so a NaN fails wherever it sits
+        if not all(x >= 0 for x in (self.density_of_momenta, self.speed, self.cross_section)):
             raise ValueError("need density, speed and cross-section >= 0")
         rates = decoherence_rates(self)
         if not (np.isfinite(rates.total_rate) and np.isfinite(rates.prefactor)):
@@ -203,8 +204,8 @@ def evolve_collisional(state: GridState, model: ScatteringModel, t: float) -> Gr
 
     One rate per grid separation k * spacing; the diagonal is untouched (F(0) = 0).
     """
-    if not t >= 0:  # also catches NaN
-        raise ValueError("time must be nonnegative")
+    if not 0 <= t < np.inf:  # also catches NaN
+        raise ValueError("time must be nonnegative and finite")
     n = state.positions.size
     rates = localization_rate(model, np.arange(n) * state.spacing)
     idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])

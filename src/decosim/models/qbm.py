@@ -349,18 +349,26 @@ def hermite_functions(n_max: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
+def wigner_positions(positions, mass: float, frequency: float) -> np.ndarray:
+    """``positions`` as a window for ``wigner_from_fock``: a grid that meets
+    ``uniform_positions`` and whose |x| sqrt(M w) squares to a finite double."""
+    x = uniform_positions(positions)
+    # Python floats overflow to inf quietly
+    xi_max = float(np.abs(x).max()) * float(np.sqrt(mass * frequency))
+    if not math.isfinite(xi_max * xi_max):
+        raise ValueError(f"the position grid reaches |x| sqrt(M w) = {xi_max!r}, whose square "
+                         "overflows a double in the oscillator functions")
+    return x
+
+
 def wigner_from_fock(
     rho: np.ndarray, mass: float, frequency: float, positions: np.ndarray
 ) -> WignerGrid:
     """Wigner transform of a number-basis density matrix via a position grid."""
     rho = np.asarray(rho, dtype=complex)
     n_max = rho.shape[0]
-    x = uniform_positions(positions)
+    x = wigner_positions(positions, mass, frequency)
     scale = np.sqrt(mass * frequency)
-    xi_max = float(np.abs(x).max()) * float(scale)  # Python floats overflow to inf quietly
-    if not math.isfinite(xi_max * xi_max):
-        raise ValueError(f"the position grid reaches |x| sqrt(M w) = {xi_max!r}, whose square "
-                         "overflows a double in the oscillator functions")
     phi = hermite_functions(n_max, scale * x) * np.sqrt(scale)
     rho_x = phi.T @ rho @ np.conj(phi)
     trace = float(np.real(np.trace(rho_x)) * (x[1] - x[0]))

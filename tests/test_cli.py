@@ -479,12 +479,13 @@ def test_evolve_and_qbm_bounds_exit_2(tmp_path, capsys, argv):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("x_max", ["0", "-0.0"])
+@pytest.mark.parametrize("x_max", ["0", "-0.0", "1e300"])
 def test_qbm_wigner_window_is_checked_before_the_evolution(tmp_path, capsys, x_max):
-    # a window that fails the grid rule exits before qbm.csv is written
+    # a window that fails the grid rule, or whose |x| sqrt(M w) squared
+    # overflows, exits before any file is written
     assert main(_QBM_FLAGS + ["--wigner", f"--x-max={x_max}", "--output", str(tmp_path)]) == 2
     _assert_one_line(capsys.readouterr().err, 2)
-    assert not (tmp_path / "qbm.csv").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_spinspin_matches_the_product_reference(tmp_path):

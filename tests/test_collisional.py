@@ -150,6 +150,19 @@ def test_nan_fails_the_grid_state_and_time_checks(build, error, message):
         build()
 
 
+@pytest.mark.parametrize("bad", [(np.nan, 1.0, 1.0), (1.0, np.nan, 1.0), (1.0, 1.0, np.nan)],
+                         ids=["density", "speed", "cross-section"])
+def test_nan_model_data_gets_the_nonnegativity_message(bad):
+    with pytest.raises(ValueError, match="need density, speed and cross-section >= 0"):
+        ScatteringModel(*bad, 1.0)
+
+
+def test_infinite_time_gets_the_time_error():
+    state = two_gaussian_superposition(np.linspace(-6, 6, 41), 4.0, 0.5)
+    with pytest.raises(ValueError, match="time must be nonnegative and finite"):
+        evolve_collisional(state, _uniform_model(), np.inf)
+
+
 def test_superposition_state_normalization():
     x = np.linspace(-6, 6, 121)
     state = two_gaussian_superposition(x, separation=4.0, sigma=0.5)

@@ -512,6 +512,76 @@ def test_block_noise_is_the_per_trajectory_philox_stream():
             assert np.array_equal(row[:, 0], expected)
 
 
+def _column_noise_block(ops, rates, psi0, cfg, indices, sample_steps):
+    """The block step with the whole block's noise scaled up front and read one
+    strided column per step, s by ``einsum``, and every view sliced in the loop:
+    the bitwise oracle for ``_unravel_block``."""
+    dt, n_steps = cfg.dt, cfg.n_steps
+    b, d, m = len(indices), psi0.size, rates.size
+    noise = _block_noise(cfg.master_seed, indices, n_steps, m)
+    noise *= np.sqrt(dt * rates)
+    half_dt_rates = (0.5 * dt * rates)[:, None]
+    bufs = np.empty((2, m + 2, 2 * d, b))
+    bufs[0, 0] = np.concatenate([psi0.real, psi0.imag])[:, None]
+    cur, nxt = ((buf, buf.reshape(-1, b)[2 * d:]) for buf in bufs)
+    dots = np.empty((m + 1, b))
+    e, q, u = np.empty((3, m, b))
+    weights = np.ones((m + 2, b))
+    sums = np.empty((sample_steps.size, d, d), dtype=complex)
+    snapshots = set(sample_steps.tolist())
+
+    def ensemble_sum(psi):
+        z = psi[:d] + 1j * psi[d:]
+        return np.einsum("ib,jb->ij", z, z.conj())
+
+    pos = 0
+    if 0 in snapshots:
+        sums[pos] = ensemble_sum(cur[0][0])
+        pos += 1
+    for step in range(1, n_steps + 1):
+        buf, products = cur
+        psi = buf[0]
+        np.matmul(ops, psi, out=products)
+        np.einsum("mkb,kb->mb", buf[: m + 1], psi, out=dots)
+        np.divide(dots[1:], dots[0], out=e)
+        np.multiply(half_dt_rates, e, out=q)
+        np.add(q, noise[:, step - 1].T, out=u)
+        np.add(u, q, out=weights[1 : m + 1])
+        np.einsum("mb,mb->b", e, u, out=weights[0])
+        np.subtract(1.0, weights[0], out=weights[0])
+        np.einsum("mb,mkb->kb", weights, buf, out=nxt[0][0])
+        cur, nxt = nxt, cur
+        at_snapshot = step in snapshots
+        if at_snapshot or step % _RENORM_EVERY == 0:
+            psi = cur[0][0]
+            psi /= np.sqrt(np.einsum("kb,kb->b", psi, psi))
+            if at_snapshot:
+                sums[pos] = ensemble_sum(psi)
+                pos += 1
+    psi = cur[0][0]
+    return sums, (psi[:d] + 1j * psi[d:]).T
+
+
+@pytest.mark.parametrize("terms", [((SIGMA_Z, 1.3),), ((SIGMA_X, 0.6), (SIGMA_Z, 2.1))],
+                         ids=["m1", "m2"])
+@pytest.mark.parametrize("t_final, store_every", [(0.101, 7), (0.013, 5)],
+                         ids=["partial-last-chunk", "one-partial-chunk"])
+def test_chunked_noise_step_matches_column_noise_oracle(monkeypatch, terms, t_final,
+                                                        store_every):
+    spec = LindbladSpec(Operator(0.4 * SIGMA_X + 0.2 * SIGMA_Z),
+                        tuple((Operator(op), rate) for op, rate in terms))
+    psi0 = StateVector(np.array([0.6, 0.8j]))
+    cfg = TrajectoryConfig(dt=1e-3, t_final=t_final, n_trajectories=TRAJECTORY_BLOCK + 3,
+                           master_seed=4242)
+    # odd step counts off the renormalization period, and a stride that divides neither
+    assert cfg.n_steps % 2 and cfg.n_steps % _RENORM_EVERY and cfg.n_steps % store_every
+    got = unravel(spec, psi0, cfg, store_every=store_every, n_workers=1)
+    monkeypatch.setattr("decosim.dynamics._unravel_block", _column_noise_block)
+    want = unravel(spec, psi0, cfg, store_every=store_every, n_workers=1)
+    assert np.array_equal(got.ensemble, want.ensemble)
+    assert np.array_equal(got.final_states, want.final_states)
+
+
 def test_unraveling_mean_tracks_master_equation():
     spec, psi0, cfg = _traj_setup(2000)
     traj = unravel(spec, psi0, cfg, store_every=100)
