@@ -461,7 +461,6 @@ def _unravel_block(
     e, q, u, eu = np.empty((4, m, b))
     weights = np.ones((m + 2, b))  # (s, c_1, ..., c_m, 1)
     s, c = weights[0], weights[1 : m + 1]
-    eu_sum = eu[0] if m == 1 else s  # sum_mu e_mu u_mu, summed into s when m > 1
     ones = np.ones(b)
     sums = np.empty((sample_steps.size, d, d), dtype=complex)
     snapshots = set(sample_steps.tolist())
@@ -490,9 +489,8 @@ def _unravel_block(
             np.add(q, chunk_rows[k], out=u)
             np.add(u, q, out=c)
             np.multiply(e, u, out=eu)
-            if m > 1:
-                np.add.reduce(eu, axis=0, out=s)
-            np.subtract(ones, eu_sum, out=s)
+            np.add.reduce(eu, axis=0, out=s)
+            np.subtract(ones, s, out=s)
             np.einsum("mb,mkb->kb", weights, rows, out=psi_next)
             at_snapshot = step in snapshots
             if at_snapshot or step % _RENORM_EVERY == 0:

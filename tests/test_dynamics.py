@@ -562,8 +562,8 @@ def _column_noise_block(ops, rates, psi0, cfg, indices, sample_steps):
     return sums, (psi[:d] + 1j * psi[d:]).T
 
 
-@pytest.mark.parametrize("terms", [((SIGMA_Z, 1.3),), ((SIGMA_X, 0.6), (SIGMA_Z, 2.1))],
-                         ids=["m1", "m2"])
+@pytest.mark.parametrize("terms", [(), ((SIGMA_Z, 1.3),), ((SIGMA_X, 0.6), (SIGMA_Z, 2.1))],
+                         ids=["m0", "m1", "m2"])
 @pytest.mark.parametrize("t_final, store_every", [(0.101, 7), (0.013, 5)],
                          ids=["partial-last-chunk", "one-partial-chunk"])
 def test_chunked_noise_step_matches_column_noise_oracle(monkeypatch, terms, t_final,
