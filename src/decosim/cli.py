@@ -275,7 +275,7 @@ TRAJECTORIES_SCHEMA = _OPERATOR_FIELDS + (
     Field("t_final", "float", "evolution time", required=True),
     Field("dt", "float", "Euler-Maruyama step", required=True),
     Field("n_trajectories", "int", "ensemble size", required=True),
-    Field("master_seed", "int", "seed of the per-trajectory counter RNG", default=2026),
+    Field("master_seed", "int", "seed in [0, 2**64) of the per-block Philox streams", default=2026),
     Field("store_every", "int", "snapshot stride in steps", default=1),
     Field("workers", "int", "thread count (default: DECOSIM_WORKERS or 1)"),
     Field("output", "str", "output directory", default="."),

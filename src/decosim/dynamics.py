@@ -19,19 +19,22 @@ fall below 2^-53 of its far-end sum; every snapshot inside the window is
 read off the same terms, and a snapshot beyond one reach takes equal
 substeps.  Neither branch loads SciPy.
 ``unravel`` propagates pure-state diffusive trajectories whose ensemble
-mean converges to the same master equation; trajectory randomness is
-keyed by (master_seed, trajectory_index) with a counter-based bit
-generator, and reduction happens in fixed blocks of ``TRAJECTORY_BLOCK``
-(1024) trajectories so results are bitwise reproducible for any worker
-count.  Each Euler-Maruyama step advances a whole block with one matrix
-product against the stacked operators (L_1, ..., L_m, dt A) and one
-contraction for the norm and expectations, and reads its Wiener
-increments from a step-major chunk of one renormalization period, which
-is scaled by sqrt(dt kappa) from the block's normals when the period starts.
+mean converges to the same master equation.  Trajectories run in fixed
+blocks of ``TRAJECTORY_BLOCK`` (2048), and block k draws its Wiener
+increments from one counter-based stream, ``Philox(key=[master_seed, k])``,
+so results are bitwise reproducible for any worker count and a full
+block never depends on the ensemble size.  Each Euler-Maruyama step
+advances a whole block with one matrix product against the stacked
+operators (L_1, ..., L_m, dt A) and one contraction for the norm and
+expectations, and reads its increments from a step-major chunk that
+holds one renormalization period: the block's stream fills it when the
+period starts, and it is scaled by sqrt(dt kappa) in place, so the
+noise memory does not grow with the number of steps.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -61,7 +64,9 @@ _MAX_TAYLOR_TERMS = 90
 _TAYLOR_TOL_SQ = 2.0 ** -106  # (2^-53)^2, compared with squared Frobenius norms
 # bound on the entries of the per-term buffer that adds a term into a window's inner snapshots
 _WINDOW_CHUNK_ENTRIES = 2 ** 13
-TRAJECTORY_BLOCK = 1024  # fixed reduction granularity; never tied to worker count
+# trajectories per block, each block with its own noise stream: fixes the reduction
+# order and the random paths, so it is never tied to the worker count
+TRAJECTORY_BLOCK = 2048
 # steps between renormalizations of a trajectory, which is carried unnormalized
 # in between; this bounds how far its norm grows from 1
 _RENORM_EVERY = 32
@@ -369,8 +374,9 @@ class TrajectoryConfig:
             )
         if self.n_trajectories < 1:
             raise ValueError("need at least one trajectory")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
+        # half of a Philox key, which would silently truncate a float
+        if not (isinstance(self.master_seed, numbers.Integral) and 0 <= self.master_seed < 2**64):
+            raise ValueError("master_seed must be an integer in [0, 2**64)")
 
     @property
     def n_steps(self) -> int:
@@ -386,25 +392,6 @@ class TrajectoryResult:
     final_states: np.ndarray  # (n_trajectories, dim) unit vectors, index order
 
 
-def _block_noise(master_seed: int, indices: range, n_steps: int, n_ops: int) -> np.ndarray:
-    """Standard normals, shape (len(indices), n_steps, n_ops); trajectory i keyed by (master_seed, i).
-
-    One Philox bit generator is rekeyed per trajectory by resetting its
-    state, which yields exactly the stream of a fresh
-    ``Philox(key=[master_seed, i])`` without building one per trajectory.
-    """
-    bitgen = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(bitgen)
-    fresh = bitgen.state  # zero counter, empty buffer
-    key = fresh["state"]["key"]
-    noise = np.empty((len(indices), n_steps, n_ops))
-    for row, index in zip(noise, indices):
-        key[1] = index
-        bitgen.state = fresh
-        rng.standard_normal(out=row)
-    return noise
-
-
 def _real_form(mat: np.ndarray) -> np.ndarray:
     """Real matrix acting on (Re psi, Im psi) stacked as one vector, as ``mat`` acts on psi."""
     return np.block([[mat.real, -mat.imag], [mat.imag, mat.real]])
@@ -415,10 +402,11 @@ def _unravel_block(
     rates: np.ndarray,
     psi0: np.ndarray,
     cfg: TrajectoryConfig,
-    indices: range,
+    block: int,
+    b: int,
     sample_steps: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Euler-Maruyama for one block of trajectories; returns (snapshot sums, final states).
+    """Euler-Maruyama for block ``block`` of b trajectories; returns (snapshot sums, final states).
 
     With A = -iH - (1/2) sum_mu kappa_mu L_mu^2, n = <psi|psi>,
     e_mu = <psi|L_mu|psi> / n and w_mu = sqrt(kappa_mu) dW_mu, one step is
@@ -437,15 +425,19 @@ def _unravel_block(
     against ``ops``, the real forms of (L_1, ..., L_m, dt A), fills rows 1
     and up, one contraction of rows 0..m with psi gives n and the
     <psi|L_mu|psi>, and the rows weighted by (s, c_1, ..., c_m, 1) sum to
-    the next buffer's psi.  The w_mu are read from a step-major chunk
-    (steps, m, b) that holds one renormalization period: at the start of
-    each period the block's (b, steps, m) normals of that period are
-    multiplied by sqrt(dt kappa_mu) into it, so every step reads one
-    contiguous (m, b) slab.  Every per-step view is bound before the loop.
+    the next buffer's psi.  The block's normals are the first n_steps m b
+    of ``Philox(key=[master_seed, block])``, in (step, mu, trajectory)
+    order.  They are drawn one renormalization period at a time into a
+    step-major chunk (steps, m, b) and scaled there by sqrt(dt kappa_mu),
+    so every step reads one contiguous (m, b) slab and the noise memory is
+    one period, whatever n_steps is.  Drawing period by period gives the
+    same numbers as one draw of shape (n_steps, m, b).  Every per-step view
+    is bound before the loop.
     """
     dt, n_steps = cfg.dt, cfg.n_steps
-    b, d, m = len(indices), psi0.size, rates.size
-    noise = _block_noise(cfg.master_seed, indices, n_steps, m)
+    d, m = psi0.size, rates.size
+    key = np.array([cfg.master_seed, block], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     noise_scale = np.sqrt(dt * rates)[:, None]
     chunk = np.empty((min(_RENORM_EVERY, n_steps), m, b))  # sqrt(kappa_mu) dW_mu of one period
     chunk_rows = list(chunk)
@@ -479,8 +471,9 @@ def _unravel_block(
         for step in range(1, n_steps + 1):
             k = (step - 1) % _RENORM_EVERY
             if k == 0:
-                period = noise[:, step - 1 : step - 1 + _RENORM_EVERY].transpose(1, 2, 0)
-                np.multiply(period, noise_scale, out=chunk[: len(period)])
+                period = chunk[: n_steps - step + 1]
+                rng.standard_normal(out=period)
+                period *= noise_scale
             psi, head, products, rows, psi_next = views[(step - 1) & 1]
             np.matmul(ops, psi, out=products)
             np.einsum("mkb,kb->mb", head, psi, out=dots)
@@ -514,8 +507,15 @@ def unravel(
     Euler-Maruyama steps of the unnormalized state, renormalized at
     every snapshot and every ``_RENORM_EVERY`` steps; the ensemble
     average over trajectories reproduces ``evolve`` up to O(dt) bias and
-    O(1/sqrt(n)) statistics.  Identical master seeds give bitwise
-    identical ensembles for any worker count.
+    O(1/sqrt(n)) statistics.  Trajectories lo .. lo + b - 1 with
+    lo = k ``TRAJECTORY_BLOCK`` form block k, whose Wiener increments come
+    from ``Philox(key=[master_seed, k])``; only the last block may be
+    narrower.  Identical master seeds give bitwise identical ensembles for
+    any worker count, and the trajectories of a full block do not depend
+    on n_trajectories, but those of a partial last block depend on its
+    width b.  Each block holds its noise one renormalization period at a
+    time, so memory does not grow with the number of steps beyond the
+    stored snapshots.
     """
     for op, _ in spec.lindblad_terms:
         if not op.is_hermitian():
@@ -545,8 +545,9 @@ def unravel(
     starts = range(0, cfg.n_trajectories, TRAJECTORY_BLOCK)
 
     def run(lo):
-        block = range(lo, min(lo + TRAJECTORY_BLOCK, cfg.n_trajectories))
-        return _unravel_block(ops, rates, psi0.amplitudes, cfg, block, sample_steps)
+        b = min(TRAJECTORY_BLOCK, cfg.n_trajectories - lo)
+        return _unravel_block(ops, rates, psi0.amplitudes, cfg, lo // TRAJECTORY_BLOCK, b,
+                              sample_steps)
 
     if n_workers > 1 and len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor  # a serial run never loads it

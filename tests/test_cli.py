@@ -181,6 +181,9 @@ _TRAJECTORY_BOUND_CASES = [
     (["--n-trajectories", "10", "--t-final", "nan"], None),
     (["--n-trajectories", "10"], "0"),
     (["--n-trajectories", "10"], "abc"),
+    (["--n-trajectories", "10", "--master-seed", "18446744073709551616"], None),
+    (["--n-trajectories", "10", "--master-seed", "1e300"], None),
+    (["--n-trajectories", "10", "--master-seed", "-1"], None),
 ]
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -23,7 +24,6 @@ from decosim.dynamics import (
     _THETA13,
     DENSE_PROPAGATOR_MAX_DIM,
     TRAJECTORY_BLOCK,
-    _block_noise,
     _expm,
     compiled_rhs,
     liouvillian,
@@ -387,6 +387,11 @@ def test_trajectory_config_validation():
         TrajectoryConfig(dt=-0.1, t_final=1.0, n_trajectories=10, master_seed=1)
     with pytest.raises(ValueError):
         TrajectoryConfig(dt=0.1, t_final=1.0, n_trajectories=0, master_seed=1)
+    for seed in (-1, 2**64, 1e300, 1.5):
+        with pytest.raises(ValueError, match="master_seed"):
+            TrajectoryConfig(dt=0.1, t_final=1.0, n_trajectories=1, master_seed=seed)
+    for seed in (2**64 - 1, np.uint64(7)):
+        TrajectoryConfig(dt=0.1, t_final=1.0, n_trajectories=1, master_seed=seed)
 
 
 def _traj_setup(n, seed=1122):
@@ -425,22 +430,26 @@ def test_unravel_rejects_degenerate_workers_and_stride():
         unravel(spec, psi0, cfg, store_every=0)
 
 
-def _philox(seed, index):
+def _block_normals(seed, block, n_steps, m, b):
+    """Block ``block``'s normals in one draw, shape (n_steps, m, b)."""
     # a uint64 key: a plain list would pass through float64 and round seeds >= 2**53
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    bitgen = np.random.Philox(key=np.array([seed, block], dtype=np.uint64))
+    return np.random.Generator(bitgen).standard_normal((n_steps, m, b))
 
 
 def _textbook_unravel(h, terms, psi0, cfg, store_every):
     """Per-operator Euler-Maruyama step, trajectories as rows: the oracle for ``unravel``.
 
-    Trajectory i draws its increments from a fresh Philox keyed by
-    (master_seed, i); returns (ensemble snapshots, final states, and the
-    least over steps of the mean |norm - 1| before renormalization).
+    Block k, trajectories k TRAJECTORY_BLOCK and up, draws its increments
+    in one call from a fresh Philox keyed by (master_seed, k); returns
+    (ensemble snapshots, final states, and the least over steps of the
+    mean |norm - 1| before renormalization).
     """
     n, n_steps, dt = cfg.n_trajectories, cfg.n_steps, cfg.dt
-    dw = np.stack([
-        _philox(cfg.master_seed, i).standard_normal((n_steps, len(terms)))
-        for i in range(n)
+    dw = np.concatenate([
+        _block_normals(cfg.master_seed, lo // TRAJECTORY_BLOCK, n_steps, len(terms),
+                       min(TRAJECTORY_BLOCK, n - lo)).transpose(2, 0, 1)
+        for lo in range(0, n, TRAJECTORY_BLOCK)
     ]) * np.sqrt(dt)
     psi = np.tile(psi0.astype(complex), (n, 1))
     snapshots = [psi.T @ psi.conj() / n]
@@ -502,23 +511,77 @@ def test_fused_step_matches_textbook_oracle():
     assert least_move > 1e-3
 
 
-def test_block_noise_is_the_per_trajectory_philox_stream():
-    n_steps = 37
-    for seed in (0, 1122, 2**63 + 5):
-        indices = range(TRAJECTORY_BLOCK - 2, TRAJECTORY_BLOCK + 3)
-        noise = _block_noise(seed, indices, n_steps, 1)
-        for row, i in zip(noise, indices):
-            expected = _philox(seed, i).standard_normal(n_steps)
-            assert np.array_equal(row[:, 0], expected)
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_blocks_draw_their_periods_from_the_per_block_philox_stream(monkeypatch, m):
+    # 37 steps: one full renormalization period and a partial one; the last block is partial
+    n_steps, widths = 37, (TRAJECTORY_BLOCK, 3)
+    generator = np.random.Generator
+    draws = []
+
+    class Recording:
+        """A Generator that keeps its key and a copy of every period it draws."""
+
+        def __init__(self, bitgen):
+            self.rng = generator(bitgen)
+            self.key = bitgen.state["state"]["key"].tolist()
+            self.periods = []
+            draws.append(self)
+
+        def standard_normal(self, *, out):
+            self.rng.standard_normal(out=out)
+            self.periods.append(out.copy())
+            return out
+
+    terms = ((SIGMA_X, 0.6), (SIGMA_Z, 2.1))[:m]
+    spec = LindbladSpec(Operator(0.4 * SIGMA_X), tuple((Operator(op), r) for op, r in terms))
+    psi0 = StateVector(np.array([0.6, 0.8j]))
+    for seed in (0, 2**63 + 5, 2**64 - 1):
+        draws.clear()
+        cfg = TrajectoryConfig(dt=1e-3, t_final=n_steps * 1e-3, n_trajectories=sum(widths),
+                               master_seed=seed)
+        assert cfg.n_steps == n_steps
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "Generator", Recording)
+            unravel(spec, psi0, cfg, store_every=n_steps, n_workers=1)
+        assert [rec.key for rec in draws] == [[seed, k] for k in range(len(widths))]
+        for k, (rec, b) in enumerate(zip(draws, widths)):
+            assert [p.shape for p in rec.periods] == [(_RENORM_EVERY, m, b), (5, m, b)]
+            want = _block_normals(seed, k, n_steps, m, b)
+            assert np.array_equal(np.concatenate(rec.periods), want)
 
 
-def _column_noise_block(ops, rates, psi0, cfg, indices, sample_steps):
-    """The block step with the whole block's noise scaled up front and read one
-    strided column per step, s by ``einsum``, and every view sliced in the loop:
-    the bitwise oracle for ``_unravel_block``."""
+def test_full_blocks_do_not_depend_on_the_ensemble_size():
+    spec = LindbladSpec(Operator(0.4 * SIGMA_X), ((Operator(SIGMA_Z), 1.3),))
+    psi0 = StateVector(np.array([0.6, 0.8j]))
+    finals = [
+        unravel(spec, psi0, TrajectoryConfig(dt=1e-3, t_final=0.02, n_trajectories=n,
+                                             master_seed=9), n_workers=1).final_states
+        for n in (TRAJECTORY_BLOCK + 3, 2 * TRAJECTORY_BLOCK)
+    ]
+    assert np.array_equal(finals[0][:TRAJECTORY_BLOCK], finals[1][:TRAJECTORY_BLOCK])
+
+
+def test_noise_memory_does_not_grow_with_the_step_count():
+    spec, psi0, _ = _traj_setup(64)
+    cfg = TrajectoryConfig(dt=1e-4, t_final=2.0, n_trajectories=64, master_seed=5)
+    assert cfg.n_steps == 20_000
+    unravel(spec, psi0, cfg, store_every=cfg.n_steps, n_workers=1)  # warm
+    tracemalloc.start()
+    try:
+        unravel(spec, psi0, cfg, store_every=cfg.n_steps, n_workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _column_noise_block(ops, rates, psi0, cfg, block, b, sample_steps):
+    """The block step with the whole block's noise drawn in one call, scaled up
+    front and read one strided column per step, s by ``einsum``, and every view
+    sliced in the loop: the bitwise oracle for ``_unravel_block``."""
     dt, n_steps = cfg.dt, cfg.n_steps
-    b, d, m = len(indices), psi0.size, rates.size
-    noise = _block_noise(cfg.master_seed, indices, n_steps, m)
+    d, m = psi0.size, rates.size
+    noise = _block_normals(cfg.master_seed, block, n_steps, m, b).transpose(2, 0, 1)
     noise *= np.sqrt(dt * rates)
     half_dt_rates = (0.5 * dt * rates)[:, None]
     bufs = np.empty((2, m + 2, 2 * d, b))
