@@ -30,8 +30,7 @@ _EXPORTS = {
             "unravel",
         ),
         "baths": (
-            "CoefficientSet", "OhmicLorentzCutoff", "QuadratureConfig", "bath_kernels",
-            "qbm_coefficients", "spin_boson_coefficients",
+            "CoefficientSet", "OhmicLorentzCutoff", "qbm_coefficients", "spin_boson_coefficients",
         ),
         "errors": (
             "ConfigError", "ConvergenceError", "GridResolutionError", "PhysicalityError",

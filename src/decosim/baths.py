@@ -1,20 +1,13 @@
-"""The Lorentz-Drude spectral density, its bath correlation kernels, and weak-coupling coefficients.
-
-The noise kernel nu and dissipation kernel eta are frequency integrals
-of the spectral density weighted by thermal occupation, evaluated by
-composite Simpson quadrature on a uniform grid.  Because Lorentz-type
-densities decay only like 1/w, the top of the frequency window is
-smoothly tapered by default; a hard truncation there would ring through
-every kernel at the 1e-3 level.
+"""The Lorentz-Drude spectral density and its weak-coupling coefficients.
 
 The weak-coupling master-equation coefficients are half-line time
-integrals of those kernels against trigonometric factors at the system
-frequency.  They reduce to J and coth at that frequency plus two
-principal-value frequency integrals, and for the Lorentz-Drude density
-those have exact forms: a rational function for the frequency shift,
-and a Matsubara sum, written with the digamma function, for the
-renormalization and anomalous diffusion.  No kernel grid and no
-quadrature is needed for them.
+integrals of the bath's noise and dissipation kernels against
+trigonometric factors at the system frequency.  They reduce to J and
+coth at that frequency plus two principal-value frequency integrals,
+and for the Lorentz-Drude density those have exact forms: a rational
+function for the frequency shift, and a Matsubara sum, written with the
+digamma function, for the renormalization and anomalous diffusion.  No
+kernel grid and no quadrature is needed for them.
 """
 from __future__ import annotations
 
@@ -22,12 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ConvergenceError
-
-DEFAULT_N_OMEGA = 8193
-TAIL_DECAY_LIMIT = 0.9
-_TAU_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -59,39 +46,6 @@ class OhmicLorentzCutoff:
     def zero_frequency_slope(self) -> float:
         return 2.0 * self.mass * self.gamma0 / np.pi
 
-    def default_omega_max(self) -> float:
-        return 20.0 * self.cutoff
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Frequency quadrature knobs for ``bath_kernels``; ``None`` falls back to the density default.
-
-    ``taper_fraction`` is the top fraction of the frequency window rolled
-    off with a cosine-squared factor before integration (0 disables).
-    """
-
-    omega_max: float | None = None
-    n_omega: int = DEFAULT_N_OMEGA
-    # narrow tapers ring at the 1e-5 level at the default omega_max
-    taper_fraction: float = 0.3
-
-    def __post_init__(self):
-        if self.n_omega < 9:
-            raise ValueError("quadrature grids need at least 9 points")
-        if not 0.0 <= self.taper_fraction < 1.0:
-            raise ValueError("taper_fraction must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class BathKernels:
-    """Noise kernel nu(tau) and dissipation kernel eta(tau) on a shared grid."""
-
-    tau: np.ndarray
-    nu: np.ndarray
-    eta: np.ndarray
-    temperature: float
-
 
 def _thermal_weight(
     omega: np.ndarray, j_vals: np.ndarray, temperature: float, slope0: float
@@ -107,63 +61,6 @@ def _thermal_weight(
     out[~small] = j_vals[~small] / np.tanh(x)
     out[small] = 2.0 * temperature * slope0
     return out
-
-
-def _window(omega: np.ndarray, taper_fraction: float) -> np.ndarray:
-    if taper_fraction == 0.0 or omega[-1] == 0.0:
-        return np.ones_like(omega)
-    edge = omega[-1] * (1.0 - taper_fraction)
-    out = np.ones_like(omega)
-    hi = omega > edge
-    out[hi] = np.cos(0.5 * np.pi * (omega[hi] - edge) / (omega[-1] - edge)) ** 2
-    return out
-
-
-def bath_kernels(
-    density: OhmicLorentzCutoff,
-    temperature: float,
-    tau_grid: np.ndarray,
-    quad: QuadratureConfig | None = None,
-) -> BathKernels:
-    """Quadrature evaluation of the noise and dissipation kernels.
-
-      nu(tau)  = int dw J(w) coth(w/2T) cos(w tau)
-      eta(tau) = int dw J(w) sin(w tau)
-
-    Raises ConvergenceError when the thermally weighted integrand has not
-    decayed at the top of the frequency window (no-cutoff divergence).
-    """
-    from scipy.integrate import simpson  # only simpson: ``quad`` names the config here
-
-    quad = quad or QuadratureConfig()
-    tau = np.asarray(tau_grid, dtype=float)
-    w_max = quad.omega_max if quad.omega_max is not None else density.default_omega_max()
-    omega = np.linspace(0.0, w_max, quad.n_omega)
-    j_vals = np.asarray(density(omega), dtype=float)
-    weighted = _thermal_weight(omega, j_vals, temperature, density.zero_frequency_slope())
-    peak = float(np.abs(j_vals).max())
-    if peak > 0.0:
-        # the raw density must roll off inside the window; the thermal
-        # weight is checked unweighted because its w -> 0 enhancement
-        # would mask a non-decaying tail
-        tail = float(np.abs(j_vals[int(0.9 * j_vals.size):]).mean())
-        if tail > TAIL_DECAY_LIMIT * peak:
-            raise ConvergenceError(
-                "spectral density has not decayed at the frequency window "
-                f"edge (tail/peak = {tail / peak:.2f}); increase omega_max "
-                "or supply a density with a cutoff"
-            )
-    window = _window(omega, quad.taper_fraction)
-    w_nu = weighted * window
-    w_eta = j_vals * window
-    nu = np.empty_like(tau)
-    eta = np.empty_like(tau)
-    for lo in range(0, tau.size, _TAU_CHUNK):
-        sl = slice(lo, min(lo + _TAU_CHUNK, tau.size))
-        phase = np.outer(tau[sl], omega)
-        nu[sl] = simpson(w_nu[None, :] * np.cos(phase), x=omega, axis=1)
-        eta[sl] = simpson(w_eta[None, :] * np.sin(phase), x=omega, axis=1)
-    return BathKernels(tau, nu, eta, float(temperature))
 
 
 @dataclass(frozen=True)

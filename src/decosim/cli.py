@@ -11,15 +11,16 @@ manifest's "config" block rerun through --config reproduces the CSV bytes.
 
 Exit codes: 0 success, 2 config error, 3 numerical contract violation.
 ``main`` is the only place that maps exceptions to them, each reported
-as one stderr line: ConvergenceError (positivity abort, non-convergent
-quadrature), PhysicalityError, GridResolutionError and numpy's
-LinAlgError exit 3; any other ValueError exits 2, and so does a
-MemoryError, since a grid too large for memory is a config choice.  That
-covers a malformed command line, a ConfigError from the parsing here and
-every library constructor or solver that rejects a parameter, so handlers
-call the library without wrapping it and the CLI adds only checks the
-library cannot make: JSON types and shapes, cross-field rules, and finite
-floats for every float field.
+as one stderr line: ConvergenceError (positivity abort, unconverged bath
+discretization, too stiff a generator), PhysicalityError,
+GridResolutionError and numpy's LinAlgError exit 3; any other ValueError
+exits 2, and so does a MemoryError, since a grid too large for memory is a
+config choice.  That covers a malformed command line, a ConfigError from
+the parsing here and every library constructor or solver that rejects a
+parameter, so handlers call the library without wrapping it and the CLI
+adds only checks the library cannot make: JSON types and shapes,
+cross-field rules, finite floats for every float field and int64 range
+for every int field.
 """
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy
 
 # only what every subcommand needs: each handler imports its solver when it runs
 from . import __version__
@@ -101,9 +101,11 @@ _JSON_TYPES = {"float": (int, float), "int": (int, float), "bool": bool, "str": 
 
 
 def _coerce(field: Field, value):
-    """The one check of a config value, from a file or a flag: JSON type, finiteness, choices.
+    """The one check of a config value, from a file or a flag: JSON type, range, choices.
 
     Numbers are JSON numbers, never booleans or text; an int may be written 1e3.
+    A float must be finite and an int must fit an int64, except master_seed,
+    the uint64 Philox key, whose range [0, 2**64) TrajectoryConfig checks.
     """
     if field.kind == "json":
         return value
@@ -120,6 +122,8 @@ def _coerce(field: Field, value):
         raise ConfigError(f"'{field.name}' expects a {field.kind}, got {value!r}") from None
     if field.kind == "float" and not np.isfinite(out):
         raise ConfigError(f"'{field.name}' must be finite, got {value!r}")
+    if field.kind == "int" and field.name != "master_seed" and not -2**63 <= out < 2**63:
+        raise ConfigError(f"'{field.name}' must lie in [-2**63, 2**63), got {value!r}")
     if field.choices and out not in field.choices:
         raise ConfigError(f"'{field.name}' must be one of {list(field.choices)}, got {value!r}")
     return out
@@ -838,7 +842,6 @@ def main(argv=None) -> int:
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "decosim": __version__,
         },
         "wall_time_s": time.perf_counter() - started,

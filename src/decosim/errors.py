@@ -6,7 +6,7 @@ class PhysicalityError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A quadrature or truncated expansion failed its convergence check."""
+    """A discretization or propagation failed its convergence or stiffness check."""
 
 
 class PositivityError(ConvergenceError):

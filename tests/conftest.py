@@ -50,10 +50,9 @@ class SampledSpectralDensity:
     """Nonnegative samples on an increasing frequency grid, linear in between, zero outside.
 
     A test-side density for single-mode and spike baths: it offers the
-    call that the spin-boson mode discretization reads, and the call,
-    ``zero_frequency_slope`` and ``default_omega_max`` that ``bath_kernels``
-    reads.  The spin-boson solver's default window needs a Drude cutoff,
-    so calls with this density pass ``omega_max``.
+    call that the spin-boson mode discretization reads.  The spin-boson
+    solver's default window needs a Drude cutoff, so calls with this
+    density pass ``omega_max``, such as ``default_omega_max``.
     """
 
     omegas: np.ndarray

@@ -3,15 +3,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import psi
 
-from decosim import (
-    OhmicLorentzCutoff,
-    QuadratureConfig,
-    bath_kernels,
-    qbm_coefficients,
-    spin_boson_coefficients,
-)
+from decosim import OhmicLorentzCutoff, qbm_coefficients, spin_boson_coefficients
 from decosim.baths import _digamma
-from decosim.errors import ConvergenceError
 
 from conftest import SampledSpectralDensity
 
@@ -25,28 +18,6 @@ def test_density_shape_and_slope():
     expected = (2 * MASS * GAMMA0 / np.pi) * w * CUTOFF**2 / (CUTOFF**2 + w**2)
     assert np.allclose(vals, expected, rtol=1e-14)
     assert DENSITY.zero_frequency_slope() == pytest.approx(2 * MASS * GAMMA0 / np.pi)
-
-
-def test_dissipation_kernel_closed_form():
-    # eta(tau) = M gamma0 cutoff^2 exp(-cutoff tau) for this density family.
-    # Pointwise kernel values from a windowed quadrature of a 1/omega-tail
-    # density are only good to ~1% (truncation + taper bias); the half-line
-    # coefficient integrals built from the same machinery are tested at 1e-5
-    # below, which is where the precision actually matters.
-    tau = np.linspace(0.05, 0.6, 40)
-    kernels = bath_kernels(DENSITY, 0.0, tau, QuadratureConfig(omega_max=400.0, n_omega=16385))
-    expected = MASS * GAMMA0 * CUTOFF**2 * np.exp(-CUTOFF * tau)
-    assert np.abs(kernels.eta - expected).max() < 2e-2 * expected.max()
-
-
-def test_noise_kernel_even_and_real_structure():
-    tau = np.linspace(0.0, 1.0, 64)
-    k_cold = bath_kernels(DENSITY, 0.0, tau)
-    k_warm = bath_kernels(DENSITY, 5.0, tau)
-    # thermal weighting only ever raises the zero-time noise level
-    assert k_warm.nu[0] > k_cold.nu[0]
-    # dissipation kernel is temperature independent
-    assert np.abs(k_warm.eta - k_cold.eta).max() < 1e-10 * np.abs(k_cold.eta).max()
 
 
 def test_pure_dephasing_coefficient_closed_form():
@@ -140,12 +111,6 @@ def test_high_temperature_limits():
     assert coeffs.damping == pytest.approx(GAMMA0, rel=5e-3)
 
 
-def test_flat_density_rejected_by_decay_check():
-    flat = SampledSpectralDensity(np.linspace(0.0, 50.0, 200), np.full(200, 0.3))
-    with pytest.raises(ConvergenceError):
-        bath_kernels(flat, 1.0, np.linspace(0, 1, 32))
-
-
 def test_sampled_density_interpolation():
     grid = np.array([0.0, 1.0, 2.0])
     dens = SampledSpectralDensity(grid, np.array([0.0, 2.0, 0.0]))
@@ -159,10 +124,3 @@ def test_sampled_density_validation():
         SampledSpectralDensity(np.array([1.0, 0.5]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         SampledSpectralDensity(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
-
-
-def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(n_omega=5)
-    with pytest.raises(ValueError):
-        QuadratureConfig(taper_fraction=1.0)

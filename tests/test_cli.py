@@ -82,7 +82,7 @@ def test_evolve_writes_csv_and_manifest(tmp_path):
     assert manifest["subcommand"] == "evolve"
     assert manifest["outputs"] == ["evolve.csv"]
     assert manifest["config"]["t_final"] == 0.5
-    assert set(manifest["versions"]) == {"python", "numpy", "scipy", "decosim"}
+    assert set(manifest["versions"]) == {"python", "numpy", "decosim"}
     assert manifest["wall_time_s"] > 0
 
 
@@ -204,6 +204,15 @@ def test_trajectory_bounds_exit_2(tmp_path, capsys, monkeypatch, flags, workers_
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
+
+
+def test_master_seed_keeps_its_uint64_range(tmp_path):
+    # the Philox key is a uint64: seeds from 2**63 up are not int64s but still run
+    for seed in (2**63, 2**64 - 1):
+        rc = main(["trajectories", *_DEPHASING_FLAGS, "--dt", "0.1", "--n-trajectories", "2",
+                   "--master-seed", str(seed), "--output", str(tmp_path)])
+        assert rc == 0
+        assert _manifest(tmp_path)["seed"] == seed
 
 
 def _child_env(extra_env):
@@ -640,12 +649,12 @@ _DEPHASING_FLAGS = ["--hamiltonian", "sigma_x", "--lindblad",
                     '[{"operator": "sigma_z", "rate": 0.5}]', "--t-final", "0.2"]
 
 
-def test_import_and_estimate_load_no_scipy_subpackage(tmp_path):
-    # each subcommand runs in its own process; importing a SciPy subpackage
-    # at module level would cost every one of them about 0.25 s, and neither
-    # propagator of evolve (dense up to dimension 12, Taylor above, here
-    # qbm at n_max 40), the sine integral of collisional, nor the closed-form
-    # principal value of spinboson with tunneling needs one
+def test_no_subcommand_loads_scipy(tmp_path):
+    # each subcommand runs in its own process, and SciPy is a test-only
+    # dependency: neither propagator of evolve (dense up to dimension 12,
+    # Taylor above, here qbm at n_max 40), the sine integral of collisional,
+    # the closed-form principal value of spinboson with tunneling, nor the
+    # manifest's versions block imports any part of it
     runs = [
         ["estimate", "--mass-g", "1", "--temp-K", "300", "--dx-cm", "1"],
         ["evolve", *_DEPHASING_FLAGS, "--dt", "0.1"],
@@ -660,15 +669,18 @@ def test_import_and_estimate_load_no_scipy_subpackage(tmp_path):
          "--n-max", "40", "--t-final", "0.1", "--dt", "0.01", "--no-wigner"],
         ["collisional", "--density-amplitude", "1", "--q-max", "2", "--speed", "1",
          "--f2", "1", "--dx-min", "0.01", "--dx-max", "100", "--n-dx", "9", "--log-spacing"],
+        ["spinspin", "--n-env", "3", "--t-max", "1", "--n-times", "5"],
+        ["dfs", "--collective", "--n", "3"],
+        ["qec", "--p-list", "[0.05]", "--n-shots", "100"],
     ]
+    assert {argv[0] for argv in runs} == set(COMMANDS)
     script = (
         "import json, os, sys\n"
         "import decosim, decosim.cli\n"
         "for i, argv in enumerate(json.loads(sys.argv[2])):\n"
         "    out = os.path.join(sys.argv[1], str(i))\n"
         "    assert decosim.cli.main(argv + ['--output', out]) == 0, argv\n"
-        "heavy = ('linalg', 'sparse', 'integrate', 'optimize', 'special', 'constants')\n"
-        "print(sorted(m for m in sys.modules if m in {'scipy.' + h for h in heavy}))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -794,7 +806,7 @@ _SWEEP_BASES = {
 # boundary and invalid values per field kind
 _SWEEP_VALUES = {
     "float": [0.0, -1.0, float("nan"), float("inf"), float("-inf"), "abc"],
-    "int": [0, -1, 1, 1.5, "abc"],
+    "int": [0, -1, 1, 1.5, "abc", 2**63, 1e300],
     "str": [5],
     "bool": ["abc"],
 }
