@@ -9,6 +9,12 @@ bools), and ``_coerce`` checks both alike.  Each run writes plot-ready CSV
 the fully resolved config, the seed, library versions, and wall time; the
 manifest's "config" block rerun through --config reproduces the CSV bytes.
 
+Handlers compute and return their outputs, each a file name (or names), a
+writer and its unrendered arguments, and ``main`` alone writes them, then
+the manifest.  So a run that exits 2 or 3 writes no data file and no
+manifest, and an output that cannot be written exits 2: ``main`` removes
+every file the run already wrote.
+
 Exit codes: 0 success, 2 config error, 3 numerical contract violation.
 ``main`` is the only place that maps exceptions to them, each reported
 as one stderr line: ConvergenceError (positivity abort, unconverged bath
@@ -252,7 +258,7 @@ EVOLVE_SCHEMA = _OPERATOR_FIELDS + (
 )
 
 
-def _cmd_evolve(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+def _cmd_evolve(cfg: dict) -> tuple[list, dict]:
     from .dynamics import evolve
 
     spec = _build_lindblad(cfg)
@@ -269,9 +275,7 @@ def _cmd_evolve(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     header = ["t", "purity", "entropy"] + _density_columns(spec.dim)
     table = np.column_stack([result.times, purity(result.states), spectral_entropy(result.spectra),
                              result.states.reshape(len(result.times), -1).view(float)])
-    path = os.path.join(outdir, "evolve.csv")
-    write_csv(path, header, table)
-    return [path], {}
+    return [("evolve.csv", write_csv, header, table)], {}
 
 
 TRAJECTORIES_SCHEMA = _OPERATOR_FIELDS + (
@@ -286,7 +290,7 @@ TRAJECTORIES_SCHEMA = _OPERATOR_FIELDS + (
 )
 
 
-def _cmd_trajectories(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+def _cmd_trajectories(cfg: dict) -> tuple[list, dict]:
     from .dynamics import TrajectoryConfig, evolve, unravel
 
     spec = _build_lindblad(cfg)
@@ -309,9 +313,7 @@ def _cmd_trajectories(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     n = len(ens.times)
     table = np.column_stack([ens.times, ens.ensemble.reshape(n, -1).view(float),
                              ref.states.reshape(n, -1).view(float), distance])
-    path = os.path.join(outdir, "trajectories.csv")
-    write_csv(path, header, table)
-    return [path], {"final_trace_distance": distance[-1]}
+    return [("trajectories.csv", write_csv, header, table)], {"final_trace_distance": distance[-1]}
 
 
 COLLISIONAL_SCHEMA = (
@@ -329,7 +331,7 @@ COLLISIONAL_SCHEMA = (
 )
 
 
-def _cmd_collisional(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+def _cmd_collisional(cfg: dict) -> tuple[list, dict]:
     from .models.collisional import ScatteringModel, decoherence_rates, localization_rate
 
     if cfg["n_dx"] < 1 or cfg["dx_min"] <= 0 or cfg["dx_max"] <= cfg["dx_min"]:
@@ -348,9 +350,9 @@ def _cmd_collisional(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     table = np.column_stack(
         [grid, curve, np.full_like(grid, rates.total_rate), rates.prefactor * grid**2]
     )
-    path = os.path.join(outdir, "collisional.csv")
-    write_csv(path, ["dx", "localization_rate", "gamma_tot", "lambda_dx2"], table)
-    return [path], {"gamma_tot": rates.total_rate, "lambda": rates.prefactor}
+    header = ["dx", "localization_rate", "gamma_tot", "lambda_dx2"]
+    return ([("collisional.csv", write_csv, header, table)],
+            {"gamma_tot": rates.total_rate, "lambda": rates.prefactor})
 
 
 QBM_SCHEMA = (
@@ -372,7 +374,7 @@ QBM_SCHEMA = (
 )
 
 
-def _cmd_qbm(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+def _cmd_qbm(cfg: dict) -> tuple[list, dict]:
     from .dynamics import evolve
     from .models.qbm import (
         caldeira_leggett_generator,
@@ -412,26 +414,21 @@ def _cmd_qbm(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     relative = cross / cross[0] if cross[0] > 0 else np.zeros_like(cross)
     table = np.column_stack([result.times, purity(result.states), spectral_entropy(result.spectra),
                              truncation_tail(result.states), relative])
-    path = os.path.join(outdir, "qbm.csv")
-    write_csv(path, ["t", "purity", "entropy", "tail_population", "relative_coherence"], table)
-    outputs = [path]
-    summary = {"final_relative_coherence": relative[-1]}
+    header = ["t", "purity", "entropy", "tail_population", "relative_coherence"]
+    outputs = [("qbm.csv", write_csv, header, table)]
     if cfg["wigner"]:
         for tag, state in (("initial", result.states[0]), ("final", result.states[-1])):
             grid = wigner_from_fock(state, cfg["mass"], cfg["frequency"], positions)
-            outputs += _write_wigner(outdir, tag, grid)
-    return outputs, summary
+            outputs.append(((f"wigner_{tag}.csv", f"wigner_{tag}_matrix.csv"), _write_wigner, grid))
+    return outputs, {"final_relative_coherence": relative[-1]}
 
 
-def _write_wigner(outdir: str, tag: str, grid: WignerGrid) -> list[str]:
+def _write_wigner(tri_path: str, mat_path: str, grid: WignerGrid) -> None:
     """(x, p, w) triples and the coordinate matrix of one grid, from one rendering of each value."""
     xs, ps, ws = render_cells(grid.x), render_cells(grid.p), render_cells(grid.values)
     triples = np.column_stack([np.repeat(xs, ps.size), np.tile(ps, xs.size), ws.ravel()])
-    tri_path = os.path.join(outdir, f"wigner_{tag}.csv")
     write_csv(tri_path, ["x", "p", "w"], triples)
-    mat_path = os.path.join(outdir, f"wigner_{tag}_matrix.csv")
     write_coordinate_matrix(mat_path, xs, ps, ws)
-    return [tri_path, mat_path]
 
 
 SPINBOSON_SCHEMA = (
@@ -450,7 +447,7 @@ SPINBOSON_SCHEMA = (
 )
 
 
-def _cmd_spinboson(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+def _cmd_spinboson(cfg: dict) -> tuple[list, dict]:
     from .baths import OhmicLorentzCutoff
     from .dynamics import evolve
     from .models.spinboson import spin_boson_born_markov_generator, spin_boson_exact_dephasing
@@ -479,9 +476,7 @@ def _cmd_spinboson(cfg: dict, outdir: str) -> tuple[list[str], dict]:
         coherence = result.states[:, 0, 1]
         header += ["born_markov_abs"]
         columns += [np.abs(coherence / coherence[0])]
-    path = os.path.join(outdir, "spinboson.csv")
-    write_csv(path, header, np.column_stack(columns))
-    return [path], summary
+    return [("spinboson.csv", write_csv, header, np.column_stack(columns))], summary
 
 
 _SPIN_BATH_FIELDS = (
@@ -513,7 +508,7 @@ def _resolve_couplings(cfg: dict) -> tuple[float, ...]:
     return tuple(rng.uniform(cfg["coupling_low"], cfg["coupling_high"], cfg["n_env"]).tolist())
 
 
-def _cmd_spinspin(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+def _cmd_spinspin(cfg: dict) -> tuple[list, dict]:
     from .models.spinspin import SpinEnvironment, spin_spin_exact
 
     couplings = _resolve_couplings(cfg)
@@ -529,9 +524,8 @@ def _cmd_spinspin(cfg: dict, outdir: str) -> tuple[list[str], dict]:
     if cfg["tunneling"] == 0.0:
         header.append("product_reference")
         columns.append(np.prod(np.abs(np.cos(np.outer(times, couplings))), axis=1))
-    path = os.path.join(outdir, "spinspin.csv")
-    write_csv(path, header, np.column_stack(columns))
-    return [path], {"couplings": list(couplings)}
+    return ([("spinspin.csv", write_csv, header, np.column_stack(columns))],
+            {"couplings": list(couplings)})
 
 
 SIEVE_SCHEMA = (
@@ -547,7 +541,7 @@ SIEVE_SCHEMA = (
 )
 
 
-def _cmd_sieve(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+def _cmd_sieve(cfg: dict) -> tuple[list, dict]:
     from .dynamics import LindbladSpec
     from .models.spinspin import SpinEnvironment
     from .pointer import predictability_sieve
@@ -572,11 +566,10 @@ def _cmd_sieve(cfg: dict, outdir: str) -> tuple[list[str], dict]:
                               np.concatenate([c.purity for c in cands]),
                               np.concatenate([c.entropy for c in cands])])
     label_cells = np.repeat(np.array([c.label for c in cands], dtype=bytes), times.size)
-    path = os.path.join(outdir, "sieve.csv")
-    write_csv(path, ["label", "t", "purity", "entropy"],
-              np.column_stack([label_cells, render_cells(values)]))
     print("ranking (most predictable first): " + ", ".join(report.ranking))
-    return [path], {"ranking": list(report.ranking)}
+    return ([("sieve.csv", write_csv, ["label", "t", "purity", "entropy"],
+              np.column_stack([label_cells, render_cells(values)]))],
+            {"ranking": list(report.ranking)})
 
 
 DFS_SCHEMA = (
@@ -588,7 +581,7 @@ DFS_SCHEMA = (
 )
 
 
-def _cmd_dfs(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+def _cmd_dfs(cfg: dict) -> tuple[list, dict]:
     from .pointer import InteractionSpec, collective_dfs, dfs_find
 
     payload: dict = {}
@@ -629,9 +622,7 @@ def _cmd_dfs(cfg: dict, outdir: str) -> tuple[list[str], dict]:
             "basis": result.basis,
         }
         summary = {"dimension": result.dimension}
-    path = os.path.join(outdir, "dfs_basis.json")
-    write_json(path, payload)
-    return [path], summary
+    return [("dfs_basis.json", write_json, payload)], summary
 
 
 QEC_SCHEMA = (
@@ -642,20 +633,16 @@ QEC_SCHEMA = (
 )
 
 
-def _cmd_qec(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+def _cmd_qec(cfg: dict) -> tuple[list, dict]:
     from .qec import logical_error_rate
 
     p_values = _parse_floats(cfg["p_list"], "p_list")
     rows = logical_error_rate(p_values, n_shots=cfg["n_shots"], seed=cfg["seed"])
     rates = np.array([[r.flip_probability, r.uncorrected_rate, r.corrected_rate] for r in rows])
     shots = np.array([str(r.n_shots) for r in rows], dtype=bytes)
-    path = os.path.join(outdir, "qec.csv")
-    write_csv(
-        path,
-        ["p", "logical_error_rate_uncorrected", "logical_error_rate_corrected", "n_shots"],
-        np.column_stack([render_cells(rates.reshape(-1, 3)), shots]),
-    )
-    return [path], {}
+    header = ["p", "logical_error_rate_uncorrected", "logical_error_rate_corrected", "n_shots"]
+    return [("qec.csv", write_csv, header,
+             np.column_stack([render_cells(rates.reshape(-1, 3)), shots]))], {}
 
 
 ESTIMATE_SCHEMA = (
@@ -674,12 +661,11 @@ ESTIMATE_SCHEMA = (
 )
 
 
-def _cmd_estimate(cfg: dict, outdir: str) -> tuple[list[str], dict]:
+def _cmd_estimate(cfg: dict) -> tuple[list, dict]:
     from .models.estimates import table1_scenarios, timescale_ratio, visibility_vs_pressure
 
-    outputs: list[str] = []
+    outputs: list = []
     summary: dict = {}
-    ran = False
     if cfg["mass_g"] is not None or cfg["temp_K"] is not None or cfg["dx_cm"] is not None:
         for key in ("mass_g", "temp_K", "dx_cm"):
             if cfg[key] is None:
@@ -689,12 +675,10 @@ def _cmd_estimate(cfg: dict, outdir: str) -> tuple[list[str], dict]:
             f"relaxation/decoherence ratio ~ {report.ratio:.3e} "
             f"(thermal wavelength {report.lambda_db:.3e} m)"
         )
-        path = os.path.join(outdir, "estimate.csv")
         values = [cfg["mass_g"], cfg["temp_K"], cfg["dx_cm"], report.lambda_db, report.ratio]
-        write_csv(path, ["mass_g", "temp_K", "dx_cm", "lambda_db_m", "ratio"], np.array([values]))
-        outputs.append(path)
+        outputs.append(("estimate.csv", write_csv,
+                        ["mass_g", "temp_K", "dx_cm", "lambda_db_m", "ratio"], np.array([values])))
         summary["ratio"] = report.ratio
-        ran = True
     if cfg["table1"]:
         if not cfg["constants"]:
             raise ConfigError("table mode needs 'constants'")
@@ -703,15 +687,12 @@ def _cmd_estimate(cfg: dict, outdir: str) -> tuple[list[str], dict]:
                         dtype=bytes)
         numbers = render_cells(np.array([[e.separation, e.constant_value, e.tau_computed,
                                           e.tau_reference] for e in entries]))
-        path = os.path.join(outdir, "estimate_table.csv")
-        write_csv(
-            path,
+        outputs.append((
+            "estimate_table.csv", write_csv,
             ["environment", "object", "separation_m", "constant_kind", "constant_value",
              "tau_computed_s", "tau_reference_s"],
             np.column_stack([text[:, :2], numbers[:, :1], text[:, 2:], numbers[:, 1:]]),
-        )
-        outputs.append(path)
-        ran = True
+        ))
     if cfg["visibility"]:
         for key in ("gamma_per_pressure", "t_transit", "p_max"):
             if cfg[key] is None:
@@ -722,15 +703,9 @@ def _cmd_estimate(cfg: dict, outdir: str) -> tuple[list[str], dict]:
             cfg["gamma_per_pressure"], cfg["t_transit"],
             _uniform_grid(0.0, cfg["p_max"], cfg["n_p"], "pressure"), v0=cfg["v0"],
         )
-        path = os.path.join(outdir, "visibility.csv")
-        write_csv(
-            path,
-            ["pressure", "visibility"],
-            np.column_stack([curve.pressures, curve.visibility]),
-        )
-        outputs.append(path)
-        ran = True
-    if not ran:
+        outputs.append(("visibility.csv", write_csv, ["pressure", "visibility"],
+                        np.column_stack([curve.pressures, curve.visibility])))
+    if not outputs:
         raise ConfigError(
             "choose a mode: --mass-g/--temp-K/--dx-cm, --table1, or --visibility"
         )
@@ -810,8 +785,28 @@ def _json_safe(value):
     return value
 
 
+def _inode(path: str) -> int | None:
+    try:
+        return os.stat(path).st_ino
+    except OSError:
+        return None
+
+
+def _write(outdir: str, before: dict, names, writer, *args) -> list[str]:
+    """Call an output's writer on its paths in ``outdir``; ``before`` keeps each path's prior inode."""
+    names = (names,) if isinstance(names, str) else names
+    paths = [os.path.join(outdir, name) for name in names]
+    before.update((path, _inode(path)) for path in paths)
+    try:
+        writer(*paths, *args)
+    except OSError as exc:
+        raise ConfigError(f"'output': cannot write {' and '.join(names)}: {exc}") from None
+    return paths
+
+
 def main(argv=None) -> int:
     started = time.perf_counter()
+    before: dict[str, int | None] = {}
     try:
         args = build_parser().parse_args(argv)
         schema, handler, _ = COMMANDS[args.command]
@@ -821,36 +816,40 @@ def main(argv=None) -> int:
             os.makedirs(outdir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"'output': cannot create directory: {exc}") from None
-        outputs, summary = handler(cfg, outdir)
+        outputs, summary = handler(cfg)
+        paths = [path for output in outputs for path in _write(outdir, before, *output)]
+        manifest = {
+            "subcommand": args.command,
+            "config": _json_safe(cfg),
+            "seed": next((cfg[k] for k in ("seed", "master_seed", "coupling_seed") if k in cfg),
+                         None),
+            "outputs": [os.path.basename(p) for p in paths],
+            "versions": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "decosim": __version__,
+            },
+            "wall_time_s": time.perf_counter() - started,
+            "summary": _json_safe(summary),
+        }
+        _write(outdir, before, "manifest.json", write_json, manifest)
     # the numerical classes first: PhysicalityError, GridResolutionError and
     # LinAlgError are ValueErrors too
     except (ConvergenceError, PhysicalityError, GridResolutionError, np.linalg.LinAlgError) as exc:
-        print(f"numerical contract violated: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, f"numerical contract violated: {exc}"
     except ValueError as exc:  # ConfigError and every library parameter check
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"config error: {exc}"
     except MemoryError as exc:
-        print("config error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
-        return 2
-    seed = next((cfg[k] for k in ("seed", "master_seed", "coupling_seed") if k in cfg), None)
-    manifest = {
-        "subcommand": args.command,
-        "config": _json_safe(cfg),
-        "seed": seed,
-        "outputs": [os.path.basename(p) for p in outputs],
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "decosim": __version__,
-        },
-        "wall_time_s": time.perf_counter() - started,
-        "summary": _json_safe(summary),
-    }
-    write_json(os.path.join(outdir, "manifest.json"), manifest)
-    for path in outputs:
-        print(f"wrote {path}")
-    return 0
+        code, message = 2, "config error: out of memory" + (f": {exc}" if str(exc) else "")
+    else:
+        for path in paths:
+            print(f"wrote {path}")
+        return 0
+    for path, inode in before.items():  # a file this run created or replaced
+        if _inode(path) not in (None, inode):
+            os.unlink(path)
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

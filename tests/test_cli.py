@@ -152,6 +152,33 @@ def test_numerical_contract_violations_exit_3(tmp_path, capsys):
                             "--output", str(tmp_path)])
     assert rc == 3
     assert "too stiff to propagate" in capsys.readouterr().err
+    # an 11-point window misses trace mass: the grid check fails after the
+    # evolution, and no table of the run is left behind
+    outdir = tmp_path / "coarse-wigner"
+    config = tmp_path / "coarse-wigner.json"
+    config.write_text(json.dumps(dict(_SWEEP_BASES["qbm"][0], wigner=True, n_x=11)))
+    assert main(["qbm", "--config", str(config), "--output", str(outdir)]) == 3
+    assert "position grid captures trace" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("evolve", "evolve.csv"),
+    ("evolve", "manifest.json"),
+    ("qbm", "wigner_final_matrix.csv"),  # the last of five tables, with --wigner
+])
+def test_an_unwritable_output_exits_2_and_leaves_no_file(tmp_path, capsys, command, blocked):
+    # a directory at an output's name fails its write; the files the run wrote
+    # before it are removed again, and the directory is all that is left
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_SWEEP_BASES[command][0]))
+    outdir = tmp_path / "out"
+    (outdir / blocked).mkdir(parents=True)
+    assert main([command, "--config", str(config), "--output", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    _assert_one_line(err, 2)
+    assert err.startswith("config error: 'output': cannot write ") and blocked in err
+    assert [p.name for p in outdir.iterdir()] == [blocked]
 
 
 def test_trajectories_track_the_master_equation(tmp_path):
@@ -803,9 +830,10 @@ _SWEEP_BASES = {
                       visibility=True, gamma_per_pressure=2.0, t_transit=0.5, p_max=3.0,
                       n_p=4)],
 }
+_DOUBLE_EXTREMES = [1e300, -1e300, 1e-300, -1e-300, 1e306, 1e-306, sys.float_info.max, 5e-324]
 # boundary and invalid values per field kind
 _SWEEP_VALUES = {
-    "float": [0.0, -1.0, float("nan"), float("inf"), float("-inf"), "abc"],
+    "float": [0.0, -1.0, float("nan"), float("inf"), float("-inf"), "abc"] + _DOUBLE_EXTREMES,
     "int": [0, -1, 1, 1.5, "abc", 2**63, 1e300],
     "str": [5],
     "bool": ["abc"],
@@ -844,10 +872,16 @@ def _sweep_values(field):
     return _SWEEP_VALUES[field.kind]
 
 
+def _inodes(root):
+    """Every file under ``root`` by relative path, with its inode: an atomic write changes it."""
+    return {str(p.relative_to(root)): p.stat().st_ino for p in root.rglob("*") if p.is_file()}
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_schema_sweep_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, command):
     # each value goes in once through the config file and once as the field's
-    # flag, whose text is the value's JSON (the bare text for a str field)
+    # flag, whose text is the value's JSON (the bare text for a str field); a
+    # run that exits nonzero creates and replaces no file
     monkeypatch.chdir(tmp_path)  # a str value swept into --output names a directory here
     schema = COMMANDS[command][0]
     cfg_path = tmp_path / "cfg.json"
@@ -868,6 +902,7 @@ def test_schema_sweep_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch
                 ]:
                     capsys.readouterr()
                     case += f" from {base}"
+                    files = _inodes(tmp_path)
                     try:
                         rc = main(argv)
                     except (Exception, SystemExit) as exc:  # no traceback, no usage dump
@@ -881,10 +916,9 @@ def test_schema_sweep_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch
                             _assert_one_line(err, rc)
                         except AssertionError:
                             violations.append(f"{case}: exit {rc} with stderr {err!r}")
+                        if _inodes(tmp_path) != files:
+                            violations.append(f"{case}: exit {rc} created or replaced files")
     assert not violations, "\n".join(violations)
-
-
-_DOUBLE_EXTREMES = [1e300, -1e300, 1e-300, -1e-300, 1e306, 1e-306, sys.float_info.max, 5e-324]
 
 
 def test_spinboson_extremes_keep_the_one_line_contract(tmp_path, capsys):
@@ -1036,6 +1070,7 @@ def test_invalid_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "deep.json").write_text('{"hamiltonian": ' + _nested(100000) + "}")
     assert main(argv) == 2
     _assert_one_line(capsys.readouterr().err, 2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json", "taken"]
 
 
 _DBL_MAX = "1.7976931348623157e308"
