@@ -10,10 +10,12 @@ the fully resolved config, the seed, library versions, and wall time; the
 manifest's "config" block rerun through --config reproduces the CSV bytes.
 
 Handlers compute and return their outputs, each a file name (or names), a
-writer and its unrendered arguments, and ``main`` alone writes them, then
-the manifest.  So a run that exits 2 or 3 writes no data file and no
-manifest, and an output that cannot be written exits 2: ``main`` removes
-every file the run already wrote.
+writer and its unrendered arguments, with the manifest summary and the
+result lines for stdout, and ``main`` alone writes them, then the
+manifest, then prints the lines.  So a run that exits 2 or 3 writes no
+data file and no manifest and prints nothing to stdout, and an output that
+cannot be written exits 2: ``main`` removes every file the run already
+wrote.
 
 Exit codes: 0 success, 2 config error, 3 numerical contract violation.
 ``main`` is the only place that maps exceptions to them, each reported
@@ -111,7 +113,8 @@ def _coerce(field: Field, value):
 
     Numbers are JSON numbers, never booleans or text; an int may be written 1e3.
     A float must be finite and an int must fit an int64, except master_seed,
-    the uint64 Philox key, whose range [0, 2**64) TrajectoryConfig checks.
+    the SeedSequence entropy of the per-block SFC64 streams, whose range
+    [0, 2**64) TrajectoryConfig checks.
     """
     if field.kind == "json":
         return value
@@ -258,7 +261,7 @@ EVOLVE_SCHEMA = _OPERATOR_FIELDS + (
 )
 
 
-def _cmd_evolve(cfg: dict) -> tuple[list, dict]:
+def _cmd_evolve(cfg: dict) -> tuple[list, dict, list[str]]:
     from .dynamics import evolve
 
     spec = _build_lindblad(cfg)
@@ -275,7 +278,7 @@ def _cmd_evolve(cfg: dict) -> tuple[list, dict]:
     header = ["t", "purity", "entropy"] + _density_columns(spec.dim)
     table = np.column_stack([result.times, purity(result.states), spectral_entropy(result.spectra),
                              result.states.reshape(len(result.times), -1).view(float)])
-    return [("evolve.csv", write_csv, header, table)], {}
+    return [("evolve.csv", write_csv, header, table)], {}, []
 
 
 TRAJECTORIES_SCHEMA = _OPERATOR_FIELDS + (
@@ -283,14 +286,15 @@ TRAJECTORIES_SCHEMA = _OPERATOR_FIELDS + (
     Field("t_final", "float", "evolution time", required=True),
     Field("dt", "float", "Euler-Maruyama step", required=True),
     Field("n_trajectories", "int", "ensemble size", required=True),
-    Field("master_seed", "int", "seed in [0, 2**64) of the per-block Philox streams", default=2026),
+    Field("master_seed", "int", "seed in [0, 2**64) of the per-block SFC64/SeedSequence streams",
+          default=2026),
     Field("store_every", "int", "snapshot stride in steps", default=1),
     Field("workers", "int", "thread count (default: DECOSIM_WORKERS or 1)"),
     Field("output", "str", "output directory", default="."),
 )
 
 
-def _cmd_trajectories(cfg: dict) -> tuple[list, dict]:
+def _cmd_trajectories(cfg: dict) -> tuple[list, dict, list[str]]:
     from .dynamics import TrajectoryConfig, evolve, unravel
 
     spec = _build_lindblad(cfg)
@@ -313,7 +317,8 @@ def _cmd_trajectories(cfg: dict) -> tuple[list, dict]:
     n = len(ens.times)
     table = np.column_stack([ens.times, ens.ensemble.reshape(n, -1).view(float),
                              ref.states.reshape(n, -1).view(float), distance])
-    return [("trajectories.csv", write_csv, header, table)], {"final_trace_distance": distance[-1]}
+    return ([("trajectories.csv", write_csv, header, table)],
+            {"final_trace_distance": distance[-1]}, [])
 
 
 COLLISIONAL_SCHEMA = (
@@ -331,7 +336,7 @@ COLLISIONAL_SCHEMA = (
 )
 
 
-def _cmd_collisional(cfg: dict) -> tuple[list, dict]:
+def _cmd_collisional(cfg: dict) -> tuple[list, dict, list[str]]:
     from .models.collisional import ScatteringModel, decoherence_rates, localization_rate
 
     if cfg["n_dx"] < 1 or cfg["dx_min"] <= 0 or cfg["dx_max"] <= cfg["dx_min"]:
@@ -352,7 +357,7 @@ def _cmd_collisional(cfg: dict) -> tuple[list, dict]:
     )
     header = ["dx", "localization_rate", "gamma_tot", "lambda_dx2"]
     return ([("collisional.csv", write_csv, header, table)],
-            {"gamma_tot": rates.total_rate, "lambda": rates.prefactor})
+            {"gamma_tot": rates.total_rate, "lambda": rates.prefactor}, [])
 
 
 QBM_SCHEMA = (
@@ -374,7 +379,7 @@ QBM_SCHEMA = (
 )
 
 
-def _cmd_qbm(cfg: dict) -> tuple[list, dict]:
+def _cmd_qbm(cfg: dict) -> tuple[list, dict, list[str]]:
     from .dynamics import evolve
     from .models.qbm import (
         caldeira_leggett_generator,
@@ -420,7 +425,7 @@ def _cmd_qbm(cfg: dict) -> tuple[list, dict]:
         for tag, state in (("initial", result.states[0]), ("final", result.states[-1])):
             grid = wigner_from_fock(state, cfg["mass"], cfg["frequency"], positions)
             outputs.append(((f"wigner_{tag}.csv", f"wigner_{tag}_matrix.csv"), _write_wigner, grid))
-    return outputs, {"final_relative_coherence": relative[-1]}
+    return outputs, {"final_relative_coherence": relative[-1]}, []
 
 
 def _write_wigner(tri_path: str, mat_path: str, grid: WignerGrid) -> None:
@@ -447,7 +452,7 @@ SPINBOSON_SCHEMA = (
 )
 
 
-def _cmd_spinboson(cfg: dict) -> tuple[list, dict]:
+def _cmd_spinboson(cfg: dict) -> tuple[list, dict, list[str]]:
     from .baths import OhmicLorentzCutoff
     from .dynamics import evolve
     from .models.spinboson import spin_boson_born_markov_generator, spin_boson_exact_dephasing
@@ -476,7 +481,7 @@ def _cmd_spinboson(cfg: dict) -> tuple[list, dict]:
         coherence = result.states[:, 0, 1]
         header += ["born_markov_abs"]
         columns += [np.abs(coherence / coherence[0])]
-    return [("spinboson.csv", write_csv, header, np.column_stack(columns))], summary
+    return [("spinboson.csv", write_csv, header, np.column_stack(columns))], summary, []
 
 
 _SPIN_BATH_FIELDS = (
@@ -508,7 +513,7 @@ def _resolve_couplings(cfg: dict) -> tuple[float, ...]:
     return tuple(rng.uniform(cfg["coupling_low"], cfg["coupling_high"], cfg["n_env"]).tolist())
 
 
-def _cmd_spinspin(cfg: dict) -> tuple[list, dict]:
+def _cmd_spinspin(cfg: dict) -> tuple[list, dict, list[str]]:
     from .models.spinspin import SpinEnvironment, spin_spin_exact
 
     couplings = _resolve_couplings(cfg)
@@ -525,7 +530,7 @@ def _cmd_spinspin(cfg: dict) -> tuple[list, dict]:
         header.append("product_reference")
         columns.append(np.prod(np.abs(np.cos(np.outer(times, couplings))), axis=1))
     return ([("spinspin.csv", write_csv, header, np.column_stack(columns))],
-            {"couplings": list(couplings)})
+            {"couplings": list(couplings)}, [])
 
 
 SIEVE_SCHEMA = (
@@ -541,7 +546,7 @@ SIEVE_SCHEMA = (
 )
 
 
-def _cmd_sieve(cfg: dict) -> tuple[list, dict]:
+def _cmd_sieve(cfg: dict) -> tuple[list, dict, list[str]]:
     from .dynamics import LindbladSpec
     from .models.spinspin import SpinEnvironment
     from .pointer import predictability_sieve
@@ -566,10 +571,10 @@ def _cmd_sieve(cfg: dict) -> tuple[list, dict]:
                               np.concatenate([c.purity for c in cands]),
                               np.concatenate([c.entropy for c in cands])])
     label_cells = np.repeat(np.array([c.label for c in cands], dtype=bytes), times.size)
-    print("ranking (most predictable first): " + ", ".join(report.ranking))
     return ([("sieve.csv", write_csv, ["label", "t", "purity", "entropy"],
               np.column_stack([label_cells, render_cells(values)]))],
-            {"ranking": list(report.ranking)})
+            {"ranking": list(report.ranking)},
+            ["ranking (most predictable first): " + ", ".join(report.ranking)])
 
 
 DFS_SCHEMA = (
@@ -581,7 +586,7 @@ DFS_SCHEMA = (
 )
 
 
-def _cmd_dfs(cfg: dict) -> tuple[list, dict]:
+def _cmd_dfs(cfg: dict) -> tuple[list, dict, list[str]]:
     from .pointer import InteractionSpec, collective_dfs, dfs_find
 
     payload: dict = {}
@@ -589,9 +594,9 @@ def _cmd_dfs(cfg: dict) -> tuple[list, dict]:
         if cfg["n"] is None:
             raise ConfigError("collective mode needs 'n'")
         report = collective_dfs(cfg["n"])
-        print(f"dimension {report.dimension}")
+        lines = [f"dimension {report.dimension}"]
         if report.labels:
-            print("basis: " + " ".join(report.labels))
+            lines.append("basis: " + " ".join(report.labels))
         payload = {
             "dimension": report.dimension,
             "magnetization": report.magnetization,
@@ -614,7 +619,7 @@ def _cmd_dfs(cfg: dict) -> tuple[list, dict]:
         if len(s_ops) != len(e_ops):
             raise ConfigError("system_terms and env_terms must pair up")
         result = dfs_find(InteractionSpec(terms=tuple(zip(s_ops, e_ops))))
-        print(f"dimension {result.dimension}")
+        lines = [f"dimension {result.dimension}"]
         payload = {
             "dimension": result.dimension,
             "eigenvalues": list(result.eigenvalues),
@@ -622,7 +627,7 @@ def _cmd_dfs(cfg: dict) -> tuple[list, dict]:
             "basis": result.basis,
         }
         summary = {"dimension": result.dimension}
-    return [("dfs_basis.json", write_json, payload)], summary
+    return [("dfs_basis.json", write_json, payload)], summary, lines
 
 
 QEC_SCHEMA = (
@@ -633,7 +638,7 @@ QEC_SCHEMA = (
 )
 
 
-def _cmd_qec(cfg: dict) -> tuple[list, dict]:
+def _cmd_qec(cfg: dict) -> tuple[list, dict, list[str]]:
     from .qec import logical_error_rate
 
     p_values = _parse_floats(cfg["p_list"], "p_list")
@@ -642,7 +647,7 @@ def _cmd_qec(cfg: dict) -> tuple[list, dict]:
     shots = np.array([str(r.n_shots) for r in rows], dtype=bytes)
     header = ["p", "logical_error_rate_uncorrected", "logical_error_rate_corrected", "n_shots"]
     return [("qec.csv", write_csv, header,
-             np.column_stack([render_cells(rates.reshape(-1, 3)), shots]))], {}
+             np.column_stack([render_cells(rates.reshape(-1, 3)), shots]))], {}, []
 
 
 ESTIMATE_SCHEMA = (
@@ -661,17 +666,18 @@ ESTIMATE_SCHEMA = (
 )
 
 
-def _cmd_estimate(cfg: dict) -> tuple[list, dict]:
+def _cmd_estimate(cfg: dict) -> tuple[list, dict, list[str]]:
     from .models.estimates import table1_scenarios, timescale_ratio, visibility_vs_pressure
 
     outputs: list = []
     summary: dict = {}
+    lines: list[str] = []
     if cfg["mass_g"] is not None or cfg["temp_K"] is not None or cfg["dx_cm"] is not None:
         for key in ("mass_g", "temp_K", "dx_cm"):
             if cfg[key] is None:
                 raise ConfigError(f"ratio mode needs '{key}'")
         report = timescale_ratio(cfg["mass_g"] * 1e-3, cfg["temp_K"], cfg["dx_cm"] * 1e-2)
-        print(
+        lines.append(
             f"relaxation/decoherence ratio ~ {report.ratio:.3e} "
             f"(thermal wavelength {report.lambda_db:.3e} m)"
         )
@@ -709,7 +715,7 @@ def _cmd_estimate(cfg: dict) -> tuple[list, dict]:
         raise ConfigError(
             "choose a mode: --mass-g/--temp-K/--dx-cm, --table1, or --visibility"
         )
-    return outputs, summary
+    return outputs, summary, lines
 
 
 COMMANDS = {
@@ -816,7 +822,7 @@ def main(argv=None) -> int:
             os.makedirs(outdir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"'output': cannot create directory: {exc}") from None
-        outputs, summary = handler(cfg)
+        outputs, summary, lines = handler(cfg)
         paths = [path for output in outputs for path in _write(outdir, before, *output)]
         manifest = {
             "subcommand": args.command,
@@ -842,6 +848,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         code, message = 2, "config error: out of memory" + (f": {exc}" if str(exc) else "")
     else:
+        for line in lines:
+            print(line)
         for path in paths:
             print(f"wrote {path}")
         return 0

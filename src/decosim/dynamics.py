@@ -21,11 +21,12 @@ substeps.  Neither branch loads SciPy.
 ``unravel`` propagates pure-state diffusive trajectories whose ensemble
 mean converges to the same master equation.  Trajectories run in fixed
 blocks of ``TRAJECTORY_BLOCK`` (2048), and block k draws its Wiener
-increments from one counter-based stream, ``Philox(key=[master_seed, k])``,
-so results are bitwise reproducible for any worker count and a full
-block never depends on the ensemble size.  Each Euler-Maruyama step
-advances a whole block with one matrix product against the stacked
-operators (L_1, ..., L_m, dt A) and one contraction for the norm and
+increments from its own stream,
+``SFC64(SeedSequence(master_seed, spawn_key=(k,)))``, so results are
+bitwise reproducible for any worker count and a full block never depends
+on the ensemble size.  Each Euler-Maruyama step advances a whole block
+with one matrix product against the stacked operators
+(L_1, ..., L_m, dt A) and one contraction for the norm and
 expectations, and reads its increments from a step-major chunk that
 holds one renormalization period: the block's stream fills it when the
 period starts, and it is scaled by sqrt(dt kappa) in place, so the
@@ -374,7 +375,8 @@ class TrajectoryConfig:
             )
         if self.n_trajectories < 1:
             raise ValueError("need at least one trajectory")
-        # half of a Philox key, which would silently truncate a float
+        # every block's SeedSequence entropy, refused here rather than by a TypeError or
+        # ValueError inside a worker; the upper bound keeps the documented uint64 range
         if not (isinstance(self.master_seed, numbers.Integral) and 0 <= self.master_seed < 2**64):
             raise ValueError("master_seed must be an integer in [0, 2**64)")
 
@@ -426,18 +428,18 @@ def _unravel_block(
     and up, one contraction of rows 0..m with psi gives n and the
     <psi|L_mu|psi>, and the rows weighted by (s, c_1, ..., c_m, 1) sum to
     the next buffer's psi.  The block's normals are the first n_steps m b
-    of ``Philox(key=[master_seed, block])``, in (step, mu, trajectory)
-    order.  They are drawn one renormalization period at a time into a
-    step-major chunk (steps, m, b) and scaled there by sqrt(dt kappa_mu),
-    so every step reads one contiguous (m, b) slab and the noise memory is
-    one period, whatever n_steps is.  Drawing period by period gives the
-    same numbers as one draw of shape (n_steps, m, b).  Every per-step view
-    is bound before the loop.
+    of ``SFC64(SeedSequence(master_seed, spawn_key=(block,)))``, in
+    (step, mu, trajectory) order.  They are drawn one renormalization
+    period at a time into a step-major chunk (steps, m, b) and scaled there
+    by sqrt(dt kappa_mu), so every step reads one contiguous (m, b) slab
+    and the noise memory is one period, whatever n_steps is.  Drawing
+    period by period gives the same numbers as one draw of shape
+    (n_steps, m, b).  Every per-step view is bound before the loop.
     """
     dt, n_steps = cfg.dt, cfg.n_steps
     d, m = psi0.size, rates.size
-    key = np.array([cfg.master_seed, block], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    seeds = np.random.SeedSequence(cfg.master_seed, spawn_key=(block,))
+    rng = np.random.Generator(np.random.SFC64(seeds))
     noise_scale = np.sqrt(dt * rates)[:, None]
     chunk = np.empty((min(_RENORM_EVERY, n_steps), m, b))  # sqrt(kappa_mu) dW_mu of one period
     chunk_rows = list(chunk)
@@ -509,13 +511,13 @@ def unravel(
     average over trajectories reproduces ``evolve`` up to O(dt) bias and
     O(1/sqrt(n)) statistics.  Trajectories lo .. lo + b - 1 with
     lo = k ``TRAJECTORY_BLOCK`` form block k, whose Wiener increments come
-    from ``Philox(key=[master_seed, k])``; only the last block may be
-    narrower.  Identical master seeds give bitwise identical ensembles for
-    any worker count, and the trajectories of a full block do not depend
-    on n_trajectories, but those of a partial last block depend on its
-    width b.  Each block holds its noise one renormalization period at a
-    time, so memory does not grow with the number of steps beyond the
-    stored snapshots.
+    from ``SFC64(SeedSequence(master_seed, spawn_key=(k,)))``; only the
+    last block may be narrower.  Identical master seeds give bitwise
+    identical ensembles for any worker count, and the trajectories of a
+    full block do not depend on n_trajectories, but those of a partial
+    last block depend on its width b.  Each block holds its noise one
+    renormalization period at a time, so memory does not grow with the
+    number of steps beyond the stored snapshots.
     """
     for op, _ in spec.lindblad_terms:
         if not op.is_hermitian():

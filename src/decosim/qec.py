@@ -339,6 +339,8 @@ def logical_error_rate(
     """
     if n_shots < 1:
         raise ValueError(f"need n_shots >= 1, got {n_shots}")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
     if psi_logical is None:
         psi_logical = StateVector(np.array([np.cos(0.3), np.exp(0.4j) * np.sin(0.3)]))
     patterns = [tuple(q for q in range(3) if mask >> q & 1) for mask in range(8)]

@@ -166,6 +166,7 @@ def test_numerical_contract_violations_exit_3(tmp_path, capsys):
     ("evolve", "evolve.csv"),
     ("evolve", "manifest.json"),
     ("qbm", "wigner_final_matrix.csv"),  # the last of five tables, with --wigner
+    ("dfs", "dfs_basis.json"),  # --collective, whose dimension line is printed only on success
 ])
 def test_an_unwritable_output_exits_2_and_leaves_no_file(tmp_path, capsys, command, blocked):
     # a directory at an output's name fails its write; the files the run wrote
@@ -175,7 +176,8 @@ def test_an_unwritable_output_exits_2_and_leaves_no_file(tmp_path, capsys, comma
     outdir = tmp_path / "out"
     (outdir / blocked).mkdir(parents=True)
     assert main([command, "--config", str(config), "--output", str(outdir)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     _assert_one_line(err, 2)
     assert err.startswith("config error: 'output': cannot write ") and blocked in err
     assert [p.name for p in outdir.iterdir()] == [blocked]
@@ -234,7 +236,7 @@ def test_trajectory_bounds_exit_2(tmp_path, capsys, monkeypatch, flags, workers_
 
 
 def test_master_seed_keeps_its_uint64_range(tmp_path):
-    # the Philox key is a uint64: seeds from 2**63 up are not int64s but still run
+    # the seed range is [0, 2**64): seeds from 2**63 up are not int64s but still run
     for seed in (2**63, 2**64 - 1):
         rc = main(["trajectories", *_DEPHASING_FLAGS, "--dt", "0.1", "--n-trajectories", "2",
                    "--master-seed", str(seed), "--output", str(tmp_path)])
@@ -977,6 +979,7 @@ _EXIT_2_CASES = {
     "spinspin-n-times-0": ["spinspin", "--n-env", "2", "--t-max", "1", "--n-times", "0"],
     "qec-n-shots-0": ["qec", "--n-shots", "0"],
     "qec-n-shots-negative": ["qec", "--n-shots", "-5"],
+    "qec-seed-negative": ["qec", "--seed", "-1"],
     "collisional-n-dx-0": ["collisional", "--density-amplitude", "1", "--q-max", "2",
                            "--speed", "1", "--f2", "1", "--dx-min", "0.1", "--dx-max", "10",
                            "--n-dx", "0"],
@@ -1012,6 +1015,9 @@ _EXIT_2_CASES = {
     "spinspin-splitting-overflows": ["spinspin", "--couplings", "[1e308]", "--splitting", "1e308",
                                      "--t-max", "1e-6", "--n-times", "2"],
     "output-names-a-file": EVOLVE_FLAGS + ["--output", "taken"],
+    # the ratio is computed before the visibility mode fails, but never printed
+    "estimate-ratio-then-visibility-incomplete": ["estimate", "--mass-g", "1", "--temp-K", "300",
+                                                  "--dx-cm", "1", "--visibility"],
     "estimate-ratio-overflows": ["estimate", "--mass-g", "1", "--temp-K", "300",
                                  "--dx-cm", "1e300"],
     "estimate-wavelength-underflows": ["estimate", "--mass-g", "1e300", "--temp-K", "1e300",
@@ -1069,7 +1075,9 @@ def test_invalid_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "taken").write_text("")
     (tmp_path / "deep.json").write_text('{"hamiltonian": ' + _nested(100000) + "}")
     assert main(argv) == 2
-    _assert_one_line(capsys.readouterr().err, 2)
+    out, err = capsys.readouterr()
+    assert out == ""
+    _assert_one_line(err, 2)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json", "taken"]
 
 

@@ -432,8 +432,7 @@ def test_unravel_rejects_degenerate_workers_and_stride():
 
 def _block_normals(seed, block, n_steps, m, b):
     """Block ``block``'s normals in one draw, shape (n_steps, m, b)."""
-    # a uint64 key: a plain list would pass through float64 and round seeds >= 2**53
-    bitgen = np.random.Philox(key=np.array([seed, block], dtype=np.uint64))
+    bitgen = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,)))
     return np.random.Generator(bitgen).standard_normal((n_steps, m, b))
 
 
@@ -441,7 +440,7 @@ def _textbook_unravel(h, terms, psi0, cfg, store_every):
     """Per-operator Euler-Maruyama step, trajectories as rows: the oracle for ``unravel``.
 
     Block k, trajectories k TRAJECTORY_BLOCK and up, draws its increments
-    in one call from a fresh Philox keyed by (master_seed, k); returns
+    in one call from a fresh SFC64 seeded by (master_seed, spawn_key=(k,)); returns
     (ensemble snapshots, final states, and the least over steps of the
     mean |norm - 1| before renormalization).
     """
@@ -512,18 +511,19 @@ def test_fused_step_matches_textbook_oracle():
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
-def test_blocks_draw_their_periods_from_the_per_block_philox_stream(monkeypatch, m):
+def test_blocks_draw_their_periods_from_the_per_block_sfc64_stream(monkeypatch, m):
     # 37 steps: one full renormalization period and a partial one; the last block is partial
     n_steps, widths = 37, (TRAJECTORY_BLOCK, 3)
     generator = np.random.Generator
     draws = []
 
     class Recording:
-        """A Generator that keeps its key and a copy of every period it draws."""
+        """A Generator that keeps its seed arguments and a copy of every period it draws."""
 
         def __init__(self, bitgen):
+            assert isinstance(bitgen, np.random.SFC64)
             self.rng = generator(bitgen)
-            self.key = bitgen.state["state"]["key"].tolist()
+            self.seeds = (bitgen.seed_seq.entropy, bitgen.seed_seq.spawn_key)
             self.periods = []
             draws.append(self)
 
@@ -535,7 +535,8 @@ def test_blocks_draw_their_periods_from_the_per_block_philox_stream(monkeypatch,
     terms = ((SIGMA_X, 0.6), (SIGMA_Z, 2.1))[:m]
     spec = LindbladSpec(Operator(0.4 * SIGMA_X), tuple((Operator(op), r) for op, r in terms))
     psi0 = StateVector(np.array([0.6, 0.8j]))
-    for seed in (0, 2**63 + 5, 2**64 - 1):
+    firsts = {}  # the first 96 normals of each (seed, block) stream
+    for seed in (0, 1, 2**63 + 5, 2**64 - 1):
         draws.clear()
         cfg = TrajectoryConfig(dt=1e-3, t_final=n_steps * 1e-3, n_trajectories=sum(widths),
                                master_seed=seed)
@@ -543,11 +544,14 @@ def test_blocks_draw_their_periods_from_the_per_block_philox_stream(monkeypatch,
         with monkeypatch.context() as patch:
             patch.setattr(np.random, "Generator", Recording)
             unravel(spec, psi0, cfg, store_every=n_steps, n_workers=1)
-        assert [rec.key for rec in draws] == [[seed, k] for k in range(len(widths))]
+        assert [rec.seeds for rec in draws] == [(seed, (k,)) for k in range(len(widths))]
         for k, (rec, b) in enumerate(zip(draws, widths)):
             assert [p.shape for p in rec.periods] == [(_RENORM_EVERY, m, b), (5, m, b)]
             want = _block_normals(seed, k, n_steps, m, b)
             assert np.array_equal(np.concatenate(rec.periods), want)
+            firsts[seed, k] = rec.periods[0].ravel()[:96].tobytes()
+    if m:  # blocks 0 and 1, and seeds s and s + 1, start on different normals
+        assert len(set(firsts.values())) == len(firsts)
 
 
 def test_full_blocks_do_not_depend_on_the_ensemble_size():

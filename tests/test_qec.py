@@ -276,6 +276,8 @@ def test_error_model_validation():
         ErrorModel(kind="partial-decoherence", entangled_qubits=4)
     with pytest.raises(ValueError):
         logical_error_rate([1.2], n_shots=10)
+    with pytest.raises(ValueError, match="seed"):
+        logical_error_rate([0.1], n_shots=10, seed=-1)
     with pytest.raises(ValueError):
         logical_error_rate([0.1], n_shots=10, psi_logical=StateVector(np.ones(4) / 2.0))
     with pytest.raises(ValueError):
