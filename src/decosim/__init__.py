@@ -16,18 +16,17 @@ _EXPORTS = {
     name: module
     for module, names in {
         "core": (
-            "DensityMatrix", "KET_0", "KET_1", "KET_MINUS", "KET_PLUS", "Operator", "PAULIS",
-            "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "StateVector", "basis_state", "embed", "entropy",
-            "identity", "ket", "mutual_information", "overlap", "partial_trace",
-            "partial_trace_keep_state", "purity", "sigma", "tensor",
+            "DensityMatrix", "EvolutionResult", "KET_0", "KET_1", "KET_MINUS", "KET_PLUS",
+            "Operator", "PAULIS", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "StateVector", "basis_state",
+            "embed", "entropy", "identity", "ket", "mutual_information", "overlap",
+            "partial_trace", "partial_trace_keep_state", "purity", "sigma", "tensor",
         ),
         "channels": (
             "IndirectMeasurement", "KrausChannel", "apply_channel", "indirect_measurement",
             "kraus_from_unitary", "measurement_operators", "verify_completeness",
         ),
         "dynamics": (
-            "EvolutionResult", "LindbladSpec", "TrajectoryConfig", "TrajectoryResult", "evolve",
-            "unravel",
+            "LindbladSpec", "TrajectoryConfig", "TrajectoryResult", "evolve", "unravel",
         ),
         "baths": (
             "CoefficientSet", "OhmicLorentzCutoff", "qbm_coefficients", "spin_boson_coefficients",

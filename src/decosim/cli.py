@@ -326,8 +326,6 @@ COLLISIONAL_SCHEMA = (
     Field("q_max", "float", "momentum support cutoff", required=True),
     Field("speed", "float", "environment particle speed (constant)", required=True),
     Field("f2", "float", "isotropic |f|^2 (area per steradian)", required=True),
-    Field("regime", "str", "rate regime", default="full",
-          choices=("full", "short-wavelength", "long-wavelength")),
     Field("dx_min", "float", "smallest separation", required=True),
     Field("dx_max", "float", "largest separation", required=True),
     Field("n_dx", "int", "number of separations", default=25),
@@ -341,10 +339,9 @@ def _cmd_collisional(cfg: dict) -> tuple[list, dict, list[str]]:
 
     if cfg["n_dx"] < 1 or cfg["dx_min"] <= 0 or cfg["dx_max"] <= cfg["dx_min"]:
         raise ConfigError("need n_dx >= 1 and 0 < dx_min < dx_max")
-    model = ScatteringModel(cfg["density_amplitude"], cfg["speed"], cfg["f2"], cfg["q_max"],
-                            cfg["regime"])
+    model = ScatteringModel(cfg["density_amplitude"], cfg["speed"], cfg["f2"], cfg["q_max"])
     rates = decoherence_rates(model)
-    # the lambda_dx2 column and the long-wavelength curve both hold Lambda dx^2
+    # the lambda_dx2 column holds Lambda dx^2
     if not np.isfinite(rates.prefactor * (cfg["dx_max"] * cfg["dx_max"])):
         raise ConfigError("Lambda * dx_max^2 overflows a double")
     if cfg["log_spacing"]:
@@ -485,11 +482,7 @@ def _cmd_spinboson(cfg: dict) -> tuple[list, dict, list[str]]:
 
 
 _SPIN_BATH_FIELDS = (
-    Field("couplings", "json", "list of coupling strengths (overrides n_env)"),
-    Field("n_env", "int", "number of environment qubits to draw"),
-    Field("coupling_seed", "int", "seed for drawn couplings", default=7),
-    Field("coupling_low", "float", "lower bound of drawn couplings", default=0.25),
-    Field("coupling_high", "float", "upper bound of drawn couplings", default=1.0),
+    Field("couplings", "json", "list of coupling strengths, one per environment qubit"),
     Field("splitting", "float", "system level splitting", default=0.0),
     Field("tunneling", "float", "system tunneling element", default=0.0),
 )
@@ -503,14 +496,9 @@ SPINSPIN_SCHEMA = _SPIN_BATH_FIELDS + (
 
 
 def _resolve_couplings(cfg: dict) -> tuple[float, ...]:
-    if cfg["couplings"] is not None:
-        return tuple(_parse_floats(cfg["couplings"], "couplings"))
-    if cfg["n_env"] is None:
-        raise ConfigError("provide either 'couplings' or 'n_env'")
-    if not np.isfinite(cfg["coupling_high"] - cfg["coupling_low"]):
-        raise ConfigError("coupling_high - coupling_low must be finite")
-    rng = np.random.default_rng(cfg["coupling_seed"])
-    return tuple(rng.uniform(cfg["coupling_low"], cfg["coupling_high"], cfg["n_env"]).tolist())
+    if cfg["couplings"] is None:
+        raise ConfigError("missing required config key 'couplings'")
+    return tuple(_parse_floats(cfg["couplings"], "couplings"))
 
 
 def _cmd_spinspin(cfg: dict) -> tuple[list, dict, list[str]]:
@@ -540,8 +528,6 @@ SIEVE_SCHEMA = (
 ) + _SPIN_BATH_FIELDS + (
     Field("t_final", "float", "ranking horizon", required=True),
     Field("n_times", "int", "time-grid points", default=41),
-    Field("measure", "str", "ranking measure", default="purity",
-          choices=("purity", "entropy")),
     Field("output", "str", "output directory", default="."),
 )
 
@@ -563,9 +549,7 @@ def _cmd_sieve(cfg: dict) -> tuple[list, dict, list[str]]:
         generator = SpinEnvironment(
             _resolve_couplings(cfg), splitting=cfg["splitting"], tunneling=cfg["tunneling"]
         )
-    report = predictability_sieve(
-        generator, candidates, times, measure=cfg["measure"], labels=labels
-    )
+    report = predictability_sieve(generator, candidates, times, labels=labels)
     cands = report.candidates
     values = np.column_stack([np.tile(times, len(cands)),
                               np.concatenate([c.purity for c in cands]),
@@ -827,8 +811,7 @@ def main(argv=None) -> int:
         manifest = {
             "subcommand": args.command,
             "config": _json_safe(cfg),
-            "seed": next((cfg[k] for k in ("seed", "master_seed", "coupling_seed") if k in cfg),
-                         None),
+            "seed": next((cfg[k] for k in ("seed", "master_seed") if k in cfg), None),
             "outputs": [os.path.basename(p) for p in paths],
             "versions": {
                 "python": platform.python_version(),

@@ -186,6 +186,25 @@ def check_states(states, eig_floor: float = EIG_FLOOR, times=None) -> np.ndarray
     return eigs.reshape(s.shape[:-1])
 
 
+@dataclass(frozen=True)
+class EvolutionResult:
+    """Snapshot times (T,), validated read-only states (T, d, d) and their eigenvalues (T, d)."""
+
+    times: np.ndarray
+    states: np.ndarray
+    spectra: np.ndarray
+
+    @classmethod
+    def checked(cls, times, states: np.ndarray, eig_floor: float = EIG_FLOOR) -> EvolutionResult:
+        """The series after one ``check_states`` call, whose errors name a time; ``times``
+        is copied, and all three arrays are read-only."""
+        times = np.array(times, dtype=float)
+        spectra = check_states(states, eig_floor, times)
+        for arr in (times, states, spectra):
+            arr.setflags(write=False)
+        return cls(times, states, spectra)
+
+
 def symmetrize(matrix: np.ndarray) -> np.ndarray:
     """Hermitian part (M + M^dag)/2 of a matrix or a stack; the only sanctioned repair."""
     m = np.asarray(matrix, dtype=complex)

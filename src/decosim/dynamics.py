@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, Operator, StateVector, check_states, symmetrize
+from .core import DensityMatrix, EvolutionResult, Operator, StateVector, check_states, symmetrize
 from .errors import ConvergenceError, PhysicalityError, PositivityError
 
 # evolve of a Caldeira-Leggett generator from a coherent state, 1 BLAS thread
@@ -122,26 +122,12 @@ class LindbladSpec:
         return self.hamiltonian.dim
 
 
-@dataclass(frozen=True)
-class EvolutionResult:
-    """Snapshot times (T,), validated read-only states (T, d, d) and their eigenvalues (T, d)."""
-
-    times: np.ndarray
-    states: np.ndarray
-    spectra: np.ndarray
-
-
-def compiled_rhs(compiled, rho: np.ndarray) -> np.ndarray:
-    """K + K^dag with K = G rho + sum (A rho) B, for ``compiled`` = (G, pairs) and Hermitian rho."""
-    g, pairs = compiled
-    k = g @ rho
-    for a, b in pairs:
-        k += (a @ rho) @ b
-    return k + k.conj().T
-
-
 def fixed_step_count(t_final: float, dt: float, store_every: int) -> int:
-    """Steps of a fixed-step run, after checking its parameters; 0 when t_final is 0."""
+    """Steps round(t_final / dt) of a fixed-step run, after checking its parameters.
+
+    0 when t_final is 0; a t_final > 0 that rounds to no step is refused, since
+    one step would run past it.
+    """
     if not (0.0 < dt < np.inf and 0.0 <= t_final < np.inf):
         raise ValueError(f"need finite dt > 0 and t_final >= 0, got dt={dt}, t_final={t_final}")
     if store_every < 1:
@@ -149,7 +135,10 @@ def fixed_step_count(t_final: float, dt: float, store_every: int) -> int:
     steps = t_final / dt
     if not np.isfinite(steps):
         raise ValueError(f"t_final / dt overflows a double, got dt={dt}, t_final={t_final}")
-    return max(1, int(round(steps))) if t_final > 0 else 0
+    n_steps = int(round(steps))
+    if t_final > 0 and n_steps == 0:
+        raise ValueError(f"t_final rounds to no step of dt, got dt={dt}, t_final={t_final}")
+    return n_steps
 
 
 def snapshot_steps(n_steps: int, store_every: int) -> np.ndarray:
@@ -345,23 +334,20 @@ def evolve(
         else:
             _taylor_snapshots(generator.compiled, rho, states[1:], steps[1:], dt, norm)
         states[1:] = symmetrize(states[1:])
-    times = steps * dt
-    # rho0 was validated as a DensityMatrix; the snapshots inherit the
-    # generator's positivity tolerance, since a non-CP generator
-    # transiently dips below the strict floor
+    # the snapshots inherit the generator's positivity tolerance, since a
+    # non-CP generator transiently dips below the strict floor
     try:
-        spectra = check_states(states[1:], -ptol, times[1:])
+        return EvolutionResult.checked(steps * dt, states, -ptol)
     except PhysicalityError as exc:
         raise PositivityError(str(exc)) from None
-    spectra = np.concatenate([rho0.spectrum[None], spectra])
-    for arr in (times, states, spectra):
-        arr.setflags(write=False)
-    return EvolutionResult(times, states, spectra)
 
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    """Stochastic run description; all trajectories share dt and t_final."""
+    """Stochastic run description; all trajectories share dt and t_final.
+
+    ``n_steps`` is set at construction from ``fixed_step_count``; not a field.
+    """
 
     dt: float
     t_final: float
@@ -369,20 +355,15 @@ class TrajectoryConfig:
     master_seed: int
 
     def __post_init__(self):
-        if not (0.0 < self.dt < np.inf and 0.0 < self.t_final < np.inf):
-            raise ValueError(
-                f"need finite dt > 0 and t_final > 0, got dt={self.dt}, t_final={self.t_final}"
-            )
+        if not self.t_final > 0:
+            raise ValueError(f"need t_final > 0, got t_final={self.t_final}")
+        object.__setattr__(self, "n_steps", fixed_step_count(self.t_final, self.dt, 1))
         if self.n_trajectories < 1:
             raise ValueError("need at least one trajectory")
         # every block's SeedSequence entropy, refused here rather than by a TypeError or
         # ValueError inside a worker; the upper bound keeps the documented uint64 range
         if not (isinstance(self.master_seed, numbers.Integral) and 0 <= self.master_seed < 2**64):
             raise ValueError("master_seed must be an integer in [0, 2**64)")
-
-    @property
-    def n_steps(self) -> int:
-        return fixed_step_count(self.t_final, self.dt, 1)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ _EXPORTS = {
             "SpinBosonBornMarkovGenerator", "SpinBosonExactResult",
             "spin_boson_born_markov_generator", "spin_boson_exact_dephasing",
         ),
-        "spinspin": ("SpinEnvironment", "SpinSpinResult", "spin_spin_exact"),
+        "spinspin": ("SpinEnvironment", "spin_spin_exact"),
     }.items()
     for name in names
 }

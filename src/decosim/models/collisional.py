@@ -28,7 +28,6 @@ from ..core import frozen, hermiticity_defect
 from ..errors import PhysicalityError
 
 GRID_TRACE_TOL = 1e-8
-REGIMES = ("full", "short-wavelength", "long-wavelength")
 # below this U = q_max dx the sine-integral form cancels; a Taylor series takes over
 SERIES_BELOW = 1e-2
 
@@ -41,14 +40,12 @@ class ScatteringModel:
     speed:              particle speed (length/time)
     cross_section:      |f|^2, isotropic (area/steradian)
     q_max:              upper limit of the momentum support
-    regime:             'full', 'short-wavelength', or 'long-wavelength'
     """
 
     density_of_momenta: float
     speed: float
     cross_section: float
     q_max: float
-    regime: str = "full"
 
     def __post_init__(self):
         if not self.q_max > 0:
@@ -59,8 +56,6 @@ class ScatteringModel:
         rates = decoherence_rates(self)
         if not (np.isfinite(rates.total_rate) and np.isfinite(rates.prefactor)):
             raise ValueError("Gamma_tot or Lambda overflows a double")
-        if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
 
 
 @dataclass(frozen=True)
@@ -139,18 +134,12 @@ def _saturation_fraction(u: np.ndarray) -> np.ndarray:
 
 
 def localization_rate(model: ScatteringModel, separations) -> np.ndarray:
-    """F(dx) (1/time), one value per separation.
+    """F(dx) = Gamma_tot g(U) / U with U = q_max |dx| (1/time), one value per separation.
 
-    F = Gamma_tot g(U) / U with U = q_max |dx| in the full regime, the
-    saturated short-wavelength limit Gamma_tot (0 at dx = 0), or the
-    quadratic long-wavelength law Lambda dx^2.
+    Its two limits, Lambda dx^2 and Gamma_tot, are ``decoherence_rates``.
     """
     rates = decoherence_rates(model)
     dx = np.abs(np.asarray(separations, dtype=float))
-    if model.regime == "short-wavelength":
-        return np.where(dx == 0.0, 0.0, rates.total_rate)
-    if model.regime == "long-wavelength":
-        return rates.prefactor * dx**2
     # the fraction is 1 to double precision from U = 1e20 on; the cap keeps U finite
     q_max = model.q_max
     return rates.total_rate * _saturation_fraction(q_max * np.minimum(dx, 1e20 / q_max))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import KET_PLUS, NORM_TOL, SIGMA_X, SIGMA_Z, check_states
+from ..core import KET_PLUS, NORM_TOL, SIGMA_X, SIGMA_Z, EvolutionResult
 
 MAX_ENV_QUBITS = 14
 # (times x bit strings) entries per chunk of the reduced-state sums; bounds their memory
@@ -207,16 +207,7 @@ class SpinEnvironment:
         return out
 
 
-@dataclass(frozen=True)
-class SpinSpinResult:
-    """Reduced states (T, 2, 2), validated and read-only, with their eigenvalues (T, 2)."""
-
-    times: np.ndarray
-    states: np.ndarray
-    spectra: np.ndarray
-
-
-def spin_spin_exact(env: SpinEnvironment, psi0, t_grid) -> SpinSpinResult:
+def spin_spin_exact(env: SpinEnvironment, psi0, t_grid) -> EvolutionResult:
     """Exact reduced trajectory of the central qubit from the pure state ``psi0``."""
     psi = np.asarray(getattr(psi0, "amplitudes", psi0), dtype=complex).reshape(2)
     if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
@@ -224,8 +215,4 @@ def spin_spin_exact(env: SpinEnvironment, psi0, t_grid) -> SpinSpinResult:
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("need a nonempty 1-d time grid")
-    raw = env.reduced_evolution(psi, times)
-    spectra = check_states(raw)
-    raw.setflags(write=False)
-    spectra.setflags(write=False)
-    return SpinSpinResult(times, raw, spectra)
+    return EvolutionResult.checked(times, env.reduced_evolution(psi, times))

@@ -35,9 +35,9 @@ from .core import (
     SIGMA_X,
     SIGMA_Z,
     DensityMatrix,
+    EvolutionResult,
     StateVector,
     _pure_reduced_array,
-    check_states,
     embed,
     entropy,
     frozen,
@@ -57,6 +57,8 @@ COLLECTIVE_LABEL_MAX_QUBITS = 14
 COLLECTIVE_MAX_QUBITS = 14_000  # C(N, N/2) keeps under Python's 4300-digit int-to-text limit
 COLLECTIVE_BASIS_CAP = 1 << 20  # amplitudes of an explicit collective basis, at most
 UNIFORM_GRID_TOL = 1e-12  # relative to the last grid time
+# final-time scores closer than this are a tie, ranked in candidate order
+RANK_TIE_TOL = 1e-12
 
 
 def _as_array(op) -> np.ndarray:
@@ -120,7 +122,7 @@ def commutativity_residual(o_system, spec: InteractionSpec) -> float:
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[tuple[float, slice]]:
-    """Group ascending eigenvalues whose neighbors sit within tol."""
+    """Group ascending values (eigenvalues, sieve scores) whose neighbors sit within tol."""
     groups = []
     start = 0
     for i in range(1, values.size + 1):
@@ -339,11 +341,11 @@ class SieveReport:
         return self.ranking[0]
 
 
-def _reduced_series(generator, psi: np.ndarray, times: np.ndarray):
-    """The reduced states (T, d, d) from ``psi`` on ``times`` and their eigenvalues, validated once."""
+def _reduced_series(generator, psi: np.ndarray, times: np.ndarray) -> EvolutionResult:
+    """The reduced states (T, d, d) from ``psi`` on ``times``, validated once."""
     if hasattr(generator, "reduced_evolution"):
         states = np.asarray(generator.reduced_evolution(psi, times), dtype=complex)
-        return states, check_states(states, times=times)
+        return EvolutionResult.checked(times, states)
     if not hasattr(generator, "compiled"):
         raise TypeError(
             "generator must expose reduced_evolution(psi0, t_grid) or a compiled "
@@ -355,8 +357,7 @@ def _reduced_series(generator, psi: np.ndarray, times: np.ndarray):
     dt = times[1]
     if np.abs(times - dt * np.arange(times.size)).max() > UNIFORM_GRID_TOL * times[-1]:
         raise ValueError("a compiled generator needs a uniform time grid")
-    result = evolve(generator, DensityMatrix(np.outer(psi, psi.conj())), times[-1], dt)
-    return result.states, result.spectra
+    return evolve(generator, DensityMatrix(np.outer(psi, psi.conj())), times[-1], dt)
 
 
 def predictability_sieve(
@@ -372,7 +373,9 @@ def predictability_sieve(
     models, any grid) or a compiled master-equation form ``compiled``
     (one ``evolve`` call per candidate, so the grid must be uniform).
     Ranking compares the chosen measure at the final grid time: highest
-    purity first, or lowest entropy first.
+    purity first, or lowest entropy first.  Scores that chain within
+    ``RANK_TIE_TOL`` of each other are tied, and tied candidates keep their
+    order in ``candidates``, so rounding never reorders them.
     """
     if measure not in ("purity", "entropy"):
         raise ValueError("measure must be 'purity' or 'entropy'")
@@ -390,18 +393,21 @@ def predictability_sieve(
     entries = []
     for label, cand in zip(labels, candidates):
         psi = np.asarray(getattr(cand, "amplitudes", cand), dtype=complex)
-        states, spectra = _reduced_series(generator, psi, times)
+        series = _reduced_series(generator, psi, times)
         state = cand if isinstance(cand, StateVector) else StateVector(psi)
-        entries.append(SieveCandidate(label, state, purity(states), spectral_entropy(spectra)))
+        entries.append(SieveCandidate(label, state, purity(series.states),
+                                      spectral_entropy(series.spectra)))
     if measure == "purity":
         scores = [-c.purity[-1] for c in entries]
     else:
         scores = [c.entropy[-1] for c in entries]
     order = np.argsort(scores, kind="stable")
+    ranked = [i for _, tied in _cluster(np.take(scores, order), RANK_TIE_TOL)
+              for i in sorted(order[tied].tolist())]
     return SieveReport(
         candidates=tuple(entries),
         measure=measure,
-        ranking=tuple(entries[i].label for i in order),
+        ranking=tuple(entries[i].label for i in ranked),
     )
 
 

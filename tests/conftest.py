@@ -45,6 +45,15 @@ def as_operator(mat, dims=()) -> Operator:
     return Operator(mat, dims)
 
 
+def compiled_rhs(compiled, rho: np.ndarray) -> np.ndarray:
+    """K + K^dag with K = G rho + sum (A rho) B, for ``compiled`` = (G, pairs) and Hermitian rho."""
+    g, pairs = compiled
+    k = g @ rho
+    for a, b in pairs:
+        k += (a @ rho) @ b
+    return k + k.conj().T
+
+
 @dataclass(frozen=True)
 class SampledSpectralDensity:
     """Nonnegative samples on an increasing frequency grid, linear in between, zero outside.
@@ -106,15 +115,12 @@ def quad_rates(model) -> tuple[float, float]:
 
 def quad_localization_rate(model, separation: float) -> float:
     """F at one separation by quadrature of the scattering integral over q: the
-    oracle of ``localization_rate``, with its regime dispatch."""
+    oracle of ``localization_rate``."""
     from scipy.integrate import quad
 
     dx = abs(float(separation))
     if dx == 0.0:
         return 0.0
-    if model.regime != "full":
-        total, prefactor = quad_rates(model)
-        return total if model.regime == "short-wavelength" else prefactor * dx**2
     flux = model.density_of_momenta * model.speed * model.cross_section
     # default tolerances miss the oscillating 1 - sinc^2 by up to 3e-7 above q_max dx ~ 1e2
     value, _ = quad(lambda q: flux * np.pi * angular_factor(q * dx), 0.0, model.q_max,

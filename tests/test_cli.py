@@ -38,7 +38,7 @@ from decosim.pointer import predictability_sieve
 from decosim.qec import logical_error_rate
 from decosim.serialize import format_value
 
-from conftest import quad_localization_rate
+from conftest import quad_localization_rate, quad_rates
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -363,18 +363,28 @@ def test_collisional_rates_and_curve(tmp_path):
     assert np.all(np.diff(dx) > 0)
 
 
-@pytest.mark.parametrize("regime", ["full", "short-wavelength", "long-wavelength"])
+# each regime of the rate is a column of the one CSV: the full curve and its
+# short-wavelength (Gamma_tot) and long-wavelength (Lambda dx^2) limits
+_COLLISIONAL_REGIME_COLUMNS = {
+    "full": ("localization_rate", quad_localization_rate),
+    "short-wavelength": ("gamma_tot", lambda model, dx: quad_rates(model)[0]),
+    "long-wavelength": ("lambda_dx2", lambda model, dx: quad_rates(model)[1] * dx**2),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(_COLLISIONAL_REGIME_COLUMNS))
 def test_collisional_curve_matches_localization_rate(tmp_path, regime):
     rc = main([
         "collisional", "--density-amplitude", "1.3", "--q-max", "2.0",
         "--speed", "0.7", "--f2", "1.1", "--dx-min", "0.01", "--dx-max", "50",
-        "--n-dx", "7", "--regime", regime, "--output", str(tmp_path),
+        "--n-dx", "7", "--output", str(tmp_path),
     ])
     assert rc == 0
     header, rows = _read_csv(tmp_path / "collisional.csv")
-    model = ScatteringModel(1.3, 0.7, 1.1, 2.0, regime)
-    expected = [quad_localization_rate(model, dx) for dx in _column(header, rows, "dx")]
-    assert _column(header, rows, "localization_rate") == pytest.approx(expected, rel=1e-9)
+    column, oracle = _COLLISIONAL_REGIME_COLUMNS[regime]
+    model = ScatteringModel(1.3, 0.7, 1.1, 2.0)
+    expected = [oracle(model, dx) for dx in _column(header, rows, "dx")]
+    assert _column(header, rows, column) == pytest.approx(expected, rel=1e-9)
 
 
 def test_qbm_emits_coherence_and_wigner_grids(tmp_path):
@@ -549,9 +559,10 @@ def test_sieve_ranks_the_coupling_eigenstates_first(tmp_path, capsys):
         "--t-final", "1.0", "--n-times", "5", "--output", str(tmp_path),
     ])
     assert rc == 0
-    assert "ranking" in capsys.readouterr().out
+    assert "ranking (most predictable first): zero, one, plus, minus" in capsys.readouterr().out
     ranking = _manifest(tmp_path)["summary"]["ranking"]
-    assert set(ranking[:2]) == {"zero", "one"}
+    # each tied pair keeps its candidate order
+    assert ranking == ["zero", "one", "plus", "minus"]
     header, rows = _read_csv(tmp_path / "sieve.csv")
     assert header == ["label", "t", "purity", "entropy"]
     assert len(rows) == 4 * 5
@@ -698,7 +709,7 @@ def test_no_subcommand_loads_scipy(tmp_path):
          "--n-max", "40", "--t-final", "0.1", "--dt", "0.01", "--no-wigner"],
         ["collisional", "--density-amplitude", "1", "--q-max", "2", "--speed", "1",
          "--f2", "1", "--dx-min", "0.01", "--dx-max", "100", "--n-dx", "9", "--log-spacing"],
-        ["spinspin", "--n-env", "3", "--t-max", "1", "--n-times", "5"],
+        ["spinspin", "--couplings", "[0.3, 0.7, 0.5]", "--t-max", "1", "--n-times", "5"],
         ["dfs", "--collective", "--n", "3"],
         ["qec", "--p-list", "[0.05]", "--n-shots", "100"],
     ]
@@ -809,6 +820,8 @@ def _assert_one_line(err, rc):
 # Small valid configs, one or more per subcommand, from which the schema
 # sweep moves one scalar field at a time; every subcommand needs an entry.
 _LINDBLAD = [{"operator": "sigma_z", "rate": 0.5}]
+# the two couplings the retired default draw gave, so the base runs keep their bytes
+_COUPLINGS = [0.7188215999535003, 0.9229103507271816]
 _SWEEP_BASES = {
     "evolve": [dict(hamiltonian="sigma_x", lindblad=_LINDBLAD, t_final=0.05, dt=0.01,
                     store_every=2)],
@@ -820,9 +833,9 @@ _SWEEP_BASES = {
                  t_final=0.02, dt=0.01, store_every=1, n_x=101, x_max=8.0)],
     "spinboson": [dict(gamma0=0.02, cutoff=8.0, temperature=2.0, splitting=0.5, t_max=0.5,
                        n_times=4, n_modes=64)],
-    "spinspin": [dict(n_env=2, t_max=1.0, n_times=4)],
+    "spinspin": [dict(couplings=_COUPLINGS, t_max=1.0, n_times=4)],
     "sieve": [dict(scenario="dephasing-qubit", t_final=1.0, n_times=3),
-              dict(scenario="spin-spin", n_env=2, t_final=1.0, n_times=3)],
+              dict(scenario="spin-spin", couplings=_COUPLINGS, t_final=1.0, n_times=3)],
     "dfs": [dict(collective=True, n=3),
             dict(system_terms=["sigma_z"], env_terms=["sigma_x"])],
     "qec": [dict(p_list=[0.05], n_shots=100)],
@@ -976,7 +989,8 @@ _EXIT_2_CASES = {
     "qbm-frequency-1e300": _QBM_FLAGS + ["--frequency", "1e300"],
     "qbm-frequency-1e306": _QBM_FLAGS + ["--frequency", "1e306"],
     "qbm-frequency-dbl-max": _QBM_FLAGS + ["--frequency", "1.7976931348623157e308"],
-    "spinspin-n-times-0": ["spinspin", "--n-env", "2", "--t-max", "1", "--n-times", "0"],
+    "spinspin-n-times-0": ["spinspin", "--couplings", "[0.3, 0.7]", "--t-max", "1",
+                           "--n-times", "0"],
     "qec-n-shots-0": ["qec", "--n-shots", "0"],
     "qec-n-shots-negative": ["qec", "--n-shots", "-5"],
     "qec-seed-negative": ["qec", "--seed", "-1"],
@@ -997,10 +1011,9 @@ _EXIT_2_CASES = {
     "dfs-collective-n-0": ["dfs", "--collective", "--n", "0"],
     "spinboson-tunneling-negative": _SPINBOSON + ["--tunneling", "-1"],
     "spinboson-splitting-nan": _SPINBOSON + ["--splitting", "nan"],
-    "spinspin-couplings-reversed": ["spinspin", "--n-env", "2", "--t-max", "1",
-                                    "--coupling-low", "2", "--coupling-high", "1"],
-    "spinspin-coupling-range-overflows": ["spinspin", "--n-env", "2", "--t-max", "1",
-                                          "--coupling-low=-1e308", "--coupling-high=1e308"],
+    # couplings come only as a list, which no default stands in for
+    "spinspin-couplings-missing": ["spinspin", "--t-max", "1"],
+    "sieve-couplings-missing": ["sieve", "--scenario", "spin-spin", "--t-final", "1"],
     "collisional-density-negative": ["collisional", "--density-amplitude", "-1",
                                      "--speed", "1", "--f2", "1", "--q-max", "2",
                                      "--dx-min", "0.1", "--dx-max", "1", "--n-dx", "5"],
@@ -1032,6 +1045,14 @@ _EXIT_2_CASES = {
     "evolve-t-final-dbl-max": EVOLVE_FLAGS + ["--t-final", "1.7976931348623157e308",
                                               "--dt", "0.1"],
     "evolve-dt-denormal": EVOLVE_FLAGS + ["--dt", "5e-324"],
+    # a t_final > 0 that rounds to no step: one step would snapshot past it
+    "evolve-t-final-rounds-to-no-step": ["evolve", "--hamiltonian", "sigma_z",
+                                         "--t-final", "1e-300", "--dt", "1"],
+    "evolve-t-final-half-a-step": ["evolve", "--hamiltonian", "sigma_z", "--t-final", "1",
+                                   "--dt", "2"],
+    "trajectories-t-final-rounds-to-no-step": ["trajectories", "--hamiltonian", "sigma_z",
+                                               "--t-final", "1e-6", "--dt", "0.1",
+                                               "--n-trajectories", "4"],
     "trajectories-dt-denormal": ["trajectories", "--hamiltonian", "identity", "--t-final", "1",
                                  "--dt", "5e-324", "--n-trajectories", "4"],
     "qbm-t-final-dbl-max": _QBM_FLAGS + ["--t-final", "1.7976931348623157e308"],
@@ -1042,6 +1063,21 @@ _EXIT_2_CASES = {
     "qbm-frequency-denormal": _QBM_FLAGS + ["--frequency", "5e-324"],
     "qbm-mass-frequency-underflow": _QBM_FLAGS + ["--mass", "5e-324", "--frequency", "0.1"],
     "qbm-mass-dbl-max": _QBM_FLAGS + ["--mass", "1.7976931348623157e308"],
+    # retired keys, each a restatement of another field or an output column
+    "collisional-regime-retired": ["collisional", "--density-amplitude", "1", "--q-max", "2",
+                                   "--speed", "1", "--f2", "1", "--dx-min", "0.1",
+                                   "--dx-max", "10", "--regime", "full"],
+    "sieve-measure-retired": ["sieve", "--scenario", "dephasing-qubit", "--t-final", "1",
+                              "--measure", "purity"],
+    "spinspin-n-env-retired": ["spinspin", "--n-env", "2", "--t-max", "1"],
+    "spinspin-coupling-seed-retired": ["spinspin", "--couplings", "[0.5]", "--t-max", "1",
+                                       "--coupling-seed", "7"],
+    "spinspin-coupling-low-retired": ["spinspin", "--couplings", "[0.5]", "--t-max", "1",
+                                      "--coupling-low", "0.25"],
+    "spinspin-coupling-high-retired": ["spinspin", "--couplings", "[0.5]", "--t-max", "1",
+                                       "--coupling-high", "1"],
+    "sieve-n-env-retired": ["sieve", "--scenario", "spin-spin", "--n-env", "2",
+                            "--t-final", "1"],
     # a malformed command line, or a value of the wrong JSON type on it
     "no-subcommand": [],
     "unknown-flag": EVOLVE_FLAGS + ["--bogus", "1"],
@@ -1079,6 +1115,42 @@ def test_invalid_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):
     assert out == ""
     _assert_one_line(err, 2)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json", "taken"]
+
+
+_RETIRED_KEYS = [
+    ("collisional", "regime", "full"),
+    ("sieve", "measure", "purity"),
+    *[(command, key, value) for command in ("spinspin", "sieve")
+      for key, value in (("n_env", 2), ("coupling_seed", 7), ("coupling_low", 0.25),
+                         ("coupling_high", 1.0))],
+]
+
+
+@pytest.mark.parametrize("command, key, value", _RETIRED_KEYS,
+                         ids=[f"{command}-{key}" for command, key, _ in _RETIRED_KEYS])
+def test_a_config_file_setting_a_retired_key_exits_2(tmp_path, capsys, command, key, value):
+    base = _SWEEP_BASES[command][-1]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(base, output=str(tmp_path / "out"), **{key: value})))
+    assert main([command, "--config", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    _assert_one_line(err, 2)
+    assert f"unknown config keys: {key}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_spin_bath_manifests_record_no_seed(tmp_path):
+    # explicit couplings use no seed; the manifest says so
+    for k, (command, base) in enumerate([("spinspin", _SWEEP_BASES["spinspin"][0]),
+                                         ("sieve", _SWEEP_BASES["sieve"][1])]):
+        out = tmp_path / str(k)
+        cfg_path = tmp_path / f"{k}.json"
+        cfg_path.write_text(json.dumps(dict(base, output=str(out))))
+        assert main([command, "--config", str(cfg_path)]) == 0
+        manifest = _manifest(out)
+        assert manifest["seed"] is None
+        assert manifest["config"]["couplings"] == _COUPLINGS
 
 
 _DBL_MAX = "1.7976931348623157e308"

@@ -23,8 +23,8 @@ RHO0, SPEED, F2, QMAX = 1.0, 1.0, 0.1, 2.0
 _gauss_legendre_rule = functools.cache(roots_legendre)
 
 
-def _uniform_model(regime="full"):
-    return ScatteringModel(RHO0, SPEED, F2, QMAX, regime)
+def _uniform_model():
+    return ScatteringModel(RHO0, SPEED, F2, QMAX)
 
 
 def _rate_closed_form(dx: float) -> float:
@@ -105,18 +105,6 @@ def test_rate_monotone_in_separation():
     grid = np.geomspace(1e-3, 50.0, 25)
     rates = localization_rate(model, grid)
     assert all(b >= a * (1 - 1e-9) for a, b in zip(rates, rates[1:]))
-
-
-def test_regime_dispatch():
-    assert localization_rate(_uniform_model("short-wavelength"), 0.3) == pytest.approx(
-        4 * np.pi * RHO0 * SPEED * F2 * QMAX
-    )
-    lam = decoherence_rates(_uniform_model()).prefactor
-    assert localization_rate(_uniform_model("long-wavelength"), 0.3) == pytest.approx(
-        lam * 0.09
-    )
-    with pytest.raises(ValueError):
-        _uniform_model("sideways")
 
 
 def test_grid_state_validation():
@@ -205,8 +193,8 @@ def test_decoherence_rates_summary():
     assert rates.coherence_time(2.0) == pytest.approx(1.0 / (rates.prefactor * 4.0))
 
 
-def _uniform_curve(separations, regime="full"):
-    return localization_rate(_uniform_model(regime), separations)
+def _uniform_curve(separations):
+    return localization_rate(_uniform_model(), separations)
 
 
 def test_uniform_beam_curve_matches_the_quadrature_path():
@@ -231,12 +219,7 @@ def test_uniform_beam_curve_follows_the_quadratic_law_at_small_separations():
     assert _uniform_curve([0.0])[0] == 0.0
 
 
-def test_uniform_beam_regimes_match_localization_rate():
-    separations = np.array([0.0, 0.03, 0.7, 12.0])
-    for regime in ("short-wavelength", "long-wavelength"):
-        model = _uniform_model(regime)
-        expected = [quad_localization_rate(model, dx) for dx in separations]
-        assert _uniform_curve(separations, regime) == pytest.approx(expected, rel=1e-12)
+def test_uniform_beam_limits_match_the_quadrature_rates():
     rates = decoherence_rates(_uniform_model())
     total, prefactor = quad_rates(_uniform_model())
     assert rates.total_rate == pytest.approx(total, rel=1e-12)
@@ -245,8 +228,6 @@ def test_uniform_beam_regimes_match_localization_rate():
     wide_model = ScatteringModel(RHO0, SPEED, F2, 1e10)
     wide = localization_rate(wide_model, [1e300])
     assert wide[0] == decoherence_rates(wide_model).total_rate
-    with pytest.raises(ValueError):
-        _uniform_curve(separations, "sideways")
     with pytest.raises(ValueError):
         ScatteringModel(RHO0, SPEED, F2, 0.0)
     for bad in ((-1.0, 1.0, 1.0), (1.0, -2.0, 1.0), (1.0, 1.0, -0.1),

@@ -25,13 +25,14 @@ from decosim.dynamics import (
     DENSE_PROPAGATOR_MAX_DIM,
     TRAJECTORY_BLOCK,
     _expm,
-    compiled_rhs,
     liouvillian,
     liouvillian_norm_bound,
 )
 from decosim.errors import ConvergenceError, PositivityError
 from decosim.models import caldeira_leggett_generator, coherent_state
 from decosim.models.spinboson import SpinBosonBornMarkovGenerator
+
+from conftest import compiled_rhs
 
 KAPPA = 0.8
 
@@ -152,7 +153,7 @@ def _snapshot_generators():
 def _rk4_evolve_oracle(generator, rho0, t_final, dt, store_every):
     """The fixed-step RK4 loop ``evolve`` ran before it propagated exactly."""
     rhs = partial(compiled_rhs, generator.compiled)
-    n_steps = max(1, int(round(t_final / dt)))
+    n_steps = int(round(t_final / dt))
     rho = rho0.entries
     times, states = [0.0], [rho]
     for step in range(1, n_steps + 1):
@@ -199,6 +200,10 @@ def test_evolve_snapshots_are_exactly_hermitian():
     (-1.0, 0.01, 1),
     (np.inf, 0.01, 1),
     (1.0, 0.01, 0),
+    # t_final > 0 that rounds to no step: one step would snapshot past it
+    (1e-300, 1.0, 1),
+    (1.0, 2.0, 1),
+    (0.049, 0.1, 1),
 ])
 def test_evolve_rejects_degenerate_run_parameters(t_final, dt, store_every):
     with pytest.raises(ValueError):
@@ -392,6 +397,13 @@ def test_trajectory_config_validation():
             TrajectoryConfig(dt=0.1, t_final=1.0, n_trajectories=1, master_seed=seed)
     for seed in (2**64 - 1, np.uint64(7)):
         TrajectoryConfig(dt=0.1, t_final=1.0, n_trajectories=1, master_seed=seed)
+    for t_final in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="t_final > 0"):
+            TrajectoryConfig(dt=0.1, t_final=t_final, n_trajectories=1, master_seed=1)
+    for t_final, dt in ((1e-300, 1.0), (1.0, 2.0), (0.049, 0.1)):
+        with pytest.raises(ValueError, match=r"rounds to no step.*dt=.*t_final="):
+            TrajectoryConfig(dt=dt, t_final=t_final, n_trajectories=1, master_seed=1)
+    assert TrajectoryConfig(dt=0.1, t_final=1.04, n_trajectories=1, master_seed=1).n_steps == 10
 
 
 def _traj_setup(n, seed=1122):

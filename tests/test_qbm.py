@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from decosim import DensityMatrix, evolve
-from decosim.dynamics import compiled_rhs
 from decosim.errors import GridResolutionError
 from decosim.models import (
     caldeira_leggett_generator,
@@ -25,6 +24,8 @@ from decosim.models.qbm import (
     position_momentum,
     wigner_transform,
 )
+
+from conftest import compiled_rhs
 
 
 def test_ladder_commutator():

@@ -3,7 +3,6 @@ import pytest
 
 from decosim import DensityMatrix, OhmicLorentzCutoff, evolve
 from decosim.core import SIGMA_Y, SIGMA_Z
-from decosim.dynamics import compiled_rhs
 from decosim.errors import ConvergenceError
 from decosim.models import (
     spin_boson_born_markov_generator,
@@ -12,7 +11,7 @@ from decosim.models import (
 from decosim.models.qbm import ladder
 from decosim.models.spinboson import _coherence_product, _mode_parameters
 
-from conftest import SampledSpectralDensity
+from conftest import SampledSpectralDensity, compiled_rhs
 
 DENSITY = OhmicLorentzCutoff(mass=1.0, gamma0=0.02, cutoff=8.0)
 

@@ -11,7 +11,8 @@ from decosim import (
     partial_trace_keep_state,
     purity,
 )
-from decosim.core import symmetrize
+from decosim.core import EvolutionResult, symmetrize
+from decosim.errors import PhysicalityError
 from decosim.models import spinspin
 from decosim.models import SpinEnvironment, spin_spin_exact
 from decosim.models.spinspin import _CHUNK_ENTRIES, _phase_sums
@@ -315,6 +316,25 @@ def test_block_unitaries_are_unitary():
             np.einsum("eij,ekj->eik", u, u.conj()) - np.eye(2)[None, :, :]
         ).max()
         assert defect < 1e-12
+
+
+def test_spin_spin_exact_returns_a_read_only_evolution_result(monkeypatch):
+    times = np.linspace(0.0, 1.0, 5)
+    res = spin_spin_exact(SpinEnvironment((0.4, 0.9)), PLUS, times)
+    assert type(res) is EvolutionResult
+    assert not np.shares_memory(res.times, times)
+    assert np.array_equal(res.times, times)
+    for arr in (res.times, res.states, res.spectra):
+        assert not arr.flags.writeable
+    # a failing state is named by its time, as evolve names it
+    def doubled(self, psi0, t_grid):
+        out = np.zeros((len(t_grid), 2, 2), dtype=complex)
+        out[:, 0, 0] = out[:, 1, 1] = 0.5
+        out[2] *= 2.0
+        return out
+    monkeypatch.setattr(SpinEnvironment, "reduced_evolution", doubled)
+    with pytest.raises(PhysicalityError, match=r"^trace .* at t=0\.5$"):
+        spin_spin_exact(SpinEnvironment((0.4,)), PLUS, times)
 
 
 def test_validation_guards():
