@@ -16,7 +16,7 @@ import numpy as np
 
 from decosim import DensityMatrix, evolve
 from decosim.models import (
-    caldeira_leggett_generator,
+    CaldeiraLeggettGenerator,
     cat_state,
     coherent_state,
     truncation_tail,
@@ -29,7 +29,7 @@ TEMPERATURE = 50.0  # thermal wavelength 1/sqrt(2 T) = 0.1
 
 
 def decay_rate(alpha: float, n_max: int) -> tuple[float, float]:
-    gen = caldeira_leggett_generator(
+    gen = CaldeiraLeggettGenerator(
         1.0, 1.0, GAMMA0, CUTOFF, TEMPERATURE, n_max=n_max, pure_decoherence=True
     )
     psi = cat_state(alpha, n_max)

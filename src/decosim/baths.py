@@ -47,22 +47,6 @@ class OhmicLorentzCutoff:
         return 2.0 * self.mass * self.gamma0 / np.pi
 
 
-def _thermal_weight(
-    omega: np.ndarray, j_vals: np.ndarray, temperature: float, slope0: float
-) -> np.ndarray:
-    """J(w) coth(w / 2T) with the w -> 0 limit 2 T J'(0) filled in by hand."""
-    if temperature == 0.0:
-        return j_vals.copy()
-    if temperature < 0.0:
-        raise ValueError("temperature must be nonnegative")
-    out = np.empty_like(j_vals)
-    small = omega < 1e-12 * max(temperature, 1.0)
-    x = omega[~small] / (2.0 * temperature)
-    out[~small] = j_vals[~small] / np.tanh(x)
-    out[small] = 2.0 * temperature * slope0
-    return out
-
-
 @dataclass(frozen=True)
 class CoefficientSet:
     """Weak-coupling master-equation coefficients.
@@ -130,10 +114,13 @@ def _renormalization(density: OhmicLorentzCutoff, temperature: float, frequency:
 
 
 def _thermal(density: OhmicLorentzCutoff, temperature: float, omega: float) -> float:
-    """J(w) coth(w / 2T) at one frequency, finite at w = 0."""
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    j_vals = np.asarray(density(w), dtype=float)
-    return float(_thermal_weight(w, j_vals, temperature, density.zero_frequency_slope())[0])
+    """J(w) coth(w / 2T) at one frequency, with the w -> 0 limit 2 T J'(0) filled in by hand."""
+    if temperature < 0.0:
+        raise ValueError("temperature must be nonnegative")
+    if temperature > 0.0 and omega < 1e-12 * max(temperature, 1.0):
+        return 2.0 * temperature * density.zero_frequency_slope()
+    j = float(density(omega))
+    return j if temperature == 0.0 else j / float(np.tanh(omega / (2.0 * temperature)))
 
 
 def qbm_coefficients(

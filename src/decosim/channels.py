@@ -64,9 +64,6 @@ class IndirectMeasurement:
     outcome_labels: tuple[tuple[int, int], ...]
     dim: int
 
-    def completeness_defect(self) -> float:
-        return verify_completeness(self)
-
 
 def verify_completeness(channel: KrausChannel | IndirectMeasurement) -> float:
     """Max-abs defect of sum_k W_k^dag W_k from the identity."""

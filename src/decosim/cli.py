@@ -4,10 +4,16 @@ Configuration comes from a strict JSON file (--config), with any key
 overridable by a same-named flag; unknown keys are rejected rather than
 ignored.  A flag takes the same value as its key, written as JSON text
 (bare text for str fields and for operator or state names; --x/--no-x for
-bools), and ``_coerce`` checks both alike.  Each run writes plot-ready CSV
-(17-significant-digit scientific notation) plus a manifest.json recording
-the fully resolved config, the seed, library versions, and wall time; the
-manifest's "config" block rerun through --config reproduces the CSV bytes.
+bools), and ``_coerce`` checks both alike.  One rule, kept by ``_Config``,
+decides which keys a run takes: a key the run reads must be set unless it
+has a default, and a key that is set but never read (one that the chosen
+mode of a subcommand does not use) exits 2 after the handler returns,
+before any write.  Each run writes plot-ready CSV (17-significant-digit
+scientific notation) plus a manifest.json recording the config keys the
+run read, the seed, library versions, and wall time; the manifest's
+"config" block rerun through --config reproduces the CSV bytes.  (Older
+manifests echoed every field, defaults included, and replay only without
+the keys their mode never reads.)
 
 Handlers compute and return their outputs, each a file name (or names), a
 writer and its unrendered arguments, with the manifest summary and the
@@ -101,7 +107,6 @@ class Field:
     kind: str  # float | int | bool | str | json
     help: str
     default: object = None
-    required: bool = False
     choices: tuple[str, ...] | None = None
 
 
@@ -138,7 +143,30 @@ def _coerce(field: Field, value):
     return out
 
 
-def _resolve_config(schema: tuple[Field, ...], config_path: str | None, ns) -> dict:
+class _Config(dict):
+    """A resolved config that records the keys a run reads.
+
+    ``given`` holds the keys set by a flag or the config file, ``read`` the
+    keys the run looked up.  ``cfg[key]`` on a key that holds no value is a
+    missing required key; ``cfg.get(key)`` reads a key whose unset value
+    the caller handles itself.
+    """
+
+    def __init__(self, values: dict, given: set[str]):
+        super().__init__(values)
+        self.given, self.read = given, set()
+
+    def __getitem__(self, key):
+        if (value := self.get(key)) is None:
+            raise ConfigError(f"missing required config key '{key}'")
+        return value
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _resolve_config(schema: tuple[Field, ...], config_path: str | None, ns) -> _Config:
     data = {}
     if config_path:
         try:
@@ -155,17 +183,17 @@ def _resolve_config(schema: tuple[Field, ...], config_path: str | None, ns) -> d
     unknown = sorted(set(data) - {f.name for f in schema})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    merged = {}
+    values, given = {}, set()
     for field in schema:
         value = getattr(ns, field.name, None)
         if value is None:
             value = data.get(field.name)
         if value is None:
-            if field.required:
-                raise ConfigError(f"missing required config key '{field.name}'")
             value = field.default
-        merged[field.name] = None if value is None else _coerce(field, value)
-    return merged
+        else:
+            given.add(field.name)
+        values[field.name] = None if value is None else _coerce(field, value)
+    return _Config(values, given)
 
 
 def _parse_pairs(spec, what: str, names: dict, kind: str) -> np.ndarray:
@@ -248,20 +276,20 @@ def _build_lindblad(cfg) -> LindbladSpec:
 # ---------------------------------------------------------------- subcommands
 
 _OPERATOR_FIELDS = (
-    Field("hamiltonian", "json", "operator name or [re,im] matrix", required=True),
+    Field("hamiltonian", "json", "operator name or [re,im] matrix"),
     Field("lindblad", "json", "list of {operator, rate}", default=[]),
 )
 
 EVOLVE_SCHEMA = _OPERATOR_FIELDS + (
     Field("rho0", "json", "initial state name, vector, or density matrix", default="plus"),
-    Field("t_final", "float", "evolution time", required=True),
-    Field("dt", "float", "snapshot time step", required=True),
+    Field("t_final", "float", "evolution time"),
+    Field("dt", "float", "snapshot time step"),
     Field("store_every", "int", "snapshot stride in steps", default=1),
     Field("output", "str", "output directory", default="."),
 )
 
 
-def _cmd_evolve(cfg: dict) -> tuple[list, dict, list[str]]:
+def _cmd_evolve(cfg: _Config) -> tuple[list, dict, list[str]]:
     from .dynamics import evolve
 
     spec = _build_lindblad(cfg)
@@ -283,9 +311,9 @@ def _cmd_evolve(cfg: dict) -> tuple[list, dict, list[str]]:
 
 TRAJECTORIES_SCHEMA = _OPERATOR_FIELDS + (
     Field("psi0", "json", "initial pure state", default="plus"),
-    Field("t_final", "float", "evolution time", required=True),
-    Field("dt", "float", "Euler-Maruyama step", required=True),
-    Field("n_trajectories", "int", "ensemble size", required=True),
+    Field("t_final", "float", "evolution time"),
+    Field("dt", "float", "Euler-Maruyama step"),
+    Field("n_trajectories", "int", "ensemble size"),
     Field("master_seed", "int", "seed in [0, 2**64) of the per-block SFC64/SeedSequence streams",
           default=2026),
     Field("store_every", "int", "snapshot stride in steps", default=1),
@@ -294,7 +322,7 @@ TRAJECTORIES_SCHEMA = _OPERATOR_FIELDS + (
 )
 
 
-def _cmd_trajectories(cfg: dict) -> tuple[list, dict, list[str]]:
+def _cmd_trajectories(cfg: _Config) -> tuple[list, dict, list[str]]:
     from .dynamics import TrajectoryConfig, evolve, unravel
 
     spec = _build_lindblad(cfg)
@@ -305,7 +333,7 @@ def _cmd_trajectories(cfg: dict) -> tuple[list, dict, list[str]]:
         n_trajectories=cfg["n_trajectories"],
         master_seed=cfg["master_seed"],
     )
-    ens = unravel(spec, psi0, tc, store_every=cfg["store_every"], n_workers=cfg["workers"])
+    ens = unravel(spec, psi0, tc, store_every=cfg["store_every"], n_workers=cfg.get("workers"))
     ref = evolve(spec, psi0.density(), cfg["t_final"], cfg["dt"], cfg["store_every"])
     header = (
         ["t"]
@@ -322,19 +350,19 @@ def _cmd_trajectories(cfg: dict) -> tuple[list, dict, list[str]]:
 
 
 COLLISIONAL_SCHEMA = (
-    Field("density_amplitude", "float", "momentum density, uniform on (0, q_max)", required=True),
-    Field("q_max", "float", "momentum support cutoff", required=True),
-    Field("speed", "float", "environment particle speed (constant)", required=True),
-    Field("f2", "float", "isotropic |f|^2 (area per steradian)", required=True),
-    Field("dx_min", "float", "smallest separation", required=True),
-    Field("dx_max", "float", "largest separation", required=True),
+    Field("density_amplitude", "float", "momentum density, uniform on (0, q_max)"),
+    Field("q_max", "float", "momentum support cutoff"),
+    Field("speed", "float", "environment particle speed (constant)"),
+    Field("f2", "float", "isotropic |f|^2 (area per steradian)"),
+    Field("dx_min", "float", "smallest separation"),
+    Field("dx_max", "float", "largest separation"),
     Field("n_dx", "int", "number of separations", default=25),
     Field("log_spacing", "bool", "log-spaced separations", default=True),
     Field("output", "str", "output directory", default="."),
 )
 
 
-def _cmd_collisional(cfg: dict) -> tuple[list, dict, list[str]]:
+def _cmd_collisional(cfg: _Config) -> tuple[list, dict, list[str]]:
     from .models.collisional import ScatteringModel, decoherence_rates, localization_rate
 
     if cfg["n_dx"] < 1 or cfg["dx_min"] <= 0 or cfg["dx_max"] <= cfg["dx_min"]:
@@ -360,14 +388,14 @@ def _cmd_collisional(cfg: dict) -> tuple[list, dict, list[str]]:
 QBM_SCHEMA = (
     Field("mass", "float", "oscillator mass", default=1.0),
     Field("frequency", "float", "oscillator frequency", default=1.0),
-    Field("gamma0", "float", "damping rate", required=True),
-    Field("cutoff", "float", "bath cutoff frequency", required=True),
-    Field("temperature", "float", "bath temperature", required=True),
+    Field("gamma0", "float", "damping rate"),
+    Field("cutoff", "float", "bath cutoff frequency"),
+    Field("temperature", "float", "bath temperature"),
     Field("n_max", "int", "number-basis truncation", default=60),
     Field("pure_decoherence", "bool", "drop the dissipative term", default=False),
-    Field("alpha", "float", "coherent amplitude of the two-packet state", required=True),
-    Field("t_final", "float", "evolution time", required=True),
-    Field("dt", "float", "snapshot time step", required=True),
+    Field("alpha", "float", "coherent amplitude of the two-packet state"),
+    Field("t_final", "float", "evolution time"),
+    Field("dt", "float", "snapshot time step"),
     Field("store_every", "int", "snapshot stride in steps", default=10),
     Field("wigner", "bool", "dump initial/final Wigner grids", default=True),
     Field("n_x", "int", "Wigner position-grid points", default=201),
@@ -376,10 +404,10 @@ QBM_SCHEMA = (
 )
 
 
-def _cmd_qbm(cfg: dict) -> tuple[list, dict, list[str]]:
+def _cmd_qbm(cfg: _Config) -> tuple[list, dict, list[str]]:
     from .dynamics import evolve
     from .models.qbm import (
-        caldeira_leggett_generator,
+        CaldeiraLeggettGenerator,
         cat_state,
         coherent_state,
         truncation_tail,
@@ -387,7 +415,7 @@ def _cmd_qbm(cfg: dict) -> tuple[list, dict, list[str]]:
         wigner_positions,
     )
 
-    gen = caldeira_leggett_generator(
+    gen = CaldeiraLeggettGenerator(
         cfg["mass"], cfg["frequency"], cfg["gamma0"], cfg["cutoff"], cfg["temperature"],
         n_max=cfg["n_max"], pure_decoherence=cfg["pure_decoherence"],
     )
@@ -401,7 +429,9 @@ def _cmd_qbm(cfg: dict) -> tuple[list, dict, list[str]]:
         if not np.isfinite(occupation):
             raise ConfigError(f"thermal occupation at temperature {cfg['temperature']!r} overflows")
         auto = (2.0 * abs(alpha) * np.sqrt(2.0) + 7.0 * np.sqrt(2.0 * occupation + 1.0)) * scale
-        x_max = auto if cfg["x_max"] is None else cfg["x_max"]  # 0 or below fails the grid rule
+        x_max = cfg.get("x_max")  # 0 or below fails the grid rule
+        if x_max is None:
+            x_max = auto
         positions = wigner_positions(_uniform_grid(-x_max, x_max, cfg["n_x"], "position"),
                                      cfg["mass"], cfg["frequency"])
     psi = cat_state(alpha, cfg["n_max"])
@@ -435,12 +465,12 @@ def _write_wigner(tri_path: str, mat_path: str, grid: WignerGrid) -> None:
 
 SPINBOSON_SCHEMA = (
     Field("mass", "float", "bath mass parameter of the spectral density", default=1.0),
-    Field("gamma0", "float", "coupling scale of the spectral density", required=True),
-    Field("cutoff", "float", "spectral-density cutoff", required=True),
-    Field("temperature", "float", "bath temperature", required=True),
+    Field("gamma0", "float", "coupling scale of the spectral density"),
+    Field("cutoff", "float", "spectral-density cutoff"),
+    Field("temperature", "float", "bath temperature"),
     Field("splitting", "float", "level splitting", default=0.0),
     Field("tunneling", "float", "tunneling matrix element", default=0.0),
-    Field("t_max", "float", "last grid time", required=True),
+    Field("t_max", "float", "last grid time"),
     Field("n_times", "int", "time-grid points", default=101),
     Field("n_modes", "int", "bath modes for the exact solver", default=512),
     Field("check_convergence", "bool", "mode-doubling certification", default=True),
@@ -449,13 +479,15 @@ SPINBOSON_SCHEMA = (
 )
 
 
-def _cmd_spinboson(cfg: dict) -> tuple[list, dict, list[str]]:
+def _cmd_spinboson(cfg: _Config) -> tuple[list, dict, list[str]]:
     from .baths import OhmicLorentzCutoff
     from .dynamics import evolve
     from .models.spinboson import spin_boson_born_markov_generator, spin_boson_exact_dephasing
 
     if cfg["n_times"] < 2:  # the weak-coupling step below reads times[1]
         raise ConfigError(f"'n_times' must be at least 2, got {cfg['n_times']}")
+    if cfg["tunneling"] != 0.0 and not cfg["born_markov"]:
+        raise ConfigError("with 'tunneling' != 0 there is no exact solver: turn on 'born_markov'")
     density = OhmicLorentzCutoff(cfg["mass"], cfg["gamma0"], cfg["cutoff"])
     times = _uniform_grid(0.0, cfg["t_max"], cfg["n_times"], "time")
     header = ["t"]
@@ -489,22 +521,16 @@ _SPIN_BATH_FIELDS = (
 
 SPINSPIN_SCHEMA = _SPIN_BATH_FIELDS + (
     Field("psi0", "json", "initial system state", default="plus"),
-    Field("t_max", "float", "last grid time", required=True),
+    Field("t_max", "float", "last grid time"),
     Field("n_times", "int", "time-grid points", default=201),
     Field("output", "str", "output directory", default="."),
 )
 
 
-def _resolve_couplings(cfg: dict) -> tuple[float, ...]:
-    if cfg["couplings"] is None:
-        raise ConfigError("missing required config key 'couplings'")
-    return tuple(_parse_floats(cfg["couplings"], "couplings"))
-
-
-def _cmd_spinspin(cfg: dict) -> tuple[list, dict, list[str]]:
+def _cmd_spinspin(cfg: _Config) -> tuple[list, dict, list[str]]:
     from .models.spinspin import SpinEnvironment, spin_spin_exact
 
-    couplings = _resolve_couplings(cfg)
+    couplings = tuple(_parse_floats(cfg["couplings"], "couplings"))
     env = SpinEnvironment(couplings, splitting=cfg["splitting"], tunneling=cfg["tunneling"])
     psi0 = StateVector(_parse_state(cfg["psi0"], "psi0"))
     times = _uniform_grid(0.0, cfg["t_max"], cfg["n_times"], "time")
@@ -522,17 +548,16 @@ def _cmd_spinspin(cfg: dict) -> tuple[list, dict, list[str]]:
 
 
 SIEVE_SCHEMA = (
-    Field("scenario", "str", "model family", required=True,
-          choices=("dephasing-qubit", "spin-spin")),
+    Field("scenario", "str", "model family", choices=("dephasing-qubit", "spin-spin")),
     Field("kappa", "float", "dephasing rate (dephasing-qubit)", default=1.0),
 ) + _SPIN_BATH_FIELDS + (
-    Field("t_final", "float", "ranking horizon", required=True),
+    Field("t_final", "float", "ranking horizon"),
     Field("n_times", "int", "time-grid points", default=41),
     Field("output", "str", "output directory", default="."),
 )
 
 
-def _cmd_sieve(cfg: dict) -> tuple[list, dict, list[str]]:
+def _cmd_sieve(cfg: _Config) -> tuple[list, dict, list[str]]:
     from .dynamics import LindbladSpec
     from .models.spinspin import SpinEnvironment
     from .pointer import predictability_sieve
@@ -547,7 +572,8 @@ def _cmd_sieve(cfg: dict) -> tuple[list, dict, list[str]]:
         )
     else:
         generator = SpinEnvironment(
-            _resolve_couplings(cfg), splitting=cfg["splitting"], tunneling=cfg["tunneling"]
+            tuple(_parse_floats(cfg["couplings"], "couplings")),
+            splitting=cfg["splitting"], tunneling=cfg["tunneling"],
         )
     report = predictability_sieve(generator, candidates, times, labels=labels)
     cands = report.candidates
@@ -570,13 +596,11 @@ DFS_SCHEMA = (
 )
 
 
-def _cmd_dfs(cfg: dict) -> tuple[list, dict, list[str]]:
+def _cmd_dfs(cfg: _Config) -> tuple[list, dict, list[str]]:
     from .pointer import InteractionSpec, collective_dfs, dfs_find
 
     payload: dict = {}
     if cfg["collective"]:
-        if cfg["n"] is None:
-            raise ConfigError("collective mode needs 'n'")
         report = collective_dfs(cfg["n"])
         lines = [f"dimension {report.dimension}"]
         if report.labels:
@@ -594,8 +618,6 @@ def _cmd_dfs(cfg: dict) -> tuple[list, dict, list[str]]:
             payload["basis"] = report.result.basis
         summary = {"dimension": report.dimension}
     else:
-        if not cfg["system_terms"] or not cfg["env_terms"]:
-            raise ConfigError("provide system_terms and env_terms, or use --collective")
         s_ops = [_parse_operator(m, f"system_terms[{k}]")
                  for k, m in enumerate(_parse_list(cfg["system_terms"], "system_terms"))]
         e_ops = [_parse_operator(m, f"env_terms[{k}]")
@@ -622,7 +644,7 @@ QEC_SCHEMA = (
 )
 
 
-def _cmd_qec(cfg: dict) -> tuple[list, dict, list[str]]:
+def _cmd_qec(cfg: _Config) -> tuple[list, dict, list[str]]:
     from .qec import logical_error_rate
 
     p_values = _parse_floats(cfg["p_list"], "p_list")
@@ -650,16 +672,13 @@ ESTIMATE_SCHEMA = (
 )
 
 
-def _cmd_estimate(cfg: dict) -> tuple[list, dict, list[str]]:
+def _cmd_estimate(cfg: _Config) -> tuple[list, dict, list[str]]:
     from .models.estimates import table1_scenarios, timescale_ratio, visibility_vs_pressure
 
     outputs: list = []
     summary: dict = {}
     lines: list[str] = []
-    if cfg["mass_g"] is not None or cfg["temp_K"] is not None or cfg["dx_cm"] is not None:
-        for key in ("mass_g", "temp_K", "dx_cm"):
-            if cfg[key] is None:
-                raise ConfigError(f"ratio mode needs '{key}'")
+    if cfg.given & {"mass_g", "temp_K", "dx_cm"}:
         report = timescale_ratio(cfg["mass_g"] * 1e-3, cfg["temp_K"], cfg["dx_cm"] * 1e-2)
         lines.append(
             f"relaxation/decoherence ratio ~ {report.ratio:.3e} "
@@ -670,8 +689,6 @@ def _cmd_estimate(cfg: dict) -> tuple[list, dict, list[str]]:
                         ["mass_g", "temp_K", "dx_cm", "lambda_db_m", "ratio"], np.array([values])))
         summary["ratio"] = report.ratio
     if cfg["table1"]:
-        if not cfg["constants"]:
-            raise ConfigError("table mode needs 'constants'")
         entries = table1_scenarios(cfg["constants"])
         text = np.array([[e.environment, e.object_label, e.constant_kind] for e in entries],
                         dtype=bytes)
@@ -684,9 +701,6 @@ def _cmd_estimate(cfg: dict) -> tuple[list, dict, list[str]]:
             np.column_stack([text[:, :2], numbers[:, :1], text[:, 2:], numbers[:, 1:]]),
         ))
     if cfg["visibility"]:
-        for key in ("gamma_per_pressure", "t_transit", "p_max"):
-            if cfg[key] is None:
-                raise ConfigError(f"visibility mode needs '{key}'")
         if cfg["n_p"] < 1:
             raise ConfigError(f"'n_p' must be at least 1, got {cfg['n_p']}")
         curve = visibility_vs_pressure(
@@ -801,16 +815,19 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         schema, handler, _ = COMMANDS[args.command]
         cfg = _resolve_config(schema, args.config, args)
-        outdir = cfg.get("output") or "."
+        outdir = cfg["output"] or "."
         try:
             os.makedirs(outdir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"'output': cannot create directory: {exc}") from None
         outputs, summary, lines = handler(cfg)
+        unused = sorted(cfg.given - cfg.read)
+        if unused:
+            raise ConfigError(f"config keys this run does not use: {', '.join(unused)}")
         paths = [path for output in outputs for path in _write(outdir, before, *output)]
         manifest = {
             "subcommand": args.command,
-            "config": _json_safe(cfg),
+            "config": _json_safe({k: v for k, v in cfg.items() if k in cfg.read}),
             "seed": next((cfg[k] for k in ("seed", "master_seed") if k in cfg), None),
             "outputs": [os.path.basename(p) for p in paths],
             "versions": {

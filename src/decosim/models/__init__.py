@@ -18,10 +18,9 @@ _EXPORTS = {
             "thermal_de_broglie_wavelength", "timescale_ratio", "visibility_vs_pressure",
         ),
         "qbm": (
-            "CaldeiraLeggettGenerator", "FreeParticleGenerator", "WignerGrid",
-            "caldeira_leggett_generator", "cat_state", "coherent_state", "evolve_free_particle",
-            "free_particle_generator", "position_moments", "truncation_tail", "wigner_from_fock",
-            "wigner_transform",
+            "CaldeiraLeggettGenerator", "FreeParticleGenerator", "WignerGrid", "cat_state",
+            "coherent_state", "evolve_free_particle", "position_moments", "truncation_tail",
+            "wigner_from_fock", "wigner_transform",
         ),
         "spinboson": (
             "SpinBosonBornMarkovGenerator", "SpinBosonExactResult",

@@ -65,12 +65,6 @@ class DecoherenceRates:
     total_rate: float  # Gamma_tot, 1/time
     prefactor: float  # Lambda, 1/(time * length^2)
 
-    def coherence_time(self, separation: float) -> float:
-        """1 / F(dx) in the long-wavelength law; inf at zero separation."""
-        if separation == 0.0:
-            return np.inf
-        return 1.0 / (self.prefactor * separation**2)
-
 
 def decoherence_rates(model: ScatteringModel) -> DecoherenceRates:
     """Gamma_tot = 4 pi rho v |f|^2 q_max and Lambda = Gamma_tot q_max^2 / 9."""

@@ -139,20 +139,6 @@ class CaldeiraLeggettGenerator:
         return 2.0 * self.mass * self.gamma0 * self.temperature
 
 
-def caldeira_leggett_generator(
-    mass: float,
-    frequency: float,
-    gamma0: float,
-    cutoff: float,
-    temperature: float,
-    n_max: int = 60,
-    pure_decoherence: bool = False,
-) -> CaldeiraLeggettGenerator:
-    return CaldeiraLeggettGenerator(
-        mass, frequency, gamma0, cutoff, temperature, n_max, pure_decoherence
-    )
-
-
 def truncation_tail(rho: np.ndarray) -> float | np.ndarray:
     """Population in the top ``TRUNCATION_TAIL_STATES`` (5) number states; certifies truncation.
 
@@ -232,12 +218,6 @@ class FreeParticleGenerator:
     def diffusion(self) -> float:
         """D = 2 M gamma0 T, the momentum-diffusion coefficient."""
         return 2.0 * self.mass * self.gamma0 * self.temperature
-
-
-def free_particle_generator(
-    positions: np.ndarray, mass: float, gamma0: float, temperature: float
-) -> FreeParticleGenerator:
-    return FreeParticleGenerator(positions, mass, gamma0, temperature)
 
 
 def evolve_free_particle(

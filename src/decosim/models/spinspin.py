@@ -137,10 +137,6 @@ class SpinEnvironment:
         shifts.setflags(write=False)
         object.__setattr__(self, "shift_sums", shifts)
 
-    @property
-    def n_spins(self) -> int:
-        return len(self.couplings)
-
     def env_amplitudes(self) -> np.ndarray:
         amps = np.ones(1, dtype=complex)
         for chi in self.env_states:

@@ -41,16 +41,16 @@ from decosim import (
     unravel,
 )
 from decosim.models import (
+    CaldeiraLeggettGenerator,
+    FreeParticleGenerator,
     GridState,
     ScatteringModel,
     SpinEnvironment,
-    caldeira_leggett_generator,
     cat_state,
     coherent_state,
     decoherence_rates,
     evolve_collisional,
     evolve_free_particle,
-    free_particle_generator,
     localization_rate,
     position_moments,
     spin_boson_born_markov_generator,
@@ -229,7 +229,7 @@ def test_criterion_06_collisional_rate_limits():
 
 def test_criterion_07_localization_rates():
     budget = _Budget(120.0)
-    gen = caldeira_leggett_generator(
+    gen = CaldeiraLeggettGenerator(
         1.0, 1.0, 0.01, 10.0, 50.0, n_max=30, pure_decoherence=True
     )
     res = evolve(gen, _pure(cat_state(2.0, 30).amplitudes), 0.04, 2e-4, store_every=20)
@@ -247,7 +247,7 @@ def test_criterion_07_localization_rates():
     psi = np.exp(-x * x / 4.0).astype(complex)
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * (x[1] - x[0]))
     times, frames = evolve_free_particle(
-        free_particle_generator(x, 1.0, 1.0, 0.5),
+        FreeParticleGenerator(x, 1.0, 1.0, 0.5),
         GridState(x, np.outer(psi, psi.conj())),
         5.0,
         5e-3,
@@ -375,7 +375,7 @@ def test_criterion_10_phase_flip_code_contract():
 
 def test_criterion_11_interference_ridge_decay():
     budget = _Budget(60.0)
-    gen = caldeira_leggett_generator(
+    gen = CaldeiraLeggettGenerator(
         1.0, 1.0, 0.01, 10.0, 50.0, n_max=30, pure_decoherence=True
     )
     res = evolve(gen, _pure(cat_state(2.0, 30).amplitudes), 0.04, 2e-4, store_every=50)

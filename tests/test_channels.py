@@ -125,7 +125,7 @@ def test_measurement_operators_resolve_identity(rng):
     u = _dilation(rng)
     rho_env = DensityMatrix(random_density(rng, 2))
     meas = measurement_operators(u, rho_env, _z_projectors())
-    assert meas.completeness_defect() < 1e-10
+    assert verify_completeness(meas) < 1e-10
     # measurement statistics agree with the projective route
     rho_sys = DensityMatrix(random_density(rng, 2))
     outcomes = indirect_measurement(u, rho_sys, rho_env, _z_projectors())

@@ -23,9 +23,9 @@ from decosim import (
 )
 from decosim.cli import COMMANDS, main
 from decosim.models import (
+    CaldeiraLeggettGenerator,
     ScatteringModel,
     SpinEnvironment,
-    caldeira_leggett_generator,
     cat_state,
     coherent_state,
     table1_scenarios,
@@ -94,13 +94,25 @@ def test_identical_runs_produce_identical_bytes(tmp_path):
 
 
 def test_manifest_config_reproduces_the_run(tmp_path):
-    first = tmp_path / "first"
-    assert main(EVOLVE_FLAGS + ["--output", str(first)]) == 0
-    cfg_path = tmp_path / "replay.json"
-    cfg_path.write_text(json.dumps(_manifest(first)["config"]))
-    second = tmp_path / "second"
-    assert main(["evolve", "--config", str(cfg_path), "--output", str(second)]) == 0
-    assert (first / "evolve.csv").read_bytes() == (second / "evolve.csv").read_bytes()
+    # the manifest's config lists the keys the run read, so it reruns, and
+    # gives the same data files, through --config
+    runs = [EVOLVE_FLAGS]
+    for command, bases in _SWEEP_BASES.items():
+        for k, base in enumerate(bases):
+            path = tmp_path / f"{command}-{k}.json"
+            path.write_text(json.dumps(base))
+            runs.append([command, "--config", str(path)])
+    for k, argv in enumerate(runs):
+        first, second = tmp_path / f"first-{k}", tmp_path / f"second-{k}"
+        assert main(argv + ["--output", str(first)]) == 0, argv
+        cfg_path = tmp_path / f"replay-{k}.json"
+        cfg_path.write_text(json.dumps(_manifest(first)["config"]))
+        assert main([argv[0], "--config", str(cfg_path), "--output", str(second)]) == 0, argv
+        files = _output_bytes(first)
+        assert files.pop("manifest.json")["config"] == dict(
+            _manifest(second)["config"], output=str(first))
+        assert files == {name: data for name, data in _output_bytes(second).items()
+                         if name != "manifest.json"}, argv
 
 
 def test_flags_override_the_config_file(tmp_path):
@@ -411,17 +423,17 @@ def test_qbm_emits_coherence_and_wigner_grids(tmp_path):
         assert len(mat_rows) == 201
 
 
-_QBM_WIGNER_FLAGS = [
+_QBM_CAT_FLAGS = [
     "qbm", "--gamma0", "0.01", "--cutoff", "10", "--temperature", "10", "--alpha", "1.0",
     "--n-max", "20", "--t-final", "0.01", "--dt", "0.001", "--store-every", "5",
-    "--wigner", "--n-x", "61", "--x-max", "6",
 ]
+_QBM_WIGNER_FLAGS = _QBM_CAT_FLAGS + ["--wigner", "--n-x", "61", "--x-max", "6"]
 
 
 def test_qbm_stacked_columns_match_the_per_state_loop(tmp_path):
-    assert main(_QBM_WIGNER_FLAGS + ["--no-wigner", "--output", str(tmp_path)]) == 0
+    assert main(_QBM_CAT_FLAGS + ["--no-wigner", "--output", str(tmp_path)]) == 0
     header, rows = _read_csv(tmp_path / "qbm.csv")
-    gen = caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=20)
+    gen = CaldeiraLeggettGenerator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=20)
     psi = cat_state(1.0, 20).amplitudes
     res = evolve(gen, DensityMatrix(np.outer(psi, psi.conj())), 0.01, 0.001, 5)
     left, right = coherent_state(1.0, 20).amplitudes, coherent_state(-1.0, 20).amplitudes
@@ -452,7 +464,7 @@ def test_wigner_triples_and_matrix_hold_the_same_cells(tmp_path):
 
 def test_wigner_files_match_per_cell_rendering_byte_for_byte(tmp_path):
     assert main(_QBM_WIGNER_FLAGS + ["--output", str(tmp_path)]) == 0
-    gen = caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=20)
+    gen = CaldeiraLeggettGenerator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=20)
     psi = cat_state(1.0, 20).amplitudes
     res = evolve(gen, DensityMatrix(np.outer(psi, psi.conj())), 0.01, 0.001, 5)
     positions = np.linspace(-6.0, 6.0, 61)
@@ -831,8 +843,9 @@ _SWEEP_BASES = {
                          dx_max=10.0, n_dx=3)],
     "qbm": [dict(gamma0=0.01, cutoff=10.0, temperature=1.0, alpha=1.0, n_max=10,
                  t_final=0.02, dt=0.01, store_every=1, n_x=101, x_max=8.0)],
+    # no n_modes or check_convergence: a swept nonzero tunneling reads neither
     "spinboson": [dict(gamma0=0.02, cutoff=8.0, temperature=2.0, splitting=0.5, t_max=0.5,
-                       n_times=4, n_modes=64)],
+                       n_times=4)],
     "spinspin": [dict(couplings=_COUPLINGS, t_max=1.0, n_times=4)],
     "sieve": [dict(scenario="dephasing-qubit", t_final=1.0, n_times=3),
               dict(scenario="spin-spin", couplings=_COUPLINGS, t_final=1.0, n_times=3)],
@@ -896,17 +909,21 @@ def _inodes(root):
 def test_schema_sweep_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, command):
     # each value goes in once through the config file and once as the field's
     # flag, whose text is the value's JSON (the bare text for a str field); a
-    # run that exits nonzero creates and replaces no file
+    # run that exits nonzero creates and replaces no file.  A field is swept
+    # on each base whose run reads it, and no swept value may leave a key unread
     monkeypatch.chdir(tmp_path)  # a str value swept into --output names a directory here
     schema = COMMANDS[command][0]
     cfg_path = tmp_path / "cfg.json"
     base_path = tmp_path / "base.json"
     violations = []
+    swept = set()
     for base in _SWEEP_BASES[command]:
         base = dict(base, output=str(tmp_path / "out"))
         base_path.write_text(json.dumps(base))
         assert main([command, "--config", str(base_path)]) == 0, capsys.readouterr().err
-        for field in schema:
+        read = set(_manifest(tmp_path / "out")["config"])
+        swept |= read
+        for field in (f for f in schema if f.name in read):
             flag = "--" + field.name.replace("_", "-")
             for value in _sweep_values(field):
                 cfg_path.write_text(json.dumps(dict(base, **{field.name: value})))
@@ -931,9 +948,12 @@ def test_schema_sweep_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch
                             _assert_one_line(err, rc)
                         except AssertionError:
                             violations.append(f"{case}: exit {rc} with stderr {err!r}")
+                        if "does not use" in err:
+                            violations.append(f"{case}: refused as unused: {err!r}")
                         if _inodes(tmp_path) != files:
                             violations.append(f"{case}: exit {rc} created or replaced files")
     assert not violations, "\n".join(violations)
+    assert swept == {field.name for field in schema}
 
 
 def test_spinboson_extremes_keep_the_one_line_contract(tmp_path, capsys):
@@ -1011,6 +1031,9 @@ _EXIT_2_CASES = {
     "dfs-collective-n-0": ["dfs", "--collective", "--n", "0"],
     "spinboson-tunneling-negative": _SPINBOSON + ["--tunneling", "-1"],
     "spinboson-splitting-nan": _SPINBOSON + ["--splitting", "nan"],
+    # with tunneling there is no exact solver, so there is nothing to compute
+    "spinboson-tunneling-without-born-markov": _SPINBOSON + ["--tunneling", "0.3",
+                                                             "--no-born-markov"],
     # couplings come only as a list, which no default stands in for
     "spinspin-couplings-missing": ["spinspin", "--t-max", "1"],
     "sieve-couplings-missing": ["sieve", "--scenario", "spin-spin", "--t-final", "1"],
@@ -1115,6 +1138,54 @@ def test_invalid_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):
     assert out == ""
     _assert_one_line(err, 2)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json", "taken"]
+
+
+_SIEVE = ["sieve", "--t-final", "1", "--n-times", "3"]
+_UNUSED_KEY_CASES = {
+    "sieve-dephasing-qubit": (_SIEVE + ["--scenario", "dephasing-qubit", "--couplings", '"bogus"',
+                                       "--tunneling", "5"], "couplings, tunneling"),
+    "sieve-spin-spin": (_SIEVE + ["--scenario", "spin-spin", "--couplings", "[0.5]",
+                                  "--kappa", "1e300"], "kappa"),
+    "dfs-collective": (["dfs", "--collective", "--n", "4", "--system-terms", '"junk"'],
+                       "system_terms"),
+    "dfs-explicit": (["dfs", "--system-terms", '["sigma_z"]', "--env-terms", '["sigma_x"]',
+                      "--n", "4"], "n"),
+    "estimate-modes-off": (["estimate", "--mass-g", "1", "--temp-K", "300", "--dx-cm", "1",
+                            "--constants", "{}", "--n-p", "5"], "constants, n_p"),
+    "qbm-no-wigner": (_QBM_FLAGS + ["--n-x", "3", "--x-max", "-5"], "n_x, x_max"),
+    "spinboson-tunneling": (_SPINBOSON + ["--tunneling", "0.3", "--n-modes", "-5",
+                                          "--check-convergence"],
+                            "check_convergence, n_modes"),
+}
+
+
+@pytest.mark.parametrize("argv, keys", _UNUSED_KEY_CASES.values(), ids=_UNUSED_KEY_CASES.keys())
+def test_a_key_the_chosen_mode_does_not_read_exits_2(tmp_path, capsys, monkeypatch, argv, keys):
+    # the run is computed, then refused before any write: the key named is
+    # one this mode of the subcommand never reads
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: config keys this run does not use: {keys}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_old_manifest_config_listing_every_default_exits_2(tmp_path, capsys):
+    # manifests once echoed every schema field, defaults included; such a
+    # config replays only once the keys its scenario never reads are dropped
+    old = dict(couplings=None, kappa=1.0, n_times=3, output=str(tmp_path / "out"),
+               scenario="dephasing-qubit", splitting=0.0, t_final=1.0, tunneling=0.0)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(old))
+    assert main(["sieve", "--config", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: config keys this run does not use: splitting, tunneling\n"
+    assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
+    cfg_path.write_text(json.dumps({k: v for k, v in old.items()
+                                    if k not in ("splitting", "tunneling")}))
+    assert main(["sieve", "--config", str(cfg_path)]) == 0
 
 
 _RETIRED_KEYS = [

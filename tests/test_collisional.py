@@ -189,8 +189,10 @@ def test_collisional_offdiagonal_decay_rate_is_exact():
 def test_decoherence_rates_summary():
     rates = decoherence_rates(_uniform_model())
     assert rates.total_rate == pytest.approx(4 * np.pi * RHO0 * SPEED * F2 * QMAX)
-    assert rates.coherence_time(0.0) == np.inf
-    assert rates.coherence_time(2.0) == pytest.approx(1.0 / (rates.prefactor * 4.0))
+    # at small separations the coherence time is the long-wavelength 1 / (Lambda dx^2)
+    dx = 1e-3
+    tau = 1.0 / localization_rate(_uniform_model(), dx)
+    assert tau == pytest.approx(1.0 / (rates.prefactor * dx**2), rel=1e-4)
 
 
 def _uniform_curve(separations):

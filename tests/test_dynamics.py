@@ -29,7 +29,7 @@ from decosim.dynamics import (
     liouvillian_norm_bound,
 )
 from decosim.errors import ConvergenceError, PositivityError
-from decosim.models import caldeira_leggett_generator, coherent_state
+from decosim.models import CaldeiraLeggettGenerator, coherent_state
 from decosim.models.spinboson import SpinBosonBornMarkovGenerator
 
 from conftest import compiled_rhs
@@ -140,14 +140,14 @@ def _snapshot_generators():
     psi = coherent_state(1.0, 12).amplitudes
     oscillator = DensityMatrix(np.outer(psi, psi.conj()))
     yield lindblad, plus
-    yield caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=12), oscillator
+    yield CaldeiraLeggettGenerator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=12), oscillator
     yield SpinBosonBornMarkovGenerator(0.5, 1.0, 0.05, 0.02, 0.03), plus
     h = _random_hermitian(rng, 3)
     yield LindbladSpec(Operator(h), ((Operator(h @ h), 0.1),)), DensityMatrix(np.eye(3) / 3)
     # above DENSE_PROPAGATOR_MAX_DIM, so evolve takes the Taylor branch
     psi = coherent_state(1.0, 30).amplitudes
     oscillator = DensityMatrix(np.outer(psi, psi.conj()))
-    yield caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=30), oscillator
+    yield CaldeiraLeggettGenerator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=30), oscillator
 
 
 def _rk4_evolve_oracle(generator, rho0, t_final, dt, store_every):
@@ -318,20 +318,20 @@ def _ladder_run(d):
 # steps: 2 intervals of 50, each of 21 substeps, and a shorter last interval
 # of 5, of 3 substeps
 _TAYLOR_CASES = {
-    "pure-cl-13": lambda: (caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=13,
-                                                      pure_decoherence=True),
+    "pure-cl-13": lambda: (CaldeiraLeggettGenerator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=13,
+                                                    pure_decoherence=True),
                            _coherent_density(1.0, 13), 0.5, 1e-3, 50),
-    "pure-cl-40": lambda: (caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 50.0, n_max=40,
-                                                      pure_decoherence=True),
+    "pure-cl-40": lambda: (CaldeiraLeggettGenerator(1.0, 1.0, 0.01, 10.0, 50.0, n_max=40,
+                                                    pure_decoherence=True),
                            _coherent_density(2.0, 40), 0.1, 1e-4, 50),
-    "full-cl-30": lambda: (caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=30),
+    "full-cl-30": lambda: (CaldeiraLeggettGenerator(1.0, 1.0, 0.01, 10.0, 10.0, n_max=30),
                            _coherent_density(1.0, 30), 0.5, 1e-3, 50),
     "lindblad-16": lambda: (*_random_lindblad_run(16), 0.3, 1e-2, 5),
-    "pure-cl-40-every": lambda: (caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 50.0, n_max=40,
-                                                            pure_decoherence=True),
+    "pure-cl-40-every": lambda: (CaldeiraLeggettGenerator(1.0, 1.0, 0.01, 10.0, 50.0, n_max=40,
+                                                          pure_decoherence=True),
                                  _coherent_density(2.0, 40), 0.05, 1e-3, 1),
-    "pure-cl-40-rest": lambda: (caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 50.0, n_max=40,
-                                                           pure_decoherence=True),
+    "pure-cl-40-rest": lambda: (CaldeiraLeggettGenerator(1.0, 1.0, 0.01, 10.0, 50.0, n_max=40,
+                                                         pure_decoherence=True),
                                 _coherent_density(2.0, 40), 1.05, 1e-2, 50),
     "ladder-16": lambda: _ladder_run(16),
 }
@@ -356,9 +356,9 @@ def test_taylor_branch_matches_expm_multiply(case):
 
 def test_liouvillian_norm_bound_holds():
     rng = np.random.default_rng(17)
-    generators = [caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 50.0, n_max=12),
-                  caldeira_leggett_generator(1.0, 1.0, 0.01, 10.0, 50.0, n_max=12,
-                                             pure_decoherence=True)]
+    generators = [CaldeiraLeggettGenerator(1.0, 1.0, 0.01, 10.0, 50.0, n_max=12),
+                  CaldeiraLeggettGenerator(1.0, 1.0, 0.01, 10.0, 50.0, n_max=12,
+                                           pure_decoherence=True)]
     for d in (2, 3, 5, 8):
         jumps = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3)]
         generators.append(LindbladSpec(

@@ -5,11 +5,11 @@ from scipy.integrate import solve_ivp
 from decosim import DensityMatrix, evolve
 from decosim.errors import GridResolutionError
 from decosim.models import (
-    caldeira_leggett_generator,
+    CaldeiraLeggettGenerator,
+    FreeParticleGenerator,
     cat_state,
     coherent_state,
     evolve_free_particle,
-    free_particle_generator,
     position_moments,
     truncation_tail,
     two_gaussian_superposition,
@@ -118,7 +118,7 @@ def _random_hermitian(rng, d):
 
 @pytest.mark.parametrize("pure", [True, False])
 def test_compiled_caldeira_leggett_matches_hand_written_rhs(pure):
-    gen = caldeira_leggett_generator(1.3, 0.7, 0.02, 10.0, 5.0, n_max=30, pure_decoherence=pure)
+    gen = CaldeiraLeggettGenerator(1.3, 0.7, 0.02, 10.0, 5.0, n_max=30, pure_decoherence=pure)
     rng = np.random.default_rng(5)
     for _ in range(3):
         rho = _random_hermitian(rng, gen.dim)
@@ -127,7 +127,7 @@ def test_compiled_caldeira_leggett_matches_hand_written_rhs(pure):
 
 
 def test_compiled_free_particle_drift_matches_hand_written_rhs():
-    gen = free_particle_generator(np.linspace(-12.0, 12.0, 64), 1.0, 1.0, 0.5)
+    gen = FreeParticleGenerator(np.linspace(-12.0, 12.0, 64), 1.0, 1.0, 0.5)
     assert np.array_equal(gen.x, np.diag(gen.positions))
     rng = np.random.default_rng(6)
     for _ in range(3):
@@ -147,7 +147,7 @@ def test_bound_motion_matches_moment_odes():
     transient positivity defects stay under its declared tolerance.
     """
     mass, freq, gamma0, cutoff, temp = 1.0, 1.0, 0.01, 10.0, 10.0
-    gen = caldeira_leggett_generator(mass, freq, gamma0, cutoff, temp, n_max=50)
+    gen = CaldeiraLeggettGenerator(mass, freq, gamma0, cutoff, temp, n_max=50)
     shifted_sq = freq**2 - 2.0 * gamma0 * cutoff
     diffusion = gen.diffusion
 
@@ -171,7 +171,7 @@ def test_bound_motion_matches_moment_odes():
 
 
 def test_pure_decoherence_keeps_energy_alive():
-    gen = caldeira_leggett_generator(1.0, 1.0, 0.02, 30.0, 3.0, n_max=40, pure_decoherence=True)
+    gen = CaldeiraLeggettGenerator(1.0, 1.0, 0.02, 30.0, 3.0, n_max=40, pure_decoherence=True)
     psi = coherent_state(1.0, 40)
     rho0 = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
     res = evolve(gen, rho0, 1.0, dt=5e-4, store_every=500)
@@ -202,7 +202,7 @@ def test_cat_state_parity():
 def test_free_particle_matches_moment_odes():
     mass, gamma0, temp = 1.0, 1.0, 0.5
     x = np.linspace(-12.0, 12.0, 96)
-    gen = free_particle_generator(x, mass, gamma0, temp)
+    gen = FreeParticleGenerator(x, mass, gamma0, temp)
     state = two_gaussian_superposition(x, 0.0, 1.0)  # single packet
     diffusion = 2 * mass * gamma0 * temp
 
@@ -227,7 +227,7 @@ def test_free_particle_matches_moment_odes():
 
 def test_free_particle_grid_mismatch_rejected():
     x = np.linspace(-5, 5, 32)
-    gen = free_particle_generator(x, 1.0, 0.5, 1.0)
+    gen = FreeParticleGenerator(x, 1.0, 0.5, 1.0)
     other = two_gaussian_superposition(np.linspace(-4, 4, 32), 0.0, 0.8)
     with pytest.raises(ValueError):
         evolve_free_particle(gen, other, 0.1, 1e-3)
@@ -254,7 +254,7 @@ def _broken_grid(case):
 
 _GRID_USERS = {
     "GridState": lambda x: GridState(x, np.eye(32, dtype=complex) / (32 * 10.0 / 31)),
-    "free_particle_generator": lambda x: free_particle_generator(x, 1.0, 0.5, 1.0),
+    "free_particle_generator": lambda x: FreeParticleGenerator(x, 1.0, 0.5, 1.0),
     "wigner_from_fock": lambda x: wigner_from_fock(np.diag([1.0, 0, 0, 0, 0, 0]), 1.0, 1.0, x),
 }
 
@@ -276,7 +276,7 @@ def test_every_position_grid_meets_the_one_grid_rule(user, case):
 ])
 def test_free_particle_shares_the_run_parameter_checks(t_final, dt, store_every):
     x = np.linspace(-5, 5, 32)
-    gen = free_particle_generator(x, 1.0, 0.5, 1.0)
+    gen = FreeParticleGenerator(x, 1.0, 0.5, 1.0)
     state = two_gaussian_superposition(x, 0.0, 0.8)
     with pytest.raises(ValueError, match="need"):
         evolve_free_particle(gen, state, t_final, dt, store_every)
@@ -287,7 +287,7 @@ def test_free_particle_shares_the_run_parameter_checks(t_final, dt, store_every)
 
 def test_free_particle_matches_the_strang_split_oracle():
     x = np.linspace(-5.0, 5.0, 32)
-    gen = free_particle_generator(x, 1.0, 0.5, 1.0)
+    gen = FreeParticleGenerator(x, 1.0, 0.5, 1.0)
     state = two_gaussian_superposition(x, 0.0, 0.8)
     scale = np.abs(state.matrix).max()
     errors = []
@@ -303,7 +303,7 @@ def test_free_particle_matches_the_strang_split_oracle():
 
 def test_free_particle_carries_a_grid_trace_off_one():
     x = np.linspace(-5.0, 5.0, 32)
-    gen = free_particle_generator(x, 1.0, 0.5, 1.0)
+    gen = FreeParticleGenerator(x, 1.0, 0.5, 1.0)
     base = two_gaussian_superposition(x, 0.0, 0.8)
     state = GridState(x, base.matrix * (1.0 + 5e-9))
     times, frames = evolve_free_particle(gen, state, 0.1, 1e-3, store_every=25)
@@ -315,7 +315,7 @@ def test_free_particle_carries_a_grid_trace_off_one():
 
 def test_free_particle_refuses_a_run_too_long_to_store_at_once():
     x = np.linspace(-5.0, 5.0, 32)
-    gen = free_particle_generator(x, 1.0, 0.5, 1.0)
+    gen = FreeParticleGenerator(x, 1.0, 0.5, 1.0)
     state = two_gaussian_superposition(x, 0.0, 0.8)
     with pytest.raises(ValueError, match="fit in memory"):
         evolve_free_particle(gen, state, 1e12, 1e-3)
@@ -412,7 +412,7 @@ def test_model_containers_freeze_a_private_copy_not_the_callers_arrays():
     x = np.linspace(-4.0, 4.0, 16)
     matrix = np.diag(np.full(16, 1.0 / (16 * (x[1] - x[0])))).astype(complex)
     state = GridState(x, matrix)
-    gen = free_particle_generator(x, 1.0, 0.5, 1.0)
+    gen = FreeParticleGenerator(x, 1.0, 0.5, 1.0)
     values = grid.values.copy()
     direct = WignerGrid(grid.x.copy(), grid.p.copy(), values)
     for caller in (positions, x, matrix, values):
@@ -437,7 +437,7 @@ def test_model_containers_freeze_a_private_copy_not_the_callers_arrays():
 ])
 def test_caldeira_leggett_rejects_invalid_parameters(params):
     with pytest.raises(ValueError):
-        caldeira_leggett_generator(*params, n_max=8)
+        CaldeiraLeggettGenerator(*params, n_max=8)
 
 
 @pytest.mark.parametrize("mass, gamma0, temperature", [
@@ -447,11 +447,11 @@ def test_caldeira_leggett_rejects_invalid_parameters(params):
 ])
 def test_free_particle_rejects_invalid_parameters(mass, gamma0, temperature):
     with pytest.raises(ValueError):
-        free_particle_generator(np.linspace(-5.0, 5.0, 32), mass, gamma0, temperature)
+        FreeParticleGenerator(np.linspace(-5.0, 5.0, 32), mass, gamma0, temperature)
 
 
 def test_generator_guards():
     with pytest.raises(ValueError):
-        caldeira_leggett_generator(1.0, 1.0, 0.1, 10.0, 1.0, n_max=2)
+        CaldeiraLeggettGenerator(1.0, 1.0, 0.1, 10.0, 1.0, n_max=2)
     with pytest.raises(ValueError):
-        free_particle_generator(np.linspace(0, 1, 4), 1.0, 0.1, 1.0)
+        FreeParticleGenerator(np.linspace(0, 1, 4), 1.0, 0.1, 1.0)

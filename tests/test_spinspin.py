@@ -68,7 +68,7 @@ def _direct_reduced_evolution(env: SpinEnvironment, psi, times, monkeypatch) -> 
 
 def spin_spin_hamiltonian(env: SpinEnvironment) -> Operator:
     """Oracle: the dense joint Hamiltonian, system qubit first in the tensor order."""
-    n_env = 2**env.n_spins
+    n_env = 2**len(env.couplings)
     a, b = env._block_fields()
     h = np.zeros((2 * n_env, 2 * n_env), dtype=complex)
     idx = np.arange(n_env)
@@ -76,12 +76,12 @@ def spin_spin_hamiltonian(env: SpinEnvironment) -> Operator:
     h[n_env + idx, n_env + idx] = -a
     h[idx, n_env + idx] = b
     h[n_env + idx, idx] = b
-    return Operator(h, dims=(2,) * (env.n_spins + 1))
+    return Operator(h, dims=(2,) * (len(env.couplings) + 1))
 
 
 def spin_spin_propagator(env: SpinEnvironment, t: float) -> Operator:
     """Oracle: the dense joint propagator assembled from the per-string blocks."""
-    n_env = 2**env.n_spins
+    n_env = 2**len(env.couplings)
     u_blocks = _block_unitaries(env, float(t))
     u = np.zeros((2 * n_env, 2 * n_env), dtype=complex)
     idx = np.arange(n_env)
@@ -89,7 +89,7 @@ def spin_spin_propagator(env: SpinEnvironment, t: float) -> Operator:
     u[idx, n_env + idx] = u_blocks[:, 0, 1]
     u[n_env + idx, idx] = u_blocks[:, 1, 0]
     u[n_env + idx, n_env + idx] = u_blocks[:, 1, 1]
-    return Operator(u, dims=(2,) * (env.n_spins + 1))
+    return Operator(u, dims=(2,) * (len(env.couplings) + 1))
 
 
 def _random_qubit(rng) -> np.ndarray:
@@ -250,7 +250,7 @@ def test_reduced_state_matches_dilation_channel():
         rho_env_mat = np.kron(rho_env_mat, np.outer(c, c.conj()))
     u = spin_spin_propagator(env, t)
     channel = kraus_from_unitary(
-        Operator(u.entries, dims=(2, 2 ** env.n_spins)), DensityMatrix(rho_env_mat)
+        Operator(u.entries, dims=(2, 2 ** len(env.couplings))), DensityMatrix(rho_env_mat)
     )
     via_channel = apply_channel(channel, rho_sys)
     res = spin_spin_exact(env, psi, np.array([0.0, t]))
@@ -273,7 +273,7 @@ def test_joint_state_traces_down_to_the_reduced_state():
     times = np.linspace(0.0, 3.0, 7)
     res = spin_spin_exact(env, PLUS, times)
     amps = env.env_amplitudes()
-    dims = (2,) * (env.n_spins + 1)
+    dims = (2,) * (len(env.couplings) + 1)
     for t, state in zip(times, res.states):
         branches = _block_unitaries(env, float(t)) @ PLUS  # (2^N, 2)
         joint = StateVector((branches.T * amps).reshape(-1), dims=dims)
