@@ -317,7 +317,7 @@ TRAJECTORIES_SCHEMA = _OPERATOR_FIELDS + (
     Field("master_seed", "int", "seed in [0, 2**64) of the per-block SFC64/SeedSequence streams",
           default=2026),
     Field("store_every", "int", "snapshot stride in steps", default=1),
-    Field("workers", "int", "thread count (default: DECOSIM_WORKERS or 1)"),
+    Field("workers", "int", "threads that run the trajectory blocks", default=1),
     Field("output", "str", "output directory", default="."),
 )
 
@@ -333,7 +333,7 @@ def _cmd_trajectories(cfg: _Config) -> tuple[list, dict, list[str]]:
         n_trajectories=cfg["n_trajectories"],
         master_seed=cfg["master_seed"],
     )
-    ens = unravel(spec, psi0, tc, store_every=cfg["store_every"], n_workers=cfg.get("workers"))
+    ens = unravel(spec, psi0, tc, store_every=cfg["store_every"], n_workers=cfg["workers"])
     ref = evolve(spec, psi0.density(), cfg["t_final"], cfg["dt"], cfg["store_every"])
     header = (
         ["t"]

@@ -23,11 +23,11 @@ mean converges to the same master equation.  Trajectories run in fixed
 blocks of ``TRAJECTORY_BLOCK`` (2048), and block k draws its Wiener
 increments from its own stream,
 ``SFC64(SeedSequence(master_seed, spawn_key=(k,)))``, so results are
-bitwise reproducible for any worker count and a full block never depends
-on the ensemble size.  Each Euler-Maruyama step advances a whole block
-with one matrix product against the stacked operators
-(L_1, ..., L_m, dt A) and one contraction for the norm and
-expectations, and reads its increments from a step-major chunk that
+bitwise reproducible for any worker count (``n_workers`` threads, 1 by
+default) and a full block never depends on the ensemble size.  Each
+Euler-Maruyama step advances a whole block with one matrix product
+against the stacked operators (L_1, ..., L_m, dt A) and one contraction
+for the norm and expectations, and reads its increments from a step-major chunk that
 holds one renormalization period: the block's stream fills it when the
 period starts, and it is scaled by sqrt(dt kappa) in place, so the
 noise memory does not grow with the number of steps.
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,7 +345,10 @@ def evolve(
 class TrajectoryConfig:
     """Stochastic run description; all trajectories share dt and t_final.
 
-    ``n_steps`` is set at construction from ``fixed_step_count``; not a field.
+    ``n_steps`` is set at construction from ``fixed_step_count``, the step
+    rule of ``evolve``; not a field.  t_final = 0 gives no step, and
+    ``unravel`` then returns the t = 0 ensemble, the mean of n copies of
+    psi0 psi0^dag.
     """
 
     dt: float
@@ -355,8 +357,6 @@ class TrajectoryConfig:
     master_seed: int
 
     def __post_init__(self):
-        if not self.t_final > 0:
-            raise ValueError(f"need t_final > 0, got t_final={self.t_final}")
         object.__setattr__(self, "n_steps", fixed_step_count(self.t_final, self.dt, 1))
         if self.n_trajectories < 1:
             raise ValueError("need at least one trajectory")
@@ -368,7 +368,7 @@ class TrajectoryConfig:
 
 @dataclass(frozen=True)
 class TrajectoryResult:
-    """Snapshot times (T,), validated read-only ensemble means (T, d, d), final states."""
+    """Snapshot times (T,), validated ensemble means (T, d, d), final states; all read-only."""
 
     times: np.ndarray
     ensemble: np.ndarray
@@ -483,7 +483,7 @@ def unravel(
     psi0: StateVector,
     cfg: TrajectoryConfig,
     store_every: int = 1,
-    n_workers: int | None = None,
+    n_workers: int = 1,
 ) -> TrajectoryResult:
     """Diffusive pure-state unraveling of a Lindblad equation with Hermitian operators.
 
@@ -498,19 +498,15 @@ def unravel(
     full block do not depend on n_trajectories, but those of a partial
     last block depend on its width b.  Each block holds its noise one
     renormalization period at a time, so memory does not grow with the
-    number of steps beyond the stored snapshots.
+    number of steps beyond the stored snapshots.  Snapshots land on
+    ``evolve``'s grid, every ``store_every``-th step and the last one.
+    ``n_workers`` threads run the blocks, one at a time by default.
     """
     for op, _ in spec.lindblad_terms:
         if not op.is_hermitian():
             raise ValueError("diffusive unraveling is implemented for Hermitian operators only")
     if psi0.dim != spec.dim:
         raise ValueError("initial state dimension does not match the generator")
-    if n_workers is None:
-        env = os.environ.get("DECOSIM_WORKERS", "1")
-        try:
-            n_workers = int(env)
-        except ValueError:
-            raise ValueError(f"DECOSIM_WORKERS must be an integer, got {env!r}") from None
     if n_workers < 1:
         raise ValueError(f"need n_workers >= 1, got {n_workers}")
     if store_every < 1:
@@ -546,5 +542,6 @@ def unravel(
     times = sample_steps * cfg.dt
     ensemble = symmetrize(total)
     check_states(ensemble, times=times)
-    ensemble.setflags(write=False)
+    for arr in (times, ensemble, finals):
+        arr.setflags(write=False)
     return TrajectoryResult(times, ensemble, finals)

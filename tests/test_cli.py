@@ -214,28 +214,25 @@ def test_trajectories_track_the_master_equation(tmp_path):
 
 
 _TRAJECTORY_BOUND_CASES = [
-    (["--n-trajectories", "0"], None),
-    (["--n-trajectories", "10", "--store-every", "0"], None),
-    (["--n-trajectories", "10", "--workers", "0"], None),
-    (["--n-trajectories", "10", "--dt", "0"], None),
-    (["--n-trajectories", "10", "--t-final", "-1"], None),
-    (["--n-trajectories", "10", "--t-final", "nan"], None),
-    (["--n-trajectories", "10"], "0"),
-    (["--n-trajectories", "10"], "abc"),
-    (["--n-trajectories", "10", "--master-seed", "18446744073709551616"], None),
-    (["--n-trajectories", "10", "--master-seed", "1e300"], None),
-    (["--n-trajectories", "10", "--master-seed", "-1"], None),
+    ["--n-trajectories", "0"],
+    ["--n-trajectories", "10", "--store-every", "0"],
+    ["--n-trajectories", "10", "--workers", "0"],
+    ["--n-trajectories", "10", "--dt", "0"],
+    ["--n-trajectories", "10", "--t-final", "-1"],
+    ["--n-trajectories", "10", "--t-final", "nan"],
+    ["--n-trajectories", "10", "--workers", "1e19"],
+    ["--n-trajectories", "10", "--workers", "1.5"],
+    ["--n-trajectories", "10", "--master-seed", "18446744073709551616"],
+    ["--n-trajectories", "10", "--master-seed", "1e300"],
+    ["--n-trajectories", "10", "--master-seed", "-1"],
 ]
 
 
 @pytest.mark.parametrize(
-    "flags, workers_env",
-    _TRAJECTORY_BOUND_CASES,
+    "flags", _TRAJECTORY_BOUND_CASES,
     ids=[f"flags{k}" for k in range(len(_TRAJECTORY_BOUND_CASES))],
 )
-def test_trajectory_bounds_exit_2(tmp_path, capsys, monkeypatch, flags, workers_env):
-    if workers_env is not None:
-        monkeypatch.setenv("DECOSIM_WORKERS", workers_env)
+def test_trajectory_bounds_exit_2(tmp_path, capsys, flags):
     rc = main([
         "trajectories", "--hamiltonian", "identity",
         "--lindblad", '[{"operator": "sigma_z", "rate": 1.0}]',
@@ -245,6 +242,37 @@ def test_trajectory_bounds_exit_2(tmp_path, capsys, monkeypatch, flags, workers_
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
+
+
+def test_trajectories_at_t_final_0_write_the_initial_ensemble(tmp_path):
+    # no step: the ensemble is psi0 psi0^dag, as evolve's t = 0 state
+    flags = ["--hamiltonian", "sigma_x", "--lindblad", '[{"operator": "sigma_z", "rate": 0.5}]',
+             "--t-final", "0", "--dt", "0.01"]
+    assert main(["trajectories", *flags, "--n-trajectories", "3000",
+                 "--output", str(tmp_path / "traj")]) == 0
+    assert main(["evolve", *flags, "--output", str(tmp_path / "evolve")]) == 0
+    header, rows = _read_csv(tmp_path / "traj" / "trajectories.csv")
+    ref_header, ref_rows = _read_csv(tmp_path / "evolve" / "evolve.csv")
+    assert len(rows) == len(ref_rows) == 1
+    for name in ref_header[3:]:
+        want = _column(ref_header, ref_rows, name)
+        assert _column(header, rows, "ens_" + name) == want
+        assert _column(header, rows, "ref_" + name) == want
+    assert _column(header, rows, "trace_distance") == 0.0
+
+
+def test_the_worker_count_comes_from_the_config_alone(tmp_path):
+    # the count comes from the config or flag alone, never from the environment
+    argv = ["trajectories", *_DEPHASING_FLAGS, "--dt", "0.01", "--n-trajectories", "3000"]
+    outputs = []
+    for name, extra_env in (("default", {}), ("env", {"DECOSIM_WORKERS": "abc"})):
+        done = subprocess.run([sys.executable, "-m", "decosim", *argv, "--output",
+                               str(tmp_path / name)], env=_child_env(extra_env),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert _manifest(tmp_path / name)["config"]["workers"] == 1
+        outputs.append((tmp_path / name / "trajectories.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_master_seed_keeps_its_uint64_range(tmp_path):
@@ -346,7 +374,7 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
         cwd.mkdir()
         done = subprocess.run(
             [sys.executable, "-c", script, argvs], cwd=cwd, capture_output=True, text=True,
-            env=_child_env({"OPENBLAS_NUM_THREADS": threads, "DECOSIM_WORKERS": "1"}),
+            env=_child_env({"OPENBLAS_NUM_THREADS": threads}),
             timeout=120,
         )
         assert done.returncode == 0, done.stderr

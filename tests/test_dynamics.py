@@ -397,9 +397,10 @@ def test_trajectory_config_validation():
             TrajectoryConfig(dt=0.1, t_final=1.0, n_trajectories=1, master_seed=seed)
     for seed in (2**64 - 1, np.uint64(7)):
         TrajectoryConfig(dt=0.1, t_final=1.0, n_trajectories=1, master_seed=seed)
-    for t_final in (0.0, -1.0, np.nan):
-        with pytest.raises(ValueError, match="t_final > 0"):
+    for t_final in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="t_final >= 0"):
             TrajectoryConfig(dt=0.1, t_final=t_final, n_trajectories=1, master_seed=1)
+    assert TrajectoryConfig(dt=0.1, t_final=0.0, n_trajectories=1, master_seed=1).n_steps == 0
     for t_final, dt in ((1e-300, 1.0), (1.0, 2.0), (0.049, 0.1)):
         with pytest.raises(ValueError, match=r"rounds to no step.*dt=.*t_final="):
             TrajectoryConfig(dt=dt, t_final=t_final, n_trajectories=1, master_seed=1)
@@ -418,6 +419,7 @@ def test_unraveling_is_reproducible():
     a = unravel(spec, psi0, cfg, store_every=100)
     b = unravel(spec, psi0, cfg, store_every=100)
     assert np.array_equal(a.ensemble, b.ensemble)
+    assert not any(arr.flags.writeable for arr in (a.times, a.ensemble, a.final_states))
 
 
 def test_unraveling_workers_do_not_change_result():

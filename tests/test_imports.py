@@ -56,7 +56,7 @@ def test_each_process_loads_only_its_subcommands_modules(tmp_path, case):
     argv, solver = _RUNS[case]
     if argv:
         argv = argv + ["--output", str(tmp_path)]
-    env = dict(os.environ, DECOSIM_WORKERS="1")
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
     done = subprocess.run([sys.executable, "-c", _SCRIPT, json.dumps(argv)],
                           env=env, capture_output=True, text=True)

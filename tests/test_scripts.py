@@ -12,8 +12,6 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("script, extra, filename, header", [
     pytest.param("cat_lifetime_sweep.py", [], "cat_lifetimes.csv",
                  "alpha,separation,measured_rate,asymptotic_rate", id="cat_lifetime_sweep"),
-    pytest.param("localization_crossover.py", [], "crossover.csv",
-                 "separation,rate,quadratic_asymptote,saturation", id="localization_crossover"),
     pytest.param("trajectory_scaling.py", ["--reps", "1"], "scaling.csv",
                  "n_trajectories,mean_distance,spread,reps", id="trajectory_scaling"),
 ])
