@@ -9,7 +9,11 @@ G = -i H_eff and pairs a tuple of (A, B) matrices, so that
 ``evolve`` propagates each snapshot interval exactly,
 rho(t + Delta) = exp(L Delta) rho(t), then symmetrizes the snapshots and
 validates them in one ``check_states`` call on their (T, d, d) stack,
-which also gives their spectra.  Up to ``DENSE_PROPAGATOR_MAX_DIM`` it
+which also gives their spectra.  When G and every live pair (neither A
+nor B all zero) are diagonal, L is diagonal too, and at any d each
+entry evolves in closed form, rho_ij(t) = rho_ij(0) exp(lambda_ij t)
+with lambda the diagonal of L; this is exact at every rate whose
+lambda t is finite.  Otherwise, up to ``DENSE_PROPAGATOR_MAX_DIM`` it
 builds the Liouvillian L once and takes this module's NumPy
 scaling-and-squaring Pade ``_expm`` of it; above, it never forms L and
 sums truncated Taylor series on the d x d matrix rho, each term one
@@ -17,7 +21,7 @@ application of the compiled form.  One series, a window, reaches
 ||L||_1 tau = _TAYLOR_THETA (8) and is summed until two successive terms
 fall below 2^-53 of its far-end sum; every snapshot inside the window is
 read off the same terms, and a snapshot beyond one reach takes equal
-substeps.  Neither branch loads SciPy.
+substeps.  No branch loads SciPy.
 ``unravel`` propagates pure-state diffusive trajectories whose ensemble
 mean converges to the same master equation.  Trajectories run in fixed
 blocks of ``TRAJECTORY_BLOCK`` (2048), and block k draws its Wiener
@@ -159,6 +163,28 @@ def liouvillian(compiled) -> np.ndarray:
     return out
 
 
+def _liouvillian_diagonal(compiled) -> np.ndarray | None:
+    """The diagonal lambda of ``liouvillian`` when L is diagonal, else None; L is never formed.
+
+    L is diagonal when G and every live pair (A, B), one with neither A nor
+    B all zero, are diagonal; a dead pair (a rate-0 jump) adds only zeros.
+    With g, a, b the diagonals, lambda_(ij) = K_ij + conj(K_ji),
+    K_ij = g_i + sum a_i b_j, summed as ``liouvillian`` sums its Kronecker
+    terms, so lambda is bitwise L's diagonal.
+    """
+    g, pairs = compiled
+    live = [m for a, b in pairs if a.any() and b.any() for m in (a, b)]
+    if any(np.count_nonzero(m) != np.count_nonzero(m.diagonal()) for m in (g, *live)):
+        return None
+    one = np.ones(g.shape[0])
+    gd = g.diagonal()
+    lam = np.multiply.outer(gd, one) + np.multiply.outer(one, gd.conj())
+    for a, b in pairs:
+        ad, bd = a.diagonal(), b.diagonal()
+        lam = lam + np.multiply.outer(ad, bd) + np.multiply.outer(bd.conj(), ad.conj())
+    return lam.reshape(-1)
+
+
 def liouvillian_norm_bound(compiled) -> float:
     """2 ||G||_1 + 2 sum ||A||_1 ||B||_inf, an upper bound on ||L||_1 that never forms L.
 
@@ -247,22 +273,18 @@ def _taylor_snapshots(compiled, rho: np.ndarray, out: np.ndarray, steps: np.ndar
 def _expm(a: np.ndarray, norm: float) -> np.ndarray:
     """exp(a) for a square array whose 1-norm ``norm`` is finite.
 
-    A diagonal a (pure dephasing in the Hamiltonian's eigenbasis) takes the
-    exact elementwise exponential.  Otherwise scaling and squaring (Higham
-    2005): the degree-13 Pade approximant of a / 2^s, with s the fewest
-    halvings that bring the norm under theta_13, followed by s squarings.
+    Scaling and squaring (Higham 2005): the degree-13 Pade approximant of
+    a / 2^s, with s the fewest halvings that bring the norm under theta_13
+    (none for a norm up to theta_13, 0 included), followed by s squarings.
     Powers are formed only after the scaling, so a finite norm cannot
     overflow them.  The approximant is evaluated as I + 2 (V - U)^-1 U
     rather than (V - U)^-1 (V + U): a zero column of a (a stationary basis
     state) then stays an exact column of I, instead of carrying a rounding
     error that the squarings amplify 2^s-fold.
     """
-    diag = a.diagonal()
-    if np.count_nonzero(a) == np.count_nonzero(diag):
-        return np.diag(np.exp(diag))
     b = _PADE13
     ident = np.eye(a.shape[0])
-    s = max(0, int(np.ceil(np.log2(norm / _THETA13))))
+    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
     a = a * 2.0 ** -s
     a2 = a @ a
     a4 = a2 @ a2
@@ -288,7 +310,12 @@ def evolve(
 
     ``generator`` exposes ``compiled`` = (G, pairs), ``dim`` and
     ``positivity_tol``.  Snapshots land at every ``store_every``-th multiple
-    of dt and at round(t_final / dt) dt; dt sets only this grid.  The
+    of dt and at round(t_final / dt) dt; dt sets only this grid.  A
+    diagonal L takes the closed form at any d, exact at every rate whose
+    lambda t is finite: one exp(k dt lambda) per distinct interval of k
+    steps and one running product from the symmetrized rho0, with no L and
+    no ``_expm``.  ||L||_1 t (max |lambda| t on a diagonal L) that
+    overflows a double raises ConvergenceError.  The
     snapshots are validated together by one ``check_states`` call with the
     positivity tolerance as eigenvalue floor; a violation raises
     PositivityError naming the first failing time.
@@ -304,34 +331,47 @@ def evolve(
     except (MemoryError, ValueError):  # too large to allocate, or to address at all
         raise ValueError(f"{n_steps // store_every + 1:.3g} snapshots of a {d}x{d} state do "
                          "not fit in memory; raise dt or store_every") from None
-    states[0] = rho0.entries
-    dense = d <= DENSE_PROPAGATOR_MAX_DIM
     # rates near the double range overflow L, or the bound on its norm;
     # that is caught once here
     with np.errstate(over="ignore", invalid="ignore"):
-        if dense:
+        lam = _liouvillian_diagonal(generator.compiled)
+        taylor = lam is None and d > DENSE_PROPAGATOR_MAX_DIM
+        if lam is not None:
+            norm = abs(lam).max()  # ||L||_1 of the diagonal L
+        elif taylor:
+            norm = liouvillian_norm_bound(generator.compiled)
+        else:
             lv = liouvillian(generator.compiled)
             norm = abs(lv).sum(axis=0).max()  # ||L||_1
-        else:
-            norm = liouvillian_norm_bound(generator.compiled)
         norm_time = norm * (n_steps * dt)
     if not np.isfinite(norm_time):
         raise ConvergenceError("||L||_1 t overflows a double; the generator is too large "
                                "to propagate")
-    if not dense and norm_time > MAX_SPARSE_NORM_TIME:
+    if taylor and norm_time > MAX_SPARSE_NORM_TIME:
         raise ConvergenceError(f"||L||_1 t = {norm_time:.3g} is too stiff to propagate")
     rho = symmetrize(rho0.entries)
     # a propagation that overflows leaves non-finite snapshots, which
     # check_states reports as one error instead of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if dense:
+        if lam is not None:
+            # rows [vec(rho), exp(k_1 dt lambda), exp(k_2 dt lambda), ...], one
+            # exponential per distinct interval of k steps; their running
+            # product is the snapshots
+            rows = states.reshape(steps.size, d * d)
+            rows[0] = rho.reshape(-1)
+            intervals = np.diff(steps)
+            for k in set(intervals.tolist()):
+                rows[1:][intervals == k] = np.exp((k * dt) * lam)
+            np.multiply.accumulate(rows, axis=0, out=rows)
+        elif taylor:
+            _taylor_snapshots(generator.compiled, rho, states[1:], steps[1:], dt, norm)
+        else:
             props = {}  # one propagator per distinct interval, in steps
             for i, k in enumerate(np.diff(steps).tolist(), 1):
                 if k not in props:
                     props[k] = _expm(k * dt * lv, norm * (k * dt))
                 states[i] = rho = (props[k] @ rho.reshape(-1)).reshape(d, d)
-        else:
-            _taylor_snapshots(generator.compiled, rho, states[1:], steps[1:], dt, norm)
+        states[0] = rho0.entries
         states[1:] = symmetrize(states[1:])
     # the snapshots inherit the generator's positivity tolerance, since a
     # non-CP generator transiently dips below the strict floor

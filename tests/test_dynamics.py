@@ -18,11 +18,13 @@ from decosim import (
     evolve,
     unravel,
 )
+from decosim.core import symmetrize
 from decosim.dynamics import (
     _RENORM_EVERY,
     _TAYLOR_THETA,
     _THETA13,
     DENSE_PROPAGATOR_MAX_DIM,
+    MAX_SPARSE_NORM_TIME,
     TRAJECTORY_BLOCK,
     _expm,
     liouvillian,
@@ -255,10 +257,108 @@ def test_expm_matches_scipy_after_many_squarings():
     _assert_expm_matches_scipy(a)
 
 
+@pytest.mark.filterwarnings("error")
 def test_expm_of_a_diagonal_is_exact():
+    # a zero norm takes no squaring, and no log2(0)
     assert np.array_equal(_expm(np.zeros((4, 4), dtype=complex), 0.0), np.eye(4))
-    diag = np.diag([0.0, -0.3 + 2j, -7.0, 1e-3])
-    assert np.array_equal(_expm(diag, 7.0), np.diag(np.exp(np.diag(diag))))
+
+
+def _diagonal_evolve_oracle(generator, rho0, t_final, dt, store_every):
+    """The per-interval propagation ``evolve`` ran for a diagonal L before its closed form:
+    one propagator np.diag(exp(k dt lambda)) per interval of k steps, applied to vec(rho)."""
+    lv = liouvillian(generator.compiled)
+    assert np.count_nonzero(lv) == np.count_nonzero(lv.diagonal())  # L is diagonal
+    d = generator.dim
+    n_steps = int(round(t_final / dt))
+    steps = np.append(np.arange(0, n_steps, store_every), n_steps)
+    vec = symmetrize(rho0.entries).reshape(-1)
+    states = [rho0.entries]
+    for k in np.diff(steps).tolist():
+        vec = np.diag(np.exp(k * dt * lv.diagonal())) @ vec
+        states.append(symmetrize(vec.reshape(d, d)))
+    return steps * dt, np.array(states)
+
+
+def _complex_density(d, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = m @ m.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)
+
+
+def _random_diagonal_spec(d):
+    # complex jump diagonals, whose products round, so lambda's summation order shows
+    rng = np.random.default_rng(d)
+    jumps = [np.diag(rng.normal(size=d) + 1j * rng.normal(size=d)) for _ in range(2)]
+    return LindbladSpec(Operator(np.diag(rng.normal(size=d))),
+                        ((Operator(jumps[0]), 0.7), (Operator(jumps[1]), 0.3)))
+
+
+# (generator, rho0, t_final, dt, store_every); 0.47 / 1e-3 = 470 steps: 7
+# snapshot intervals of 60 and a short last one of 50.  A rate-0 jump
+# compiles to a pair whose B is all zero, which adds nothing to L however
+# A is shaped
+_DIAGONAL_CASES = {
+    "sigma-z-uniform": lambda: (_dephasing_spec(h=SIGMA_Z), _complex_density(2, 3),
+                                0.5, 1e-3, 50),
+    "sigma-z-short-last": lambda: (_dephasing_spec(h=SIGMA_Z), _complex_density(2, 3),
+                                   0.47, 1e-3, 60),
+    "spin-boson-no-tunneling": lambda: (SpinBosonBornMarkovGenerator(0.5, 0.0, 0.05, 0.0, 0.0),
+                                        _complex_density(2, 4), 0.47, 1e-3, 60),
+    "dead-sigma-x-jump": lambda: (LindbladSpec(Operator(SIGMA_Z), ((Operator(SIGMA_X), 0.0),)),
+                                  _complex_density(2, 5), 0.47, 1e-3, 60),
+    "random-diagonal-4": lambda: (_random_diagonal_spec(4), _complex_density(4, 6),
+                                  0.47, 1e-3, 60),
+}
+
+
+@pytest.mark.parametrize("case", list(_DIAGONAL_CASES))
+def test_diagonal_generators_match_the_per_interval_oracle_bitwise(case):
+    gen, rho0, t_final, dt, store_every = _DIAGONAL_CASES[case]()
+    res = evolve(gen, rho0, t_final, dt, store_every)
+    times, states = _diagonal_evolve_oracle(gen, rho0, t_final, dt, store_every)
+    np.testing.assert_array_equal(res.times, times)
+    assert np.array_equal(res.states.view(float), states.view(float))
+    # each interval's propagator is exactly np.exp of k dt times L's diagonal:
+    # from rho0 = 1/d everywhere (d a power of 2), the first snapshot is 1/d of it
+    d, k = gen.dim, store_every
+    uniform = DensityMatrix(np.full((d, d), 1.0 / d, dtype=complex))
+    first = evolve(gen, uniform, k * dt, dt, k).states[1]
+    lam = liouvillian(gen.compiled).diagonal()
+    assert np.array_equal(first, symmetrize(np.exp(k * dt * lam).reshape(d, d) / d))
+
+
+def _diagonal_spec_above_the_dense_limit(rate):
+    # integer jump entries and a power-of-2 rate keep every product exact, so
+    # the populations' entries of L's diagonal are exactly 0
+    d = DENSE_PROPAGATOR_MAX_DIM + 3
+    ham = Operator(np.diag(np.linspace(-1.0, 1.0, d)))
+    return LindbladSpec(ham, ((Operator(np.diag(np.arange(d) - 5.0)), rate),))
+
+
+def test_a_diagonal_generator_above_the_dense_limit_matches_expm():
+    spec = _diagonal_spec_above_the_dense_limit(0.25)
+    assert spec.dim > DENSE_PROPAGATOR_MAX_DIM
+    rho0 = _complex_density(spec.dim, 12)
+    res = evolve(spec, rho0, 0.47, 1e-2, 10)
+    lv = liouvillian(spec.compiled)
+    vec = rho0.entries.reshape(-1)
+    for t, state in zip(res.times, res.states):
+        ref = (scipy.linalg.expm(t * lv) @ vec).reshape(spec.dim, spec.dim)
+        assert np.abs(state - ref).max() <= 1e-13
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_stiff_diagonal_generator_decoheres_exactly_at_any_dimension():
+    # the Taylor branch refuses a run this stiff; the closed form needs no steps
+    spec, t_final = _diagonal_spec_above_the_dense_limit(2.0 ** 30), 1.0
+    assert liouvillian_norm_bound(spec.compiled) * t_final > MAX_SPARSE_NORM_TIME
+    rho0 = _complex_density(spec.dim, 12)
+    res = evolve(spec, rho0, t_final, dt=0.1)
+    off = ~np.eye(spec.dim, dtype=bool)
+    for state in res.states[1:]:
+        assert np.array_equal(np.diag(state), np.diag(rho0.entries))
+        assert not np.any(state[off])
 
 
 def test_stiff_damping_keeps_its_stationary_state():
