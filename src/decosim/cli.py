@@ -84,6 +84,7 @@ from .serialize import (
 if TYPE_CHECKING:
     from .dynamics import LindbladSpec
     from .models.qbm import WignerGrid
+    from .models.spinspin import SpinEnvironment
 
 _NAMED_OPERATORS = {
     "sigma_x": SIGMA_X,
@@ -147,9 +148,10 @@ class _Config(dict):
     """A resolved config that records the keys a run reads.
 
     ``given`` holds the keys set by a flag or the config file, ``read`` the
-    keys the run looked up.  ``cfg[key]`` on a key that holds no value is a
-    missing required key; ``cfg.get(key)`` reads a key whose unset value
-    the caller handles itself.
+    keys the run looked up.  ``cfg[key]`` is the one read, and on a key that
+    holds no value it is a missing required key; a run that has a fallback
+    for an unset key asks ``key in cfg.given`` first, so the unset key is
+    neither read nor recorded.
     """
 
     def __init__(self, values: dict, given: set[str]):
@@ -157,13 +159,10 @@ class _Config(dict):
         self.given, self.read = given, set()
 
     def __getitem__(self, key):
-        if (value := self.get(key)) is None:
+        self.read.add(key)
+        if (value := super().get(key)) is None:
             raise ConfigError(f"missing required config key '{key}'")
         return value
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
 
 
 def _resolve_config(schema: tuple[Field, ...], config_path: str | None, ns) -> _Config:
@@ -273,6 +272,13 @@ def _build_lindblad(cfg) -> LindbladSpec:
     return LindbladSpec(Operator(h), tuple(terms))
 
 
+def _build_spin_environment(cfg) -> SpinEnvironment:
+    from .models.spinspin import SpinEnvironment
+
+    couplings = tuple(_parse_floats(cfg["couplings"], "couplings"))
+    return SpinEnvironment(couplings, splitting=cfg["splitting"], tunneling=cfg["tunneling"])
+
+
 # ---------------------------------------------------------------- subcommands
 
 _OPERATOR_FIELDS = (
@@ -285,7 +291,6 @@ EVOLVE_SCHEMA = _OPERATOR_FIELDS + (
     Field("t_final", "float", "evolution time"),
     Field("dt", "float", "snapshot time step"),
     Field("store_every", "int", "snapshot stride in steps", default=1),
-    Field("output", "str", "output directory", default="."),
 )
 
 
@@ -318,7 +323,6 @@ TRAJECTORIES_SCHEMA = _OPERATOR_FIELDS + (
           default=2026),
     Field("store_every", "int", "snapshot stride in steps", default=1),
     Field("workers", "int", "threads that run the trajectory blocks", default=1),
-    Field("output", "str", "output directory", default="."),
 )
 
 
@@ -358,7 +362,6 @@ COLLISIONAL_SCHEMA = (
     Field("dx_max", "float", "largest separation"),
     Field("n_dx", "int", "number of separations", default=25),
     Field("log_spacing", "bool", "log-spaced separations", default=True),
-    Field("output", "str", "output directory", default="."),
 )
 
 
@@ -400,7 +403,6 @@ QBM_SCHEMA = (
     Field("wigner", "bool", "dump initial/final Wigner grids", default=True),
     Field("n_x", "int", "Wigner position-grid points", default=201),
     Field("x_max", "float", "Wigner grid half-width (default: auto)"),
-    Field("output", "str", "output directory", default="."),
 )
 
 
@@ -429,9 +431,7 @@ def _cmd_qbm(cfg: _Config) -> tuple[list, dict, list[str]]:
         if not np.isfinite(occupation):
             raise ConfigError(f"thermal occupation at temperature {cfg['temperature']!r} overflows")
         auto = (2.0 * abs(alpha) * np.sqrt(2.0) + 7.0 * np.sqrt(2.0 * occupation + 1.0)) * scale
-        x_max = cfg.get("x_max")  # 0 or below fails the grid rule
-        if x_max is None:
-            x_max = auto
+        x_max = cfg["x_max"] if "x_max" in cfg.given else auto  # 0 or below fails the grid rule
         positions = wigner_positions(_uniform_grid(-x_max, x_max, cfg["n_x"], "position"),
                                      cfg["mass"], cfg["frequency"])
     psi = cat_state(alpha, cfg["n_max"])
@@ -475,7 +475,6 @@ SPINBOSON_SCHEMA = (
     Field("n_modes", "int", "bath modes for the exact solver", default=512),
     Field("check_convergence", "bool", "mode-doubling certification", default=True),
     Field("born_markov", "bool", "also integrate the weak-coupling equation", default=True),
-    Field("output", "str", "output directory", default="."),
 )
 
 
@@ -523,15 +522,13 @@ SPINSPIN_SCHEMA = _SPIN_BATH_FIELDS + (
     Field("psi0", "json", "initial system state", default="plus"),
     Field("t_max", "float", "last grid time"),
     Field("n_times", "int", "time-grid points", default=201),
-    Field("output", "str", "output directory", default="."),
 )
 
 
 def _cmd_spinspin(cfg: _Config) -> tuple[list, dict, list[str]]:
-    from .models.spinspin import SpinEnvironment, spin_spin_exact
+    from .models.spinspin import spin_spin_exact
 
-    couplings = tuple(_parse_floats(cfg["couplings"], "couplings"))
-    env = SpinEnvironment(couplings, splitting=cfg["splitting"], tunneling=cfg["tunneling"])
+    env = _build_spin_environment(cfg)
     psi0 = StateVector(_parse_state(cfg["psi0"], "psi0"))
     times = _uniform_grid(0.0, cfg["t_max"], cfg["n_times"], "time")
     result = spin_spin_exact(env, psi0, times)
@@ -542,9 +539,9 @@ def _cmd_spinspin(cfg: _Config) -> tuple[list, dict, list[str]]:
                purity(result.states)]
     if cfg["tunneling"] == 0.0:
         header.append("product_reference")
-        columns.append(np.prod(np.abs(np.cos(np.outer(times, couplings))), axis=1))
+        columns.append(np.prod(np.abs(np.cos(np.outer(times, env.couplings))), axis=1))
     return ([("spinspin.csv", write_csv, header, np.column_stack(columns))],
-            {"couplings": list(couplings)}, [])
+            {"couplings": list(env.couplings)}, [])
 
 
 SIEVE_SCHEMA = (
@@ -553,13 +550,11 @@ SIEVE_SCHEMA = (
 ) + _SPIN_BATH_FIELDS + (
     Field("t_final", "float", "ranking horizon"),
     Field("n_times", "int", "time-grid points", default=41),
-    Field("output", "str", "output directory", default="."),
 )
 
 
 def _cmd_sieve(cfg: _Config) -> tuple[list, dict, list[str]]:
     from .dynamics import LindbladSpec
-    from .models.spinspin import SpinEnvironment
     from .pointer import predictability_sieve
 
     labels = ["zero", "one", "plus", "minus"]
@@ -571,10 +566,7 @@ def _cmd_sieve(cfg: _Config) -> tuple[list, dict, list[str]]:
             ((Operator(SIGMA_Z), cfg["kappa"]),),
         )
     else:
-        generator = SpinEnvironment(
-            tuple(_parse_floats(cfg["couplings"], "couplings")),
-            splitting=cfg["splitting"], tunneling=cfg["tunneling"],
-        )
+        generator = _build_spin_environment(cfg)
     report = predictability_sieve(generator, candidates, times, labels=labels)
     cands = report.candidates
     values = np.column_stack([np.tile(times, len(cands)),
@@ -592,7 +584,6 @@ DFS_SCHEMA = (
     Field("n", "int", "number of qubits (collective mode)"),
     Field("system_terms", "json", "list of system coupling matrices"),
     Field("env_terms", "json", "list of environment coupling matrices"),
-    Field("output", "str", "output directory", default="."),
 )
 
 
@@ -640,7 +631,6 @@ QEC_SCHEMA = (
     Field("p_list", "json", "phase-flip probabilities", default=[0.01, 0.02, 0.05]),
     Field("n_shots", "int", "Monte Carlo shots per probability", default=100_000),
     Field("seed", "int", "sampling seed", default=0),
-    Field("output", "str", "output directory", default="."),
 )
 
 
@@ -668,7 +658,6 @@ ESTIMATE_SCHEMA = (
     Field("p_max", "float", "largest pressure"),
     Field("n_p", "int", "pressure-grid points", default=50),
     Field("v0", "float", "zero-pressure visibility", default=1.0),
-    Field("output", "str", "output directory", default="."),
 )
 
 
@@ -716,7 +705,10 @@ def _cmd_estimate(cfg: _Config) -> tuple[list, dict, list[str]]:
     return outputs, summary, lines
 
 
-COMMANDS = {
+_OUTPUT = Field("output", "str", "output directory", default=".")  # main reads it, no handler
+
+COMMANDS = {name: (schema + (_OUTPUT,), handler, help_text)
+            for name, (schema, handler, help_text) in {
     "evolve": (EVOLVE_SCHEMA, _cmd_evolve, "integrate a diagonal-form master equation"),
     "trajectories": (TRAJECTORIES_SCHEMA, _cmd_trajectories,
                      "diffusive unraveling vs the master equation"),
@@ -730,7 +722,7 @@ COMMANDS = {
     "dfs": (DFS_SCHEMA, _cmd_dfs, "protected-subspace search"),
     "qec": (QEC_SCHEMA, _cmd_qec, "phase-flip code logical error rates"),
     "estimate": (ESTIMATE_SCHEMA, _cmd_estimate, "SI timescale and visibility estimators"),
-}
+}.items()}
 
 
 def _json_flag(text: str):
@@ -777,18 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_safe(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
-
-
 def _inode(path: str) -> int | None:
     try:
         return os.stat(path).st_ino
@@ -827,7 +807,7 @@ def main(argv=None) -> int:
         paths = [path for output in outputs for path in _write(outdir, before, *output)]
         manifest = {
             "subcommand": args.command,
-            "config": _json_safe({k: v for k, v in cfg.items() if k in cfg.read}),
+            "config": {k: v for k, v in cfg.items() if k in cfg.read},
             "seed": next((cfg[k] for k in ("seed", "master_seed") if k in cfg), None),
             "outputs": [os.path.basename(p) for p in paths],
             "versions": {
@@ -836,7 +816,7 @@ def main(argv=None) -> int:
                 "decosim": __version__,
             },
             "wall_time_s": time.perf_counter() - started,
-            "summary": _json_safe(summary),
+            "summary": summary,
         }
         _write(outdir, before, "manifest.json", write_json, manifest)
     # the numerical classes first: PhysicalityError, GridResolutionError and

@@ -144,9 +144,18 @@ def fixed_step_count(t_final: float, dt: float, store_every: int) -> int:
     return n_steps
 
 
-def snapshot_steps(n_steps: int, store_every: int) -> np.ndarray:
-    """Step indices of the snapshots: every ``store_every``-th step from 0, then the last one."""
-    return np.append(np.arange(0, n_steps, store_every), n_steps)
+def snapshot_grid(n_steps: int, store_every: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Snapshot steps and a zeroed (T, dim, dim) complex stack, one for each snapshot.
+
+    The steps are every ``store_every``-th step from 0, then the last one.  A
+    grid too large to allocate, or to address at all, is a ValueError.
+    """
+    try:
+        steps = np.append(np.arange(0, n_steps, store_every), n_steps)
+        return steps, np.zeros((steps.size, dim, dim), dtype=complex)
+    except (MemoryError, ValueError):
+        raise ValueError(f"{n_steps // store_every + 1:.3g} snapshots of a {dim}x{dim} state do "
+                         "not fit in memory; raise dt or store_every") from None
 
 
 def liouvillian(compiled) -> np.ndarray:
@@ -325,12 +334,7 @@ def evolve(
         raise ValueError("initial state dimension does not match the generator")
     ptol = generator.positivity_tol
     d = generator.dim
-    try:
-        steps = snapshot_steps(n_steps, store_every)
-        states = np.empty((steps.size, d, d), dtype=complex)
-    except (MemoryError, ValueError):  # too large to allocate, or to address at all
-        raise ValueError(f"{n_steps // store_every + 1:.3g} snapshots of a {d}x{d} state do "
-                         "not fit in memory; raise dt or store_every") from None
+    steps, states = snapshot_grid(n_steps, store_every, d)
     # rates near the double range overflow L, or the bound on its norm;
     # that is caught once here
     with np.errstate(over="ignore", invalid="ignore"):
@@ -551,15 +555,14 @@ def unravel(
         raise ValueError(f"need n_workers >= 1, got {n_workers}")
     if store_every < 1:
         raise ValueError(f"need store_every >= 1, got {store_every}")
-    sample_steps = snapshot_steps(cfg.n_steps, store_every)
+    # allocated before any block runs, so an ensemble too large for memory is refused at once
+    sample_steps, total = snapshot_grid(cfg.n_steps, store_every, spec.dim)
     rates = np.array([rate for _, rate in spec.lindblad_terms], dtype=float)
     a = spec.compiled[0]  # -iH - (1/2) sum kappa L^dag L, and L^dag L = L^2 for Hermitian L
     with np.errstate(invalid="ignore"):  # an overflowed a gives NaN, reported after the steps
         ops = np.vstack(
             [_real_form(op.entries) for op, _ in spec.lindblad_terms] + [_real_form(cfg.dt * a)]
         )
-    # allocated before any block runs, so an ensemble too large for memory is refused at once
-    total = np.zeros((sample_steps.size, spec.dim, spec.dim), dtype=complex)
     finals = np.zeros((cfg.n_trajectories, spec.dim), dtype=complex)
     starts = range(0, cfg.n_trajectories, TRAJECTORY_BLOCK)
 

@@ -95,8 +95,9 @@ def test_identical_runs_produce_identical_bytes(tmp_path):
 
 def test_manifest_config_reproduces_the_run(tmp_path):
     # the manifest's config lists the keys the run read, so it reruns, and
-    # gives the same data files, through --config
-    runs = [EVOLVE_FLAGS]
+    # gives the same data files, through --config; a key left unset, such as
+    # qbm's auto-window x_max, is neither read nor recorded
+    runs = [EVOLVE_FLAGS, _QBM_FLAGS + ["--wigner"]]  # no --x-max: the auto window
     for command, bases in _SWEEP_BASES.items():
         for k, base in enumerate(bases):
             path = tmp_path / f"{command}-{k}.json"
@@ -105,6 +106,7 @@ def test_manifest_config_reproduces_the_run(tmp_path):
     for k, argv in enumerate(runs):
         first, second = tmp_path / f"first-{k}", tmp_path / f"second-{k}"
         assert main(argv + ["--output", str(first)]) == 0, argv
+        assert None not in _manifest(first)["config"].values(), argv
         cfg_path = tmp_path / f"replay-{k}.json"
         cfg_path.write_text(json.dumps(_manifest(first)["config"]))
         assert main([argv[0], "--config", str(cfg_path), "--output", str(second)]) == 0, argv
@@ -1022,9 +1024,11 @@ _VISIBILITY = ["estimate", "--visibility", "--gamma-per-pressure", "2", "--t-tra
 _SPINBOSON = ["spinboson", "--gamma0", "0.02", "--cutoff", "8", "--temperature", "2",
               "--t-max", "0.5", "--n-times", "6"]
 _EXIT_2_CASES = {
-    # 1e300 snapshots: numpy refuses the stack before the generator is built
+    # 1e300 snapshots: the stack is refused before the generator is built
     "evolve-dt-tiny": EVOLVE_FLAGS + ["--dt", "1e-300"],
     "qbm-dt-tiny": _QBM_FLAGS + ["--dt", "1e-300"],
+    "trajectories-dt-tiny": ["trajectories", *_DEPHASING_FLAGS, "--dt", "1e-300",
+                             "--n-trajectories", "3"],
     "qbm-n-x-0": _QBM_FLAGS + ["--wigner", "--n-x", "0"],
     "qbm-n-x-1": _QBM_FLAGS + ["--wigner", "--n-x", "1"],
     "qbm-alpha-overflows": _QBM_FLAGS + ["--alpha", "1e200"],

@@ -544,6 +544,14 @@ def test_unravel_rejects_degenerate_workers_and_stride():
         unravel(spec, psi0, cfg, store_every=0)
 
 
+def test_unravel_refuses_a_snapshot_grid_too_large_to_address():
+    # 1e300 snapshots: the grid is refused as evolve refuses it, naming dt and store_every
+    spec, psi0, _ = _traj_setup(3)
+    cfg = TrajectoryConfig(dt=1e-300, t_final=1.0, n_trajectories=3, master_seed=1)
+    with pytest.raises(ValueError, match=r"1e\+300 snapshots .* fit in memory; raise dt"):
+        unravel(spec, psi0, cfg)
+
+
 def _block_normals(seed, block, n_steps, m, b):
     """Block ``block``'s normals in one draw, shape (n_steps, m, b)."""
     bitgen = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,)))
